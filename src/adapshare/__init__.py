@@ -27,7 +27,7 @@ from .env import (
     reward,
     step,
 )
-from .oracle import OracleSolution, grid_solve, solve_opt, solve_opt_base
+from .oracle import OracleSolution, grid_solve, solve_opt, solve_opt_array, solve_opt_base
 from .synthgen import DemandStats, fit, generate, ks_distance
 from .agents import (
     AgentConfig,

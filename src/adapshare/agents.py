@@ -17,7 +17,9 @@ from . import nn
 from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig
 from .env import Observation, RawAction, observe, project_action, step
 from .metrics import moving_average
-from .oracle import solve_opt, solve_opt_base
+# solve_opt is not called here, but bench/phases.py times the sweep's
+# solver calls through agents.solve_opt and agents.solve_opt_base
+from .oracle import solve_opt, solve_opt_array, solve_opt_base  # noqa: F401
 from .seeding import rng_for
 
 
@@ -164,8 +166,8 @@ class DdpgAgent:
         ]
         self.target_actor = self.actor.clone()
         self.target_critics = [c.clone() for c in self.critics]
-        self.actor_opt = nn.AdamState(self.actor.params(), cfg.actor_lr)
-        self.critic_opts = [nn.AdamState(c.params(), cfg.critic_lr) for c in self.critics]
+        self.actor_opt = nn.AdamState([self.actor.flat], cfg.actor_lr)
+        self.critic_opts = [nn.AdamState([c.flat], cfg.critic_lr) for c in self.critics]
         self.explore_rng = rng_for(seed, "explore")
         self.batch_rng = rng_for(seed, "batch")
         self.target_noise_rng = rng_for(seed, "target_noise")
@@ -205,7 +207,7 @@ class DdpgAgent:
             err = q - y
             losses.append(float(np.mean(err ** 2)))
             grad_w, grad_b, _ = nn.backward(critic, cache, (2.0 / batch) * err)
-            nn.adam_step(opt, critic.params(), _interleave(grad_w, grad_b))
+            nn.adam_step(opt, [critic.flat], [nn.flatten_layers(grad_w, grad_b)])
         return losses
 
     def _update_actor(self, obs):
@@ -216,7 +218,7 @@ class DdpgAgent:
         # ascend mean Q: backprop -1/B through critic 1 into the action slice
         _, _, dx = nn.backward(self.critics[0], critic_cache, np.full((batch, 1), -1.0 / batch))
         grad_w, grad_b, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:])
-        nn.adam_step(self.actor_opt, self.actor.params(), _interleave(grad_w, grad_b))
+        nn.adam_step(self.actor_opt, [self.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
         return float(np.mean(q))
 
     def _soft_update_targets(self):
@@ -253,15 +255,6 @@ class Td3Agent(DdpgAgent):
         return UpdateReport(
             critic_loss=losses[0], critic2_loss=losses[1], actor_objective=actor_objective
         )
-
-
-def _interleave(grad_w, grad_b):
-    # params() orders weight, bias per layer
-    out = []
-    for w, b in zip(grad_w, grad_b):
-        out.append(w)
-        out.append(b)
-    return out
 
 
 def act(agent, obs, explore=False):
@@ -325,13 +318,11 @@ def _pretrain_actor(agent, series, cfg, split_end):
     for _ in range(agent.config.pretrain_steps):
         ts = rng.integers(env.window_n, split_end, batch)
         obs = np.stack([observe(series, int(t), env).vector() for t in ts])
-        targets = np.empty((batch, 2))
-        for row, t in enumerate(ts):
-            sol = solve_opt(series.demand(int(t)), env.zeta, env.n_r, env.d_min)
-            targets[row] = (sol.allocation.n_a / env.n_r, sol.allocation.n_b / env.n_r)
+        n_a, n_b = solve_opt_array(series.d_a[ts], series.d_b[ts], env.zeta, env.n_r, env.d_min)
+        targets = np.stack([n_a / env.n_r, n_b / env.n_r], axis=1)
         mu, cache = nn.forward_cache(agent.actor, obs)
         grad_w, grad_b, _ = nn.backward(agent.actor, cache, (2.0 / batch) * (mu - targets))
-        nn.adam_step(agent.actor_opt, agent.actor.params(), _interleave(grad_w, grad_b))
+        nn.adam_step(agent.actor_opt, [agent.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
     agent.target_actor = agent.actor.clone()
 
 
@@ -381,18 +372,22 @@ def train(agent_kind, series, cfg):
 def greedy_policy(agent, series, cfg):
     """Feasible allocations over the evaluation split, no exploration.
 
-    `agent` may be a trained agent or one of the solver kinds
-    (OPT_ORACLE, OPT_BASE), which route to the closed-form solver.
+    `agent` may be a trained agent, which acts one observation at a time,
+    or one of the solver kinds: OPT_ORACLE solves the closed form over
+    the evaluation split's demand columns in one array pass, and
+    OPT_BASE solves once against the training prefix's demand maxima
+    and repeats that allocation on every step. Returns one Allocation
+    per evaluation step.
     """
     env = cfg.env
     steps = eval_timesteps(series, cfg)
     if isinstance(agent, (str, AgentKind)):
         kind = AgentKind(agent)
         if kind == AgentKind.OPT_ORACLE:
-            return [
-                solve_opt(series.demand(t), env.zeta, env.n_r, env.d_min).allocation
-                for t in steps
-            ]
+            n_a, n_b = solve_opt_array(
+                series.d_a[steps.start:], series.d_b[steps.start:], env.zeta, env.n_r, env.d_min
+            )
+            return [Allocation(a, b) for a, b in zip(n_a.tolist(), n_b.tolist())]
         if kind == AgentKind.OPT_BASE:
             split_end = train_split_end(len(series.timestamps), cfg.eval_split)
             if split_end < 1:
@@ -401,10 +396,8 @@ def greedy_policy(agent, series, cfg):
                 float(series.d_a[:split_end].max()),
                 float(series.d_b[:split_end].max()),
             )
-            return [
-                solve_opt_base(max_demand, env.zeta, env.n_r, env.d_min).allocation
-                for _ in steps
-            ]
+            alloc = solve_opt_base(max_demand, env.zeta, env.n_r, env.d_min).allocation
+            return [alloc] * len(steps)
         raise ValueError(f"{kind.value} must be passed as a trained agent")
     allocs = []
     for t in steps:
@@ -473,6 +466,6 @@ def load_agent(path):
     agent.critics = [nn.mlp_from_dict(c) for c in payload["critics"]]
     agent.target_actor = nn.mlp_from_dict(payload["target_actor"])
     agent.target_critics = [nn.mlp_from_dict(c) for c in payload["target_critics"]]
-    agent.actor_opt = nn.AdamState(agent.actor.params(), config.actor_lr)
-    agent.critic_opts = [nn.AdamState(c.params(), config.critic_lr) for c in agent.critics]
+    agent.actor_opt = nn.AdamState([agent.actor.flat], config.actor_lr)
+    agent.critic_opts = [nn.AdamState([c.flat], config.critic_lr) for c in agent.critics]
     return agent, experiment

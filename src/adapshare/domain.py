@@ -9,6 +9,7 @@ math.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -115,8 +116,24 @@ class DemandSeries:
 
 
 def clamp_demand(d: float, d_min: float) -> float:
-    """Floor a demand at d_min so fractional-error denominators stay positive."""
+    """Floor a demand at d_min so fractional-error denominators stay positive.
+
+    A NaN or infinite demand has no meaningful floor and is rejected.
+    """
+    if not math.isfinite(d):
+        raise ValueError(f"demand must be finite, got {d}")
     return d if d > d_min else d_min
+
+
+def clamp_demands(d, d_min: float, name: str) -> np.ndarray:
+    """clamp_demand over a whole column, element for element the same bits.
+
+    `name` labels the column in the error a non-finite entry raises.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    if not np.isfinite(d).all():
+        raise ValueError(f"{name} must be finite, got {d[~np.isfinite(d)][0]}")
+    return np.where(d > d_min, d, d_min)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ demand, so steps carry no hidden state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Allocation, DemandSeries, EnvConfig, clamp_demand
+from .domain import Allocation, DemandSeries, EnvConfig, clamp_demand, clamp_demands
 
 FEASIBILITY_SLACK = 1e-9
 
@@ -57,6 +58,13 @@ class StepResult:
     reward: float
 
 
+def _weighted_squares(n_a, n_b, d_a, d_b, zeta):
+    # the J formula for floats and for numpy columns alike
+    frac_a = (n_a - d_a) / d_a
+    frac_b = (n_b - d_b) / d_b
+    return zeta * frac_a * frac_a + (1.0 - zeta) * frac_b * frac_b
+
+
 def objective_j(alloc: Allocation, demand: tuple[float, float], zeta: float, d_min: float) -> float:
     """Weighted sum of squared fractional surpluses/deficits.
 
@@ -65,9 +73,15 @@ def objective_j(alloc: Allocation, demand: tuple[float, float], zeta: float, d_m
     """
     d_a = clamp_demand(demand[0], d_min)
     d_b = clamp_demand(demand[1], d_min)
-    frac_a = (alloc.n_a - d_a) / d_a
-    frac_b = (alloc.n_b - d_b) / d_b
-    return zeta * frac_a * frac_a + (1.0 - zeta) * frac_b * frac_b
+    return _weighted_squares(alloc.n_a, alloc.n_b, d_a, d_b, zeta)
+
+
+def objective_j_array(n_a, n_b, d_a, d_b, zeta: float, d_min: float) -> np.ndarray:
+    """objective_j over grant and demand columns, element for element the
+    same bits."""
+    d_a = clamp_demands(d_a, d_min, "d_a")
+    d_b = clamp_demands(d_b, d_min, "d_b")
+    return _weighted_squares(n_a, n_b, d_a, d_b, zeta)
 
 
 def reward(j: float, eta: float) -> float:
@@ -82,6 +96,8 @@ def project_action(raw: RawAction, n_r: float) -> Allocation:
     both components are rescaled radially so the A:B ratio the actor asked
     for is preserved and the budget line is met exactly.
     """
+    if not 0.0 < n_r < math.inf:
+        raise ValueError(f"n_r must be positive and finite, got {n_r}")
     cand_a = raw.u_a * n_r
     cand_b = raw.u_b * n_r
     total = cand_a + cand_b

@@ -75,9 +75,9 @@ def run_cell(series, spec, n_r, zeta_index, agent_kind):
     else:
         agent = agent_kind
     allocs = greedy_policy(agent, series, cfg)
-    steps = eval_timesteps(series, cfg)
-    demands = [series.demand(t) for t in steps]
-    timestamps = [series.timestamps[t] for t in steps]
+    start = eval_timesteps(series, cfg).start
+    demands = list(zip(series.d_a[start:].tolist(), series.d_b[start:].tolist()))
+    timestamps = series.timestamps[start:].tolist()
     report = build_report(
         allocs, demands, zeta, cfg.env.d_min, timestamps=timestamps, keep_per_step=True
     )

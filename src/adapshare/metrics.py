@@ -9,9 +9,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import AgentKind
-from .env import objective_j
+from .env import objective_j_array
 
 
 class LengthMismatch(ValueError):
@@ -50,9 +51,28 @@ def _alloc_arrays(allocs):
 def _demand_arrays(demands, length):
     if len(demands) != length:
         raise LengthMismatch(f"{length} allocations vs {len(demands)} demands")
-    d_a = np.array([d[0] for d in demands], dtype=float)
-    d_b = np.array([d[1] for d in demands], dtype=float)
-    return d_a, d_b
+    pairs = np.array(demands, dtype=float).reshape(length, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _surplus(n_a, n_b, d_a, d_b, d_min):
+    d_a = np.maximum(d_a, d_min)
+    d_b = np.maximum(d_b, d_min)
+    return float(np.mean((n_a - d_a) / d_a)), float(np.mean((n_b - d_b) / d_b))
+
+
+def _jain(n_a, n_b):
+    """Mean per-step Jain index and the number of 0/0 steps counted as 1."""
+    denom = 2.0 * (n_a ** 2 + n_b ** 2)
+    zero = denom == 0.0
+    per_step = np.ones_like(denom)
+    np.divide((n_a + n_b) ** 2, denom, out=per_step, where=~zero)
+    return float(np.mean(per_step)), int(zero.sum())
+
+
+def _mean_left_to_right(values):
+    # a plain running sum, as a Python loop would add, not np.sum's pairwise one
+    return float(np.add.accumulate(values)[-1]) / len(values)
 
 
 def surplus_deficit(allocs, demands, d_min=0.1):
@@ -62,10 +82,7 @@ def surplus_deficit(allocs, demands, d_min=0.1):
     division; symmetrically s_b.
     """
     n_a, n_b = _alloc_arrays(allocs)
-    d_a, d_b = _demand_arrays(demands, len(allocs))
-    d_a = np.maximum(d_a, d_min)
-    d_b = np.maximum(d_b, d_min)
-    return float(np.mean((n_a - d_a) / d_a)), float(np.mean((n_b - d_b) / d_b))
+    return _surplus(n_a, n_b, *_demand_arrays(demands, len(allocs)), d_min)
 
 
 def jain_fairness(allocs):
@@ -74,34 +91,28 @@ def jain_fairness(allocs):
     A (0, 0) step is 0/0; both sides are equally starved there, so it
     counts as 1 and a warning reports how many steps did.
     """
-    n_a, n_b = _alloc_arrays(allocs)
-    denom = 2.0 * (n_a ** 2 + n_b ** 2)
-    zero = denom == 0.0
-    per_step = np.ones_like(denom)
-    np.divide((n_a + n_b) ** 2, denom, out=per_step, where=~zero)
-    if zero.any():
+    fairness, zero_steps = _jain(*_alloc_arrays(allocs))
+    if zero_steps:
         warnings.warn(
-            f"{int(zero.sum())} all-zero allocation step(s) counted as fairness 1",
+            f"{zero_steps} all-zero allocation step(s) counted as fairness 1",
             stacklevel=2,
         )
-    return float(np.mean(per_step))
+    return fairness
+
+
+def _zero_steps(n_a, n_b):
+    return int(np.sum((n_a == 0.0) & (n_b == 0.0)))
 
 
 def count_zero_alloc_steps(allocs):
-    n_a, n_b = _alloc_arrays(allocs)
-    return int(np.sum((n_a == 0.0) & (n_b == 0.0)))
+    return _zero_steps(*_alloc_arrays(allocs))
 
 
 def mean_objective(allocs, demands, zeta, d_min=0.1):
     """Mean weighted squared deviation over the steps."""
-    if len(allocs) == 0:
-        raise EmptyInput("no allocations to aggregate")
-    if len(demands) != len(allocs):
-        raise LengthMismatch(f"{len(allocs)} allocations vs {len(demands)} demands")
-    total = 0.0
-    for alloc, demand in zip(allocs, demands):
-        total += objective_j(alloc, demand, zeta, d_min)
-    return total / len(allocs)
+    n_a, n_b = _alloc_arrays(allocs)
+    d_a, d_b = _demand_arrays(demands, len(allocs))
+    return _mean_left_to_right(objective_j_array(n_a, n_b, d_a, d_b, zeta, d_min))
 
 
 def moving_average(values, window):
@@ -112,31 +123,38 @@ def moving_average(values, window):
     if values.size == 0:
         raise EmptyInput("no values to average")
     out = np.empty_like(values)
-    for i in range(values.size):
-        out[i] = values[max(0, i - window + 1): i + 1].mean()
+    head = min(window - 1, values.size)
+    for i in range(head):
+        out[i] = values[: i + 1].mean()
+    if values.size >= window:
+        out[head:] = sliding_window_view(values, window).mean(axis=1)
     return out
 
 
 def build_report(allocs, demands, zeta, d_min=0.1, timestamps=None, keep_per_step=False):
-    """Bundle every metric for one policy run into an EvalReport."""
-    s_a, s_b = surplus_deficit(allocs, demands, d_min)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fairness = jain_fairness(allocs)
-    zero_steps = count_zero_alloc_steps(allocs)
-    mean_j = mean_objective(allocs, demands, zeta, d_min)
+    """Bundle every metric for one policy run into an EvalReport.
+
+    allocs is a sequence of Allocation and demands one of (d_a, d_b)
+    pairs. Both are read into columns once; J, surplus and fairness are
+    then whole-array expressions with the same bits the per-step
+    objective_j and the single-metric functions give.
+    """
+    n_a, n_b = _alloc_arrays(allocs)
+    d_a, d_b = _demand_arrays(demands, len(allocs))
+    j = objective_j_array(n_a, n_b, d_a, d_b, zeta, d_min)
+    s_a, s_b = _surplus(n_a, n_b, d_a, d_b, d_min)
+    fairness, _ = _jain(n_a, n_b)
     per_step = []
     if keep_per_step:
         if timestamps is None:
             timestamps = range(len(allocs))
-        for t, alloc, demand in zip(timestamps, allocs, demands):
-            per_step.append((t, alloc, demand, objective_j(alloc, demand, zeta, d_min)))
+        per_step = list(zip(timestamps, allocs, demands, j.tolist()))
     return EvalReport(
         s_a=s_a,
         s_b=s_b,
         fairness=fairness,
-        mean_j=mean_j,
-        zero_alloc_steps=zero_steps,
+        mean_j=_mean_left_to_right(j),
+        zero_alloc_steps=_zero_steps(n_a, n_b),
         per_step=per_step,
     )
 

@@ -4,6 +4,11 @@ Everything an actor or critic needs and nothing more: dense layers,
 four activations, exact reverse-mode gradients, a bias-corrected
 adaptive-moment optimizer, Polyak target updates, and a JSON
 checkpoint format. All math is float64 numpy; no autodiff framework.
+
+Each network keeps all its parameters in one contiguous vector, with
+per-layer views for the forward and backward passes. Adam and the
+Polyak update work element by element, so running them once on that
+vector gives the same bits as running them on each layer's arrays.
 """
 
 import json
@@ -46,8 +51,10 @@ ACTIVATIONS = {
 class Mlp:
     """Dense network; weights[l] has shape (dims[l+1], dims[l]).
 
-    activations has one name per weight layer. Parameters are plain
-    float64 arrays so optimizers can update them in place.
+    activations has one name per weight layer. All parameters live in
+    one contiguous float64 vector `flat`, ordered as params() lists
+    them; `weights` and `biases` are views into it, so an optimizer may
+    update either the whole vector or each array, in place.
     """
 
     def __init__(self, dims, activations, rng=None):
@@ -67,17 +74,28 @@ class Mlp:
                 raise ShapeMismatch(f"unknown activation {name!r}")
         self.dims = dims
         self.activations = activations
-        self.weights = []
-        self.biases = []
+        self._bind(np.empty(sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))))
         if rng is None:
             rng = np.random.default_rng()
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, (fan_out, fan_in)))
-            self.biases.append(rng.uniform(-bound, bound, fan_out))
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, w.shape)
+            b[...] = rng.uniform(-bound, bound, b.shape)
+
+    def _bind(self, flat):
+        """Adopt `flat` as the parameter vector and carve the layer views."""
+        self.flat = flat
+        self.weights = []
+        self.biases = []
+        offset = 0
+        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
+            self.weights.append(flat[offset: offset + fan_out * fan_in].reshape(fan_out, fan_in))
+            offset += fan_out * fan_in
+            self.biases.append(flat[offset: offset + fan_out])
+            offset += fan_out
 
     def params(self):
-        """Flat list of parameter arrays, weights then biases per layer."""
+        """Parameter arrays, weights then biases per layer: views of `flat`."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
@@ -88,9 +106,14 @@ class Mlp:
         dup = object.__new__(Mlp)
         dup.dims = list(self.dims)
         dup.activations = list(self.activations)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup._bind(self.flat.copy())
         return dup
+
+
+def flatten_layers(weights, biases):
+    """Per-layer weight and bias arrays (parameters, or the gradients
+    backward() returns) as one vector laid out like `Mlp.flat`."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
 
 
 def _as_batch(net, x):
@@ -153,7 +176,11 @@ def backward(net, cache, upstream):
 
 
 class AdamState:
-    """Per-parameter first/second moments plus the step counter."""
+    """First/second moments for each array in `params` plus the step counter.
+
+    Pass a network's `[net.flat]` to keep one moment vector per network;
+    a list of per-layer arrays works the same way, array by array.
+    """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0:
@@ -198,9 +225,8 @@ def soft_update(target, online, tau):
         )
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    for t_arr, o_arr in zip(target.params(), online.params()):
-        t_arr *= 1.0 - tau
-        t_arr += tau * o_arr
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
     return target
 
 
@@ -227,12 +253,16 @@ def mlp_from_dict(payload):
     net = object.__new__(Mlp)
     net.dims = [int(d) for d in payload["dims"]]
     net.activations = list(payload["activations"])
-    net.weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-    net.biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
+    weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
+    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
     expect = [(o, i) for i, o in zip(net.dims[:-1], net.dims[1:])]
-    got = [w.shape for w in net.weights]
+    got = [w.shape for w in weights]
     if got != expect:
         raise ValueError(f"weight shapes {got} do not chain with dims {net.dims}")
+    got = [b.shape for b in biases]
+    if got != [(o,) for o, _ in expect]:
+        raise ValueError(f"bias shapes {got} do not match dims {net.dims}")
+    net._bind(flatten_layers(weights, biases))
     return net
 
 

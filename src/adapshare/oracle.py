@@ -11,11 +11,12 @@ the interior solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Allocation, clamp_demand
+from .domain import Allocation, clamp_demand, clamp_demands
 from .env import objective_j
 
 
@@ -26,39 +27,75 @@ class OracleSolution:
     constraint_active: bool
 
 
-def solve_opt(
-    demand: tuple[float, float], zeta: float, n_r: float, d_min: float = 0.1
-) -> OracleSolution:
-    """Closed-form optimal allocation for one demand pair.
+def _check_problem(zeta, n_r, d_min):
+    if not 0.0 < n_r < math.inf:
+        raise ValueError(f"n_r must be positive and finite, got {n_r}")
+    if not 0.0 <= zeta <= 1.0:
+        raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
+    if not 0.0 < d_min < math.inf:
+        raise ValueError(f"d_min must be positive and finite, got {d_min}")
+
+
+def _closed_form(a, b, zeta, n_r):
+    """Optimal grants for clamped demands a, b (numpy scalars or
+    equal-shape arrays), plus where the pool binds.
 
     For zeta in (0,1) with a binding pool, the stationarity condition
     zeta*(x-a)/a^2 = (1-zeta)*(n_r-x-b)/b^2 yields
     x* = [zeta*a*b^2 + (1-zeta)*a^2*(n_r-b)] / [zeta*b^2 + (1-zeta)*a^2],
     clamped to [0, n_r]. At zeta 0 or 1 the objective ignores one network;
     the weighted one gets min(demand, pool) and the other min(demand,
-    remainder), which avoids gratuitous starvation.
+    remainder), which avoids gratuitous starvation. Each np.where picks
+    what Python's min(p, q) or max(p, q) would: q only when strictly
+    smaller (larger), so ties and signed zeros land as they would there.
     """
-    if n_r <= 0:
-        raise ValueError(f"n_r must be positive, got {n_r}")
-    a = clamp_demand(demand[0], d_min)
-    b = clamp_demand(demand[1], d_min)
-    if a + b <= n_r:
-        alloc = Allocation(a, b)
-        return OracleSolution(alloc, objective_j(alloc, demand, zeta, d_min), False)
     if zeta >= 1.0:
-        n_a = min(a, n_r)
-        n_b = min(b, n_r - n_a)
+        n_a = np.where(n_r < a, n_r, a)
+        rest = n_r - n_a
+        n_b = np.where(rest < b, rest, b)
     elif zeta <= 0.0:
-        n_b = min(b, n_r)
-        n_a = min(a, n_r - n_b)
+        n_b = np.where(n_r < b, n_r, b)
+        rest = n_r - n_b
+        n_a = np.where(rest < a, rest, a)
     else:
         x = (zeta * a * b * b + (1.0 - zeta) * a * a * (n_r - b)) / (
             zeta * b * b + (1.0 - zeta) * a * a
         )
-        n_a = min(max(x, 0.0), n_r)
+        x = np.where(0.0 > x, 0.0, x)
+        n_a = np.where(n_r < x, n_r, x)
         n_b = n_r - n_a
-    alloc = Allocation(n_a, n_b)
-    return OracleSolution(alloc, objective_j(alloc, demand, zeta, d_min), True)
+    active = a + b > n_r
+    return np.where(active, n_a, a), np.where(active, n_b, b), active
+
+
+def solve_opt_array(d_a, d_b, zeta: float, n_r: float, d_min: float = 0.1):
+    """solve_opt over whole demand columns in one array pass.
+
+    Returns the grant columns (n_a, n_b), element for element the bits
+    solve_opt returns for the same demand pair.
+    """
+    _check_problem(zeta, n_r, d_min)
+    n_a, n_b, _ = _closed_form(
+        clamp_demands(d_a, d_min, "d_a"), clamp_demands(d_b, d_min, "d_b"), zeta, n_r
+    )
+    return n_a, n_b
+
+
+def solve_opt(
+    demand: tuple[float, float], zeta: float, n_r: float, d_min: float = 0.1
+) -> OracleSolution:
+    """Closed-form optimal allocation for one demand pair: the clamped
+    demands when the pool covers both, else the optimum on the budget
+    line (derived in _closed_form)."""
+    _check_problem(zeta, n_r, d_min)
+    n_a, n_b, active = _closed_form(
+        np.float64(clamp_demand(demand[0], d_min)),
+        np.float64(clamp_demand(demand[1], d_min)),
+        zeta,
+        n_r,
+    )
+    alloc = Allocation(float(n_a), float(n_b))
+    return OracleSolution(alloc, objective_j(alloc, demand, zeta, d_min), bool(active))
 
 
 def solve_opt_base(
@@ -82,8 +119,7 @@ def grid_solve(
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    if n_r <= 0:
-        raise ValueError(f"n_r must be positive, got {n_r}")
+    _check_problem(zeta, n_r, d_min)
     a = clamp_demand(demand[0], d_min)
     b = clamp_demand(demand[1], d_min)
     k_max = int(np.floor(n_r / step + 1e-9))

@@ -95,6 +95,11 @@ class TestProjectAction:
             alloc = project_action(raw, n_r=20.0)
             assert alloc.n_a + alloc.n_b <= 20.0 + 1e-9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -5.0])
+    def test_pool_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="n_r must be positive and finite"):
+            project_action(RawAction(0.5, 0.5), n_r=bad)
+
     def test_raw_action_validated(self):
         with pytest.raises(ValueError):
             RawAction(1.2, 0.5)

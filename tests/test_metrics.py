@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adapshare.domain import AgentKind, Allocation
+from adapshare.env import objective_j
 from adapshare.metrics import (
     DETAIL_HEADER,
     EmptyInput,
@@ -128,6 +129,15 @@ class TestMovingAverage:
         out = moving_average([5.0] * 10, window=3)
         np.testing.assert_allclose(out, 5.0)
 
+    @pytest.mark.parametrize("n", [1, 5, 50, 300, 1600, 20000])
+    @pytest.mark.parametrize("window", [1, 7, 8, 100])
+    def test_bits_match_per_step_slices(self, n, window):
+        values = -np.random.default_rng(n + window).exponential(2.0, n)
+        expect = np.array(
+            [values[max(0, i - window + 1): i + 1].mean() for i in range(n)]
+        )
+        assert moving_average(values, window).tobytes() == expect.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             moving_average([1.0], window=0)
@@ -136,6 +146,24 @@ class TestMovingAverage:
 
 
 class TestBuildReport:
+    def test_columns_match_per_step_objective_bits(self):
+        rng = np.random.default_rng(3)
+        allocs = [Allocation(*rng.uniform(0.0, 30.0, 2)) for _ in range(500)]
+        demands = [tuple(rng.uniform(0.0, 30.0, 2)) for _ in range(500)]
+        report = build_report(allocs, demands, 0.3, keep_per_step=True)
+        per_step = [objective_j(a, d, 0.3, 0.1) for a, d in zip(allocs, demands)]
+        total = 0.0
+        for j in per_step:
+            total += j
+        assert [row[3] for row in report.per_step] == per_step
+        assert all(type(row[3]) is float for row in report.per_step)
+        assert report.mean_j == total / len(per_step)
+        assert mean_objective(allocs, demands, 0.3) == report.mean_j
+
+    def test_non_finite_demand_rejected(self):
+        with pytest.raises(ValueError, match="d_b must be finite"):
+            build_report([Allocation(1.0, 1.0)], [(1.0, float("nan"))], 0.5)
+
     def test_bundles_all_metrics(self):
         allocs = [Allocation(30.0, 20.0), Allocation(10.0, 5.0)]
         demands = [(20.0, 25.0), (10.0, 5.0)]

@@ -5,7 +5,7 @@ import pytest
 
 from adapshare.domain import Allocation, clamp_demand
 from adapshare.env import objective_j
-from adapshare.oracle import grid_solve, solve_opt, solve_opt_base
+from adapshare.oracle import grid_solve, solve_opt, solve_opt_array, solve_opt_base
 
 
 class TestFeasiblePool:
@@ -103,6 +103,54 @@ class TestBindingPool:
     def test_invalid_pool_rejected(self):
         with pytest.raises(ValueError):
             solve_opt((5.0, 5.0), zeta=0.5, n_r=0.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_demand_rejected(self, bad):
+        with pytest.raises(ValueError, match="demand must be finite"):
+            solve_opt((bad, 5.0), zeta=0.5, n_r=20.0)
+        with pytest.raises(ValueError, match="demand must be finite"):
+            solve_opt((5.0, bad), zeta=0.5, n_r=20.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pool_rejected(self, bad):
+        with pytest.raises(ValueError, match="n_r"):
+            solve_opt((5.0, 5.0), zeta=0.5, n_r=bad)
+        with pytest.raises(ValueError, match="n_r"):
+            solve_opt_array([5.0], [5.0], zeta=0.5, n_r=bad)
+        with pytest.raises(ValueError, match="n_r"):
+            grid_solve((5.0, 5.0), zeta=0.5, n_r=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_zeta_rejected(self, bad):
+        with pytest.raises(ValueError, match="zeta"):
+            solve_opt((5.0, 5.0), zeta=bad, n_r=20.0)
+        with pytest.raises(ValueError, match="zeta"):
+            solve_opt_array([5.0], [5.0], zeta=bad, n_r=20.0)
+
+    def test_d_min_rejected(self):
+        with pytest.raises(ValueError, match="d_min"):
+            solve_opt((5.0, 5.0), zeta=0.5, n_r=20.0, d_min=np.nan)
+
+    def test_array_columns_named(self):
+        with pytest.raises(ValueError, match="d_a must be finite"):
+            solve_opt_array([5.0, np.nan], [5.0, 5.0], zeta=0.5, n_r=20.0)
+        with pytest.raises(ValueError, match="d_b must be finite"):
+            solve_opt_array([5.0, 5.0], [np.inf, 5.0], zeta=0.5, n_r=20.0)
+
+    def test_clamp_demand_rejects_nan(self):
+        with pytest.raises(ValueError, match="demand must be finite"):
+            clamp_demand(np.nan, 0.1)
+
+
+class TestArraySolver:
+    # bit-for-bit agreement with solve_opt is a property in test_properties.py
+    def test_returns_columns_of_the_input_shape(self):
+        n_a, n_b = solve_opt_array(np.array([5.0, 40.0]), np.array([8.0, 40.0]), 0.5, 20.0)
+        assert n_a.shape == n_b.shape == (2,)
+        assert (n_a[0], n_b[0]) == (5.0, 8.0)
+        assert n_a[1] + n_b[1] == 20.0
 
 
 class TestQuasiStaticBaseline:
