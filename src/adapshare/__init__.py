@@ -34,7 +34,6 @@ from .agents import (
     DdpgAgent,
     ReplayBuffer,
     Td3Agent,
-    Transition,
     eval_timesteps,
     greedy_policy,
     load_agent,

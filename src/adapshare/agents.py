@@ -1,21 +1,22 @@
 """DDPG and TD3 agents over the spectrum-sharing bandit.
 
 Both agents learn a deterministic actor mapping the demand-history
-observation to a raw action in [0,1]^2. Episodes are length 1, so the
-critic target is simply the reward when gamma is 0 (the default); the
-bootstrap machinery stays wired for nonzero gamma but contributes
-nothing otherwise. TD3 adds twin critics, target-action smoothing, and
-a delayed actor.
+observation to a raw action in [0,1]^2. Each allocation is a one-step
+contextual bandit whose reward is -(1 + eta) J, so the critic regresses
+on the reward itself: there is no successor state to bootstrap from.
+TD3 is DDPG whose actor moves only on every td3_policy_delay-th update
+(Fujimoto et al. 2018, arXiv:1802.09477). The target networks are
+Polyak-averaged copies that nothing reads.
 """
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import nn
 from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig
-from .env import Observation, RawAction, observe, project_action, step
+from .env import RawAction, observe, project_action, step
 from .metrics import moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
 # solver calls through agents.solve_opt and agents.solve_opt_base
@@ -24,24 +25,11 @@ from .seeding import rng_for
 
 
 class InsufficientData(ValueError):
-    """Asked to sample or update before the buffer holds a full batch."""
+    """Asked to sample a batch larger than the buffer holds."""
 
 
 class ConfigError(ValueError):
     """Series/config combination leaves no usable train or eval steps."""
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One stored interaction; no successor state, episodes are length 1."""
-
-    obs: Observation
-    raw_action: RawAction
-    reward: float
-
-    def __post_init__(self):
-        if self.reward > 0:
-            raise ValueError(f"reward must be <= 0, got {self.reward}")
 
 
 @dataclass(frozen=True)
@@ -50,15 +38,12 @@ class AgentConfig:
 
     actor_lr: float = 1e-4
     critic_lr: float = 1e-3
-    gamma: float = 0.0
     tau: float = 0.005
     batch_size: int = 64
     buffer_capacity: int = 50_000
     explore_sigma: float = 0.2
     sigma_decay: float = 0.9995
     td3_policy_delay: int = 2
-    td3_target_noise: float = 0.1
-    td3_noise_clip: float = 0.3
     warmup_steps: int = 500
     hidden_dims: tuple = (64, 64)
     pretrain_steps: int = 0
@@ -66,14 +51,12 @@ class AgentConfig:
     def __post_init__(self):
         if self.actor_lr <= 0 or self.critic_lr <= 0:
             raise ValueError("learning rates must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
         if self.batch_size < 1 or self.buffer_capacity < 1:
             raise ValueError("batch_size and buffer_capacity must be positive")
-        if self.explore_sigma < 0 or self.td3_target_noise < 0 or self.td3_noise_clip < 0:
-            raise ValueError("noise scales must be nonnegative")
+        if self.explore_sigma < 0:
+            raise ValueError(f"explore_sigma must be nonnegative, got {self.explore_sigma}")
         if not 0.0 < self.sigma_decay <= 1.0:
             raise ValueError(f"sigma_decay must lie in (0, 1], got {self.sigma_decay}")
         if self.td3_policy_delay < 1:
@@ -86,7 +69,7 @@ class AgentConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring; stores the fields of each Transition."""
+    """Fixed-capacity FIFO ring of (observation vector, raw action, reward)."""
 
     def __init__(self, capacity):
         if capacity < 1:
@@ -98,28 +81,16 @@ class ReplayBuffer:
         self._act = None
         self._rew = None
 
-    def add(self, transition):
-        vec = transition.obs.vector()
+    def add(self, obs_vec, raw, reward):
         if self._obs is None:
-            self._obs = np.zeros((self.capacity, vec.size))
+            self._obs = np.zeros((self.capacity, obs_vec.size))
             self._act = np.zeros((self.capacity, 2))
             self._rew = np.zeros(self.capacity)
-        self._obs[self.cursor] = vec
-        self._act[self.cursor] = (transition.raw_action.u_a, transition.raw_action.u_b)
-        self._rew[self.cursor] = transition.reward
+        self._obs[self.cursor] = obs_vec
+        self._act[self.cursor] = (raw.u_a, raw.u_b)
+        self._rew[self.cursor] = reward
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
-
-    def get(self, i):
-        """Reconstruct the i-th stored Transition (0 <= i < size)."""
-        if not 0 <= i < self.size:
-            raise IndexError(f"index {i} outside filled region of size {self.size}")
-        pairs = self._obs[i].reshape(-1, 2)
-        return Transition(
-            obs=Observation(pairs=pairs.copy()),
-            raw_action=RawAction(u_a=float(self._act[i, 0]), u_b=float(self._act[i, 1])),
-            reward=float(self._rew[i]),
-        )
 
     def sample(self, rng, batch_size):
         """Uniform with-replacement sample from the filled region."""
@@ -131,25 +102,16 @@ class ReplayBuffer:
 
 @dataclass
 class UpdateReport:
-    """Losses from one gradient step; critic2/actor fields stay None when unused."""
+    """Losses from one gradient step; actor_objective is None when the actor stood still."""
 
     critic_loss: float
-    critic2_loss: float = None
     actor_objective: float = None
-
-
-def _stack_transitions(transitions):
-    obs = np.stack([tr.obs.vector() for tr in transitions])
-    act = np.array([(tr.raw_action.u_a, tr.raw_action.u_b) for tr in transitions])
-    rew = np.array([tr.reward for tr in transitions])
-    return obs, act, rew
 
 
 class DdpgAgent:
     """Deterministic policy gradient with a single critic."""
 
     kind = AgentKind.DDPG
-    n_critics = 1
 
     def __init__(self, obs_dim, config=None, seed=0):
         self.config = config if config is not None else AgentConfig()
@@ -160,17 +122,15 @@ class DdpgAgent:
         critic_dims = [self.obs_dim + 2] + hidden + [1]
         acts_hidden = ["relu"] * len(hidden)
         self.actor = nn.Mlp(actor_dims, acts_hidden + ["sigmoid"], rng_for(seed, "init", "actor"))
-        self.critics = [
-            nn.Mlp(critic_dims, acts_hidden + ["identity"], rng_for(seed, "init", f"critic{i + 1}"))
-            for i in range(self.n_critics)
-        ]
+        # "critic1" names the stream TD3's first twin critic drew from,
+        # so every seed keeps its initial weights
+        self.critic = nn.Mlp(critic_dims, acts_hidden + ["identity"], rng_for(seed, "init", "critic1"))
         self.target_actor = self.actor.clone()
-        self.target_critics = [c.clone() for c in self.critics]
+        self.target_critic = self.critic.clone()
         self.actor_opt = nn.AdamState([self.actor.flat], cfg.actor_lr)
-        self.critic_opts = [nn.AdamState([c.flat], cfg.critic_lr) for c in self.critics]
+        self.critic_opt = nn.AdamState([self.critic.flat], cfg.critic_lr)
         self.explore_rng = rng_for(seed, "explore")
         self.batch_rng = rng_for(seed, "batch")
-        self.target_noise_rng = rng_for(seed, "target_noise")
         self.explore_sigma = cfg.explore_sigma
         self.update_count = 0
 
@@ -180,43 +140,22 @@ class DdpgAgent:
             mu = np.clip(mu + self.explore_rng.normal(0.0, self.explore_sigma, 2), 0.0, 1.0)
         return RawAction(u_a=float(mu[0]), u_b=float(mu[1]))
 
-    def _critic_targets(self, obs, rew):
-        cfg = self.config
-        if cfg.gamma == 0.0:
-            return rew[:, None]
-        # vestigial bootstrap: the bandit has no successor state, so the
-        # stored context stands in for it when gamma is forced above zero
-        next_act = nn.forward(self.target_actor, obs)
-        if self.n_critics > 1 and cfg.td3_target_noise > 0:
-            noise = self.target_noise_rng.normal(0.0, cfg.td3_target_noise, next_act.shape)
-            np.clip(noise, -cfg.td3_noise_clip, cfg.td3_noise_clip, out=noise)
-            next_act = np.clip(next_act + noise, 0.0, 1.0)
-        nx = np.concatenate([obs, next_act], axis=1)
-        q_next = nn.forward(self.target_critics[0], nx)
-        for tc in self.target_critics[1:]:
-            q_next = np.minimum(q_next, nn.forward(tc, nx))
-        return rew[:, None] + cfg.gamma * q_next
-
-    def _update_critics(self, obs, act, rew):
-        y = self._critic_targets(obs, rew)
+    def _update_critic(self, obs, act, rew):
+        """One mean-squared-error step of Q(obs, act) towards the reward."""
         x = np.concatenate([obs, act], axis=1)
-        batch = obs.shape[0]
-        losses = []
-        for critic, opt in zip(self.critics, self.critic_opts):
-            q, cache = nn.forward_cache(critic, x)
-            err = q - y
-            losses.append(float(np.mean(err ** 2)))
-            grad_w, grad_b, _ = nn.backward(critic, cache, (2.0 / batch) * err)
-            nn.adam_step(opt, [critic.flat], [nn.flatten_layers(grad_w, grad_b)])
-        return losses
+        q, cache = nn.forward_cache(self.critic, x)
+        err = q - rew[:, None]
+        grad_w, grad_b, _ = nn.backward(self.critic, cache, (2.0 / obs.shape[0]) * err)
+        nn.adam_step(self.critic_opt, [self.critic.flat], [nn.flatten_layers(grad_w, grad_b)])
+        return float(np.mean(err ** 2))
 
     def _update_actor(self, obs):
         batch = obs.shape[0]
         mu, actor_cache = nn.forward_cache(self.actor, obs)
         x = np.concatenate([obs, mu], axis=1)
-        q, critic_cache = nn.forward_cache(self.critics[0], x)
-        # ascend mean Q: backprop -1/B through critic 1 into the action slice
-        _, _, dx = nn.backward(self.critics[0], critic_cache, np.full((batch, 1), -1.0 / batch))
+        q, critic_cache = nn.forward_cache(self.critic, x)
+        # ascend mean Q: backprop -1/B through the critic into the action slice
+        _, _, dx = nn.backward(self.critic, critic_cache, np.full((batch, 1), -1.0 / batch))
         grad_w, grad_b, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:])
         nn.adam_step(self.actor_opt, [self.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
         return float(np.mean(q))
@@ -224,61 +163,31 @@ class DdpgAgent:
     def _soft_update_targets(self):
         tau = self.config.tau
         nn.soft_update(self.target_actor, self.actor, tau)
-        for target, online in zip(self.target_critics, self.critics):
-            nn.soft_update(target, online, tau)
+        nn.soft_update(self.target_critic, self.critic, tau)
 
     def update(self, obs, act, rew, step_index=None):
-        if step_index is None:
-            step_index = self.update_count
-        losses = self._update_critics(obs, act, rew)
+        critic_loss = self._update_critic(obs, act, rew)
         actor_objective = self._update_actor(obs)
         self._soft_update_targets()
         self.update_count += 1
-        return UpdateReport(critic_loss=losses[0], actor_objective=actor_objective)
+        return UpdateReport(critic_loss=critic_loss, actor_objective=actor_objective)
 
 
 class Td3Agent(DdpgAgent):
-    """Twin critics, smoothed targets, delayed actor."""
+    """DDPG whose actor and targets move only on every td3_policy_delay-th update."""
 
     kind = AgentKind.TD3
-    n_critics = 2
 
     def update(self, obs, act, rew, step_index=None):
         if step_index is None:
             step_index = self.update_count
-        losses = self._update_critics(obs, act, rew)
+        critic_loss = self._update_critic(obs, act, rew)
         actor_objective = None
         if step_index % self.config.td3_policy_delay == 0:
             actor_objective = self._update_actor(obs)
             self._soft_update_targets()
         self.update_count += 1
-        return UpdateReport(
-            critic_loss=losses[0], critic2_loss=losses[1], actor_objective=actor_objective
-        )
-
-
-def act(agent, obs, explore=False):
-    """Actor output as a RawAction; Gaussian noise then clip when exploring."""
-    return agent.act(obs, explore)
-
-
-def update_ddpg(agent, transitions):
-    """One DDPG gradient step on an explicit batch of Transitions."""
-    if len(transitions) < agent.config.batch_size:
-        raise InsufficientData(
-            f"batch of {len(transitions)} < configured {agent.config.batch_size}"
-        )
-    return agent.update(*_stack_transitions(transitions))
-
-
-def update_td3(agent, transitions, step_index):
-    """One TD3 gradient step; the actor moves only when the delay gate opens."""
-    if len(transitions) < agent.config.batch_size:
-        raise InsufficientData(
-            f"batch of {len(transitions)} < configured {agent.config.batch_size}"
-        )
-    obs, a, r = _stack_transitions(transitions)
-    return agent.update(obs, a, r, step_index=step_index)
+        return UpdateReport(critic_loss=critic_loss, actor_objective=actor_objective)
 
 
 _AGENT_CLASSES = {AgentKind.DDPG: DdpgAgent, AgentKind.TD3: Td3Agent}
@@ -359,7 +268,7 @@ def train(agent_kind, series, cfg):
         obs = observe(series, t, env)
         raw = agent.act(obs, explore=True)
         result = step(series, t, raw, env)
-        buffer.add(Transition(obs=obs, raw_action=raw, reward=result.reward))
+        buffer.add(obs.vector(), raw, result.reward)
         rewards[i] = result.reward
         agent.explore_sigma *= agent.config.sigma_decay
         if i >= warmup and buffer.size >= batch_size:
@@ -407,7 +316,10 @@ def greedy_policy(agent, series, cfg):
 
 
 AGENT_FORMAT = "adapshare-agent"
-AGENT_VERSION = 1
+AGENT_VERSION = 2
+# v1 checkpoints also stored these AgentConfig fields and TD3's second
+# critic; a v1 file whose gamma is not 0 trained a different objective
+_V1_RETIRED_CONFIG = ("gamma", "td3_target_noise", "td3_noise_clip")
 
 
 def _config_to_dict(cfg):
@@ -431,41 +343,87 @@ def save_agent(agent, experiment, path):
         "train_steps": experiment.train_steps,
         "eval_split": experiment.eval_split,
         "actor": nn.mlp_to_dict(agent.actor),
-        "critics": [nn.mlp_to_dict(c) for c in agent.critics],
+        "critic": nn.mlp_to_dict(agent.critic),
         "target_actor": nn.mlp_to_dict(agent.target_actor),
-        "target_critics": [nn.mlp_to_dict(c) for c in agent.target_critics],
+        "target_critic": nn.mlp_to_dict(agent.target_critic),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
 
+def _field(payload, name, kind, path):
+    """payload[name] if present and a `kind`; the error names field and file."""
+    if name not in payload:
+        raise ValueError(f"{path}: checkpoint has no {name!r}")
+    value = payload[name]
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: checkpoint {name!r} is a {type(value).__name__}")
+    return value
+
+
+def _upgrade_v1(payload, path):
+    """A v1 payload in v2 form: critic 1 and its target, retired keys dropped."""
+    agent_cfg = dict(_field(payload, "agent_config", dict, path))
+    gamma = agent_cfg.get("gamma", 0.0)
+    if gamma != 0:
+        raise ValueError(
+            f"{path}: agent_config.gamma is {gamma!r}; only gamma 0 checkpoints can be loaded"
+        )
+    for key in _V1_RETIRED_CONFIG:
+        agent_cfg.pop(key, None)
+    out = dict(payload, agent_config=agent_cfg)
+    for name in ("critic", "target_critic"):
+        nets = _field(payload, name + "s", list, path)
+        if not nets:
+            raise ValueError(f"{path}: checkpoint {name + 's'!r} is empty")
+        out[name] = nets[0]
+    return out
+
+
+def _build(name, path, make, *args, **kwargs):
+    """make(*args, **kwargs), any failure raised as a ValueError naming field and file."""
+    try:
+        return make(*args, **kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint {name!r}: {exc}") from exc
+
+
 def load_agent(path):
-    """Rebuild (agent, ExperimentConfig) from a checkpoint file."""
+    """Rebuild (agent, ExperimentConfig) from a v2 or v1 checkpoint file."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != AGENT_FORMAT:
-        raise ValueError(f"not an agent checkpoint: format={payload.get('format')!r}")
-    if payload.get("version") != AGENT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    agent_cfg = dict(payload["agent_config"])
-    agent_cfg["hidden_dims"] = tuple(agent_cfg["hidden_dims"])
-    config = AgentConfig(**agent_cfg)
-    env = EnvConfig(**payload["env"])
-    experiment = ExperimentConfig(
-        env=env,
-        agent_kind=AgentKind(payload["agent_kind"]),
-        agent=config,
-        seed=payload["seed"],
-        train_steps=payload["train_steps"],
-        eval_split=payload["eval_split"],
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != AGENT_FORMAT:
+        raise ValueError(f"{path}: not an agent checkpoint")
+    version = payload.get("version")
+    if version == 1:
+        payload = _upgrade_v1(payload, path)
+    elif version != AGENT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    config = _build("agent_config", path, AgentConfig, **_field(payload, "agent_config", dict, path))
+    env = _build("env", path, EnvConfig, **_field(payload, "env", dict, path))
+    kind = _build("agent_kind", path, AgentKind, _field(payload, "agent_kind", str, path))
+    experiment = _build(
+        "train_steps/eval_split", path, ExperimentConfig, env=env, agent_kind=kind, agent=config,
+        seed=_field(payload, "seed", int, path),
+        train_steps=_field(payload, "train_steps", int, path),
+        eval_split=_field(payload, "eval_split", (int, float), path),
     )
-    agent = make_agent(payload["agent_kind"], obs_dim=2 * (env.window_n + 1), config=config)
-    agent.explore_sigma = payload["explore_sigma"]
-    agent.actor = nn.mlp_from_dict(payload["actor"])
-    agent.critics = [nn.mlp_from_dict(c) for c in payload["critics"]]
-    agent.target_actor = nn.mlp_from_dict(payload["target_actor"])
-    agent.target_critics = [nn.mlp_from_dict(c) for c in payload["target_critics"]]
+    agent = _build("agent_kind", path, make_agent, kind, obs_dim=2 * (env.window_n + 1), config=config)
+    agent.explore_sigma = _field(payload, "explore_sigma", (int, float), path)
+    for name in ("actor", "critic", "target_actor", "target_critic"):
+        net = _build(name, path, nn.mlp_from_dict, _field(payload, name, dict, path))
+        # make_agent built each network in the shape env and agent_config imply
+        fresh = getattr(agent, name)
+        if (net.dims, net.activations) != (fresh.dims, fresh.activations):
+            raise ValueError(
+                f"{path}: checkpoint {name!r} has dims {net.dims} and activations "
+                f"{net.activations}; env and agent_config imply {fresh.dims}, {fresh.activations}"
+            )
+        setattr(agent, name, net)
     agent.actor_opt = nn.AdamState([agent.actor.flat], config.actor_lr)
-    agent.critic_opts = [nn.AdamState([c.flat], config.critic_lr) for c in agent.critics]
+    agent.critic_opt = nn.AdamState([agent.critic.flat], config.critic_lr)
     return agent, experiment

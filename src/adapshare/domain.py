@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -67,23 +67,17 @@ class DemandSeries:
                 raise ValueError(
                     f"non-uniform spacing at index {bad + 1}: gap {gaps[bad]} != {granularity}"
                 )
-        if np.any(da < 0) or np.any(db < 0):
-            raise ValueError("demands must be nonnegative")
+        for name, col in (("d_a", da), ("d_b", db)):
+            ok = np.isfinite(col) & (col >= 0)
+            if not ok.all():
+                bad = int(np.argmin(ok))
+                raise ValueError(f"{name}[{bad}] must be a finite nonnegative demand, got {col[bad]}")
         self.timestamps = ts
         self.d_a = da
         self.d_b = db
         self.granularity = int(granularity)
         for arr in (self.timestamps, self.d_a, self.d_b):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[DemandSample], granularity: int) -> "DemandSeries":
-        return cls(
-            [s.timestamp for s in samples],
-            [s.d_a for s in samples],
-            [s.d_b for s in samples],
-            granularity,
-        )
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -169,6 +163,9 @@ class EnvConfig:
     capacity_norm: float = 100.0
 
     def __post_init__(self):
+        for name in ("n_r", "zeta", "eta", "window_n", "d_min", "capacity_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
         if self.n_r <= 0:
@@ -237,9 +234,15 @@ def read_series_csv(path, granularity: int | None = None) -> DemandSeries:
         cells = line.split(",")
         if len(cells) != 3:
             raise ValueError(f"{p}:{k}: expected 3 fields, got {len(cells)}")
-        ts.append(int(cells[0]))
-        da.append(float(cells[1]))
-        db.append(float(cells[2]))
+        try:
+            t, a, b = int(cells[0]), float(cells[1]), float(cells[2])
+        except ValueError as exc:
+            raise ValueError(f"{p}:{k}: {exc}") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"{p}:{k}: demands must be finite, got {a}, {b}")
+        ts.append(t)
+        da.append(a)
+        db.append(b)
     if granularity is None:
         if len(ts) < 2:
             raise ValueError(f"{p}: cannot infer granularity from fewer than 2 rows")

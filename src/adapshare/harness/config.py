@@ -54,15 +54,12 @@ COERCERS = {
     "env.capacity_norm": float,
     "agent.actor_lr": float,
     "agent.critic_lr": float,
-    "agent.gamma": float,
     "agent.tau": float,
     "agent.batch_size": int,
     "agent.buffer_capacity": int,
     "agent.explore_sigma": float,
     "agent.sigma_decay": float,
     "agent.td3_policy_delay": int,
-    "agent.td3_target_noise": float,
-    "agent.td3_noise_clip": float,
     "agent.warmup_steps": int,
     "agent.hidden_dims": _int_list,
     "agent.pretrain_steps": int,
@@ -132,12 +129,3 @@ def build_experiment(mapping):
     agent = AgentConfig(**agent_kv)
     return ExperimentConfig(env=env, agent=agent, **top_kv)
 
-
-def sweep_fields(mapping):
-    """Split a mapping into (sweep-list fields, experiment mapping)."""
-    env_kv, agent_kv, top_kv, sweep_kv = _split_mapping(mapping)
-    rest = {}
-    rest.update({f"env.{k}": v for k, v in env_kv.items()})
-    rest.update({f"agent.{k}": v for k, v in agent_kv.items()})
-    rest.update(top_kv)
-    return sweep_kv, rest

@@ -2,16 +2,15 @@
 
 Everything an actor or critic needs and nothing more: dense layers,
 four activations, exact reverse-mode gradients, a bias-corrected
-adaptive-moment optimizer, Polyak target updates, and a JSON
-checkpoint format. All math is float64 numpy; no autodiff framework.
+adaptive-moment optimizer, Polyak target updates, and the plain-dict
+form agent checkpoints store as JSON. All math is float64 numpy; no
+autodiff framework.
 
 Each network keeps all its parameters in one contiguous vector, with
 per-layer views for the forward and backward passes. Adam and the
 Polyak update work element by element, so running them once on that
 vector gives the same bits as running them on each layer's arrays.
 """
-
-import json
 
 import numpy as np
 
@@ -264,14 +263,3 @@ def mlp_from_dict(payload):
         raise ValueError(f"bias shapes {got} do not match dims {net.dims}")
     net._bind(flatten_layers(weights, biases))
     return net
-
-
-def save_mlp(net, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mlp_to_dict(net), fh)
-        fh.write("\n")
-
-
-def load_mlp(path):
-    with open(path, encoding="utf-8") as fh:
-        return mlp_from_dict(json.load(fh))

@@ -1,5 +1,8 @@
 """Replay buffer, update math, training loop, policies, checkpoints."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,6 @@ from adapshare.agents import (
     InsufficientData,
     ReplayBuffer,
     Td3Agent,
-    Transition,
-    act,
     eval_timesteps,
     greedy_policy,
     load_agent,
@@ -20,8 +21,6 @@ from adapshare.agents import (
     save_agent,
     train,
     train_split_end,
-    update_ddpg,
-    update_td3,
 )
 from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig
 from adapshare.env import Observation, RawAction, observe
@@ -33,8 +32,14 @@ def obs_of(*pairs):
     return Observation(np.array(pairs, dtype=float))
 
 
-def tr(reward=-0.5, u=(0.3, 0.4), pairs=((0.1, 0.2), (0.3, 0.4))):
-    return Transition(obs=obs_of(*pairs), raw_action=RawAction(*u), reward=reward)
+def add(buf, reward=-0.5, u=(0.3, 0.4), pairs=((0.1, 0.2), (0.3, 0.4))):
+    buf.add(obs_of(*pairs).vector(), RawAction(*u), reward)
+
+
+def batch_of(n, reward=-0.5, u=(0.3, 0.4), pairs=((0.1, 0.2), (0.3, 0.4))):
+    """(obs, act, rew) arrays holding n copies of one interaction."""
+    obs = np.tile(obs_of(*pairs).vector(), (n, 1))
+    return obs, np.tile(u, (n, 1)), np.full(n, reward)
 
 
 def params_snapshot(net):
@@ -45,20 +50,9 @@ def params_equal(net, snapshot):
     return all(np.array_equal(p, s) for p, s in zip(net.params(), snapshot))
 
 
-class TestTransition:
-    def test_positive_reward_rejected(self):
-        with pytest.raises(ValueError):
-            tr(reward=0.1)
-
-    def test_zero_and_negative_ok(self):
-        assert tr(reward=0.0).reward == 0.0
-        assert tr(reward=-2.5).reward == -2.5
-
-
 class TestAgentConfig:
     def test_defaults_valid(self):
         cfg = AgentConfig()
-        assert cfg.gamma == 0.0
         assert cfg.hidden_dims == (64, 64)
 
     def test_hidden_dims_coerced_to_ints(self):
@@ -69,8 +63,6 @@ class TestAgentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             AgentConfig(actor_lr=0.0)
-        with pytest.raises(ValueError):
-            AgentConfig(gamma=1.5)
         with pytest.raises(ValueError):
             AgentConfig(tau=0.0)
         with pytest.raises(ValueError):
@@ -88,33 +80,25 @@ class TestAgentConfig:
 class TestReplayBuffer:
     def test_roundtrip(self):
         buf = ReplayBuffer(4)
-        t0 = tr(reward=-0.25, u=(0.6, 0.1), pairs=((0.1, 0.2), (0.3, 0.4)))
-        buf.add(t0)
-        got = buf.get(0)
-        np.testing.assert_array_equal(got.obs.pairs, t0.obs.pairs)
-        assert got.raw_action == t0.raw_action
-        assert got.reward == t0.reward
+        add(buf, reward=-0.25, u=(0.6, 0.1), pairs=((0.1, 0.2), (0.3, 0.4)))
+        obs, acts, rews = buf.sample(np.random.default_rng(0), 1)
+        np.testing.assert_array_equal(obs, [[0.1, 0.2, 0.3, 0.4]])
+        np.testing.assert_array_equal(acts, [[0.6, 0.1]])
+        np.testing.assert_array_equal(rews, [-0.25])
 
     def test_fifo_overwrite(self):
         buf = ReplayBuffer(3)
         for k in range(4):
-            buf.add(tr(reward=-float(k)))
+            add(buf, reward=-float(k))
         assert buf.size == 3
-        stored = {buf.get(i).reward for i in range(3)}
+        rng = np.random.default_rng(0)
+        stored = {r for _ in range(50) for r in buf.sample(rng, 3)[2]}
         assert stored == {-1.0, -2.0, -3.0}
-
-    def test_get_bounds(self):
-        buf = ReplayBuffer(3)
-        buf.add(tr())
-        with pytest.raises(IndexError):
-            buf.get(1)
-        with pytest.raises(IndexError):
-            buf.get(-1)
 
     def test_sample_shapes_and_membership(self):
         buf = ReplayBuffer(8)
         for k in range(5):
-            buf.add(tr(reward=-float(k)))
+            add(buf, reward=-float(k))
         obs, acts, rews = buf.sample(np.random.default_rng(0), 4)
         assert obs.shape == (4, 4)
         assert acts.shape == (4, 2)
@@ -123,7 +107,7 @@ class TestReplayBuffer:
 
     def test_sample_underfull_rejected(self):
         buf = ReplayBuffer(8)
-        buf.add(tr())
+        add(buf)
         with pytest.raises(InsufficientData):
             buf.sample(np.random.default_rng(0), 2)
 
@@ -136,29 +120,29 @@ class TestAct:
     def test_range_and_determinism_without_noise(self):
         agent = make_agent(AgentKind.TD3, obs_dim=4, seed=1)
         obs = obs_of((0.2, 0.3), (0.1, 0.4))
-        a1 = act(agent, obs)
-        a2 = act(agent, obs)
+        a1 = agent.act(obs)
+        a2 = agent.act(obs)
         assert a1 == a2
         assert 0.0 <= a1.u_a <= 1.0 and 0.0 <= a1.u_b <= 1.0
 
     def test_zero_sigma_explore_equals_greedy(self):
         agent = make_agent(AgentKind.DDPG, obs_dim=4, config=AgentConfig(explore_sigma=0.0), seed=1)
         obs = obs_of((0.2, 0.3), (0.1, 0.4))
-        assert act(agent, obs, explore=True) == act(agent, obs, explore=False)
+        assert agent.act(obs, explore=True) == agent.act(obs, explore=False)
 
     def test_explore_streams_reproducible_across_agents(self):
         obs = obs_of((0.2, 0.3), (0.1, 0.4))
         a = make_agent(AgentKind.TD3, obs_dim=4, seed=9)
         b = make_agent(AgentKind.TD3, obs_dim=4, seed=9)
-        seq_a = [act(a, obs, explore=True) for _ in range(5)]
-        seq_b = [act(b, obs, explore=True) for _ in range(5)]
+        seq_a = [a.act(obs, explore=True) for _ in range(5)]
+        seq_b = [b.act(obs, explore=True) for _ in range(5)]
         assert seq_a == seq_b
 
     def test_explore_stays_in_unit_box(self):
         agent = make_agent(AgentKind.TD3, obs_dim=4, config=AgentConfig(explore_sigma=5.0), seed=2)
         obs = obs_of((0.2, 0.3), (0.1, 0.4))
         for _ in range(50):
-            a = act(agent, obs, explore=True)
+            a = agent.act(obs, explore=True)
             assert 0.0 <= a.u_a <= 1.0 and 0.0 <= a.u_b <= 1.0
 
 
@@ -169,41 +153,28 @@ def zero_params(net):
 
 class TestCriticTargets:
     def test_gamma_zero_target_is_reward(self):
+        # a zero critic predicts Q = 0, so its loss is the mean squared
+        # reward exactly when the regression target is the reward itself,
+        # whatever the target networks hold
         agent = make_agent(AgentKind.TD3, obs_dim=4, config=AgentConfig(batch_size=2), seed=0)
-        rew = np.array([-1.0, -2.0])
-        y = agent._critic_targets(np.zeros((2, 4)), rew)
-        np.testing.assert_array_equal(y, [[-1.0], [-2.0]])
-
-    def test_bootstrap_takes_min_of_twin_targets(self):
-        cfg = AgentConfig(batch_size=2, gamma=0.5, td3_target_noise=0.0)
-        agent = make_agent(AgentKind.TD3, obs_dim=4, config=cfg, seed=0)
-        for net, bias in zip(agent.target_critics, (3.0, 5.0)):
-            zero_params(net)
-            net.biases[-1][:] = bias
-        y = agent._critic_targets(np.zeros((2, 4)), np.array([-1.0, -2.0]))
-        np.testing.assert_allclose(y, [[-1.0 + 0.5 * 3.0], [-2.0 + 0.5 * 3.0]])
-
-    def test_single_critic_bootstrap(self):
-        cfg = AgentConfig(batch_size=2, gamma=0.5)
-        agent = make_agent(AgentKind.DDPG, obs_dim=4, config=cfg, seed=0)
-        zero_params(agent.target_critics[0])
-        agent.target_critics[0].biases[-1][:] = 3.0
-        y = agent._critic_targets(np.zeros((2, 4)), np.array([0.0, -4.0]))
-        np.testing.assert_allclose(y, [[1.5], [-2.5]])
+        zero_params(agent.critic)
+        agent.target_critic.flat[:] = 3.0
+        agent.target_actor.flat[:] = 3.0
+        report = agent.update(np.zeros((2, 4)), np.zeros((2, 2)), np.array([-1.0, -2.0]), step_index=1)
+        assert report.critic_loss == (1.0 + 4.0) / 2
 
 
 class TestUpdateMath:
     def test_zero_critic_zero_reward_is_a_fixed_point(self):
         cfg = AgentConfig(batch_size=4, hidden_dims=(3,))
         agent = make_agent(AgentKind.DDPG, obs_dim=4, config=cfg, seed=0)
-        zero_params(agent.critics[0])
-        zero_params(agent.target_critics[0])
+        zero_params(agent.critic)
+        zero_params(agent.target_critic)
         actor_before = params_snapshot(agent.actor)
-        batch = [tr(reward=0.0) for _ in range(4)]
-        report = update_ddpg(agent, batch)
+        report = agent.update(*batch_of(4, reward=0.0))
         # target == prediction == 0 everywhere, so nothing can move
         assert report.critic_loss == 0.0
-        assert all(np.all(p == 0) for p in agent.critics[0].params())
+        assert all(np.all(p == 0) for p in agent.critic.params())
         assert params_equal(agent.actor, actor_before)
 
     def test_actor_climbs_a_crafted_critic(self):
@@ -212,7 +183,7 @@ class TestUpdateMath:
         # while u_b (zero gradient) stays bit-identical
         cfg = AgentConfig(batch_size=8, hidden_dims=(2,), actor_lr=0.05)
         agent = make_agent(AgentKind.DDPG, obs_dim=2, config=cfg, seed=0)
-        critic = agent.critics[0]
+        critic = agent.critic
         critic.weights[0][:] = [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, -1.0, 0.0]]
         critic.biases[0][:] = [-0.5, 0.5]
         critic.weights[1][:] = [[-1.0, -1.0]]
@@ -232,14 +203,18 @@ class TestUpdateMath:
         assert abs(mu[0] - 0.5) < 0.05
         assert actor.biases[-1][1] == -1.0
 
-    def test_update_requires_full_batch(self):
-        cfg = AgentConfig(batch_size=4)
-        ddpg = make_agent(AgentKind.DDPG, obs_dim=4, config=cfg, seed=0)
-        td3 = make_agent(AgentKind.TD3, obs_dim=4, config=cfg, seed=0)
-        with pytest.raises(InsufficientData):
-            update_ddpg(ddpg, [tr()])
-        with pytest.raises(InsufficientData):
-            update_td3(td3, [tr()], step_index=0)
+    def test_update_requires_full_batch(self, constant_series):
+        # no warm-up: training still waits until the buffer holds a batch
+        cfg = ExperimentConfig(
+            env=EnvConfig(n_r=20.0, window_n=2),
+            seed=3,
+            train_steps=40,
+            agent=AgentConfig(batch_size=16, warmup_steps=0, hidden_dims=(8,)),
+        )
+        for kind in (AgentKind.DDPG, AgentKind.TD3):
+            agent, result = train(kind, constant_series, cfg)
+            assert len(result.update_reports) == 40 - 15
+            assert agent.update_count == 40 - 15
 
     def test_critic_loss_decreases_on_repeated_batch(self):
         cfg = AgentConfig(batch_size=8, hidden_dims=(16,), critic_lr=1e-2)
@@ -259,20 +234,19 @@ class TestTd3Mechanics:
         cfg = AgentConfig(batch_size=4, td3_policy_delay=2)
         agent = make_agent(AgentKind.TD3, obs_dim=4, config=cfg, seed=0)
         actor_before = params_snapshot(agent.actor)
-        critic_before = params_snapshot(agent.critics[0])
-        target_before = params_snapshot(agent.target_critics[0])
-        report = update_td3(agent, [tr() for _ in range(4)], step_index=1)
+        critic_before = params_snapshot(agent.critic)
+        target_before = params_snapshot(agent.target_critic)
+        report = agent.update(*batch_of(4), step_index=1)
         assert report.actor_objective is None
-        assert report.critic2_loss is not None
         assert params_equal(agent.actor, actor_before)
-        assert params_equal(agent.target_critics[0], target_before)
-        assert not params_equal(agent.critics[0], critic_before)
+        assert params_equal(agent.target_critic, target_before)
+        assert not params_equal(agent.critic, critic_before)
 
     def test_gate_open_on_multiples_of_delay(self):
         cfg = AgentConfig(batch_size=4, td3_policy_delay=2)
         agent = make_agent(AgentKind.TD3, obs_dim=4, config=cfg, seed=0)
         actor_before = params_snapshot(agent.actor)
-        report = update_td3(agent, [tr() for _ in range(4)], step_index=2)
+        report = agent.update(*batch_of(4), step_index=2)
         assert report.actor_objective is not None
         assert not params_equal(agent.actor, actor_before)
 
@@ -290,7 +264,7 @@ class TestTd3Mechanics:
         rep_t = td3.update(obs, acts, rews, step_index=0)
         assert rep_d.critic_loss == rep_t.critic_loss
         assert rep_d.actor_objective == rep_t.actor_objective
-        for d_arr, t_arr in zip(ddpg.critics[0].params(), td3.critics[0].params()):
+        for d_arr, t_arr in zip(ddpg.critic.params(), td3.critic.params()):
             np.testing.assert_array_equal(d_arr, t_arr)
         for d_arr, t_arr in zip(ddpg.actor.params(), td3.actor.params()):
             np.testing.assert_array_equal(d_arr, t_arr)
@@ -310,9 +284,9 @@ class TestMakeAgent:
     def test_network_shapes(self):
         agent = make_agent("td3", obs_dim=10, config=AgentConfig(hidden_dims=(32, 16)))
         assert agent.actor.dims == [10, 32, 16, 2]
-        assert agent.critics[0].dims == [12, 32, 16, 1]
+        assert agent.critic.dims == [12, 32, 16, 1]
         assert agent.actor.activations == ["relu", "relu", "sigmoid"]
-        assert agent.critics[1].activations == ["relu", "relu", "identity"]
+        assert agent.critic.activations == ["relu", "relu", "identity"]
 
 
 class TestSplits:
@@ -456,15 +430,12 @@ class TestCheckpoints:
         assert loaded.explore_sigma == 0.05
         for a, b in zip(loaded.actor.params(), agent.actor.params()):
             np.testing.assert_array_equal(a, b)
-        for lc, ac in zip(loaded.critics, agent.critics):
-            for a, b in zip(lc.params(), ac.params()):
-                np.testing.assert_array_equal(a, b)
+        for a, b in zip(loaded.critic.params(), agent.critic.params()):
+            np.testing.assert_array_equal(a, b)
         obs = obs_of((0.2, 0.3), (0.1, 0.4), (0.0, 0.5))
-        assert act(loaded, obs) == act(agent, obs)
+        assert loaded.act(obs) == agent.act(obs)
 
     def test_format_checked(self, tmp_path):
-        import json
-
         cfg = ExperimentConfig(env=EnvConfig(n_r=20.0, window_n=1), train_steps=0)
         agent = make_agent("ddpg", obs_dim=4, config=cfg.agent, seed=0)
         path = tmp_path / "agent.json"
@@ -475,3 +446,100 @@ class TestCheckpoints:
         bad.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_agent(bad)
+
+
+V1_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "agent_v1.json"
+
+
+def checkpoint_file(tmp_path):
+    cfg = ExperimentConfig(env=EnvConfig(n_r=20.0, window_n=1), train_steps=0)
+    path = tmp_path / "agent.json"
+    save_agent(make_agent("td3", obs_dim=4, config=cfg.agent, seed=0), cfg, path)
+    return path
+
+
+class TestCheckpointErrors:
+    def test_truncated_file_names_path(self, tmp_path):
+        path = checkpoint_file(tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError, match="agent.json: not a JSON checkpoint"):
+            load_agent(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("actor", None), ("critic", None), ("env", None), ("seed", None),
+         ("actor", [1, 2]), ("explore_sigma", "high"), ("agent_config", {"hidden_dims": "x"})],
+        ids=["no_actor", "no_critic", "no_env", "no_seed", "list_actor", "str_sigma", "bad_config"],
+    )
+    def test_missing_or_ill_typed_field_named(self, tmp_path, field, value):
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"agent.json: .*'{field}'"):
+            load_agent(path)
+
+    def test_bad_network_named(self, tmp_path):
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        del payload["target_critic"]["dims"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="bad checkpoint 'target_critic'"):
+            load_agent(path)
+
+
+    @pytest.mark.parametrize("field,value", [("window_n", 4), ("hidden_dims", [8])])
+    def test_networks_must_fit_the_config(self, tmp_path, field, value):
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        section = "env" if field == "window_n" else "agent_config"
+        payload[section][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="agent.json: checkpoint 'actor' has dims"):
+            load_agent(path)
+
+
+class TestV1Checkpoint:
+    def test_loads_critic_one_and_drops_retired_keys(self):
+        payload = json.loads(V1_FIXTURE.read_text())
+        assert payload["version"] == 1
+        agent, experiment = load_agent(V1_FIXTURE)
+        assert agent.kind == AgentKind.TD3
+        assert experiment.agent.hidden_dims == tuple(payload["agent_config"]["hidden_dims"])
+        for net, key in ((agent.actor, "actor"), (agent.critic, "critics"),
+                         (agent.target_actor, "target_actor"), (agent.target_critic, "target_critics")):
+            stored = payload[key][0] if key.endswith("s") else payload[key]
+            assert [w.tolist() for w in net.weights] == stored["weights"]
+            assert [b.tolist() for b in net.biases] == stored["biases"]
+
+    def test_acts_like_its_v2_round_trip(self, tmp_path):
+        agent, experiment = load_agent(V1_FIXTURE)
+        path = tmp_path / "v2.json"
+        save_agent(agent, experiment, path)
+        assert json.loads(path.read_text())["version"] == 2
+        again, experiment2 = load_agent(path)
+        assert experiment2 == experiment
+        obs = obs_of((0.05, 0.05), (0.05, 0.05), (0.05, 0.05))
+        assert again.act(obs) == agent.act(obs)
+        assert again.actor.flat.tobytes() == agent.actor.flat.tobytes()
+
+    def test_demo_checkpoint_is_v2_with_the_v1_networks(self):
+        # demos/out/service_agent.json was v1 until demo 06 rewrote it as v2
+        v1 = json.loads(V1_FIXTURE.read_text())
+        v2 = json.loads((V1_FIXTURE.parent.parent / "demos" / "out" / "service_agent.json").read_text())
+        assert v2["version"] == 2
+        assert v2["actor"] == v1["actor"] and v2["target_actor"] == v1["target_actor"]
+        assert v2["critic"] == v1["critics"][0]
+        assert v2["target_critic"] == v1["target_critics"][0]
+
+    def test_nonzero_gamma_rejected(self, tmp_path):
+        payload = json.loads(V1_FIXTURE.read_text())
+        payload["agent_config"]["gamma"] = 0.5
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="agent_config.gamma"):
+            load_agent(path)

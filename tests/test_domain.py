@@ -52,6 +52,20 @@ class TestDemandSeries:
         with pytest.raises(ValueError):
             DemandSeries([], [], [], 3600)
 
+    @pytest.mark.parametrize(
+        "d_a,d_b,message",
+        [
+            ([np.nan, 1.0], [1.0, np.inf], r"d_a\[0\] must be a finite"),
+            ([1.0, 2.0], [1.0, np.inf], r"d_b\[1\] must be a finite"),
+            ([1.0, -np.inf], [1.0, 1.0], r"d_a\[1\] must be a finite"),
+            ([1.0, 2.0], [-0.5, 1.0], r"d_b\[0\] must be a finite nonnegative"),
+        ],
+        ids=["nan_a", "inf_b", "neg_inf_a", "negative_b"],
+    )
+    def test_non_finite_demand_rejected_with_index(self, d_a, d_b, message):
+        with pytest.raises(ValueError, match=message):
+            DemandSeries([0, 1], d_a, d_b, 1)
+
     def test_arrays_write_protected(self, small_series):
         with pytest.raises(ValueError):
             small_series.d_a[0] = 99.0
@@ -95,6 +109,16 @@ class TestEnvConfig:
     def test_capacity_norm_covers_pool(self):
         with pytest.raises(ValueError):
             EnvConfig(n_r=120.0)  # default capacity_norm 100 < n_r
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_r", np.nan), ("d_min", np.nan), ("eta", np.nan), ("capacity_norm", np.inf),
+         ("n_r", np.inf), ("window_n", np.nan), ("zeta", np.nan)],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        kwargs = {"n_r": 60.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EnvConfig(**kwargs)
 
 
 class TestExperimentConfig:
@@ -152,6 +176,20 @@ class TestSeriesCsv:
         path = tmp_path / "bad.csv"
         path.write_text(SERIES_HEADER + "\n0,1\n")
         with pytest.raises(ValueError):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("row", ["3600,nan,1.0", "3600,1.0,inf", "3600,-inf,1.0"])
+    def test_non_finite_cell_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n\n" + row + "\n")
+        with pytest.raises(ValueError, match="bad.csv:4: demands must be finite"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("row", ["3600,abc,1.0", "later,1.0,1.0"])
+    def test_unparsable_cell_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n" + row + "\n")
+        with pytest.raises(ValueError, match="bad.csv:3: "):
             read_series_csv(path)
 
     def test_missing_file(self, tmp_path):

@@ -1,8 +1,9 @@
 """Golden SHA-256 digests of fixed-seed training and sweep output.
 
 Each digest covers the exact float64 bytes of the trained networks and
-reward traces plus the bytes of the agent checkpoint, or the exact bytes of the files `emit_results` writes
-(all but the wall-clock `run_metadata.json` sidecar). A change that is
+reward traces plus the bytes of the agent checkpoint (format version 2),
+or the exact bytes of the files `emit_results` writes (all but the
+wall-clock `run_metadata.json` sidecar). A change that is
 meant to be a pure speed-up or refactor must leave every digest
 unchanged; a change that means to alter results updates the digests
 and says why.
@@ -33,7 +34,7 @@ AGENT_DIGESTS = {
         "targets": "41d970b854a005405887c853d2543ca9d74abc4198702fb39be87dee3aa7ad53",
         "rewards": "29713a034fd8199c18120e84cf9be61e5f513232fcf28ac0ec20c6c55214774a",
         "curve": "44719de9fae60195e9a81a47d009649562440d1798c7b0ed990a2b26a4fb9ecb",
-        "checkpoint": "0cb14a193d4b75e1249d3c03a8b4c67d6ce89a1000ad480b7f915c6a20a1852a",
+        "checkpoint": "dca4003062ff1e52ccbd47eb544d82d4a1a7076586d7d043d0220ce0a20f91c9",
     },
     ("ddpg", (32,)): {
         "actor": "652da0355b597fcb1babc639d3340fb3add47dd848a2f42dddaaf644260477a1",
@@ -41,23 +42,23 @@ AGENT_DIGESTS = {
         "targets": "b13d4c88e1ba57e23c3f6fee8ebb1c9f9aa4926036dbb9bf6e463dd47a00d7f4",
         "rewards": "ec45bffc6437ba847f381dd92d3174fc64a065ff10279c3bf91a6bc6e492db4c",
         "curve": "726983c49e378216b9257f3c965d9d25a47f373cc2684064483d670ad0dcdc55",
-        "checkpoint": "cef3429f518fe379dbf7a1b8bf7ba4db0be15f09e91c636166c317e8860f68ed",
+        "checkpoint": "a1ed11cec09eb001f082e3f1b0eac7015028d936e31f0d39881c87af600d5f30",
     },
     ("td3", (64, 64)): {
         "actor": "893fb5e6904deff185895baa39fb06bffcc6fdb461c346956401a40297d98b8c",
-        "critics": "b859a5cae40cc84e80a0830e2b545e3c52381ded7ab92fb2d876163b666f7a09",
-        "targets": "b10438857ce1a5bed19c3751e948cb43b08f8b9f19c3ed65a74b34be7b44bb09",
+        "critics": "6f1d8915a53f00f49f955d573c98fb55bc2f8a9c3524df45c2a7e792fdbb5eee",
+        "targets": "0f07bae1fb79929aee6e43e227a7502492164069613a7919ec78a0e377761c2c",
         "rewards": "72037eb1c44ca76faf3ddc8155c44d7cc5f0847a2c4f70e3e35d570784dff8a7",
         "curve": "c1fe934bafd54ac8821f2e81253da5e0b01614a61a952ec55d7c7b07b67e98c1",
-        "checkpoint": "01b9825e23d50c2de01d0ecb013ddce19b17779dbb95371fd5faac40d564cf1b",
+        "checkpoint": "b63d8236b53845a0889d1346a2884d1e1e6524ba001fa3405a65200e348bb401",
     },
     ("td3", (32,)): {
         "actor": "3395fdf85dc095ef6e242edd8a7991742cd48e53e2b28a74847c233c29bb054d",
-        "critics": "5d0b3a061592f2570ddd08ab156644a6a6a5f79a8e2aa41591970f9bfa89188b",
-        "targets": "1f54d0006ae481cf9321a644d83941688f57d088cff0c429ecc24dc1f6be3547",
+        "critics": "f4c125b9accd662172a9040943d581db9741852655e1d81c7aa0a7c7343d882f",
+        "targets": "3c56bd2d1285108840180c4c67e6d55db218131b2f88983d8e967c4470e32912",
         "rewards": "f7e2e24d151e9cdfcc56004f3d911d45600853ca934571de0d440d975d3b12a3",
         "curve": "df8a20490cf1943bc8a14fee9dc1523fcc482a2a57b59ed9709263659d264ac6",
-        "checkpoint": "bdc21fc1d689217ea501f5bdafda27b17af14a2b6cff0599b04ecb91d1dcdd7b",
+        "checkpoint": "da23a3fb5f8ff042183da690b481b3229ebd39fbed6b5712682f974419fcd575",
     },
 }
 
@@ -100,8 +101,8 @@ def agent_digests(kind, hidden, series, checkpoint):
         checkpoint_digest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "actor": _array_digest(_net_arrays([agent.actor])),
-        "critics": _array_digest(_net_arrays(agent.critics)),
-        "targets": _array_digest(_net_arrays([agent.target_actor] + agent.target_critics)),
+        "critics": _array_digest(_net_arrays([agent.critic])),
+        "targets": _array_digest(_net_arrays([agent.target_actor, agent.target_critic])),
         "rewards": _array_digest([result.rewards]),
         "curve": _array_digest([result.curve]),
         "checkpoint": checkpoint_digest,

@@ -15,7 +15,6 @@ from adapshare.harness.config import (
     build_experiment,
     coerce_overrides,
     parse_config_file,
-    sweep_fields,
 )
 from adapshare.harness.results import (
     CURVE_HEADER,
@@ -60,6 +59,14 @@ class TestConfigFile:
         with pytest.raises(ConfigFileError, match="unknown config key"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("key", ["agent.gamma", "agent.td3_target_noise", "agent.td3_noise_clip"])
+    def test_retired_agent_keys_rejected(self, tmp_path, key):
+        # the critic regresses on the reward, so no discount or target noise
+        path = tmp_path / "old.cfg"
+        path.write_text(f"env.n_r = 20\n{key} = 0.5\n")
+        with pytest.raises(ConfigFileError, match=f"old.cfg:2: unknown config key '{key}'"):
+            parse_config_file(path)
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("env.n_r = twenty\n")
@@ -99,12 +106,6 @@ class TestBuildExperiment:
         with pytest.raises(ConfigFileError, match="sweep-only"):
             build_experiment({"env.n_r": 20.0, "zeta_values": (0.1,)})
 
-    def test_sweep_fields_split(self):
-        sweep_kv, rest = sweep_fields(
-            {"env.n_r": 20.0, "n_r_values": (20.0, 60.0), "seed": 2}
-        )
-        assert sweep_kv == {"n_r_values": (20.0, 60.0)}
-        assert rest == {"env.n_r": 20.0, "seed": 2}
 
 
 def solver_spec(train_steps=0, **kw):

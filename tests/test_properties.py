@@ -1,4 +1,5 @@
-"""Property tests: the array solver, the flat parameter vector, Adam.
+"""Property tests: the array solver, the flat parameter vector, Adam,
+agent checkpoints.
 
 Each property runs on inputs hypothesis draws, with a fixed derandomized
 search so that a run is reproducible.
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapshare import nn
-from adapshare.agents import load_agent, make_agent, save_agent
+from adapshare.agents import AgentConfig, load_agent, make_agent, save_agent
 from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig
 from adapshare.env import FEASIBILITY_SLACK
 from adapshare.oracle import grid_solve, solve_opt, solve_opt_array
@@ -115,7 +116,43 @@ def test_loaded_agent_networks_are_flat_views():
         path = os.path.join(tmp, "agent.json")
         save_agent(agent, experiment, path)
         loaded, _ = load_agent(path)
-    nets = [loaded.actor, loaded.target_actor] + loaded.critics + loaded.target_critics
+    nets = [loaded.actor, loaded.target_actor, loaded.critic, loaded.target_critic]
     assert loaded.actor_opt.first_moment[0].shape == loaded.actor.flat.shape
     for net in nets:
         assert _views_of_flat(net)
+
+
+NETS = ("actor", "critic", "target_actor", "target_critic")
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    st.sampled_from([AgentKind.DDPG, AgentKind.TD3]),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+    st.floats(0.0, 1.0),
+)
+def test_checkpoint_round_trips_exactly(kind, hidden, window_n, seed, sigma):
+    experiment = ExperimentConfig(
+        env=EnvConfig(n_r=20.0, window_n=window_n),
+        agent_kind=kind,
+        agent=AgentConfig(hidden_dims=hidden),
+        seed=seed,
+        train_steps=0,
+    )
+    agent = make_agent(kind, obs_dim=2 * (window_n + 1), config=experiment.agent, seed=seed)
+    agent.explore_sigma = sigma
+    # targets that differ from their online networks, as after training
+    rng = np.random.default_rng(seed)
+    for name in ("target_actor", "target_critic"):
+        getattr(agent, name).flat[:] = rng.normal(size=getattr(agent, name).flat.size)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "agent.json")
+        save_agent(agent, experiment, path)
+        loaded, got = load_agent(path)
+    assert got == experiment
+    assert loaded.kind == kind and loaded.explore_sigma == sigma
+    for name in NETS:
+        assert getattr(loaded, name).dims == getattr(agent, name).dims
+        assert getattr(loaded, name).flat.tobytes() == getattr(agent, name).flat.tobytes()
