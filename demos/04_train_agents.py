@@ -14,9 +14,7 @@ from adapshare import (
     AgentKind,
     EnvConfig,
     ExperimentConfig,
-    build_report,
-    eval_timesteps,
-    greedy_policy,
+    evaluate,
     read_series_csv,
     train,
 )
@@ -31,13 +29,6 @@ gen_b = generate(stats, length=400, seed=43, side="b")
 series = DemandSeries(gen_a.timestamps, gen_a.d_a, gen_b.d_b, 3600)
 
 
-def evaluate(policy, cfg):
-    allocs = greedy_policy(policy, series, cfg)
-    steps = eval_timesteps(series, cfg)
-    demands = [series.demand(t) for t in steps]
-    return build_report(allocs, demands, cfg.env.zeta, cfg.env.d_min)
-
-
 cfg = ExperimentConfig(
     env=EnvConfig(n_r=60.0, zeta=0.5),
     seed=1,
@@ -49,12 +40,12 @@ for kind in (AgentKind.DDPG, AgentKind.TD3):
     # the curve is the window-100 moving average of per-step rewards
     print(f"{kind.value}: avg reward {result.curve[100]:+.4f} at step 100 "
           f"-> {result.curve[-1]:+.4f} at step {cfg.train_steps}")
-    report = evaluate(agent, cfg)
+    report = evaluate(agent, series, cfg)
     print(f"  eval: mean_j={report.mean_j:.4f} s_a={report.s_a:+.4f} "
           f"s_b={report.s_b:+.4f} fairness={report.fairness:.4f}")
 
 # reference points: per-step oracle and the max-demand static split
 for kind in (AgentKind.OPT_ORACLE, AgentKind.OPT_BASE):
-    report = evaluate(kind, cfg)
+    report = evaluate(kind, series, cfg)
     print(f"{kind.value}: mean_j={report.mean_j:.4f} s_a={report.s_a:+.4f} "
           f"s_b={report.s_b:+.4f} fairness={report.fairness:.4f}")

@@ -9,7 +9,6 @@ them with the closed-form oracle and a peak-provisioning baseline.
 from .domain import (
     AgentKind,
     Allocation,
-    DemandSample,
     DemandSeries,
     EnvConfig,
     ExperimentConfig,
@@ -35,6 +34,7 @@ from .agents import (
     ReplayBuffer,
     Td3Agent,
     eval_timesteps,
+    evaluate,
     greedy_policy,
     load_agent,
     make_agent,

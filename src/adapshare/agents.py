@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig
 from .env import RawAction, observe, project_action, step
-from .metrics import moving_average
+from .metrics import build_report, moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
 # solver calls through agents.solve_opt and agents.solve_opt_base
 from .oracle import solve_opt, solve_opt_array, solve_opt_base  # noqa: F401
@@ -313,6 +313,26 @@ def greedy_policy(agent, series, cfg):
         raw = agent.act(observe(series, t, env), explore=False)
         allocs.append(project_action(raw, env.n_r))
     return allocs
+
+
+def evaluate(policy, series, cfg, keep_per_step=False):
+    """Score `policy` on the held-out tail of `series`.
+
+    `policy` is anything greedy_policy takes. Its allocations are scored
+    against the tail's demands; with keep_per_step the report keeps one
+    (timestamp, allocation, demand, j) row per step.
+    """
+    allocs = greedy_policy(policy, series, cfg)
+    start = eval_timesteps(series, cfg).start
+    demands = list(zip(series.d_a[start:].tolist(), series.d_b[start:].tolist()))
+    return build_report(
+        allocs,
+        demands,
+        cfg.env.zeta,
+        cfg.env.d_min,
+        timestamps=series.timestamps[start:].tolist(),
+        keep_per_step=keep_per_step,
+    )
 
 
 AGENT_FORMAT = "adapshare-agent"

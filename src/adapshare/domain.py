@@ -10,10 +10,10 @@ math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,19 +28,6 @@ class AgentKind(str, Enum):
     TD3 = "td3"
     OPT_ORACLE = "opt_oracle"
     OPT_BASE = "opt_base"
-
-
-@dataclass(frozen=True)
-class DemandSample:
-    """One time step of paired PRB demand (LTE side A, NR side B)."""
-
-    timestamp: int
-    d_a: float
-    d_b: float
-
-    def __post_init__(self):
-        if self.d_a < 0 or self.d_b < 0:
-            raise ValueError(f"demand must be nonnegative, got ({self.d_a}, {self.d_b})")
 
 
 class DemandSeries:
@@ -81,13 +68,6 @@ class DemandSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __iter__(self) -> Iterator[DemandSample]:
-        for i in range(len(self)):
-            yield self.sample(i)
-
-    def sample(self, i: int) -> DemandSample:
-        return DemandSample(int(self.timestamps[i]), float(self.d_a[i]), float(self.d_b[i]))
 
     def demand(self, i: int) -> tuple[float, float]:
         """The (d_a, d_b) pair at step i."""

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from ..agents import eval_timesteps, greedy_policy, load_agent, save_agent, train
+from ..agents import evaluate, load_agent, save_agent, train
 from ..domain import (
     AgentKind,
     DemandSeries,
@@ -18,7 +18,6 @@ from ..domain import (
     write_series_csv,
 )
 from ..ingest import filter_data_transmissions, merge_series, parse_dci_csv, resample_mean
-from ..metrics import SWEEP_HEADER, build_report, sweep_row, write_detail_csv
 from ..synthgen import fit, generate, ks_distance
 from . import results as results_mod
 from .config import ConfigFileError, build_experiment, coerce_overrides, parse_config_file
@@ -26,28 +25,37 @@ from .service import serve
 from .sweep import DEFAULT_AGENTS, DEFAULT_N_R, DEFAULT_ZETAS, SweepSpec, run_sweep
 
 
-def _collect_mapping(args, flag_keys):
-    """Merge config sources into one coerced mapping (last write wins)."""
-    mapping = {}
-    if getattr(args, "config", None):
-        mapping.update(parse_config_file(args.config))
+def _sources(args, flag_keys):
+    """The coerced settings of --config, ADAPSHARE_SEED, the flags in
+    flag_keys ({config key: argparse attribute}) and --set, in that
+    (ascending) precedence order."""
+    file_kv = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    env_kv = {}
     env_seed = os.environ.get("ADAPSHARE_SEED")
     if env_seed is not None:
         try:
-            mapping["seed"] = int(env_seed)
+            env_kv["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigFileError(f"ADAPSHARE_SEED must be an integer: {env_seed!r}") from exc
-    overrides = {}
+    flags = {}
     for key, attr in flag_keys.items():
         value = getattr(args, attr, None)
         if value is not None:
-            overrides[key] = value
-    mapping.update(coerce_overrides(overrides))
+            flags[key] = value
+    set_kv = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigFileError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        mapping.update(coerce_overrides({key.strip(): value.strip()}))
+        set_kv.update(coerce_overrides({key.strip(): value.strip()}))
+    return file_kv, env_kv, coerce_overrides(flags), set_kv
+
+
+def _collect_mapping(args, flag_keys):
+    """Merge config sources into one coerced mapping (last write wins)."""
+    mapping = {}
+    for source in _sources(args, flag_keys):
+        mapping.update(source)
     return mapping
 
 
@@ -57,6 +65,13 @@ EXPERIMENT_FLAGS = {
     "seed": "seed",
     "train_steps": "steps",
     "agent_kind": "agent",
+}
+
+SWEEP_FLAGS = {
+    **EXPERIMENT_FLAGS,
+    "n_r_values": "n_r_values",
+    "zeta_values": "zeta_values",
+    "agent_kinds": "agents",
 }
 
 
@@ -80,21 +95,6 @@ def _report_line(tag, report):
     return (
         f"{tag}: mean_j={report.mean_j:.6f} s_a={report.s_a:+.4f} "
         f"s_b={report.s_b:+.4f} fairness={report.fairness:.4f}"
-    )
-
-
-def _evaluate(agent, series, cfg, keep_per_step=False):
-    allocs = greedy_policy(agent, series, cfg)
-    steps = eval_timesteps(series, cfg)
-    demands = [series.demand(t) for t in steps]
-    timestamps = [series.timestamps[t] for t in steps]
-    return build_report(
-        allocs,
-        demands,
-        cfg.env.zeta,
-        cfg.env.d_min,
-        timestamps=timestamps,
-        keep_per_step=keep_per_step,
     )
 
 
@@ -154,18 +154,15 @@ def cmd_train(args):
         f"(n_r={cfg.env.n_r:g}, zeta={cfg.env.zeta:g}, seed={cfg.seed}); "
         f"final avg reward {tail:.5f}"
     )
-    report = _evaluate(agent, series, cfg)
-    oracle_report = _evaluate(AgentKind.OPT_ORACLE, series, cfg)
+    report = evaluate(agent, series, cfg)
+    oracle_report = evaluate(AgentKind.OPT_ORACLE, series, cfg)
     print(_report_line(cfg.agent_kind.value, report))
     print(_report_line("opt_oracle", oracle_report))
     if args.out:
         save_agent(agent, cfg, args.out)
         print(f"wrote {args.out}")
     if args.curve_out:
-        lines = [results_mod.CURVE_HEADER]
-        lines += [f"{i},{float(v)!r}" for i, v in enumerate(result.curve)]
-        with open(args.curve_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        results_mod.write_curve_csv(result.curve, args.curve_out)
         print(f"wrote {args.curve_out}")
 
 
@@ -175,14 +172,17 @@ def cmd_eval(args):
         raise ConfigFileError("eval needs exactly one of --checkpoint or --agent")
     if args.checkpoint:
         agent, cfg = load_agent(args.checkpoint)
-        mapping = _collect_mapping(args, {"env.n_r": "n_r", "env.zeta": "zeta"})
-        env_updates = {
-            key.split(".", 1)[1]: value
-            for key, value in mapping.items()
-            if key.startswith("env.")
-        }
-        if env_updates:
-            cfg = cfg.with_env(**env_updates)
+        # the checkpoint fixes every setting but env.*; ADAPSHARE_SEED,
+        # which only seeds new runs, is left out
+        file_kv, _, flag_kv, set_kv = _sources(args, EXPERIMENT_FLAGS)
+        mapping = {**file_kv, **flag_kv, **set_kv}
+        fixed = sorted(key for key in mapping if not key.startswith("env."))
+        if fixed:
+            raise ConfigFileError(
+                f"--checkpoint fixes {', '.join(fixed)}; only env.* keys may be changed"
+            )
+        if mapping:
+            cfg = cfg.with_env(**{key[len("env."):]: value for key, value in mapping.items()})
         label = cfg.agent_kind.value
     else:
         kind = AgentKind(args.agent)
@@ -192,37 +192,29 @@ def cmd_eval(args):
         mapping.pop("agent_kind", None)
         cfg = build_experiment(mapping)
         agent, label = kind, kind.value
-    report = _evaluate(agent, series, cfg, keep_per_step=bool(args.detail_out))
+    report = evaluate(agent, series, cfg, keep_per_step=bool(args.detail_out))
     print(_report_line(label, report))
     if report.zero_alloc_steps:
         print(f"note: {report.zero_alloc_steps} all-zero allocation steps (fairness convention 1)")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(SWEEP_HEADER + "\n")
-            fh.write(sweep_row(cfg.env.zeta, cfg.env.n_r, label, report) + "\n")
+        results_mod.write_sweep_csv([(cfg.env.zeta, cfg.env.n_r, label, report)], args.out)
         print(f"wrote {args.out}")
     if args.detail_out:
-        write_detail_csv(report, args.detail_out)
+        results_mod.write_detail_csv(report, args.detail_out)
         print(f"wrote {args.detail_out}")
 
 
 def cmd_sweep(args):
     series = read_series_csv(args.data)
-    mapping = _collect_mapping(args, EXPERIMENT_FLAGS)
+    mapping = _collect_mapping(args, SWEEP_FLAGS)
     sweep_lists = {
         "n_r_values": DEFAULT_N_R,
         "zeta_values": DEFAULT_ZETAS,
         "agent_kinds": DEFAULT_AGENTS,
     }
-    for key in list(mapping):
-        if key in sweep_lists:
+    for key in sweep_lists:
+        if key in mapping:
             sweep_lists[key] = mapping.pop(key)
-    if args.n_r_values:
-        sweep_lists["n_r_values"] = tuple(float(v) for v in args.n_r_values.split(","))
-    if args.zeta_values:
-        sweep_lists["zeta_values"] = tuple(float(v) for v in args.zeta_values.split(","))
-    if args.agents:
-        sweep_lists["agent_kinds"] = tuple(AgentKind(v.strip()) for v in args.agents.split(","))
     mapping.pop("agent_kind", None)
     mapping.setdefault("env.n_r", sweep_lists["n_r_values"][0])
     base = build_experiment(mapping)

@@ -1,7 +1,9 @@
-"""Sweep result emission: CSV tables, learning curves, SVG charts.
+"""Every result file: sweep and detail CSVs, learning curves, SVG charts.
 
-Every data file is reproducible byte-for-byte from (dataset, spec,
-seed). Wall-clock timestamps go only into the run_metadata.json
+This module alone knows the result-file formats; the sweep and the CLI
+write through it. Every data file is reproducible byte-for-byte from
+(dataset, spec, seed): floats go through `repr`, so they also read back
+exactly. Wall-clock timestamps go only into the run_metadata.json
 sidecar so reruns diff clean.
 """
 
@@ -11,13 +13,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ..metrics import SWEEP_HEADER, sweep_row, write_detail_csv
+from ..domain import AgentKind
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
 
+SWEEP_HEADER = "zeta,n_r,agent,s_a,s_b,fairness,mean_j"
+DETAIL_HEADER = "t,n_a,n_b,d_a,d_b,j"
 CURVE_HEADER = "step,reward_moving_avg"
 
 
@@ -130,6 +134,38 @@ def _write(path, text):
         fh.write(text)
 
 
+def _csv(header, rows):
+    return "\n".join([header, *rows]) + "\n"
+
+
+def sweep_row(zeta, n_r, agent, report):
+    """One sweep CSV line."""
+    label = agent.value if isinstance(agent, AgentKind) else str(agent)
+    return "%r,%r,%s,%r,%r,%r,%r" % (
+        float(zeta), float(n_r), label, report.s_a, report.s_b, report.fairness, report.mean_j
+    )
+
+
+def write_sweep_csv(cells, path):
+    """A sweep CSV with one row per (zeta, n_r, agent, report) cell."""
+    _write(path, _csv(SWEEP_HEADER, (sweep_row(*cell) for cell in cells)))
+
+
+def write_detail_csv(report, path):
+    """Per-step detail rows for one report (requires keep_per_step)."""
+    rows = (
+        "%r,%r,%r,%r,%r,%r"
+        % (float(t), float(a.n_a), float(a.n_b), float(d[0]), float(d[1]), float(j))
+        for t, a, d, j in report.per_step
+    )
+    _write(path, _csv(DETAIL_HEADER, rows))
+
+
+def write_curve_csv(curve, path):
+    """A learning curve: step index and window-100 reward average."""
+    _write(path, _csv(CURVE_HEADER, (f"{i},{float(value)!r}" for i, value in enumerate(curve))))
+
+
 def _cell_stub(agent, n_r, zeta):
     return f"{agent}_nr{n_r:g}_z{zeta:.4g}"
 
@@ -144,11 +180,8 @@ def emit_results(table, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    lines = [SWEEP_HEADER]
-    for row in table:
-        lines.append(sweep_row(row.zeta, row.n_r, row.agent_kind.value, row.report))
     path = os.path.join(out_dir, "sweep.csv")
-    _write(path, "\n".join(lines) + "\n")
+    write_sweep_csv(((row.zeta, row.n_r, row.agent_kind, row.report) for row in table), path)
     written.append(path)
 
     for row in table:
@@ -158,11 +191,8 @@ def emit_results(table, out_dir):
             write_detail_csv(row.report, path)
             written.append(path)
         if row.curve is not None and len(row.curve) > 0:
-            curve_lines = [CURVE_HEADER]
-            for i, value in enumerate(row.curve):
-                curve_lines.append(f"{i},{float(value)!r}")
             path = os.path.join(out_dir, f"curve_{stub}.csv")
-            _write(path, "\n".join(curve_lines) + "\n")
+            write_curve_csv(row.curve, path)
             written.append(path)
 
     basic = [
@@ -183,9 +213,7 @@ def emit_results(table, out_dir):
         "cells": len(table),
         "files": [os.path.basename(p) for p in written],
     }
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write(sidecar, json.dumps(meta, indent=2) + "\n")
     written.append(sidecar)
     return written
 
@@ -247,21 +275,43 @@ def emit_charts(basic_rows, curves, out_dir):
     return written
 
 
-def read_sweep_csv(path):
-    """Parse sweep.csv back into plain tuples for replotting."""
+def _read_csv(path, header, parse):
+    """parse(cells) for each row under `header`; a short row or a bad
+    cell raises a ValueError naming path:line."""
+    width = header.count(",") + 1
     rows = []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep header {header!r}")
-        for line in fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ValueError(f"{path}: unexpected header {found!r}, expected {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            zeta, n_r, agent, s_a, s_b, fairness, _mean_j = line.strip().split(",")
-            rows.append(
-                (float(n_r), float(zeta), agent, float(s_a), float(s_b), float(fairness))
-            )
+            cells = line.strip().split(",")
+            if len(cells) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(cells)}")
+            try:
+                rows.append(parse(cells))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows
+
+
+def _chart_row(cells):
+    zeta, n_r, s_a, s_b, fairness, _mean_j = (float(c) for c in cells[:2] + cells[3:])
+    return n_r, zeta, cells[2], s_a, s_b, fairness
+
+
+def _curve_value(cells):
+    step, value = cells
+    int(step)  # checked only: the charts number the steps themselves
+    return float(value)
+
+
+def read_sweep_csv(path):
+    """Parse sweep.csv back into the (n_r, zeta, agent, s_a, s_b, fairness)
+    tuples emit_charts takes."""
+    return _read_csv(path, SWEEP_HEADER, _chart_row)
 
 
 def replot(out_dir):
@@ -271,15 +321,6 @@ def replot(out_dir):
     for n_r, zeta, agent, *_ in basic:
         stub = _cell_stub(agent, n_r, zeta)
         path = os.path.join(out_dir, f"curve_{stub}.csv")
-        if not os.path.exists(path):
-            continue
-        values = []
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != CURVE_HEADER:
-                raise ValueError(f"unexpected curve header {header!r} in {path}")
-            for line in fh:
-                if line.strip():
-                    values.append(float(line.split(",")[1]))
-        curves[(agent, n_r, zeta)] = np.asarray(values)
+        if os.path.exists(path):
+            curves[(agent, n_r, zeta)] = np.asarray(_read_csv(path, CURVE_HEADER, _curve_value))
     return emit_charts(basic, curves, out_dir)

@@ -9,9 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..agents import eval_timesteps, greedy_policy, train
+from ..agents import evaluate, train
 from ..domain import AgentKind, ExperimentConfig
-from ..metrics import EvalReport, build_report
+from ..metrics import EvalReport
 from ..seeding import derive_seed
 
 DEFAULT_N_R = (20.0, 60.0, 100.0)
@@ -74,13 +74,7 @@ def run_cell(series, spec, n_r, zeta_index, agent_kind):
         curve = result.curve
     else:
         agent = agent_kind
-    allocs = greedy_policy(agent, series, cfg)
-    start = eval_timesteps(series, cfg).start
-    demands = list(zip(series.d_a[start:].tolist(), series.d_b[start:].tolist()))
-    timestamps = series.timestamps[start:].tolist()
-    report = build_report(
-        allocs, demands, zeta, cfg.env.d_min, timestamps=timestamps, keep_per_step=True
-    )
+    report = evaluate(agent, series, cfg, keep_per_step=True)
     return SweepRow(n_r=n_r, zeta=zeta, agent_kind=agent_kind, seed=seed, report=report, curve=curve)
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import AgentKind
 from .env import objective_j_array
 
 
@@ -158,42 +157,3 @@ def build_report(allocs, demands, zeta, d_min=0.1, timestamps=None, keep_per_ste
         per_step=per_step,
     )
 
-
-SWEEP_HEADER = "zeta,n_r,agent,s_a,s_b,fairness,mean_j"
-DETAIL_HEADER = "t,n_a,n_b,d_a,d_b,j"
-
-
-def sweep_row(zeta, n_r, agent, report):
-    """One sweep CSV line; floats via repr so files round-trip exactly."""
-    label = agent.value if isinstance(agent, AgentKind) else str(agent)
-    return ",".join(
-        [
-            repr(float(zeta)),
-            repr(float(n_r)),
-            label,
-            repr(report.s_a),
-            repr(report.s_b),
-            repr(report.fairness),
-            repr(report.mean_j),
-        ]
-    )
-
-
-def write_detail_csv(report, path):
-    """Per-step detail rows for one report (requires keep_per_step)."""
-    lines = [DETAIL_HEADER]
-    for t, alloc, demand, j in report.per_step:
-        lines.append(
-            ",".join(
-                [
-                    repr(float(t)),
-                    repr(float(alloc.n_a)),
-                    repr(float(alloc.n_b)),
-                    repr(float(demand[0])),
-                    repr(float(demand[1])),
-                    repr(float(j)),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

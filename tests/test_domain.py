@@ -4,7 +4,6 @@ import pytest
 from adapshare import (
     AgentKind,
     Allocation,
-    DemandSample,
     DemandSeries,
     EnvConfig,
     ExperimentConfig,
@@ -29,18 +28,6 @@ class TestClampDemand:
         for d in [0.0, 0.05, 0.1, 3.7]:
             once = clamp_demand(d, 0.1)
             assert clamp_demand(once, 0.1) == once
-
-
-class TestDemandSample:
-    def test_fields(self):
-        s = DemandSample(timestamp=100, d_a=3.0, d_b=4.5)
-        assert (s.timestamp, s.d_a, s.d_b) == (100, 3.0, 4.5)
-
-    def test_negative_demand_rejected(self):
-        with pytest.raises(ValueError):
-            DemandSample(timestamp=0, d_a=-1.0, d_b=0.0)
-        with pytest.raises(ValueError):
-            DemandSample(timestamp=0, d_a=0.0, d_b=-0.1)
 
 
 class TestDemandSeries:

@@ -2,8 +2,9 @@
 
 Each digest covers the exact float64 bytes of the trained networks and
 reward traces plus the bytes of the agent checkpoint (format version 2),
-or the exact bytes of the files `emit_results` writes (all but the
-wall-clock `run_metadata.json` sidecar). A change that is
+the exact bytes of the files `emit_results` writes (all but the
+wall-clock `run_metadata.json` sidecar), or the exact bytes of the
+result files the CLI's `train` and `eval` write. A change that is
 meant to be a pure speed-up or refactor must leave every digest
 unchanged; a change that means to alter results updates the digests
 and says why.
@@ -21,9 +22,12 @@ import numpy as np
 import pytest
 
 from adapshare import AgentKind, DemandSeries, EnvConfig, ExperimentConfig, fit, generate, train
-from adapshare.agents import AgentConfig, save_agent
+from adapshare.agents import AgentConfig, evaluate, greedy_policy, save_agent
+from adapshare.domain import write_series_csv
+from adapshare.harness.cli import main
 from adapshare.harness.results import emit_results
 from adapshare.harness.sweep import SweepSpec, run_sweep
+from adapshare.metrics import build_report
 
 TRAIN_STEPS = 1500
 
@@ -74,6 +78,16 @@ LEARNED_SWEEP_DIGEST = (
     "a3a3c999f0acfeed4c9b63ff017c53a8e64110e97217352f1459fc0a8371d082",
 )
 
+# train --curve-out, then eval --out and --detail-out for the trained
+# checkpoint and for the opt_base solver, on the demo 05 series
+CLI_FILE_DIGESTS = {
+    "curve.csv": "f92c99bc38623aff153f9ce3cee3bf1c7007f77da584bf3497fcdc106e0b6722",
+    "row_td3.csv": "47bf108102f66e17d6c3cedf0308926607555024d36bc1884f4595538ec8594c",
+    "detail_td3.csv": "78e5b9eeae6a95563d9df0b347ac2d838e006dee2191ce84b16de9ccc69e3136",
+    "row_opt_base.csv": "dc42230469b3bde2b9780999e92b71beb7e22c11e4a9161dd8f5fa9b104bd0af",
+    "detail_opt_base.csv": "02c5c75fe7e2d0549819335050fa17fa796e5d4ad8979ac486bc4d68db902ff0",
+}
+
 
 def _array_digest(arrays):
     h = hashlib.sha256()
@@ -122,6 +136,14 @@ def bundle_digest(out_dir):
     return len(manifest), hashlib.sha256(text).hexdigest(), sweep_csv
 
 
+def file_digests(paths):
+    digests = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 def two_sided_series(ref_series, length, seed_a, seed_b):
     stats = fit(ref_series, side="a")
     gen_a = generate(stats, length, seed_a, side="a")
@@ -168,3 +190,49 @@ def test_learned_sweep_files(ref_series, tmp_path):
     series = two_sided_series(ref_series, 300, 42, 43)
     emit_results(run_sweep(learned_sweep_spec(), series), str(tmp_path))
     assert bundle_digest(tmp_path) == LEARNED_SWEEP_DIGEST
+
+
+def run_cli(*argv):
+    return main([str(a) for a in argv])
+
+
+def test_cli_result_files(ref_series, tmp_path):
+    data = tmp_path / "series.csv"
+    write_series_csv(two_sided_series(ref_series, 300, 42, 43), data)
+    agent = tmp_path / "agent.json"
+    assert run_cli(
+        "train", "--data", data, "--n-r", "60", "--zeta", "0.3", "--seed", "3",
+        "--steps", "600", "--set", "agent.hidden_dims=32", "--set", "agent.warmup_steps=200",
+        "--out", agent, "--curve-out", tmp_path / "curve.csv",
+    ) == 0
+    assert run_cli(
+        "eval", "--data", data, "--checkpoint", agent,
+        "--out", tmp_path / "row_td3.csv", "--detail-out", tmp_path / "detail_td3.csv",
+    ) == 0
+    assert run_cli(
+        "eval", "--data", data, "--agent", "opt_base", "--n-r", "60", "--zeta", "0.3",
+        "--out", tmp_path / "row_opt_base.csv", "--detail-out", tmp_path / "detail_opt_base.csv",
+    ) == 0
+    assert file_digests([tmp_path / name for name in CLI_FILE_DIGESTS]) == CLI_FILE_DIGESTS
+
+
+@pytest.mark.parametrize("kind", list(AgentKind))
+def test_evaluate_is_greedy_policy_then_build_report(kind, synth_series):
+    cfg = ExperimentConfig(
+        env=EnvConfig(n_r=60.0, zeta=0.3),
+        seed=5,
+        train_steps=300,
+        agent=AgentConfig(hidden_dims=(8,), warmup_steps=100),
+    )
+    policy = train(kind, synth_series, cfg)[0] if kind in (AgentKind.DDPG, AgentKind.TD3) else kind
+    allocs = greedy_policy(policy, synth_series, cfg)
+    steps = range(len(synth_series) - len(allocs), len(synth_series))
+    demands = [synth_series.demand(t) for t in steps]
+    timestamps = [synth_series.timestamps[t] for t in steps]
+    for keep in (False, True):
+        expected = build_report(
+            allocs, demands, 0.3, cfg.env.d_min, timestamps=timestamps, keep_per_step=keep
+        )
+        report = evaluate(policy, synth_series, cfg, keep_per_step=keep)
+        assert report == expected
+        assert len(report.per_step) == (len(steps) if keep else 0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adapshare.agents import AgentConfig, load_agent
-from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig, write_series_csv
+from adapshare.domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, write_series_csv
 from adapshare.harness.cli import main
 from adapshare.harness.config import (
     ConfigFileError,
@@ -18,13 +18,17 @@ from adapshare.harness.config import (
 )
 from adapshare.harness.results import (
     CURVE_HEADER,
+    DETAIL_HEADER,
+    SWEEP_HEADER,
     emit_results,
     read_sweep_csv,
     replot,
     svg_line_chart,
+    sweep_row,
+    write_detail_csv,
 )
 from adapshare.harness.sweep import SweepSpec, cell_seed, run_cell, run_sweep
-from adapshare.metrics import SWEEP_HEADER
+from adapshare.metrics import build_report
 
 
 class TestConfigFile:
@@ -259,6 +263,75 @@ class TestResults:
         assert sorted(p.name for p in tmp_path.glob("*.svg")) == svgs
 
 
+class TestReadBack:
+    @pytest.mark.parametrize("row,message", [
+        ("0.5,20.0,td3,0.1", "expected 7 fields, got 4"),
+        ("0.5,20.0,td3,0.1,0.2,abc,0.3", "could not convert"),
+    ], ids=["short_row", "bad_float"])
+    def test_bad_sweep_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "sweep.csv"
+        path.write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,0.1,0.2,0.9,0.3\n{row}\n")
+        with pytest.raises(ValueError, match=f"sweep.csv:3: {message}"):
+            read_sweep_csv(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("1", "expected 2 fields, got 1"),
+        ("1,-0.x", "could not convert"),
+        ("one,-0.2", "invalid literal"),
+    ], ids=["short_row", "bad_float", "bad_step"])
+    def test_bad_curve_row_names_its_line(self, tmp_path, row, message):
+        (tmp_path / "sweep.csv").write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,0.1,0.2,0.9,0.3\n")
+        curve = tmp_path / "curve_td3_nr20_z0.5.csv"
+        curve.write_text(f"{CURVE_HEADER}\n0,-0.1\n{row}\n")
+        with pytest.raises(ValueError, match=f"{curve.name}:3: {message}"):
+            replot(str(tmp_path))
+
+    def test_plot_on_truncated_sweep_csv_is_rc2(self, tmp_path, capsys):
+        (tmp_path / "sweep.csv").write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,0.1\n")
+        assert run_cli("plot", "--dir", tmp_path) == 2
+        assert "sweep.csv:2: expected 7 fields, got 4" in capsys.readouterr().err
+
+
+class TestCsvOutput:
+    def test_sweep_header_and_row_shape(self):
+        assert SWEEP_HEADER == "zeta,n_r,agent,s_a,s_b,fairness,mean_j"
+        report = build_report([Allocation(5.0, 5.0)], [(5.0, 5.0)], zeta=0.5)
+        row = sweep_row(0.5, 20.0, "td3", report)
+        cells = row.split(",")
+        assert len(cells) == 7
+        assert cells[2] == "td3"
+        assert float(cells[0]) == 0.5 and float(cells[1]) == 20.0
+        assert float(cells[3]) == report.s_a
+
+    def test_sweep_row_accepts_kind_enum(self):
+        report = build_report([Allocation(5.0, 5.0)], [(5.0, 5.0)], zeta=0.5)
+        row = sweep_row(0.1, 60.0, AgentKind.OPT_BASE, report)
+        assert row.split(",")[2] == "opt_base"
+
+    def test_rows_roundtrip_through_float(self):
+        # repr floats must parse back to the exact same values
+        report = build_report(
+            [Allocation(1.0 / 3.0, 2.0 / 7.0)], [(0.123456789, 9.87)], zeta=1.0 / 3.0
+        )
+        cells = sweep_row(1.0 / 3.0, 20.0, "ddpg", report).split(",")
+        assert float(cells[0]) == 1.0 / 3.0
+        assert float(cells[6]) == report.mean_j
+
+    def test_detail_csv(self, tmp_path):
+        allocs = [Allocation(1.5, 2.5)]
+        report = build_report(
+            allocs, [(1.0, 2.0)], zeta=0.5, timestamps=[7], keep_per_step=True
+        )
+        path = tmp_path / "detail.csv"
+        write_detail_csv(report, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == DETAIL_HEADER
+        cells = lines[1].split(",")
+        assert float(cells[0]) == 7.0
+        assert float(cells[1]) == 1.5
+        assert float(cells[5]) == report.per_step[0][3]
+
+
 @pytest.fixture
 def constant_csv(tmp_path, constant_series):
     path = tmp_path / "constant.csv"
@@ -361,6 +434,31 @@ class TestCliTrainEval:
         assert cells[2] == "td3"
         assert (tmp_path / "detail.csv").exists()
 
+    def test_eval_checkpoint_rejects_keys_it_fixes(self, constant_csv, tmp_path, capsys):
+        assert run_cli(*self.train_args(constant_csv, tmp_path)) == 0
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("env.zeta = 0.4\ntrain_steps = 5\n")
+        capsys.readouterr()
+        rc = run_cli(
+            "eval", "--data", constant_csv, "--checkpoint", tmp_path / "agent.json",
+            "--seed", "9", "--steps", "7", "--config", cfg_file,
+            "--set", "eval_split=0.5", "--set", "agent.actor_lr=5",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "agent.actor_lr, eval_split, seed, train_steps" in err
+        assert "env.zeta" not in err
+
+    def test_eval_checkpoint_ignores_env_seed(self, constant_csv, tmp_path, capsys, monkeypatch):
+        assert run_cli(*self.train_args(constant_csv, tmp_path)) == 0
+        eval_args = ("eval", "--data", constant_csv, "--checkpoint", tmp_path / "agent.json")
+        capsys.readouterr()
+        assert run_cli(*eval_args) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("ADAPSHARE_SEED", "9")
+        assert run_cli(*eval_args) == 0
+        assert capsys.readouterr().out == plain
+
     def test_eval_solver_without_checkpoint(self, constant_csv, capsys):
         rc = run_cli(
             "eval", "--data", constant_csv, "--agent", "opt_oracle", "--n-r", "20"
@@ -407,6 +505,18 @@ class TestCliPrecedence:
         )
         assert rc == 0
         assert "zeta=0.8" in capsys.readouterr().out
+
+    def test_set_overrides_sweep_list_flags(self, constant_csv, tmp_path):
+        out_dir = tmp_path / "grid"
+        rc = run_cli(
+            "sweep", "--data", constant_csv, "--out-dir", out_dir,
+            "--n-r-values", "20", "--zeta-values", "0.3", "--agents", "opt_oracle",
+            "--set", "n_r_values=60", "--set", "zeta_values=0.7",
+            "--set", "agent_kinds=opt_base",
+        )
+        assert rc == 0
+        rows = read_sweep_csv(out_dir / "sweep.csv")
+        assert [row[:3] for row in rows] == [(60.0, 0.7, "opt_base")]
 
     def test_bad_env_seed_is_rc2(self, constant_csv, capsys, monkeypatch):
         monkeypatch.setenv("ADAPSHARE_SEED", "ten")

@@ -1,23 +1,19 @@
-"""Surplus/deficit, Jain fairness, mean objective, curves, CSV rows."""
+"""Surplus/deficit, Jain fairness, mean objective, curves, reports."""
 
 import numpy as np
 import pytest
 
-from adapshare.domain import AgentKind, Allocation
+from adapshare.domain import Allocation
 from adapshare.env import objective_j
 from adapshare.metrics import (
-    DETAIL_HEADER,
     EmptyInput,
     LengthMismatch,
-    SWEEP_HEADER,
     build_report,
     count_zero_alloc_steps,
     jain_fairness,
     mean_objective,
     moving_average,
     surplus_deficit,
-    sweep_row,
-    write_detail_csv,
 )
 from adapshare.oracle import solve_opt
 
@@ -199,42 +195,3 @@ class TestBuildReport:
         assert report.per_step[0][3] == 0.0
         assert report.per_step[1][1] is allocs[1]
 
-
-class TestCsvOutput:
-    def test_sweep_header_and_row_shape(self):
-        assert SWEEP_HEADER == "zeta,n_r,agent,s_a,s_b,fairness,mean_j"
-        report = build_report([Allocation(5.0, 5.0)], [(5.0, 5.0)], zeta=0.5)
-        row = sweep_row(0.5, 20.0, "td3", report)
-        cells = row.split(",")
-        assert len(cells) == 7
-        assert cells[2] == "td3"
-        assert float(cells[0]) == 0.5 and float(cells[1]) == 20.0
-        assert float(cells[3]) == report.s_a
-
-    def test_sweep_row_accepts_kind_enum(self):
-        report = build_report([Allocation(5.0, 5.0)], [(5.0, 5.0)], zeta=0.5)
-        row = sweep_row(0.1, 60.0, AgentKind.OPT_BASE, report)
-        assert row.split(",")[2] == "opt_base"
-
-    def test_rows_roundtrip_through_float(self):
-        # repr floats must parse back to the exact same values
-        report = build_report(
-            [Allocation(1.0 / 3.0, 2.0 / 7.0)], [(0.123456789, 9.87)], zeta=1.0 / 3.0
-        )
-        cells = sweep_row(1.0 / 3.0, 20.0, "ddpg", report).split(",")
-        assert float(cells[0]) == 1.0 / 3.0
-        assert float(cells[6]) == report.mean_j
-
-    def test_detail_csv(self, tmp_path):
-        allocs = [Allocation(1.5, 2.5)]
-        report = build_report(
-            allocs, [(1.0, 2.0)], zeta=0.5, timestamps=[7], keep_per_step=True
-        )
-        path = tmp_path / "detail.csv"
-        write_detail_csv(report, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == DETAIL_HEADER
-        cells = lines[1].split(",")
-        assert float(cells[0]) == 7.0
-        assert float(cells[1]) == 1.5
-        assert float(cells[5]) == report.per_step[0][3]
