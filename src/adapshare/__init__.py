@@ -45,7 +45,6 @@ from .metrics import (
     EvalReport,
     build_report,
     jain_fairness,
-    mean_objective,
     moving_average,
     surplus_deficit,
 )

@@ -10,7 +10,7 @@ Polyak-averaged copies that nothing reads.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -100,14 +100,6 @@ class ReplayBuffer:
         return self._obs[idx], self._act[idx], self._rew[idx]
 
 
-@dataclass
-class UpdateReport:
-    """Losses from one gradient step; actor_objective is None when the actor stood still."""
-
-    critic_loss: float
-    actor_objective: float = None
-
-
 class DdpgAgent:
     """Deterministic policy gradient with a single critic."""
 
@@ -147,30 +139,27 @@ class DdpgAgent:
         err = q - rew[:, None]
         grad_w, grad_b, _ = nn.backward(self.critic, cache, (2.0 / obs.shape[0]) * err)
         nn.adam_step(self.critic_opt, [self.critic.flat], [nn.flatten_layers(grad_w, grad_b)])
-        return float(np.mean(err ** 2))
 
     def _update_actor(self, obs):
         batch = obs.shape[0]
         mu, actor_cache = nn.forward_cache(self.actor, obs)
         x = np.concatenate([obs, mu], axis=1)
-        q, critic_cache = nn.forward_cache(self.critic, x)
+        _, critic_cache = nn.forward_cache(self.critic, x)
         # ascend mean Q: backprop -1/B through the critic into the action slice
         _, _, dx = nn.backward(self.critic, critic_cache, np.full((batch, 1), -1.0 / batch))
         grad_w, grad_b, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:])
         nn.adam_step(self.actor_opt, [self.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
-        return float(np.mean(q))
 
     def _soft_update_targets(self):
         tau = self.config.tau
         nn.soft_update(self.target_actor, self.actor, tau)
         nn.soft_update(self.target_critic, self.critic, tau)
 
-    def update(self, obs, act, rew, step_index=None):
-        critic_loss = self._update_critic(obs, act, rew)
-        actor_objective = self._update_actor(obs)
+    def update(self, obs, act, rew):
+        self._update_critic(obs, act, rew)
+        self._update_actor(obs)
         self._soft_update_targets()
         self.update_count += 1
-        return UpdateReport(critic_loss=critic_loss, actor_objective=actor_objective)
 
 
 class Td3Agent(DdpgAgent):
@@ -178,16 +167,12 @@ class Td3Agent(DdpgAgent):
 
     kind = AgentKind.TD3
 
-    def update(self, obs, act, rew, step_index=None):
-        if step_index is None:
-            step_index = self.update_count
-        critic_loss = self._update_critic(obs, act, rew)
-        actor_objective = None
-        if step_index % self.config.td3_policy_delay == 0:
-            actor_objective = self._update_actor(obs)
+    def update(self, obs, act, rew):
+        self._update_critic(obs, act, rew)
+        if self.update_count % self.config.td3_policy_delay == 0:
+            self._update_actor(obs)
             self._soft_update_targets()
         self.update_count += 1
-        return UpdateReport(critic_loss=critic_loss, actor_objective=actor_objective)
 
 
 _AGENT_CLASSES = {AgentKind.DDPG: DdpgAgent, AgentKind.TD3: Td3Agent}
@@ -216,7 +201,6 @@ class TrainResult:
 
     rewards: np.ndarray
     curve: np.ndarray
-    update_reports: list = field(default_factory=list)
 
 
 def _pretrain_actor(agent, series, cfg, split_end):
@@ -262,7 +246,6 @@ def train(agent_kind, series, cfg):
     batch_size = agent.config.batch_size
 
     rewards = np.empty(cfg.train_steps)
-    reports = []
     for i in range(cfg.train_steps):
         t = int(t_rng.integers(env.window_n, split_end))
         obs = observe(series, t, env)
@@ -273,9 +256,9 @@ def train(agent_kind, series, cfg):
         agent.explore_sigma *= agent.config.sigma_decay
         if i >= warmup and buffer.size >= batch_size:
             ob, ac, rw = buffer.sample(agent.batch_rng, batch_size)
-            reports.append(agent.update(ob, ac, rw))
+            agent.update(ob, ac, rw)
     curve = moving_average(rewards, 100) if cfg.train_steps > 0 else np.array([])
-    return agent, TrainResult(rewards=rewards, curve=curve, update_reports=reports)
+    return agent, TrainResult(rewards=rewards, curve=curve)
 
 
 def greedy_policy(agent, series, cfg):

@@ -218,13 +218,16 @@ def read_series_csv(path, granularity: int | None = None) -> DemandSeries:
             t, a, b = int(cells[0]), float(cells[1]), float(cells[2])
         except ValueError as exc:
             raise ValueError(f"{p}:{k}: {exc}") from exc
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"{p}:{k}: demands must be finite, got {a}, {b}")
+        if not (math.isfinite(a) and math.isfinite(b) and a >= 0 and b >= 0):
+            raise ValueError(f"{p}:{k}: demands must be finite and nonnegative, got {a}, {b}")
+        if ts:
+            if granularity is None:
+                granularity = t - ts[0]
+            elif t - ts[-1] != granularity:
+                raise ValueError(f"{p}:{k}: timestamp gap {t - ts[-1]} != {granularity}")
         ts.append(t)
         da.append(a)
         db.append(b)
     if granularity is None:
-        if len(ts) < 2:
-            raise ValueError(f"{p}: cannot infer granularity from fewer than 2 rows")
-        granularity = int(ts[1] - ts[0])
+        raise ValueError(f"{p}: cannot infer granularity from fewer than 2 rows")
     return DemandSeries(ts, da, db, granularity)

@@ -74,6 +74,9 @@ SWEEP_FLAGS = {
     "agent_kinds": "agents",
 }
 
+# the network's input width and scale; a checkpoint was trained on them
+OBSERVATION_KEYS = ("env.window_n", "env.capacity_norm")
+
 
 def _add_experiment_flags(parser, with_agent=True):
     parser.add_argument("--config", help="key=value config file")
@@ -119,10 +122,7 @@ def cmd_synth(args):
     if side is None:
         raise ConfigFileError("--ref has both columns populated; pick one with --side")
     stats = fit(ref, side=side)
-    seed = args.seed
-    env_seed = os.environ.get("ADAPSHARE_SEED")
-    if seed is None:
-        seed = int(env_seed) if env_seed is not None else 42
+    seed = _collect_mapping(args, {"seed": "seed"}).get("seed", 42)
     granularity = args.granularity if args.granularity else ref.granularity
     gen_a = generate(stats, args.length, seed, side="a", granularity=granularity)
     gen_b = generate(stats, args.length, seed + 1, side="b", granularity=granularity)
@@ -172,14 +172,18 @@ def cmd_eval(args):
         raise ConfigFileError("eval needs exactly one of --checkpoint or --agent")
     if args.checkpoint:
         agent, cfg = load_agent(args.checkpoint)
-        # the checkpoint fixes every setting but env.*; ADAPSHARE_SEED,
-        # which only seeds new runs, is left out
+        # the checkpoint fixes every setting but the env.* keys that leave
+        # the observation alone; ADAPSHARE_SEED, which only seeds new runs,
+        # is left out
         file_kv, _, flag_kv, set_kv = _sources(args, EXPERIMENT_FLAGS)
         mapping = {**file_kv, **flag_kv, **set_kv}
-        fixed = sorted(key for key in mapping if not key.startswith("env."))
+        fixed = sorted(
+            key for key in mapping if not key.startswith("env.") or key in OBSERVATION_KEYS
+        )
         if fixed:
             raise ConfigFileError(
-                f"--checkpoint fixes {', '.join(fixed)}; only env.* keys may be changed"
+                f"--checkpoint fixes {', '.join(fixed)}; only env.* keys other than "
+                f"{' and '.join(OBSERVATION_KEYS)} may be changed"
             )
         if mapping:
             cfg = cfg.with_env(**{key[len("env."):]: value for key, value in mapping.items()})

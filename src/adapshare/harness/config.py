@@ -15,15 +15,6 @@ class ConfigFileError(ValueError):
     """Unparseable line or unknown key in a config file."""
 
 
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _int_list(text):
     return tuple(int(part.strip()) for part in text.split(","))
 
@@ -69,6 +60,16 @@ COERCERS = {
 }
 
 
+def _coerce(key, value):
+    """value parsed for key if it is a string; the error names the key."""
+    if key not in COERCERS:
+        raise ConfigFileError(f"unknown config key {key!r}")
+    try:
+        return COERCERS[key](value) if isinstance(value, str) else value
+    except (ValueError, TypeError) as exc:
+        raise ConfigFileError(f"bad value for {key}: {exc}") from exc
+
+
 def parse_config_file(path):
     """Read a key=value file into a coerced mapping."""
     mapping = {}
@@ -81,24 +82,16 @@ def parse_config_file(path):
                 raise ConfigFileError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in COERCERS:
-                raise ConfigFileError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                mapping[key] = COERCERS[key](value)
-            except (ValueError, TypeError) as exc:
-                raise ConfigFileError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+                mapping[key] = _coerce(key, value.strip())
+            except ConfigFileError as exc:
+                raise ConfigFileError(f"{path}:{lineno}: {exc}") from exc
     return mapping
 
 
 def coerce_overrides(raw):
     """Coerce a {key: string} mapping of CLI-style overrides."""
-    out = {}
-    for key, value in raw.items():
-        if key not in COERCERS:
-            raise ConfigFileError(f"unknown config key {key!r}")
-        out[key] = COERCERS[key](value) if isinstance(value, str) else value
-    return out
+    return {key: _coerce(key, value) for key, value in raw.items()}
 
 
 def _split_mapping(mapping):

@@ -99,21 +99,6 @@ def jain_fairness(allocs):
     return fairness
 
 
-def _zero_steps(n_a, n_b):
-    return int(np.sum((n_a == 0.0) & (n_b == 0.0)))
-
-
-def count_zero_alloc_steps(allocs):
-    return _zero_steps(*_alloc_arrays(allocs))
-
-
-def mean_objective(allocs, demands, zeta, d_min=0.1):
-    """Mean weighted squared deviation over the steps."""
-    n_a, n_b = _alloc_arrays(allocs)
-    d_a, d_b = _demand_arrays(demands, len(allocs))
-    return _mean_left_to_right(objective_j_array(n_a, n_b, d_a, d_b, zeta, d_min))
-
-
 def moving_average(values, window):
     """Trailing mean with an expanding head: out[i] = mean(values[max(0, i-window+1) .. i])."""
     if window < 1:
@@ -153,7 +138,7 @@ def build_report(allocs, demands, zeta, d_min=0.1, timestamps=None, keep_per_ste
         s_b=s_b,
         fairness=fairness,
         mean_j=_mean_left_to_right(j),
-        zero_alloc_steps=_zero_steps(n_a, n_b),
+        zero_alloc_steps=int(np.sum((n_a == 0.0) & (n_b == 0.0))),
         per_step=per_step,
     )
 

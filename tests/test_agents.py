@@ -50,6 +50,18 @@ def params_equal(net, snapshot):
     return all(np.array_equal(p, s) for p, s in zip(net.params(), snapshot))
 
 
+def critic_loss(agent, obs, act, rew):
+    """Mean squared error of the critic against the reward, from nn.forward."""
+    q = nn.forward(agent.critic, np.concatenate([obs, act], axis=1))
+    return float(np.mean((q[:, 0] - rew) ** 2))
+
+
+def mean_q(agent, obs):
+    """Mean critic value of the actor's own actions."""
+    mu = nn.forward(agent.actor, obs)
+    return float(np.mean(nn.forward(agent.critic, np.concatenate([obs, mu], axis=1))))
+
+
 class TestAgentConfig:
     def test_defaults_valid(self):
         cfg = AgentConfig()
@@ -153,15 +165,22 @@ def zero_params(net):
 
 class TestCriticTargets:
     def test_gamma_zero_target_is_reward(self):
-        # a zero critic predicts Q = 0, so its loss is the mean squared
-        # reward exactly when the regression target is the reward itself,
-        # whatever the target networks hold
-        agent = make_agent(AgentKind.TD3, obs_dim=4, config=AgentConfig(batch_size=2), seed=0)
-        zero_params(agent.critic)
-        agent.target_critic.flat[:] = 3.0
-        agent.target_actor.flat[:] = 3.0
-        report = agent.update(np.zeros((2, 4)), np.zeros((2, 2)), np.array([-1.0, -2.0]), step_index=1)
-        assert report.critic_loss == (1.0 + 4.0) / 2
+        # the critic regresses on the reward itself: whatever the target
+        # networks hold, one update leaves the same critic bits, and that
+        # critic sits closer to the reward than the zero one it started as
+        batch = (np.zeros((2, 4)), np.zeros((2, 2)), np.array([-1.0, -2.0]))
+        critics = []
+        for fill in (None, 3.0):
+            agent = make_agent(AgentKind.TD3, obs_dim=4, config=AgentConfig(batch_size=2), seed=0)
+            zero_params(agent.critic)
+            if fill is not None:
+                agent.target_critic.flat[:] = fill
+                agent.target_actor.flat[:] = fill
+            assert critic_loss(agent, *batch) == (1.0 + 4.0) / 2
+            agent.update(*batch)
+            assert critic_loss(agent, *batch) < (1.0 + 4.0) / 2
+            critics.append(agent.critic.flat.copy())
+        assert critics[0].tobytes() == critics[1].tobytes()
 
 
 class TestUpdateMath:
@@ -171,9 +190,10 @@ class TestUpdateMath:
         zero_params(agent.critic)
         zero_params(agent.target_critic)
         actor_before = params_snapshot(agent.actor)
-        report = agent.update(*batch_of(4, reward=0.0))
+        batch = batch_of(4, reward=0.0)
+        agent.update(*batch)
         # target == prediction == 0 everywhere, so nothing can move
-        assert report.critic_loss == 0.0
+        assert critic_loss(agent, *batch) == 0.0
         assert all(np.all(p == 0) for p in agent.critic.params())
         assert params_equal(agent.actor, actor_before)
 
@@ -194,13 +214,14 @@ class TestUpdateMath:
         actor.biases[-1][:] = [2.0, -1.0]
 
         obs = np.random.default_rng(4).uniform(0.0, 1.0, (8, 2))
-        first_q = agent._update_actor(obs)
+        first_q = mean_q(agent, obs)
         expected_u_a = 1.0 / (1.0 + np.exp(-2.0))
         assert first_q == pytest.approx(-(expected_u_a - 0.5), abs=1e-9)
         for _ in range(150):
             agent._update_actor(obs)
         mu = nn.forward(actor, obs[0])
         assert abs(mu[0] - 0.5) < 0.05
+        assert mean_q(agent, obs) > first_q
         assert actor.biases[-1][1] == -1.0
 
     def test_update_requires_full_batch(self, constant_series):
@@ -212,8 +233,7 @@ class TestUpdateMath:
             agent=AgentConfig(batch_size=16, warmup_steps=0, hidden_dims=(8,)),
         )
         for kind in (AgentKind.DDPG, AgentKind.TD3):
-            agent, result = train(kind, constant_series, cfg)
-            assert len(result.update_reports) == 40 - 15
+            agent, _ = train(kind, constant_series, cfg)
             assert agent.update_count == 40 - 15
 
     def test_critic_loss_decreases_on_repeated_batch(self):
@@ -223,7 +243,10 @@ class TestUpdateMath:
         obs = rng.uniform(0.0, 1.0, (8, 4))
         acts = rng.uniform(0.0, 1.0, (8, 2))
         rews = -rng.uniform(0.0, 1.0, 8)
-        losses = [agent.update(obs, acts, rews).critic_loss for _ in range(100)]
+        losses = []
+        for _ in range(100):
+            losses.append(critic_loss(agent, obs, acts, rews))
+            agent.update(obs, acts, rews)
         assert losses[-1] < losses[0] * 0.1
         drops = sum(b <= a for a, b in zip(losses, losses[1:]))
         assert drops >= 90
@@ -233,22 +256,26 @@ class TestTd3Mechanics:
     def test_delay_gate_blocks_actor(self):
         cfg = AgentConfig(batch_size=4, td3_policy_delay=2)
         agent = make_agent(AgentKind.TD3, obs_dim=4, config=cfg, seed=0)
+        agent.update(*batch_of(4))
         actor_before = params_snapshot(agent.actor)
         critic_before = params_snapshot(agent.critic)
         target_before = params_snapshot(agent.target_critic)
-        report = agent.update(*batch_of(4), step_index=1)
-        assert report.actor_objective is None
+        agent.update(*batch_of(4))
+        assert agent.update_count == 2
         assert params_equal(agent.actor, actor_before)
         assert params_equal(agent.target_critic, target_before)
         assert not params_equal(agent.critic, critic_before)
 
     def test_gate_open_on_multiples_of_delay(self):
-        cfg = AgentConfig(batch_size=4, td3_policy_delay=2)
+        # the gate counts the critic updates made before this one
+        cfg = AgentConfig(batch_size=4, td3_policy_delay=3)
         agent = make_agent(AgentKind.TD3, obs_dim=4, config=cfg, seed=0)
-        actor_before = params_snapshot(agent.actor)
-        report = agent.update(*batch_of(4), step_index=2)
-        assert report.actor_objective is not None
-        assert not params_equal(agent.actor, actor_before)
+        moved = []
+        for _ in range(7):
+            actor_before = params_snapshot(agent.actor)
+            agent.update(*batch_of(4))
+            moved.append(not params_equal(agent.actor, actor_before))
+        assert moved == [True, False, False, True, False, False, True]
 
     def test_matches_ddpg_on_shared_path(self):
         # same seed, gamma 0: critic 1 and the actor see identical math,
@@ -260,10 +287,8 @@ class TestTd3Mechanics:
         obs = rng.uniform(0.0, 1.0, (4, 4))
         acts = rng.uniform(0.0, 1.0, (4, 2))
         rews = -rng.uniform(0.0, 1.0, 4)
-        rep_d = ddpg.update(obs, acts, rews, step_index=0)
-        rep_t = td3.update(obs, acts, rews, step_index=0)
-        assert rep_d.critic_loss == rep_t.critic_loss
-        assert rep_d.actor_objective == rep_t.actor_objective
+        ddpg.update(obs, acts, rews)
+        td3.update(obs, acts, rews)
         for d_arr, t_arr in zip(ddpg.critic.params(), td3.critic.params()):
             np.testing.assert_array_equal(d_arr, t_arr)
         for d_arr, t_arr in zip(ddpg.actor.params(), td3.actor.params()):
@@ -320,7 +345,7 @@ class TestTrain:
         assert np.all(result.rewards <= 0.0)
         np.testing.assert_allclose(result.curve, moving_average(result.rewards, 100))
         # updates run once the warmup passes (buffer already holds >= batch)
-        assert len(result.update_reports) == 120 - 50
+        assert agent.update_count == 120 - 50
 
     def test_deterministic_given_seed(self, constant_series):
         cfg = self.small_cfg()
@@ -336,7 +361,7 @@ class TestTrain:
         agent, result = train(AgentKind.TD3, constant_series, cfg)
         assert result.rewards.size == 0
         assert result.curve.size == 0
-        assert result.update_reports == []
+        assert agent.update_count == 0
         for a, b in zip(agent.actor.params(), reference.actor.params()):
             np.testing.assert_array_equal(a, b)
 

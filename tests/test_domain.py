@@ -165,18 +165,21 @@ class TestSeriesCsv:
         with pytest.raises(ValueError):
             read_series_csv(path)
 
-    @pytest.mark.parametrize("row", ["3600,nan,1.0", "3600,1.0,inf", "3600,-inf,1.0"])
+    @pytest.mark.parametrize(
+        "row", ["3600,nan,1.0", "3600,1.0,inf", "3600,-inf,1.0", "3600,-1.0,2.0"]
+    )
     def test_non_finite_cell_names_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n\n" + row + "\n")
-        with pytest.raises(ValueError, match="bad.csv:4: demands must be finite"):
+        with pytest.raises(ValueError, match="bad.csv:4: demands must be finite and nonnegative"):
             read_series_csv(path)
 
-    @pytest.mark.parametrize("row", ["3600,abc,1.0", "later,1.0,1.0"])
+    @pytest.mark.parametrize("row", ["3600,abc,1.0", "later,1.0,1.0", "9000,1.0,2.0"])
     def test_unparsable_cell_names_line(self, tmp_path, row):
+        # the third row breaks the 3600 s spacing the first two set
         path = tmp_path / "bad.csv"
-        path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n" + row + "\n")
-        with pytest.raises(ValueError, match="bad.csv:3: "):
+        path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n3600,1.0,2.0\n" + row + "\n")
+        with pytest.raises(ValueError, match="bad.csv:4: "):
             read_series_csv(path)
 
     def test_missing_file(self, tmp_path):

@@ -386,6 +386,14 @@ class TestCliSynth:
         assert rc == 2
         assert "--side" in capsys.readouterr().err
 
+    def test_bad_env_seed_is_rc2(self, hourly_fixture_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAPSHARE_SEED", "ten")
+        rc = run_cli(
+            "synth", "--ref", hourly_fixture_path, "--length", "50", "--out", tmp_path / "x.csv"
+        )
+        assert rc == 2
+        assert "ADAPSHARE_SEED must be an integer: 'ten'" in capsys.readouterr().err
+
 
 class TestCliTrainEval:
     def train_args(self, data, tmp_path, *extra):
@@ -448,6 +456,20 @@ class TestCliTrainEval:
         err = capsys.readouterr().err
         assert "agent.actor_lr, eval_split, seed, train_steps" in err
         assert "env.zeta" not in err
+
+    @pytest.mark.parametrize("key,value", [("env.window_n", "4"), ("env.capacity_norm", "1000")])
+    def test_eval_checkpoint_rejects_observation_keys(
+        self, constant_csv, tmp_path, capsys, key, value
+    ):
+        # the policy was trained on observations of this width and scale
+        assert run_cli(*self.train_args(constant_csv, tmp_path)) == 0
+        capsys.readouterr()
+        rc = run_cli(
+            "eval", "--data", constant_csv, "--checkpoint", tmp_path / "agent.json",
+            "--set", f"{key}={value}",
+        )
+        assert rc == 2
+        assert f"--checkpoint fixes {key};" in capsys.readouterr().err
 
     def test_eval_checkpoint_ignores_env_seed(self, constant_csv, tmp_path, capsys, monkeypatch):
         assert run_cli(*self.train_args(constant_csv, tmp_path)) == 0
@@ -523,6 +545,21 @@ class TestCliPrecedence:
         rc = run_cli("train", "--data", constant_csv, "--n-r", "20", "--steps", "1")
         assert rc == 2
         assert "ADAPSHARE_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (("train", "--n-r", "20", "--set", "seed=ten"), "seed"),
+            (("train", "--n-r", "20", "--set", "agent.hidden_dims="), "agent.hidden_dims"),
+            (("sweep", "--out-dir", "grid", "--n-r-values", "20,x"), "n_r_values"),
+        ],
+        ids=["set_seed", "set_empty_list", "sweep_list_flag"],
+    )
+    def test_bad_value_names_its_key(self, constant_csv, tmp_path, capsys, monkeypatch, args, key):
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli(*args, "--data", constant_csv)
+        assert rc == 2
+        assert f"error: bad value for {key}: " in capsys.readouterr().err
 
 
 class TestCliSweepPlot:

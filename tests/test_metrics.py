@@ -9,9 +9,7 @@ from adapshare.metrics import (
     EmptyInput,
     LengthMismatch,
     build_report,
-    count_zero_alloc_steps,
     jain_fairness,
-    mean_objective,
     moving_average,
     surplus_deficit,
 )
@@ -77,19 +75,19 @@ class TestJainFairness:
         with pytest.warns(UserWarning, match="1 all-zero allocation step"):
             f = jain_fairness(allocs)
         assert f == pytest.approx(0.75, abs=1e-12)
-        assert count_zero_alloc_steps(allocs) == 1
+        assert build_report(allocs, [(1.0, 1.0)] * 2, zeta=0.5).zero_alloc_steps == 1
 
 
 class TestMeanObjective:
     def test_zero_when_allocation_meets_demand(self):
         allocs = [Allocation(5.0, 6.0)]
-        assert mean_objective(allocs, [(5.0, 6.0)], zeta=0.7) == 0.0
+        assert build_report(allocs, [(5.0, 6.0)], zeta=0.7).mean_j == 0.0
 
     def test_hand_computed_average(self):
         allocs = [Allocation(15.0, 20.0), Allocation(30.0, 20.0)]
         demands = [(30.0, 20.0), (30.0, 20.0)]
         # step 1: 0.5*0.25 + 0 = 0.125; step 2: 0
-        assert mean_objective(allocs, demands, zeta=0.5) == pytest.approx(0.0625, abs=1e-12)
+        assert build_report(allocs, demands, zeta=0.5).mean_j == pytest.approx(0.0625, abs=1e-12)
 
     def test_oracle_never_worse_than_even_split(self):
         rng = np.random.default_rng(8)
@@ -97,15 +95,15 @@ class TestMeanObjective:
         n_r = 20.0
         oracle_allocs = [solve_opt(d, 0.5, n_r).allocation for d in demands]
         even = [Allocation(n_r / 2, n_r / 2)] * len(demands)
-        j_oracle = mean_objective(oracle_allocs, demands, zeta=0.5)
-        j_even = mean_objective(even, demands, zeta=0.5)
+        j_oracle = build_report(oracle_allocs, demands, zeta=0.5).mean_j
+        j_even = build_report(even, demands, zeta=0.5).mean_j
         assert j_oracle <= j_even + 1e-12
 
     def test_validation(self):
         with pytest.raises(EmptyInput):
-            mean_objective([], [], zeta=0.5)
+            build_report([], [], zeta=0.5)
         with pytest.raises(LengthMismatch):
-            mean_objective([Allocation(1.0, 1.0)], [(1.0, 1.0), (2.0, 2.0)], zeta=0.5)
+            build_report([Allocation(1.0, 1.0)], [(1.0, 1.0), (2.0, 2.0)], zeta=0.5)
 
 
 class TestMovingAverage:
@@ -154,7 +152,6 @@ class TestBuildReport:
         assert [row[3] for row in report.per_step] == per_step
         assert all(type(row[3]) is float for row in report.per_step)
         assert report.mean_j == total / len(per_step)
-        assert mean_objective(allocs, demands, 0.3) == report.mean_j
 
     def test_non_finite_demand_rejected(self):
         with pytest.raises(ValueError, match="d_b must be finite"):
@@ -169,9 +166,8 @@ class TestBuildReport:
         assert report.fairness == pytest.approx(
             0.5 * ((50.0**2) / (2 * (900.0 + 400.0)) + (15.0**2) / (2 * (100.0 + 25.0)))
         )
-        assert report.mean_j == pytest.approx(
-            mean_objective(allocs, demands, zeta=0.5), abs=1e-15
-        )
+        # step 1: 0.5 * (1/2)^2 + 0.5 * (1/5)^2 = 0.145; step 2: 0
+        assert report.mean_j == pytest.approx(0.0725, abs=1e-15)
         assert report.zero_alloc_steps == 0
         assert report.per_step == []
 
