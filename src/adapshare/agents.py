@@ -10,13 +10,15 @@ Polyak-averaged copies that nothing reads.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import nn
 from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig
-from .env import RawAction, observe, project_action, step
+from .env import RawAction, observation_rows, observe, project_action, step
 from .metrics import build_report, moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
 # solver calls through agents.solve_opt and agents.solve_opt_base
@@ -30,6 +32,14 @@ class InsufficientData(ValueError):
 
 class ConfigError(ValueError):
     """Series/config combination leaves no usable train or eval steps."""
+
+
+def _is_integral(value):
+    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+
+
+_FLOAT_FIELDS = ("actor_lr", "critic_lr", "tau", "explore_sigma", "sigma_decay")
+_COUNT_FIELDS = ("batch_size", "buffer_capacity", "td3_policy_delay", "warmup_steps", "pretrain_steps")
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,15 @@ class AgentConfig:
     pretrain_steps: int = 0
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not _is_integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.actor_lr <= 0 or self.critic_lr <= 0:
             raise ValueError("learning rates must be positive")
         if not 0.0 < self.tau <= 1.0:
@@ -63,13 +82,14 @@ class AgentConfig:
             raise ValueError("td3_policy_delay must be a positive integer")
         if self.warmup_steps < 0 or self.pretrain_steps < 0:
             raise ValueError("step counts must be nonnegative")
-        if len(self.hidden_dims) == 0 or any(int(h) < 1 for h in self.hidden_dims):
+        if len(self.hidden_dims) == 0 or not all(_is_integral(h) and h >= 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be positive widths, got {self.hidden_dims}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of (observation vector, raw action, reward)."""
+    """Fixed-capacity FIFO ring of transitions, one [obs | u_a u_b | reward]
+    row each."""
 
     def __init__(self, capacity):
         if capacity < 1:
@@ -77,27 +97,25 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.size = 0
         self.cursor = 0
-        self._obs = None
-        self._act = None
-        self._rew = None
+        self._rows = None
 
     def add(self, obs_vec, raw, reward):
-        if self._obs is None:
-            self._obs = np.zeros((self.capacity, obs_vec.size))
-            self._act = np.zeros((self.capacity, 2))
-            self._rew = np.zeros(self.capacity)
-        self._obs[self.cursor] = obs_vec
-        self._act[self.cursor] = (raw.u_a, raw.u_b)
-        self._rew[self.cursor] = reward
+        if self._rows is None:
+            self._rows = np.zeros((self.capacity, obs_vec.size + 3))
+        row = self._rows[self.cursor]
+        row[:-3] = obs_vec
+        row[-3:] = (raw.u_a, raw.u_b, reward)
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, rng, batch_size):
-        """Uniform with-replacement sample from the filled region."""
+        """Uniform with-replacement sample from the filled region, gathered
+        once: returns ([obs | u_a u_b] rows, rewards), both views of the
+        gather."""
         if self.size < batch_size:
             raise InsufficientData(f"buffer holds {self.size} < batch of {batch_size}")
-        idx = rng.integers(0, self.size, batch_size)
-        return self._obs[idx], self._act[idx], self._rew[idx]
+        rows = self._rows[rng.integers(0, self.size, batch_size)]
+        return rows[:, :-1], rows[:, -1]
 
 
 class DdpgAgent:
@@ -127,17 +145,24 @@ class DdpgAgent:
         self.update_count = 0
 
     def act(self, obs, explore=False):
-        mu = nn.forward(self.actor, obs.vector())
-        if explore:
-            mu = np.clip(mu + self.explore_rng.normal(0.0, self.explore_sigma, 2), 0.0, 1.0)
+        """The actor's action for an Observation; with explore, perturbed
+        by one N(0, explore_sigma^2) draw per component."""
+        noise = self.explore_rng.standard_normal(2) * self.explore_sigma if explore else None
+        return self._action(obs.vector(), noise)
+
+    def _action(self, obs_vec, noise=None):
+        """The raw action for an observation vector, with optional
+        exploration noise added and clipped to the unit box."""
+        mu = nn.forward(self.actor, obs_vec)
+        if noise is not None:
+            mu = np.clip(mu + noise, 0.0, 1.0)
         return RawAction(u_a=float(mu[0]), u_b=float(mu[1]))
 
-    def _update_critic(self, obs, act, rew):
+    def _update_critic(self, obs_act, rew):
         """One mean-squared-error step of Q(obs, act) towards the reward."""
-        x = np.concatenate([obs, act], axis=1)
-        q, cache = nn.forward_cache(self.critic, x)
+        q, cache = nn.forward_cache(self.critic, obs_act)
         err = q - rew[:, None]
-        grad_w, grad_b, _ = nn.backward(self.critic, cache, (2.0 / obs.shape[0]) * err)
+        grad_w, grad_b, _ = nn.backward(self.critic, cache, (2.0 / obs_act.shape[0]) * err, inputs=False)
         nn.adam_step(self.critic_opt, [self.critic.flat], [nn.flatten_layers(grad_w, grad_b)])
 
     def _update_actor(self, obs):
@@ -146,8 +171,10 @@ class DdpgAgent:
         x = np.concatenate([obs, mu], axis=1)
         _, critic_cache = nn.forward_cache(self.critic, x)
         # ascend mean Q: backprop -1/B through the critic into the action slice
-        _, _, dx = nn.backward(self.critic, critic_cache, np.full((batch, 1), -1.0 / batch))
-        grad_w, grad_b, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:])
+        _, _, dx = nn.backward(
+            self.critic, critic_cache, np.full((batch, 1), -1.0 / batch), params=False
+        )
+        grad_w, grad_b, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:], inputs=False)
         nn.adam_step(self.actor_opt, [self.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
 
     def _soft_update_targets(self):
@@ -155,9 +182,10 @@ class DdpgAgent:
         nn.soft_update(self.target_actor, self.actor, tau)
         nn.soft_update(self.target_critic, self.critic, tau)
 
-    def update(self, obs, act, rew):
-        self._update_critic(obs, act, rew)
-        self._update_actor(obs)
+    def update(self, obs_act, rew):
+        """One step on a batch of [obs | u_a u_b] rows and their rewards."""
+        self._update_critic(obs_act, rew)
+        self._update_actor(obs_act[:, :self.obs_dim])
         self._soft_update_targets()
         self.update_count += 1
 
@@ -167,10 +195,10 @@ class Td3Agent(DdpgAgent):
 
     kind = AgentKind.TD3
 
-    def update(self, obs, act, rew):
-        self._update_critic(obs, act, rew)
+    def update(self, obs_act, rew):
+        self._update_critic(obs_act, rew)
         if self.update_count % self.config.td3_policy_delay == 0:
-            self._update_actor(obs)
+            self._update_actor(obs_act[:, :self.obs_dim])
             self._soft_update_targets()
         self.update_count += 1
 
@@ -203,18 +231,21 @@ class TrainResult:
     curve: np.ndarray
 
 
-def _pretrain_actor(agent, series, cfg, split_end):
-    """Optional supervised warm start: regress the actor onto oracle actions."""
+def _pretrain_actor(agent, series, cfg, obs_rows):
+    """Optional supervised warm start: regress the actor onto oracle actions.
+
+    obs_rows[t - window_n] is the observation vector at training step t."""
     env = cfg.env
     rng = rng_for(cfg.seed, "pretrain")
     batch = agent.config.batch_size
+    split_end = env.window_n + len(obs_rows)
     for _ in range(agent.config.pretrain_steps):
         ts = rng.integers(env.window_n, split_end, batch)
-        obs = np.stack([observe(series, int(t), env).vector() for t in ts])
+        obs = obs_rows[ts - env.window_n]
         n_a, n_b = solve_opt_array(series.d_a[ts], series.d_b[ts], env.zeta, env.n_r, env.d_min)
         targets = np.stack([n_a / env.n_r, n_b / env.n_r], axis=1)
         mu, cache = nn.forward_cache(agent.actor, obs)
-        grad_w, grad_b, _ = nn.backward(agent.actor, cache, (2.0 / batch) * (mu - targets))
+        grad_w, grad_b, _ = nn.backward(agent.actor, cache, (2.0 / batch) * (mu - targets), inputs=False)
         nn.adam_step(agent.actor_opt, [agent.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
     agent.target_actor = agent.actor.clone()
 
@@ -224,7 +255,10 @@ def train(agent_kind, series, cfg):
 
     Each step draws a uniformly random training timestep, acts with
     exploration, stores the transition, and after warmup performs one
-    gradient update. Deterministic given cfg.seed.
+    gradient update. The timesteps and the exploration noise are drawn
+    up front, with the bits per-step draws would give; the exploration
+    scale decays by sigma_decay after every step. Deterministic given
+    cfg.seed.
     """
     env = cfg.env
     n = len(series.timestamps)
@@ -238,26 +272,32 @@ def train(agent_kind, series, cfg):
         raise ConfigError("evaluation split is empty")
 
     agent = make_agent(agent_kind, obs_dim=2 * (env.window_n + 1), config=cfg.agent, seed=cfg.seed)
+    obs_rows = observation_rows(series, split_end, env)
     if agent.config.pretrain_steps > 0:
-        _pretrain_actor(agent, series, cfg, split_end)
+        _pretrain_actor(agent, series, cfg, obs_rows)
     buffer = ReplayBuffer(agent.config.buffer_capacity)
-    t_rng = rng_for(cfg.seed, "tsample")
     warmup = agent.config.warmup_steps
     batch_size = agent.config.batch_size
 
-    rewards = np.empty(cfg.train_steps)
-    for i in range(cfg.train_steps):
-        t = int(t_rng.integers(env.window_n, split_end))
-        obs = observe(series, t, env)
-        raw = agent.act(obs, explore=True)
-        result = step(series, t, raw, env)
-        buffer.add(obs.vector(), raw, result.reward)
-        rewards[i] = result.reward
-        agent.explore_sigma *= agent.config.sigma_decay
+    steps = cfg.train_steps
+    ts = rng_for(cfg.seed, "tsample").integers(env.window_n, split_end, steps)
+    # sigmas[i] is the scale at step i, the running product of the decay
+    sigmas = np.full(steps + 1, agent.config.sigma_decay)
+    sigmas[0] = agent.explore_sigma
+    np.multiply.accumulate(sigmas, out=sigmas)
+    noise = agent.explore_rng.standard_normal((steps, 2))
+    noise *= sigmas[:-1, None]
+    rewards = np.empty(steps)
+    for i, t in enumerate(ts.tolist()):
+        obs_vec = obs_rows[t - env.window_n]
+        raw = agent._action(obs_vec, noise[i])
+        r = step(series, t, raw, env).reward
+        buffer.add(obs_vec, raw, r)
+        rewards[i] = r
         if i >= warmup and buffer.size >= batch_size:
-            ob, ac, rw = buffer.sample(agent.batch_rng, batch_size)
-            agent.update(ob, ac, rw)
-    curve = moving_average(rewards, 100) if cfg.train_steps > 0 else np.array([])
+            agent.update(*buffer.sample(agent.batch_rng, batch_size))
+    agent.explore_sigma = float(sigmas[-1])
+    curve = moving_average(rewards, 100) if steps > 0 else np.array([])
     return agent, TrainResult(rewards=rewards, curve=curve)
 
 

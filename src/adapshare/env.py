@@ -121,6 +121,16 @@ def observe(series: DemandSeries, t: int, cfg: EnvConfig) -> Observation:
     return Observation(pairs)
 
 
+def observation_rows(series: DemandSeries, stop: int, cfg: EnvConfig) -> np.ndarray:
+    """Every observation vector of steps [window_n, stop) in one matrix:
+    row t - window_n holds the bits of observe(series, t, cfg).vector()."""
+    if not cfg.window_n < stop <= len(series):
+        raise IndexError(f"stop={stop} outside ({cfg.window_n}, {len(series)}]")
+    pairs = np.stack([series.d_a[:stop], series.d_b[:stop]], axis=1) / cfg.capacity_norm
+    idx = np.arange(cfg.window_n, stop)[:, None] - np.arange(cfg.window_n + 1)
+    return pairs[idx].reshape(len(idx), -1)
+
+
 def step(series: DemandSeries, t: int, raw: RawAction, cfg: EnvConfig) -> StepResult:
     """One bandit interaction at step t. Pure: never mutates the series, and
     the outcome is independent of actions taken at other times."""

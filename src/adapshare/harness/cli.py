@@ -101,15 +101,25 @@ def _report_line(tag, report):
     )
 
 
+def _granularity(args):
+    """--granularity, refused unless unset or a positive number of seconds."""
+    if args.granularity is not None and args.granularity <= 0:
+        raise ConfigFileError(
+            f"--granularity must be a positive number of seconds, got {args.granularity}"
+        )
+    return args.granularity
+
+
 def cmd_ingest(args):
+    granularity = _granularity(args)
     merged = None
     for side, path in (("a", args.dci_a), ("b", args.dci_b)):
         records = parse_dci_csv(path)
         data = filter_data_transmissions(records, args.dci_format)
-        series = resample_mean(data, args.granularity, side_tag=side)
+        series = resample_mean(data, granularity, side_tag=side)
         print(
             f"network {side.upper()}: {len(records)} rows, {len(data)} data transmissions, "
-            f"{len(series.timestamps)} windows of {args.granularity}s"
+            f"{len(series.timestamps)} windows of {granularity}s"
         )
         merged = series if merged is None else merge_series(merged, series)
     write_series_csv(merged, args.out)
@@ -117,13 +127,15 @@ def cmd_ingest(args):
 
 
 def cmd_synth(args):
+    granularity = _granularity(args)
     ref = read_series_csv(args.ref)
     side = args.side if args.side != "auto" else ref.populated_side()
     if side is None:
         raise ConfigFileError("--ref has both columns populated; pick one with --side")
     stats = fit(ref, side=side)
     seed = _collect_mapping(args, {"seed": "seed"}).get("seed", 42)
-    granularity = args.granularity if args.granularity else ref.granularity
+    if granularity is None:
+        granularity = ref.granularity
     gen_a = generate(stats, args.length, seed, side="a", granularity=granularity)
     gen_b = generate(stats, args.length, seed + 1, side="b", granularity=granularity)
     series = DemandSeries(gen_a.timestamps, gen_a.d_a, gen_b.d_b, granularity)

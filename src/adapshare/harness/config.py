@@ -7,6 +7,8 @@ Callers overlay sources in precedence order (defaults < file <
 ADAPSHARE_SEED < CLI flags) before building the dataclasses.
 """
 
+import math
+
 from ..domain import AgentKind, EnvConfig, ExperimentConfig
 from ..agents import AgentConfig
 
@@ -15,12 +17,19 @@ class ConfigFileError(ValueError):
     """Unparseable line or unknown key in a config file."""
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text.strip()!r}")
+    return value
+
+
 def _int_list(text):
     return tuple(int(part.strip()) for part in text.split(","))
 
 
 def _float_list(text):
-    return tuple(float(part.strip()) for part in text.split(","))
+    return tuple(_finite(part) for part in text.split(","))
 
 
 def _kind(text):
@@ -35,21 +44,21 @@ def _kind_list(text):
 COERCERS = {
     "seed": int,
     "train_steps": int,
-    "eval_split": float,
+    "eval_split": _finite,
     "agent_kind": _kind,
-    "env.n_r": float,
-    "env.zeta": float,
-    "env.eta": float,
+    "env.n_r": _finite,
+    "env.zeta": _finite,
+    "env.eta": _finite,
     "env.window_n": int,
-    "env.d_min": float,
-    "env.capacity_norm": float,
-    "agent.actor_lr": float,
-    "agent.critic_lr": float,
-    "agent.tau": float,
+    "env.d_min": _finite,
+    "env.capacity_norm": _finite,
+    "agent.actor_lr": _finite,
+    "agent.critic_lr": _finite,
+    "agent.tau": _finite,
     "agent.batch_size": int,
     "agent.buffer_capacity": int,
-    "agent.explore_sigma": float,
-    "agent.sigma_decay": float,
+    "agent.explore_sigma": _finite,
+    "agent.sigma_decay": _finite,
     "agent.td3_policy_delay": int,
     "agent.warmup_steps": int,
     "agent.hidden_dims": _int_list,

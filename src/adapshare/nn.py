@@ -10,6 +10,13 @@ Each network keeps all its parameters in one contiguous vector, with
 per-layer views for the forward and backward passes. Adam and the
 Polyak update work element by element, so running them once on that
 vector gives the same bits as running them on each layer's arrays.
+
+`backward` computes only what its caller reads: `params=False` skips
+the weight and bias gradients (the actor step's pass through the
+critic wants only the gradient w.r.t. the action), and `inputs=False`
+skips the gradient w.r.t. the network's input (every update that
+steps a network's own parameters). Each activation's derivative comes
+from the forward cache, so nothing is evaluated twice.
 """
 
 import numpy as np
@@ -24,26 +31,19 @@ class ArchitectureMismatch(ValueError):
 
 
 def _sigmoid(z):
-    # stable on both tails
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # branch-free and stable on both tails: exp(-|z|) never overflows,
+    # and it equals exp(-z) where z >= 0 and exp(z) where z < 0
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sigmoid_grad(z):
-    s = _sigmoid(z)
-    return s * (1.0 - s)
-
-
-# name -> (value, derivative w.r.t. pre-activation)
+# name -> (value, chain rule): the chain rule maps the upstream gradient
+# d, the pre-activation z and the cached output a to the gradient w.r.t. z
 ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": (_sigmoid, _sigmoid_grad),
-    "identity": (lambda z: z, np.ones_like),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda d, z, a: d * (z > 0)),
+    "tanh": (np.tanh, lambda d, z, a: d * (1.0 - a ** 2)),
+    "sigmoid": (_sigmoid, lambda d, z, a: d * (a * (1.0 - a))),
+    "identity": (lambda z: z, lambda d, z, a: d),
 }
 
 
@@ -131,16 +131,20 @@ def forward(net, x):
     """Apply the network. Accepts a vector or a (batch, dim) matrix."""
     a, squeeze = _as_batch(net, x)
     for w, b, name in zip(net.weights, net.biases, net.activations):
-        a = ACTIVATIONS[name][0](a @ w.T + b)
+        z = a @ w.T
+        z += b
+        a = ACTIVATIONS[name][0](z)
     return a[0] if squeeze else a
 
 
 def forward_cache(net, x):
-    """Like forward but also returns the cache backward() needs."""
+    """Like forward but also returns the cache backward() needs:
+    (pre-activations, layer outputs with the input first, squeeze)."""
     a, squeeze = _as_batch(net, x)
     pre, post = [], [a]
     for w, b, name in zip(net.weights, net.biases, net.activations):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         pre.append(z)
         a = ACTIVATIONS[name][0](z)
         post.append(a)
@@ -148,11 +152,14 @@ def forward_cache(net, x):
     return out, (pre, post, squeeze)
 
 
-def backward(net, cache, upstream):
+def backward(net, cache, upstream, params=True, inputs=True):
     """Exact gradients of sum(output * upstream) for a cached forward pass.
 
     Returns (weight_grads, bias_grads, input_grad) with shapes matching
-    net.weights, net.biases, and the cached input.
+    net.weights, net.biases, and the cached input. params=False skips
+    the weight and bias gradients and inputs=False the input gradient;
+    a skipped part comes back as None, and every part still computed
+    has the same bits as in the full pass.
     """
     pre, post, squeeze = cache
     up = np.asarray(upstream, dtype=float)
@@ -163,14 +170,18 @@ def backward(net, cache, upstream):
             f"upstream gradient shape {np.asarray(upstream).shape} does not match "
             f"output shape ({post[0].shape[0]}, {net.dims[-1]})"
         )
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.weights)
+    grad_w = [None] * len(net.weights) if params else None
+    grad_b = [None] * len(net.weights) if params else None
     d = up
     for layer in range(len(net.weights) - 1, -1, -1):
-        dz = d * ACTIVATIONS[net.activations[layer]][1](pre[layer])
-        grad_w[layer] = dz.T @ post[layer]
-        grad_b[layer] = dz.sum(axis=0)
-        d = dz @ net.weights[layer]
+        dz = ACTIVATIONS[net.activations[layer]][1](d, pre[layer], post[layer + 1])
+        if params:
+            grad_w[layer] = dz.T @ post[layer]
+            grad_b[layer] = dz.sum(axis=0)
+        if layer > 0 or inputs:
+            d = dz @ net.weights[layer]
+    if not inputs:
+        return grad_w, grad_b, None
     return grad_w, grad_b, (d[0] if squeeze else d)
 
 
@@ -191,27 +202,40 @@ class AdamState:
         self.step_count = 0
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
+        # two work arrays per parameter array, so a step allocates nothing
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
 
 def adam_step(state, params, grads):
     """One bias-corrected descent step, updating params in place.
 
-    Callers that want ascent negate their gradients first.
+    Callers that want ascent negate their gradients first. The update
+    is p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order
+    in the state's work arrays.
     """
     if len(params) != len(state.first_moment) or len(params) != len(grads):
         raise ShapeMismatch("params/grads do not match the optimizer state")
     state.step_count += 1
     t = state.step_count
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    b1, b2 = state.beta1, state.beta2
+    for p, g, m, v, (s1, s2) in zip(
+        params, grads, state.first_moment, state.second_moment, state.scratch
+    ):
         if p.shape != g.shape:
             raise ShapeMismatch(f"param shape {p.shape} vs grad shape {g.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s1)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, 1.0 - b1 ** t, out=s1)  # m_hat
+        s1 *= state.lr
+        np.divide(v, 1.0 - b2 ** t, out=s2)  # v_hat
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        p -= s1
     return params
 
 

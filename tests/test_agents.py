@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adapshare import agents as agents_mod
 from adapshare import nn
 from adapshare.agents import (
     AgentConfig,
@@ -37,9 +38,10 @@ def add(buf, reward=-0.5, u=(0.3, 0.4), pairs=((0.1, 0.2), (0.3, 0.4))):
 
 
 def batch_of(n, reward=-0.5, u=(0.3, 0.4), pairs=((0.1, 0.2), (0.3, 0.4))):
-    """(obs, act, rew) arrays holding n copies of one interaction."""
-    obs = np.tile(obs_of(*pairs).vector(), (n, 1))
-    return obs, np.tile(u, (n, 1)), np.full(n, reward)
+    """([obs | u_a u_b] rows, rewards) holding n copies of one interaction,
+    the form ReplayBuffer.sample returns and update takes."""
+    row = np.concatenate([obs_of(*pairs).vector(), u])
+    return np.tile(row, (n, 1)), np.full(n, reward)
 
 
 def params_snapshot(net):
@@ -50,9 +52,9 @@ def params_equal(net, snapshot):
     return all(np.array_equal(p, s) for p, s in zip(net.params(), snapshot))
 
 
-def critic_loss(agent, obs, act, rew):
+def critic_loss(agent, obs_act, rew):
     """Mean squared error of the critic against the reward, from nn.forward."""
-    q = nn.forward(agent.critic, np.concatenate([obs, act], axis=1))
+    q = nn.forward(agent.critic, obs_act)
     return float(np.mean((q[:, 0] - rew) ** 2))
 
 
@@ -88,14 +90,42 @@ class TestAgentConfig:
         with pytest.raises(ValueError):
             AgentConfig(hidden_dims=())
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("actor_lr", float("nan")), ("critic_lr", float("inf")), ("explore_sigma", float("nan")),
+         ("sigma_decay", float("nan")), ("tau", float("-inf"))],
+    )
+    def test_non_finite_float_named(self, field, value):
+        # a NaN rate or scale would otherwise surface only as a NaN action
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            AgentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("batch_size", 2.5), ("warmup_steps", float("nan")), ("buffer_capacity", float("inf")),
+         ("td3_policy_delay", 1.5), ("pretrain_steps", "3")],
+    )
+    def test_non_integral_count_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            AgentConfig(**{field: value})
+
+    def test_integral_float_counts_become_ints(self):
+        cfg = AgentConfig(batch_size=32.0, warmup_steps=np.int64(7))
+        assert (cfg.batch_size, cfg.warmup_steps) == (32, 7)
+        assert isinstance(cfg.batch_size, int) and isinstance(cfg.warmup_steps, int)
+
+    @pytest.mark.parametrize("dims", [(2.5,), (float("nan"),), (8, 0)])
+    def test_bad_hidden_width_named(self, dims):
+        with pytest.raises(ValueError, match="hidden_dims must be positive widths"):
+            AgentConfig(hidden_dims=dims)
+
 
 class TestReplayBuffer:
     def test_roundtrip(self):
         buf = ReplayBuffer(4)
         add(buf, reward=-0.25, u=(0.6, 0.1), pairs=((0.1, 0.2), (0.3, 0.4)))
-        obs, acts, rews = buf.sample(np.random.default_rng(0), 1)
-        np.testing.assert_array_equal(obs, [[0.1, 0.2, 0.3, 0.4]])
-        np.testing.assert_array_equal(acts, [[0.6, 0.1]])
+        obs_act, rews = buf.sample(np.random.default_rng(0), 1)
+        np.testing.assert_array_equal(obs_act, [[0.1, 0.2, 0.3, 0.4, 0.6, 0.1]])
         np.testing.assert_array_equal(rews, [-0.25])
 
     def test_fifo_overwrite(self):
@@ -104,16 +134,15 @@ class TestReplayBuffer:
             add(buf, reward=-float(k))
         assert buf.size == 3
         rng = np.random.default_rng(0)
-        stored = {r for _ in range(50) for r in buf.sample(rng, 3)[2]}
+        stored = {r for _ in range(50) for r in buf.sample(rng, 3)[1]}
         assert stored == {-1.0, -2.0, -3.0}
 
     def test_sample_shapes_and_membership(self):
         buf = ReplayBuffer(8)
         for k in range(5):
             add(buf, reward=-float(k))
-        obs, acts, rews = buf.sample(np.random.default_rng(0), 4)
-        assert obs.shape == (4, 4)
-        assert acts.shape == (4, 2)
+        obs_act, rews = buf.sample(np.random.default_rng(0), 4)
+        assert obs_act.shape == (4, 6)
         assert rews.shape == (4,)
         assert set(rews).issubset({-0.0, -1.0, -2.0, -3.0, -4.0})
 
@@ -168,7 +197,7 @@ class TestCriticTargets:
         # the critic regresses on the reward itself: whatever the target
         # networks hold, one update leaves the same critic bits, and that
         # critic sits closer to the reward than the zero one it started as
-        batch = (np.zeros((2, 4)), np.zeros((2, 2)), np.array([-1.0, -2.0]))
+        batch = (np.zeros((2, 6)), np.array([-1.0, -2.0]))
         critics = []
         for fill in (None, 3.0):
             agent = make_agent(AgentKind.TD3, obs_dim=4, config=AgentConfig(batch_size=2), seed=0)
@@ -241,12 +270,12 @@ class TestUpdateMath:
         agent = make_agent(AgentKind.DDPG, obs_dim=4, config=cfg, seed=3)
         rng = np.random.default_rng(6)
         obs = rng.uniform(0.0, 1.0, (8, 4))
-        acts = rng.uniform(0.0, 1.0, (8, 2))
+        obs_act = np.concatenate([obs, rng.uniform(0.0, 1.0, (8, 2))], axis=1)
         rews = -rng.uniform(0.0, 1.0, 8)
         losses = []
         for _ in range(100):
-            losses.append(critic_loss(agent, obs, acts, rews))
-            agent.update(obs, acts, rews)
+            losses.append(critic_loss(agent, obs_act, rews))
+            agent.update(obs_act, rews)
         assert losses[-1] < losses[0] * 0.1
         drops = sum(b <= a for a, b in zip(losses, losses[1:]))
         assert drops >= 90
@@ -284,11 +313,10 @@ class TestTd3Mechanics:
         ddpg = make_agent(AgentKind.DDPG, obs_dim=4, config=cfg, seed=5)
         td3 = make_agent(AgentKind.TD3, obs_dim=4, config=cfg, seed=5)
         rng = np.random.default_rng(7)
-        obs = rng.uniform(0.0, 1.0, (4, 4))
-        acts = rng.uniform(0.0, 1.0, (4, 2))
+        obs_act = rng.uniform(0.0, 1.0, (4, 6))
         rews = -rng.uniform(0.0, 1.0, 4)
-        ddpg.update(obs, acts, rews)
-        td3.update(obs, acts, rews)
+        ddpg.update(obs_act, rews)
+        td3.update(obs_act, rews)
         for d_arr, t_arr in zip(ddpg.critic.params(), td3.critic.params()):
             np.testing.assert_array_equal(d_arr, t_arr)
         for d_arr, t_arr in zip(ddpg.actor.params(), td3.actor.params()):
@@ -398,6 +426,54 @@ class TestTrain:
         assert mu == pytest.approx([0.25, 0.25], abs=0.05)
         for a, b in zip(agent.actor.params(), agent.target_actor.params()):
             np.testing.assert_array_equal(a, b)
+
+
+class TestBenchmarkSeams:
+    """The calls a training run and an evaluation make, which the
+    benchmark counts and times: one env step per training step, one
+    replay sample per update, two Polyak updates per actor update, and
+    per-row observe/act in the greedy evaluation."""
+
+    def counting(self, monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("kind,delay", [(AgentKind.DDPG, 1), (AgentKind.TD3, 2), (AgentKind.TD3, 3)])
+    def test_train_calls_per_step(self, monkeypatch, constant_series, kind, delay):
+        steps = self.counting(monkeypatch, agents_mod, "step")
+        soft = self.counting(monkeypatch, nn, "soft_update")
+        samples = self.counting(monkeypatch, ReplayBuffer, "sample")
+        cfg = ExperimentConfig(
+            env=EnvConfig(n_r=20.0, window_n=2),
+            seed=4,
+            train_steps=90,
+            agent=AgentConfig(batch_size=8, warmup_steps=30, hidden_dims=(8,), td3_policy_delay=delay),
+        )
+        agent, _ = train(kind, constant_series, cfg)
+        assert len(steps) == 90
+        assert agent.update_count == len(samples) == 90 - 30
+        actor_updates = -(-agent.update_count // delay)
+        assert len(soft) == 2 * actor_updates
+
+    def test_greedy_policy_observes_and_acts_per_row(self, monkeypatch, constant_series):
+        cfg = ExperimentConfig(
+            env=EnvConfig(n_r=20.0, window_n=2),
+            seed=4,
+            train_steps=20,
+            agent=AgentConfig(batch_size=8, warmup_steps=10, hidden_dims=(8,)),
+        )
+        agent, _ = train(AgentKind.TD3, constant_series, cfg)
+        observed = self.counting(monkeypatch, agents_mod, "observe")
+        acted = self.counting(monkeypatch, DdpgAgent, "act")
+        allocs = greedy_policy(agent, constant_series, cfg)
+        assert len(allocs) == len(observed) == len(acted) == len(eval_timesteps(constant_series, cfg))
 
 
 class TestGreedyPolicy:

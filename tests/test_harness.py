@@ -77,6 +77,14 @@ class TestConfigFile:
         with pytest.raises(ConfigFileError, match="bad value"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("key,value", [("agent.actor_lr", "nan"), ("agent.explore_sigma", "inf"),
+                                           ("env.zeta", "-inf"), ("zeta_values", "0.5,nan")])
+    def test_non_finite_value_names_line(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"env.n_r = 20\n{key} = {value}\n")
+        with pytest.raises(ConfigFileError, match=f"run.cfg:2: bad value for {key}: must be a finite"):
+            parse_config_file(path)
+
     def test_coerce_overrides(self):
         out = coerce_overrides({"env.zeta": "0.4", "seed": 3, "agent_kind": "ddpg"})
         assert out == {"env.zeta": 0.4, "seed": 3, "agent_kind": AgentKind.DDPG}
@@ -367,6 +375,18 @@ class TestCliIngest:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("granularity", ["0", "-5"])
+    def test_non_positive_granularity_is_rc2(self, dci_fixture_path, tmp_path, capsys, granularity):
+        out = tmp_path / "o.csv"
+        rc = run_cli(
+            "ingest", "--dci-a", dci_fixture_path, "--dci-b", dci_fixture_path,
+            "--granularity", granularity, "--out", out,
+        )
+        assert rc == 2
+        expected = f"--granularity must be a positive number of seconds, got {granularity}"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliSynth:
     def test_deterministic_given_seed(self, hourly_fixture_path, tmp_path, capsys):
@@ -380,6 +400,19 @@ class TestCliSynth:
             assert rc == 0
         assert out_1.read_bytes() == out_2.read_bytes()
         assert "ks_a=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("granularity", ["0", "-5"])
+    def test_non_positive_granularity_is_rc2(self, hourly_fixture_path, tmp_path, capsys, granularity):
+        # 0 once fell back to the reference's spacing without a word
+        out = tmp_path / "x.csv"
+        rc = run_cli(
+            "synth", "--ref", hourly_fixture_path, "--length", "5",
+            "--granularity", granularity, "--out", out,
+        )
+        assert rc == 2
+        expected = f"--granularity must be a positive number of seconds, got {granularity}"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
 
     def test_two_sided_ref_needs_side(self, tmp_path, constant_csv, capsys):
         rc = run_cli("synth", "--ref", constant_csv, "--out", tmp_path / "x.csv")

@@ -1,5 +1,6 @@
 """Property tests: the array solver, the flat parameter vector, Adam,
-agent checkpoints.
+agent checkpoints, the training step's bit-for-bit rewrites (sigmoid,
+backward, up-front draws), action projection and Jain fairness.
 
 Each property runs on inputs hypothesis draws, with a fixed derandomized
 search so that a run is reproducible.
@@ -8,15 +9,18 @@ search so that a run is reproducible.
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapshare import nn
-from adapshare.agents import AgentConfig, load_agent, make_agent, save_agent
-from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig
-from adapshare.env import FEASIBILITY_SLACK
+from adapshare.agents import AgentConfig, load_agent, make_agent, save_agent, train
+from adapshare.domain import AgentKind, Allocation, DemandSeries, EnvConfig, ExperimentConfig
+from adapshare.env import FEASIBILITY_SLACK, RawAction, project_action
+from adapshare.metrics import jain_fairness
 from adapshare.oracle import grid_solve, solve_opt, solve_opt_array
 
 SETTINGS = settings(deadline=None, derandomize=True, max_examples=150)
@@ -156,3 +160,151 @@ def test_checkpoint_round_trips_exactly(kind, hidden, window_n, seed, sigma):
     for name in NETS:
         assert getattr(loaded, name).dims == getattr(agent, name).dims
         assert getattr(loaded, name).flat.tobytes() == getattr(agent, name).flat.tobytes()
+
+
+# ---------------------------------------------------------------- training step, bit for bit
+
+
+def _two_branch_sigmoid(z):
+    # the masked form nn._sigmoid replaced
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, np.inf, -np.inf]
+
+
+@SETTINGS
+@given(st.lists(st.floats(allow_nan=False), max_size=40))
+def test_sigmoid_matches_two_branch_bits(values):
+    z = np.array(SIGMOID_EDGES + values)
+    assert nn._sigmoid(z).tobytes() == _two_branch_sigmoid(z).tobytes()
+
+
+# each activation's derivative as it was computed from the pre-activation
+_DERIVATIVE_OF_PRE = {
+    "relu": lambda z: (z > 0).astype(float),
+    "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+    "sigmoid": lambda z: _two_branch_sigmoid(z) * (1.0 - _two_branch_sigmoid(z)),
+    "identity": np.ones_like,
+}
+
+
+def _full_backward_from_pre(net, cache, up):
+    pre, post, _ = cache
+    grad_w, grad_b, d = [None] * len(net.weights), [None] * len(net.weights), up
+    for layer in range(len(net.weights) - 1, -1, -1):
+        dz = d * _DERIVATIVE_OF_PRE[net.activations[layer]](pre[layer])
+        grad_w[layer] = dz.T @ post[layer]
+        grad_b[layer] = dz.sum(axis=0)
+        d = dz @ net.weights[layer]
+    return grad_w, grad_b, d
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@SETTINGS
+@given(
+    layer_dims,
+    st.lists(st.sampled_from(list(nn.ACTIVATIONS)), min_size=3, max_size=3),
+    st.integers(1, 9),
+    st.integers(0, 2**16),
+)
+def test_backward_skips_keep_the_bits_of_the_full_pass(dims, acts, rows, seed):
+    rng = np.random.default_rng(seed)
+    net = nn.Mlp(dims, acts[: len(dims) - 1], rng=rng)
+    x = rng.normal(0.0, 2.0, (rows, dims[0]))
+    up = rng.normal(0.0, 1.0, (rows, dims[-1]))
+    _, cache = nn.forward_cache(net, x)
+    full_w, full_b, full_x = nn.backward(net, cache, up)
+    ref_w, ref_b, ref_x = _full_backward_from_pre(net, cache, up)
+    assert all(_same(a, b) for a, b in zip(full_w + full_b, ref_w + ref_b))
+    assert _same(full_x, ref_x)
+    only_x = nn.backward(net, cache, up, params=False)
+    assert only_x[0] is None and only_x[1] is None and _same(only_x[2], full_x)
+    no_x = nn.backward(net, cache, up, inputs=False)
+    assert no_x[2] is None
+    assert all(_same(a, b) for a, b in zip(no_x[0] + no_x[1], full_w + full_b))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32), st.integers(0, 50), st.integers(1, 10**6), st.integers(0, 300))
+def test_integer_draws_up_front_match_scalar_draws(seed, lo, span, n):
+    whole = np.random.default_rng(seed).integers(lo, lo + span, n)
+    scalar = np.random.default_rng(seed)
+    assert whole.tolist() == [int(scalar.integers(lo, lo + span)) for _ in range(n)]
+
+
+@SETTINGS
+@given(st.integers(0, 2**32), st.floats(0.0, 5.0), st.floats(0.5, 1.0), st.integers(0, 300))
+def test_noise_drawn_up_front_matches_per_step_normals(seed, sigma0, decay, n):
+    # row i of one (n, 2) draw, scaled by the running sigma, has the bits
+    # of the i-th per-step normal(0, sigma_i, 2) draw, which numpy forms as
+    # 0.0 + sigma_i * z; that sum only turns a -0.0 into +0.0, and adding
+    # either zero to an actor output in [0, 1] gives the same action
+    whole = np.random.default_rng(seed).standard_normal((n, 2))
+    per_step = np.random.default_rng(seed)
+    sigma = sigma0
+    for i in range(n):
+        assert _same(0.0 + whole[i] * sigma, per_step.normal(0.0, sigma, 2))
+        sigma *= decay
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(st.floats(0.0, 2.0), st.floats(0.9, 1.0), st.integers(0, 60), st.integers(0, 2**16))
+def test_train_final_sigma_is_the_per_step_product(sigma0, decay, steps, seed):
+    t = np.arange(12)
+    series = DemandSeries(t * 3600, np.full(12, 5.0), np.full(12, 4.0), 3600)
+    cfg = ExperimentConfig(
+        env=EnvConfig(n_r=20.0, window_n=1),
+        seed=seed,
+        train_steps=steps,
+        agent=AgentConfig(hidden_dims=(2,), explore_sigma=sigma0, sigma_decay=decay,
+                          warmup_steps=steps),
+    )
+    agent, _ = train(AgentKind.DDPG, series, cfg)
+    sigma = sigma0
+    for _ in range(steps):
+        sigma *= decay
+    assert _bits(agent.explore_sigma) == _bits(sigma)
+
+
+# ---------------------------------------------------------------- projection and fairness
+
+unit = st.floats(0.0, 1.0)
+
+
+@SETTINGS
+@given(unit, unit, pools)
+def test_projection_feasible_and_keeps_the_ratio_it_rescales(u_a, u_b, n_r):
+    alloc = project_action(RawAction(u_a, u_b), n_r)
+    assert alloc.n_a >= 0.0 and alloc.n_b >= 0.0
+    assert alloc.n_a + alloc.n_b <= n_r + FEASIBILITY_SLACK
+    if u_a * n_r + u_b * n_r > n_r:
+        # rescaled radially: n_a : n_b == u_a : u_b
+        assert alloc.n_a * u_b == pytest.approx(alloc.n_b * u_a, rel=1e-12, abs=1e-300)
+    else:
+        assert (alloc.n_a, alloc.n_b) == (u_a * n_r, u_b * n_r)
+
+
+grants = st.one_of(st.floats(0.0, 1e6), st.just(0.0))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(grants, grants), min_size=1, max_size=30))
+def test_jain_fairness_lies_between_half_and_one(pairs):
+    allocs = [Allocation(a, b) for a, b in pairs]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fairness = jain_fairness(allocs)
+    assert 0.5 <= fairness <= 1.0
+    if any(a == b == 0.0 for a, b in pairs):
+        assert any("all-zero allocation step" in str(w.message) for w in caught)
+    if all(a == b == 0.0 for a, b in pairs):
+        assert fairness == 1.0
