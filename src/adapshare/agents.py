@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn
-from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig
+from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, _is_integral
 from .env import RawAction, observation_rows, observe, project_action, step
 from .metrics import build_report, moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
@@ -32,10 +32,6 @@ class InsufficientData(ValueError):
 
 class ConfigError(ValueError):
     """Series/config combination leaves no usable train or eval steps."""
-
-
-def _is_integral(value):
-    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
 
 
 _FLOAT_FIELDS = ("actor_lr", "critic_lr", "tau", "explore_sigma", "sigma_decay")
@@ -338,23 +334,21 @@ def greedy_policy(agent, series, cfg):
     return allocs
 
 
-def evaluate(policy, series, cfg, keep_per_step=False):
+def evaluate(policy, series, cfg):
     """Score `policy` on the held-out tail of `series`.
 
     `policy` is anything greedy_policy takes. Its allocations are scored
-    against the tail's demands; with keep_per_step the report keeps one
-    (timestamp, allocation, demand, j) row per step.
+    against the tail's demands, and the report's per_step matrix carries
+    the tail's timestamps.
     """
     allocs = greedy_policy(policy, series, cfg)
     start = eval_timesteps(series, cfg).start
-    demands = list(zip(series.d_a[start:].tolist(), series.d_b[start:].tolist()))
     return build_report(
         allocs,
-        demands,
+        np.column_stack((series.d_a[start:], series.d_b[start:])),
         cfg.env.zeta,
         cfg.env.d_min,
-        timestamps=series.timestamps[start:].tolist(),
-        keep_per_step=keep_per_step,
+        timestamps=series.timestamps[start:],
     )
 
 

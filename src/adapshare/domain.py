@@ -10,6 +10,7 @@ math.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -19,6 +20,10 @@ import numpy as np
 
 if TYPE_CHECKING:  # avoids a domain <-> agents import cycle
     from .agents import AgentConfig
+
+
+def _is_integral(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
 
 
 class AgentKind(str, Enum):
@@ -152,8 +157,9 @@ class EnvConfig:
             raise ValueError(f"n_r must be positive, got {self.n_r}")
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if self.window_n < 0 or int(self.window_n) != self.window_n:
-            raise ValueError(f"window_n must be a nonnegative integer, got {self.window_n}")
+        if not (_is_integral(self.window_n) and self.window_n >= 0):
+            raise ValueError(f"window_n must be a nonnegative integer, got {self.window_n!r}")
+        object.__setattr__(self, "window_n", int(self.window_n))
         if self.d_min <= 0:
             raise ValueError(f"d_min must be positive, got {self.d_min}")
         if self.capacity_norm < self.n_r:
@@ -176,6 +182,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.eval_split < 1.0:
             raise ValueError(f"eval_split must lie in (0, 1), got {self.eval_split}")
+        for name in ("seed", "train_steps"):
+            value = getattr(self, name)
+            if not _is_integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.train_steps < 0:
             raise ValueError(f"train_steps must be nonnegative, got {self.train_steps}")
         if self.agent is None:
@@ -221,6 +232,8 @@ def read_series_csv(path, granularity: int | None = None) -> DemandSeries:
         if not (math.isfinite(a) and math.isfinite(b) and a >= 0 and b >= 0):
             raise ValueError(f"{p}:{k}: demands must be finite and nonnegative, got {a}, {b}")
         if ts:
+            if t <= ts[-1]:
+                raise ValueError(f"{p}:{k}: timestamps must increase, got {t} after {ts[-1]}")
             if granularity is None:
                 granularity = t - ts[0]
             elif t - ts[-1] != granularity:

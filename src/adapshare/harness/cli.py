@@ -208,7 +208,7 @@ def cmd_eval(args):
         mapping.pop("agent_kind", None)
         cfg = build_experiment(mapping)
         agent, label = kind, kind.value
-    report = evaluate(agent, series, cfg, keep_per_step=bool(args.detail_out))
+    report = evaluate(agent, series, cfg)
     print(_report_line(label, report))
     if report.zero_alloc_steps:
         print(f"note: {report.zero_alloc_steps} all-zero allocation steps (fairness convention 1)")

@@ -152,12 +152,8 @@ def write_sweep_csv(cells, path):
 
 
 def write_detail_csv(report, path):
-    """Per-step detail rows for one report (requires keep_per_step)."""
-    rows = (
-        "%r,%r,%r,%r,%r,%r"
-        % (float(t), float(a.n_a), float(a.n_b), float(d[0]), float(d[1]), float(j))
-        for t, a, d, j in report.per_step
-    )
+    """One detail CSV line per row of the report's per_step matrix."""
+    rows = ("%r,%r,%r,%r,%r,%r" % tuple(row) for row in report.per_step.tolist())
     _write(path, _csv(DETAIL_HEADER, rows))
 
 
@@ -186,10 +182,9 @@ def emit_results(table, out_dir):
 
     for row in table:
         stub = _cell_stub(row.agent_kind.value, row.n_r, row.zeta)
-        if row.report.per_step:
-            path = os.path.join(out_dir, f"detail_{stub}.csv")
-            write_detail_csv(row.report, path)
-            written.append(path)
+        path = os.path.join(out_dir, f"detail_{stub}.csv")
+        write_detail_csv(row.report, path)
+        written.append(path)
         if row.curve is not None and len(row.curve) > 0:
             path = os.path.join(out_dir, f"curve_{stub}.csv")
             write_curve_csv(row.curve, path)

@@ -2,8 +2,9 @@
 
 One request object per line; the response is the loaded policy's
 projected allocation for the supplied demand history. Malformed lines
-get an error object and the connection stays open. The policy is
-loaded once and never mutated while serving.
+get an error object and the connection stays open; a line longer than
+MAX_LINE bytes gets an error object and the connection is closed. The
+policy is loaded once and never mutated while serving.
 """
 
 import json
@@ -14,6 +15,9 @@ import numpy as np
 
 from ..agents import load_agent
 from ..env import Observation, objective_j, project_action
+
+
+MAX_LINE = 64 * 1024  # bytes per request line, newline included
 
 
 class CheckpointInvalid(ValueError):
@@ -60,7 +64,10 @@ def _parse_request(line, window_n):
 class AllocationHandler(socketserver.StreamRequestHandler):
     def handle(self):
         server = self.server
-        for raw in self.rfile:
+        for raw in iter(lambda: self.rfile.readline(MAX_LINE + 1), b""):
+            if len(raw) > MAX_LINE:
+                self._reply({"error": f"request line longer than {MAX_LINE} bytes"})
+                return
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
@@ -68,8 +75,11 @@ class AllocationHandler(socketserver.StreamRequestHandler):
                 response = server.answer(line)
             except MalformedRequest as exc:
                 response = {"error": str(exc)}
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+            self._reply(response)
+
+    def _reply(self, response):
+        self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+        self.wfile.flush()
 
 
 class AllocationServer(socketserver.ThreadingTCPServer):

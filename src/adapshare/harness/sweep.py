@@ -74,7 +74,7 @@ def run_cell(series, spec, n_r, zeta_index, agent_kind):
         curve = result.curve
     else:
         agent = agent_kind
-    report = evaluate(agent, series, cfg, keep_per_step=True)
+    report = evaluate(agent, series, cfg)
     return SweepRow(n_r=n_r, zeta=zeta, agent_kind=agent_kind, seed=seed, report=report, curve=curve)
 
 

@@ -26,17 +26,18 @@ class EmptyInput(ValueError):
 class EvalReport:
     """Aggregate metrics for one evaluated policy on one scenario.
 
-    per_step rows are (t, allocation, demand, j). zero_alloc_steps counts
-    the (0, 0) allocations whose fairness term used the both-starved
-    convention (counted as 1).
+    zero_alloc_steps counts the (0, 0) allocations whose fairness term
+    used the both-starved convention (counted as 1). per_step is a
+    read-only (T, 6) float array with columns t, n_a, n_b, d_a, d_b, j,
+    the detail CSV's order; == ignores it.
     """
 
     s_a: float
     s_b: float
     fairness: float
     mean_j: float
-    zero_alloc_steps: int = 0
-    per_step: list = field(default_factory=list)
+    zero_alloc_steps: int
+    per_step: np.ndarray = field(compare=False)
 
 
 def _alloc_arrays(allocs):
@@ -61,11 +62,23 @@ def _surplus(n_a, n_b, d_a, d_b, d_min):
 
 
 def _jain(n_a, n_b):
-    """Mean per-step Jain index and the number of 0/0 steps counted as 1."""
-    denom = 2.0 * (n_a ** 2 + n_b ** 2)
-    zero = denom == 0.0
+    """Mean per-step Jain index and the number of (0, 0) steps counted as 1.
+
+    A nonzero step whose squares underflow below the normal range or
+    overflow is scored on its grants divided by the larger one.
+    """
+    zero = (n_a == 0.0) & (n_b == 0.0)
+    with np.errstate(over="ignore"):
+        num = (n_a + n_b) ** 2
+        denom = 2.0 * (n_a ** 2 + n_b ** 2)
+    plain = (denom >= np.finfo(float).tiny) & np.isfinite(num) & np.isfinite(denom)
     per_step = np.ones_like(denom)
-    np.divide((n_a + n_b) ** 2, denom, out=per_step, where=~zero)
+    np.divide(num, denom, out=per_step, where=plain)
+    scaled = ~plain & ~zero
+    if scaled.any():
+        top = np.maximum(n_a[scaled], n_b[scaled])
+        a, b = n_a[scaled] / top, n_b[scaled] / top
+        per_step[scaled] = (a + b) ** 2 / (2.0 * (a ** 2 + b ** 2))
     return float(np.mean(per_step)), int(zero.sum())
 
 
@@ -115,30 +128,30 @@ def moving_average(values, window):
     return out
 
 
-def build_report(allocs, demands, zeta, d_min=0.1, timestamps=None, keep_per_step=False):
+def build_report(allocs, demands, zeta, d_min=0.1, timestamps=None):
     """Bundle every metric for one policy run into an EvalReport.
 
     allocs is a sequence of Allocation and demands one of (d_a, d_b)
-    pairs. Both are read into columns once; J, surplus and fairness are
-    then whole-array expressions with the same bits the per-step
-    objective_j and the single-metric functions give.
+    pairs or a (T, 2) array. Both are read into columns once; J, surplus
+    and fairness are then whole-array expressions with the same bits the
+    per-step objective_j and the single-metric functions give. The
+    report's per_step matrix takes its t column from timestamps, or
+    0 .. T-1 when none are given.
     """
     n_a, n_b = _alloc_arrays(allocs)
     d_a, d_b = _demand_arrays(demands, len(allocs))
     j = objective_j_array(n_a, n_b, d_a, d_b, zeta, d_min)
     s_a, s_b = _surplus(n_a, n_b, d_a, d_b, d_min)
-    fairness, _ = _jain(n_a, n_b)
-    per_step = []
-    if keep_per_step:
-        if timestamps is None:
-            timestamps = range(len(allocs))
-        per_step = list(zip(timestamps, allocs, demands, j.tolist()))
+    fairness, zero_steps = _jain(n_a, n_b)
+    t = np.arange(len(j)) if timestamps is None else timestamps
+    per_step = np.column_stack((t, n_a, n_b, d_a, d_b, j))
+    per_step.setflags(write=False)
     return EvalReport(
         s_a=s_a,
         s_b=s_b,
         fairness=fairness,
         mean_j=_mean_left_to_right(j),
-        zero_alloc_steps=int(np.sum((n_a == 0.0) & (n_b == 0.0))),
+        zero_alloc_steps=zero_steps,
         per_step=per_step,
     )
 

@@ -107,6 +107,15 @@ class TestEnvConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             EnvConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, -1])
+    def test_window_n_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(ValueError, match="window_n must be a nonnegative integer"):
+            EnvConfig(n_r=60.0, window_n=value)
+
+    def test_integral_float_window_n_is_stored_as_int(self):
+        cfg = EnvConfig(n_r=60.0, window_n=2.0)
+        assert cfg.window_n == 2 and type(cfg.window_n) is int
+
 
 class TestExperimentConfig:
     def test_defaults(self):
@@ -120,6 +129,19 @@ class TestExperimentConfig:
             ExperimentConfig(env=EnvConfig(n_r=60.0), eval_split=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(env=EnvConfig(n_r=60.0), eval_split=1.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("train_steps", 10.5), ("train_steps", np.nan), ("seed", 1.5), ("seed", "x")],
+    )
+    def test_non_integral_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(env=EnvConfig(n_r=60.0), **{field: value})
+
+    def test_integral_float_counts_are_stored_as_int(self):
+        cfg = ExperimentConfig(env=EnvConfig(n_r=60.0), seed=3.0, train_steps=10.0)
+        assert (cfg.seed, cfg.train_steps) == (3, 10)
+        assert type(cfg.seed) is int and type(cfg.train_steps) is int
 
     def test_with_env(self):
         cfg = ExperimentConfig(env=EnvConfig(n_r=60.0))
@@ -180,6 +202,14 @@ class TestSeriesCsv:
         path = tmp_path / "bad.csv"
         path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n3600,1.0,2.0\n" + row + "\n")
         with pytest.raises(ValueError, match="bad.csv:4: "):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1.0,2.0", "-3600,1.0,2.0"])
+    def test_non_increasing_first_gap_names_line(self, tmp_path, row):
+        # the spacing is inferred from this gap, so it must be positive
+        path = tmp_path / "bad.csv"
+        path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n" + row + "\n")
+        with pytest.raises(ValueError, match="bad.csv:3: timestamps must increase"):
             read_series_csv(path)
 
     def test_missing_file(self, tmp_path):

@@ -229,10 +229,8 @@ def test_evaluate_is_greedy_policy_then_build_report(kind, synth_series):
     steps = range(len(synth_series) - len(allocs), len(synth_series))
     demands = [synth_series.demand(t) for t in steps]
     timestamps = [synth_series.timestamps[t] for t in steps]
-    for keep in (False, True):
-        expected = build_report(
-            allocs, demands, 0.3, cfg.env.d_min, timestamps=timestamps, keep_per_step=keep
-        )
-        report = evaluate(policy, synth_series, cfg, keep_per_step=keep)
-        assert report == expected
-        assert len(report.per_step) == (len(steps) if keep else 0)
+    expected = build_report(allocs, demands, 0.3, cfg.env.d_min, timestamps=timestamps)
+    report = evaluate(policy, synth_series, cfg)
+    assert report == expected
+    assert np.array_equal(report.per_step, expected.per_step)
+    assert report.per_step.shape == (len(steps), 6)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adapshare.agents import AgentConfig, load_agent
+from adapshare.agents import AgentConfig, eval_timesteps, load_agent
 from adapshare.domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, write_series_csv
 from adapshare.harness.cli import main
 from adapshare.harness.config import (
@@ -168,7 +168,7 @@ class TestSweep:
         assert len(combos) == 8
         for row in rows:
             assert row.curve is None
-            assert row.report.per_step
+            assert row.report.per_step.shape == (len(eval_timesteps(small_series, spec.base)), 6)
 
     def test_progress_callback(self, small_series):
         seen = []
@@ -188,6 +188,7 @@ class TestSweep:
         )
         assert lone.seed == twin.seed
         assert lone.report == twin.report
+        assert np.array_equal(lone.report.per_step, twin.report.per_step)
 
     def test_trainable_cell_records_curve(self, constant_series):
         base = ExperimentConfig(
@@ -326,18 +327,18 @@ class TestCsvOutput:
         assert float(cells[6]) == report.mean_j
 
     def test_detail_csv(self, tmp_path):
-        allocs = [Allocation(1.5, 2.5)]
+        allocs = [Allocation(1.5, 2.5), Allocation(1.0 / 3.0, 2.0 / 7.0)]
         report = build_report(
-            allocs, [(1.0, 2.0)], zeta=0.5, timestamps=[7], keep_per_step=True
+            allocs, [(1.0, 2.0), (0.123456789, 9.87)], zeta=0.5, timestamps=[7, 8]
         )
         path = tmp_path / "detail.csv"
         write_detail_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == DETAIL_HEADER
-        cells = lines[1].split(",")
-        assert float(cells[0]) == 7.0
-        assert float(cells[1]) == 1.5
-        assert float(cells[5]) == report.per_step[0][3]
+        assert lines[1].startswith("7.0,1.5,2.5,1.0,2.0,")
+        # every repr float reads back to the matrix's exact bits
+        rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
+        assert rows == report.per_step.tolist()
 
 
 @pytest.fixture

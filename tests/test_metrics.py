@@ -61,8 +61,10 @@ class TestJainFairness:
 
     def test_scale_invariant_per_step(self):
         a = jain_fairness([Allocation(3.0, 1.0)])
-        b = jain_fairness([Allocation(30.0, 10.0)])
-        assert a == pytest.approx(b, abs=1e-15)
+        # at 1e-200 and 1e200 the squares leave the float range
+        for scale in (10.0, 1e-200, 1e200):
+            b = jain_fairness([Allocation(3.0 * scale, scale)])
+            assert a == pytest.approx(b, abs=1e-15)
 
     def test_bounded_below_by_half(self):
         rng = np.random.default_rng(2)
@@ -144,13 +146,12 @@ class TestBuildReport:
         rng = np.random.default_rng(3)
         allocs = [Allocation(*rng.uniform(0.0, 30.0, 2)) for _ in range(500)]
         demands = [tuple(rng.uniform(0.0, 30.0, 2)) for _ in range(500)]
-        report = build_report(allocs, demands, 0.3, keep_per_step=True)
+        report = build_report(allocs, demands, 0.3)
         per_step = [objective_j(a, d, 0.3, 0.1) for a, d in zip(allocs, demands)]
         total = 0.0
         for j in per_step:
             total += j
-        assert [row[3] for row in report.per_step] == per_step
-        assert all(type(row[3]) is float for row in report.per_step)
+        assert report.per_step[:, 5].tolist() == per_step
         assert report.mean_j == total / len(per_step)
 
     def test_non_finite_demand_rejected(self):
@@ -169,7 +170,14 @@ class TestBuildReport:
         # step 1: 0.5 * (1/2)^2 + 0.5 * (1/5)^2 = 0.145; step 2: 0
         assert report.mean_j == pytest.approx(0.0725, abs=1e-15)
         assert report.zero_alloc_steps == 0
-        assert report.per_step == []
+        # t defaults to the step index; the columns follow DETAIL_HEADER
+        assert report.per_step.dtype == np.float64
+        assert not report.per_step.flags.writeable
+        assert report.per_step[:, :5].tolist() == [
+            [0.0, 30.0, 20.0, 20.0, 25.0],
+            [1.0, 10.0, 5.0, 10.0, 5.0],
+        ]
+        assert report.per_step[:, 5] == pytest.approx([0.145, 0.0], abs=1e-15)
 
     def test_zero_steps_counted_without_warning_noise(self):
         import warnings
@@ -184,10 +192,9 @@ class TestBuildReport:
     def test_per_step_rows_carry_timestamps(self):
         allocs = [Allocation(1.0, 2.0), Allocation(3.0, 4.0)]
         demands = [(1.0, 2.0), (5.0, 5.0)]
-        report = build_report(
-            allocs, demands, zeta=0.5, timestamps=[100, 101], keep_per_step=True
-        )
-        assert [row[0] for row in report.per_step] == [100, 101]
-        assert report.per_step[0][3] == 0.0
-        assert report.per_step[1][1] is allocs[1]
+        report = build_report(allocs, demands, zeta=0.5, timestamps=[100, 101])
+        assert report.per_step.shape == (2, 6)
+        assert report.per_step[:, 0].tolist() == [100.0, 101.0]
+        assert report.per_step[0, 5] == 0.0
+        assert report.per_step[1, 1:3].tolist() == [allocs[1].n_a, allocs[1].n_b]
 

@@ -20,7 +20,7 @@ from adapshare import nn
 from adapshare.agents import AgentConfig, load_agent, make_agent, save_agent, train
 from adapshare.domain import AgentKind, Allocation, DemandSeries, EnvConfig, ExperimentConfig
 from adapshare.env import FEASIBILITY_SLACK, RawAction, project_action
-from adapshare.metrics import jain_fairness
+from adapshare.metrics import build_report, jain_fairness
 from adapshare.oracle import grid_solve, solve_opt, solve_opt_array
 
 SETTINGS = settings(deadline=None, derandomize=True, max_examples=150)
@@ -293,7 +293,14 @@ def test_projection_feasible_and_keeps_the_ratio_it_rescales(u_a, u_b, n_r):
         assert (alloc.n_a, alloc.n_b) == (u_a * n_r, u_b * n_r)
 
 
-grants = st.one_of(st.floats(0.0, 1e6), st.just(0.0))
+# plain grants, grants whose squares underflow or overflow, and exact zeros
+grants = st.one_of(
+    st.floats(0.0, 1e6),
+    st.floats(1e-300, 1e-150),
+    st.floats(1e150, 1e300),
+    st.sampled_from([1e-200, 5e-324, 1e200, 1.7e308]),
+    st.just(0.0),
+)
 
 
 @SETTINGS
@@ -304,7 +311,14 @@ def test_jain_fairness_lies_between_half_and_one(pairs):
         warnings.simplefilter("always")
         fairness = jain_fairness(allocs)
     assert 0.5 <= fairness <= 1.0
-    if any(a == b == 0.0 for a, b in pairs):
-        assert any("all-zero allocation step" in str(w.message) for w in caught)
+    zero_steps = build_report(allocs, pairs, 0.5).zero_alloc_steps
+    assert zero_steps == sum(a == b == 0.0 for a, b in pairs)
+    counted = [w for w in caught if "all-zero allocation step" in str(w.message)]
+    if zero_steps:
+        assert [str(w.message) for w in counted] == [
+            f"{zero_steps} all-zero allocation step(s) counted as fairness 1"
+        ]
+    else:
+        assert counted == []
     if all(a == b == 0.0 for a, b in pairs):
         assert fairness == 1.0

@@ -10,6 +10,7 @@ from adapshare.agents import load_agent, make_agent, save_agent
 from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig
 from adapshare.env import Observation, objective_j, project_action
 from adapshare.harness.service import (
+    MAX_LINE,
     CheckpointInvalid,
     MalformedRequest,
     _parse_request,
@@ -179,6 +180,22 @@ class TestOverTcp:
         for _ in range(2):
             replies = exchange(live_server.server_address, [request_line()])
             assert replies == [expected(HISTORY)]
+
+    def test_over_long_line_gets_error_then_close(self, live_server, expected):
+        with socket.create_connection(live_server.server_address, timeout=10) as sock:
+            fh = sock.makefile("rwb")
+            fh.write(b"x" * (100 * 1024) + b"\n")
+            fh.flush()
+            reply = json.loads(fh.readline().decode("utf-8"))
+            assert reply == {"error": f"request line longer than {MAX_LINE} bytes"}
+            assert fh.readline() == b""
+        replies = exchange(live_server.server_address, [request_line()])
+        assert replies == [expected(HISTORY)]
+
+    def test_line_at_the_cap_is_answered(self, live_server, expected):
+        # MAX_LINE counts the newline that exchange appends
+        line = request_line().ljust(MAX_LINE - 1)
+        assert exchange(live_server.server_address, [line]) == [expected(HISTORY)]
 
 
 class TestStartServer:
