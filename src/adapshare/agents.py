@@ -10,14 +10,12 @@ Polyak-averaged copies that nothing reads.
 """
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import nn
-from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, _is_integral
+from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, _check_fields, _is_integral
 from .env import RawAction, observation_rows, observe, project_action, step
 from .metrics import build_report, moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
@@ -32,10 +30,6 @@ class InsufficientData(ValueError):
 
 class ConfigError(ValueError):
     """Series/config combination leaves no usable train or eval steps."""
-
-
-_FLOAT_FIELDS = ("actor_lr", "critic_lr", "tau", "explore_sigma", "sigma_decay")
-_COUNT_FIELDS = ("batch_size", "buffer_capacity", "td3_policy_delay", "warmup_steps", "pretrain_steps")
 
 
 @dataclass(frozen=True)
@@ -55,15 +49,7 @@ class AgentConfig:
     pretrain_steps: int = 0
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if not _is_integral(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        _check_fields(self)
         if self.actor_lr <= 0 or self.critic_lr <= 0:
             raise ValueError("learning rates must be positive")
         if not 0.0 < self.tau <= 1.0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -33,6 +33,31 @@ class AgentKind(str, Enum):
     TD3 = "td3"
     OPT_ORACLE = "opt_oracle"
     OPT_BASE = "opt_base"
+
+
+def _type_name(field) -> str:
+    """A dataclass field's annotation by name, deferred (a string) or not."""
+    return field.type if isinstance(field.type, str) else field.type.__name__
+
+
+def _check_fields(config) -> None:
+    """Check a config dataclass's float, int and AgentKind fields by their
+    annotations, naming the field; ints and kinds are stored canonically."""
+    for field in fields(config):
+        name, value, kind = field.name, getattr(config, field.name), _type_name(field)
+        if kind == "float":
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        elif kind == "int":
+            if not _is_integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(config, name, int(value))
+        elif kind == "AgentKind":
+            try:
+                object.__setattr__(config, name, AgentKind(value))
+            except ValueError:
+                kinds = ", ".join(k.value for k in AgentKind)
+                raise ValueError(f"{name} must be one of {kinds}, got {value!r}") from None
 
 
 class DemandSeries:
@@ -125,8 +150,11 @@ class Allocation:
     n_b: float
 
     def __post_init__(self):
-        if self.n_a < 0 or self.n_b < 0:
-            raise ValueError(f"grants must be nonnegative, got ({self.n_a}, {self.n_b})")
+        # NaN fails both comparisons; an infinite grant passes, as only a
+        # caller that knows the pool size can bound it (bench/test_smoke.py
+        # builds one to test the benchmark's allocation check)
+        if not (self.n_a >= 0 and self.n_b >= 0):
+            raise ValueError(f"grants must be nonnegative numbers, got ({self.n_a}, {self.n_b})")
 
 
 @dataclass(frozen=True)
@@ -148,18 +176,15 @@ class EnvConfig:
     capacity_norm: float = 100.0
 
     def __post_init__(self):
-        for name in ("n_r", "zeta", "eta", "window_n", "d_min", "capacity_norm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_fields(self)
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
         if self.n_r <= 0:
             raise ValueError(f"n_r must be positive, got {self.n_r}")
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if not (_is_integral(self.window_n) and self.window_n >= 0):
+        if self.window_n < 0:
             raise ValueError(f"window_n must be a nonnegative integer, got {self.window_n!r}")
-        object.__setattr__(self, "window_n", int(self.window_n))
         if self.d_min <= 0:
             raise ValueError(f"d_min must be positive, got {self.d_min}")
         if self.capacity_norm < self.n_r:
@@ -180,13 +205,9 @@ class ExperimentConfig:
     eval_split: float = 0.25
 
     def __post_init__(self):
+        _check_fields(self)
         if not 0.0 < self.eval_split < 1.0:
             raise ValueError(f"eval_split must lie in (0, 1), got {self.eval_split}")
-        for name in ("seed", "train_steps"):
-            value = getattr(self, name)
-            if not _is_integral(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         if self.train_steps < 0:
             raise ValueError(f"train_steps must be nonnegative, got {self.train_steps}")
         if self.agent is None:

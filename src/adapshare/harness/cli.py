@@ -20,9 +20,9 @@ from ..domain import (
 from ..ingest import filter_data_transmissions, merge_series, parse_dci_csv, resample_mean
 from ..synthgen import fit, generate, ks_distance
 from . import results as results_mod
-from .config import ConfigFileError, build_experiment, coerce_overrides, parse_config_file
+from .config import SWEEP_KEYS, ConfigFileError, build_experiment, coerce_overrides, parse_config_file
 from .service import serve
-from .sweep import DEFAULT_AGENTS, DEFAULT_N_R, DEFAULT_ZETAS, SweepSpec, run_sweep
+from .sweep import DEFAULT_N_R, SweepSpec, run_sweep
 
 
 def _sources(args, flag_keys):
@@ -223,16 +223,9 @@ def cmd_eval(args):
 def cmd_sweep(args):
     series = read_series_csv(args.data)
     mapping = _collect_mapping(args, SWEEP_FLAGS)
-    sweep_lists = {
-        "n_r_values": DEFAULT_N_R,
-        "zeta_values": DEFAULT_ZETAS,
-        "agent_kinds": DEFAULT_AGENTS,
-    }
-    for key in sweep_lists:
-        if key in mapping:
-            sweep_lists[key] = mapping.pop(key)
+    sweep_lists = {key: mapping.pop(key) for key in SWEEP_KEYS if key in mapping}
     mapping.pop("agent_kind", None)
-    mapping.setdefault("env.n_r", sweep_lists["n_r_values"][0])
+    mapping.setdefault("env.n_r", sweep_lists.get("n_r_values", DEFAULT_N_R)[0])
     base = build_experiment(mapping)
     spec = SweepSpec(base=base, **sweep_lists)
 

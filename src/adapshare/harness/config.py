@@ -5,11 +5,16 @@ dotted names (`env.n_r = 60`, `agent.actor_lr = 1e-4`); list-valued
 sweep fields take comma-separated values (`n_r_values = 20,60,100`).
 Callers overlay sources in precedence order (defaults < file <
 ADAPSHARE_SEED < CLI flags) before building the dataclasses.
+
+The key table is derived: one key per field of ExperimentConfig,
+EnvConfig (`env.`) and AgentConfig (`agent.`), parsed by its annotation,
+plus the three sweep lists.
 """
 
 import math
+from dataclasses import fields
 
-from ..domain import AgentKind, EnvConfig, ExperimentConfig
+from ..domain import AgentKind, EnvConfig, ExperimentConfig, _type_name
 from ..agents import AgentConfig
 
 
@@ -40,33 +45,17 @@ def _kind_list(text):
     return tuple(_kind(part) for part in text.split(","))
 
 
-# every assignable key with its parser; grouped by the dataclass it feeds
+_PARSERS = {"float": _finite, "int": int, "tuple": _int_list, "AgentKind": _kind}
+SWEEP_KEYS = {"n_r_values": _float_list, "zeta_values": _float_list, "agent_kinds": _kind_list}
+
+# every assignable key with its parser; ExperimentConfig's env and agent
+# fields are the env. and agent. sections, not keys
 COERCERS = {
-    "seed": int,
-    "train_steps": int,
-    "eval_split": _finite,
-    "agent_kind": _kind,
-    "env.n_r": _finite,
-    "env.zeta": _finite,
-    "env.eta": _finite,
-    "env.window_n": int,
-    "env.d_min": _finite,
-    "env.capacity_norm": _finite,
-    "agent.actor_lr": _finite,
-    "agent.critic_lr": _finite,
-    "agent.tau": _finite,
-    "agent.batch_size": int,
-    "agent.buffer_capacity": int,
-    "agent.explore_sigma": _finite,
-    "agent.sigma_decay": _finite,
-    "agent.td3_policy_delay": int,
-    "agent.warmup_steps": int,
-    "agent.hidden_dims": _int_list,
-    "agent.pretrain_steps": int,
-    "n_r_values": _float_list,
-    "zeta_values": _float_list,
-    "agent_kinds": _kind_list,
-}
+    prefix + field.name: _PARSERS[_type_name(field)]
+    for prefix, cls in (("", ExperimentConfig), ("env.", EnvConfig), ("agent.", AgentConfig))
+    for field in fields(cls)
+    if field.name not in ("env", "agent")
+} | SWEEP_KEYS
 
 
 def _coerce(key, value):
@@ -103,31 +92,19 @@ def coerce_overrides(raw):
     return {key: _coerce(key, value) for key, value in raw.items()}
 
 
-def _split_mapping(mapping):
-    env_kv, agent_kv, top_kv, sweep_kv = {}, {}, {}, {}
-    for key, value in mapping.items():
-        if key.startswith("env."):
-            env_kv[key[len("env."):]] = value
-        elif key.startswith("agent."):
-            agent_kv[key[len("agent."):]] = value
-        elif key in ("n_r_values", "zeta_values", "agent_kinds"):
-            sweep_kv[key] = value
-        else:
-            top_kv[key] = value
-    return env_kv, agent_kv, top_kv, sweep_kv
-
-
 def build_experiment(mapping):
     """Construct an ExperimentConfig from a coerced mapping.
 
     env.n_r is the one field without a default and must be present.
     """
-    env_kv, agent_kv, top_kv, sweep_kv = _split_mapping(mapping)
-    if sweep_kv:
-        raise ConfigFileError(f"sweep-only keys in a single-run config: {sorted(sweep_kv)}")
-    if "n_r" not in env_kv:
+    sweep_keys = sorted(key for key in mapping if key in SWEEP_KEYS)
+    if sweep_keys:
+        raise ConfigFileError(f"sweep-only keys in a single-run config: {sweep_keys}")
+    if "env.n_r" not in mapping:
         raise ConfigFileError("env.n_r is required (no default pool size)")
-    env = EnvConfig(**env_kv)
-    agent = AgentConfig(**agent_kv)
-    return ExperimentConfig(env=env, agent=agent, **top_kv)
-
+    sections = {"": {}, "env": {}, "agent": {}}
+    for key, value in mapping.items():
+        section, _, name = key.rpartition(".")
+        sections[section][name] = value
+    top, env, agent = sections.values()
+    return ExperimentConfig(env=EnvConfig(**env), agent=AgentConfig(**agent), **top)

@@ -5,6 +5,8 @@ agent kind), so any subset of cells reproduces exactly the same rows
 as the full grid.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,10 +33,11 @@ class SweepSpec:
     def __post_init__(self):
         if not self.n_r_values or not self.zeta_values or not self.agent_kinds:
             raise ValueError("sweep lists must be nonempty")
-        if any(n <= 0 for n in self.n_r_values):
-            raise ValueError(f"pool sizes must be positive, got {self.n_r_values}")
-        if any(not 0.0 <= z <= 1.0 for z in self.zeta_values):
-            raise ValueError(f"zeta values must lie in [0, 1], got {self.zeta_values}")
+        # checked here, so that a bad entry fails before any cell runs
+        if not all(isinstance(n, numbers.Real) and math.isfinite(n) and n > 0 for n in self.n_r_values):
+            raise ValueError(f"n_r_values must be positive finite numbers, got {self.n_r_values}")
+        if not all(isinstance(z, numbers.Real) and 0.0 <= z <= 1.0 for z in self.zeta_values):
+            raise ValueError(f"zeta_values must be numbers in [0, 1], got {self.zeta_values}")
         object.__setattr__(self, "n_r_values", tuple(float(v) for v in self.n_r_values))
         object.__setattr__(self, "zeta_values", tuple(float(z) for z in self.zeta_values))
         object.__setattr__(

@@ -100,17 +100,24 @@ class TestEnvConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("n_r", np.nan), ("d_min", np.nan), ("eta", np.nan), ("capacity_norm", np.inf),
-         ("n_r", np.inf), ("window_n", np.nan), ("zeta", np.nan)],
+         ("n_r", np.inf), ("window_n", np.nan), ("zeta", np.nan), ("n_r", "60")],
     )
     def test_non_finite_field_rejected(self, field, value):
         kwargs = {"n_r": 60.0, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        expected = "an integer" if field == "window_n" else "a finite number"
+        with pytest.raises(ValueError, match=f"{field} must be {expected}"):
             EnvConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [2.5, -1])
     def test_window_n_must_be_a_nonnegative_integer(self, value):
-        with pytest.raises(ValueError, match="window_n must be a nonnegative integer"):
+        # 2.5 fails the integer check, -1 the range check
+        with pytest.raises(ValueError, match="window_n must be (an|a nonnegative) integer"):
             EnvConfig(n_r=60.0, window_n=value)
+
+    def test_int_pool_size_is_kept_as_given(self):
+        # float fields are checked, not coerced, so a checkpoint writes 60
+        cfg = EnvConfig(n_r=60)
+        assert cfg.n_r == 60 and type(cfg.n_r) is int
 
     def test_integral_float_window_n_is_stored_as_int(self):
         cfg = EnvConfig(n_r=60.0, window_n=2.0)
@@ -138,6 +145,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentConfig(env=EnvConfig(n_r=60.0), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("eval_split", "x", "eval_split must be a finite number"),
+         ("eval_split", np.nan, "eval_split must be a finite number"),
+         ("agent_kind", "bogus", "agent_kind must be one of ddpg, td3, opt_oracle, opt_base"),
+         ("agent_kind", None, "agent_kind must be one of")],
+    )
+    def test_bad_field_rejected_naming_it(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(env=EnvConfig(n_r=60.0), **{field: value})
+
+    def test_agent_kind_name_is_stored_as_the_enum(self):
+        cfg = ExperimentConfig(env=EnvConfig(n_r=60.0), agent_kind="ddpg")
+        assert cfg.agent_kind is AgentKind.DDPG
+
     def test_integral_float_counts_are_stored_as_int(self):
         cfg = ExperimentConfig(env=EnvConfig(n_r=60.0), seed=3.0, train_steps=10.0)
         assert (cfg.seed, cfg.train_steps) == (3, 10)
@@ -157,6 +179,15 @@ class TestAllocation:
             Allocation(-0.1, 5.0)
         with pytest.raises(ValueError):
             Allocation(5.0, -0.1)
+
+    @pytest.mark.parametrize("n_a,n_b", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+    def test_nan_grant_rejected(self, n_a, n_b):
+        with pytest.raises(ValueError, match="grants must be nonnegative numbers"):
+            Allocation(n_a, n_b)
+
+    def test_infinite_grant_constructs(self):
+        # only a caller that knows the pool size can bound a grant
+        assert Allocation(np.inf, 1.0).n_a == np.inf
 
 
 class TestSeriesCsv:

@@ -11,6 +11,8 @@ from adapshare.agents import AgentConfig, eval_timesteps, load_agent
 from adapshare.domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, write_series_csv
 from adapshare.harness.cli import main
 from adapshare.harness.config import (
+    COERCERS,
+    SWEEP_KEYS,
     ConfigFileError,
     build_experiment,
     coerce_overrides,
@@ -84,6 +86,38 @@ class TestConfigFile:
         path.write_text(f"env.n_r = 20\n{key} = {value}\n")
         with pytest.raises(ConfigFileError, match=f"run.cfg:2: bad value for {key}: must be a finite"):
             parse_config_file(path)
+
+    def test_key_table_is_pinned(self):
+        # derived from the dataclass annotations; a field whose annotation
+        # has no parser, or a parser that changes, shows here
+        finite = ["eval_split", "env.n_r", "env.zeta", "env.eta", "env.d_min", "env.capacity_norm",
+                  "agent.actor_lr", "agent.critic_lr", "agent.tau", "agent.explore_sigma",
+                  "agent.sigma_decay"]
+        ints = ["seed", "train_steps", "env.window_n", "agent.batch_size", "agent.buffer_capacity",
+                "agent.td3_policy_delay", "agent.warmup_steps", "agent.pretrain_steps"]
+        expected = {
+            **dict.fromkeys(finite, "_finite"),
+            **dict.fromkeys(ints, "int"),
+            "agent_kind": "_kind",
+            "agent.hidden_dims": "_int_list",
+            "n_r_values": "_float_list",
+            "zeta_values": "_float_list",
+            "agent_kinds": "_kind_list",
+        }
+        assert len(expected) == 24
+        assert {key: parser.__name__ for key, parser in COERCERS.items()} == expected
+        assert set(SWEEP_KEYS) == {"n_r_values", "zeta_values", "agent_kinds"}
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```\n# experiment.cfg\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "experiment.cfg"
+        path.write_text(block)
+        mapping = parse_config_file(path)
+        assert mapping["agent_kinds"] == (AgentKind.TD3, AgentKind.OPT_ORACLE, AgentKind.OPT_BASE)
+        single = {key: value for key, value in mapping.items() if key not in SWEEP_KEYS}
+        cfg = build_experiment(single)
+        assert (cfg.seed, cfg.env.n_r, cfg.agent.hidden_dims) == (42, 60.0, (64, 64))
 
     def test_coerce_overrides(self):
         out = coerce_overrides({"env.zeta": "0.4", "seed": 3, "agent_kind": "ddpg"})
@@ -159,6 +193,17 @@ class TestSweep:
             solver_spec(n_r_values=(0.0,))
         with pytest.raises(ValueError):
             solver_spec(zeta_values=(1.2,))
+
+    @pytest.mark.parametrize(
+        "key,values",
+        [("n_r_values", (float("nan"),)), ("n_r_values", (20.0, float("inf"))), ("n_r_values", ("60",)),
+         ("n_r_values", (-20.0,)), ("zeta_values", (0.5, float("nan"))), ("zeta_values", ("0.5",)),
+         ("zeta_values", (-0.1,))],
+    )
+    def test_bad_list_entry_rejected_naming_the_list(self, key, values):
+        # refused at construction, before any cell of the grid runs
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            solver_spec(**{key: values})
 
     def test_grid_covers_all_cells(self, small_series):
         spec = solver_spec()

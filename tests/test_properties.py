@@ -1,11 +1,13 @@
 """Property tests: the array solver, the flat parameter vector, Adam,
 agent checkpoints, the training step's bit-for-bit rewrites (sigmoid,
-backward, up-front draws), action projection and Jain fairness.
+backward, up-front draws), action projection, Jain fairness, and the
+config-file and series-CSV round trips.
 
 Each property runs on inputs hypothesis draws, with a fixed derandomized
 search so that a run is reproducible.
 """
 
+import dataclasses
 import os
 import struct
 import tempfile
@@ -18,8 +20,17 @@ from hypothesis import strategies as st
 
 from adapshare import nn
 from adapshare.agents import AgentConfig, load_agent, make_agent, save_agent, train
-from adapshare.domain import AgentKind, Allocation, DemandSeries, EnvConfig, ExperimentConfig
+from adapshare.domain import (
+    AgentKind,
+    Allocation,
+    DemandSeries,
+    EnvConfig,
+    ExperimentConfig,
+    read_series_csv,
+    write_series_csv,
+)
 from adapshare.env import FEASIBILITY_SLACK, RawAction, project_action
+from adapshare.harness.config import COERCERS, SWEEP_KEYS, build_experiment, parse_config_file
 from adapshare.metrics import build_report, jain_fairness
 from adapshare.oracle import grid_solve, solve_opt, solve_opt_array
 
@@ -322,3 +333,101 @@ def test_jain_fairness_lies_between_half_and_one(pairs):
         assert counted == []
     if all(a == b == 0.0 for a, b in pairs):
         assert fairness == 1.0
+
+
+# ---------------------------------------------------------------- file round trips
+
+
+def _positive(upper):
+    return st.floats(0.0, upper, exclude_min=True)
+
+
+@st.composite
+def experiment_configs(draw):
+    capacity_norm = draw(_positive(1e6))
+    env = EnvConfig(
+        n_r=draw(st.floats(0.0, capacity_norm, exclude_min=True)),
+        zeta=draw(st.floats(0.0, 1.0)),
+        eta=draw(st.floats(0.0, 1e6)),
+        window_n=draw(st.integers(0, 48)),
+        d_min=draw(_positive(1e3)),
+        capacity_norm=capacity_norm,
+    )
+    agent = AgentConfig(
+        actor_lr=draw(_positive(1.0)),
+        critic_lr=draw(_positive(1.0)),
+        tau=draw(_positive(1.0)),
+        batch_size=draw(st.integers(1, 1024)),
+        buffer_capacity=draw(st.integers(1, 10**6)),
+        explore_sigma=draw(st.floats(0.0, 10.0)),
+        sigma_decay=draw(_positive(1.0)),
+        td3_policy_delay=draw(st.integers(1, 8)),
+        warmup_steps=draw(st.integers(0, 10**5)),
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 512), min_size=1, max_size=4))),
+        pretrain_steps=draw(st.integers(0, 10**5)),
+    )
+    return ExperimentConfig(
+        env=env,
+        agent_kind=draw(st.sampled_from(list(AgentKind))),
+        agent=agent,
+        seed=draw(st.integers(0, 2**63)),
+        train_steps=draw(st.integers(0, 10**7)),
+        eval_split=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+
+
+def _config_text(value):
+    if isinstance(value, AgentKind):
+        return value.value
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return repr(value)
+
+
+@SETTINGS
+@given(experiment_configs())
+def test_config_file_round_trip(cfg):
+    sections = {"": cfg, "env": cfg.env, "agent": cfg.agent}
+    lines = []
+    for key in COERCERS:
+        if key not in SWEEP_KEYS:
+            section, _, name = key.rpartition(".")
+            lines.append(f"{key} = {_config_text(getattr(sections[section], name))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        back = build_experiment(parse_config_file(path))
+    assert back == cfg
+    for obj in (back, back.env, back.agent):
+        for field in dataclasses.fields(obj):
+            if field.type in (int, "int"):
+                assert type(getattr(obj, field.name)) is int, field.name
+
+
+# exact zeros, subnormals, plain demands and demands near 1e300
+series_demands = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0, 1e4),
+    st.floats(1e299, 1e301),
+)
+
+
+@SETTINGS
+@given(
+    st.integers(-(2**40), 2**40),
+    st.integers(1, 86_400 * 7),
+    st.lists(st.tuples(series_demands, series_demands), min_size=2, max_size=30),
+)
+def test_series_csv_round_trip_is_bit_exact(start, granularity, pairs):
+    d_a, d_b = (np.array(col) for col in zip(*pairs))
+    series = DemandSeries(start + granularity * np.arange(len(pairs)), d_a, d_b, granularity)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        write_series_csv(series, path)
+        back = read_series_csv(path)
+    assert back.granularity == granularity
+    for name in ("timestamps", "d_a", "d_b"):
+        assert _same(getattr(back, name), getattr(series, name)), name
