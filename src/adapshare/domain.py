@@ -40,6 +40,15 @@ def _type_name(field) -> str:
     return field.type if isinstance(field.type, str) else field.type.__name__
 
 
+def as_agent_kind(value, name):
+    """value as an AgentKind; a ValueError names `name` if it is none."""
+    try:
+        return AgentKind(value)
+    except ValueError:
+        kinds = ", ".join(k.value for k in AgentKind)
+        raise ValueError(f"{name} must be one of {kinds}, got {value!r}") from None
+
+
 def _check_fields(config) -> None:
     """Check a config dataclass's float, int and AgentKind fields by their
     annotations, naming the field; ints and kinds are stored canonically."""
@@ -53,11 +62,7 @@ def _check_fields(config) -> None:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(config, name, int(value))
         elif kind == "AgentKind":
-            try:
-                object.__setattr__(config, name, AgentKind(value))
-            except ValueError:
-                kinds = ", ".join(k.value for k in AgentKind)
-                raise ValueError(f"{name} must be one of {kinds}, got {value!r}") from None
+            object.__setattr__(config, name, as_agent_kind(value, name))
 
 
 class DemandSeries:

@@ -20,7 +20,7 @@ from ..domain import (
 from ..ingest import filter_data_transmissions, merge_series, parse_dci_csv, resample_mean
 from ..synthgen import fit, generate, ks_distance
 from . import results as results_mod
-from .config import SWEEP_KEYS, ConfigFileError, build_experiment, coerce_overrides, parse_config_file
+from .config import SWEEP_KEYS, ConfigFileError, _kind, build_experiment, coerce_overrides, parse_config_file
 from .service import serve
 from .sweep import DEFAULT_N_R, SweepSpec, run_sweep
 
@@ -59,16 +59,18 @@ def _collect_mapping(args, flag_keys):
     return mapping
 
 
-EXPERIMENT_FLAGS = {
+# eval's --agent and sweep's --agents choose the agent themselves
+RUN_FLAGS = {
     "env.n_r": "n_r",
     "env.zeta": "zeta",
     "seed": "seed",
     "train_steps": "steps",
-    "agent_kind": "agent",
 }
 
+EXPERIMENT_FLAGS = {**RUN_FLAGS, "agent_kind": "agent"}
+
 SWEEP_FLAGS = {
-    **EXPERIMENT_FLAGS,
+    **RUN_FLAGS,
     "n_r_values": "n_r_values",
     "zeta_values": "zeta_values",
     "agent_kinds": "agents",
@@ -187,7 +189,7 @@ def cmd_eval(args):
         # the checkpoint fixes every setting but the env.* keys that leave
         # the observation alone; ADAPSHARE_SEED, which only seeds new runs,
         # is left out
-        file_kv, _, flag_kv, set_kv = _sources(args, EXPERIMENT_FLAGS)
+        file_kv, _, flag_kv, set_kv = _sources(args, RUN_FLAGS)
         mapping = {**file_kv, **flag_kv, **set_kv}
         fixed = sorted(
             key for key in mapping if not key.startswith("env.") or key in OBSERVATION_KEYS
@@ -201,11 +203,12 @@ def cmd_eval(args):
             cfg = cfg.with_env(**{key[len("env."):]: value for key, value in mapping.items()})
         label = cfg.agent_kind.value
     else:
-        kind = AgentKind(args.agent)
+        kind = _kind(args.agent, "--agent")
         if kind in (AgentKind.DDPG, AgentKind.TD3):
             raise ConfigFileError("RL agents need --checkpoint; --agent is for the solvers")
-        mapping = _collect_mapping(args, EXPERIMENT_FLAGS)
-        mapping.pop("agent_kind", None)
+        mapping = _collect_mapping(args, RUN_FLAGS)
+        if "agent_kind" in mapping:
+            raise ConfigFileError("agent_kind is chosen by eval --agent; set it in no config file or --set")
         cfg = build_experiment(mapping)
         agent, label = kind, kind.value
     report = evaluate(agent, series, cfg)
@@ -224,7 +227,8 @@ def cmd_sweep(args):
     series = read_series_csv(args.data)
     mapping = _collect_mapping(args, SWEEP_FLAGS)
     sweep_lists = {key: mapping.pop(key) for key in SWEEP_KEYS if key in mapping}
-    mapping.pop("agent_kind", None)
+    if "agent_kind" in mapping:
+        raise ConfigFileError("agent_kind is chosen by sweep's agent_kinds; set it in no config file or --set")
     mapping.setdefault("env.n_r", sweep_lists.get("n_r_values", DEFAULT_N_R)[0])
     base = build_experiment(mapping)
     spec = SweepSpec(base=base, **sweep_lists)

@@ -14,7 +14,7 @@ plus the three sweep lists.
 import math
 from dataclasses import fields
 
-from ..domain import AgentKind, EnvConfig, ExperimentConfig, _type_name
+from ..domain import EnvConfig, ExperimentConfig, _type_name, as_agent_kind
 from ..agents import AgentConfig
 
 
@@ -37,12 +37,12 @@ def _float_list(text):
     return tuple(_finite(part) for part in text.split(","))
 
 
-def _kind(text):
-    return AgentKind(text.strip().lower())
+def _kind(text, name="agent_kind"):
+    return as_agent_kind(text.strip().lower(), name)
 
 
 def _kind_list(text):
-    return tuple(_kind(part) for part in text.split(","))
+    return tuple(_kind(part, "agent_kinds") for part in text.split(","))
 
 
 _PARSERS = {"float": _finite, "int": int, "tuple": _int_list, "AgentKind": _kind}

@@ -3,12 +3,14 @@
 This module alone knows the result-file formats; the sweep and the CLI
 write through it. Every data file is reproducible byte-for-byte from
 (dataset, spec, seed): floats go through `repr`, so they also read back
-exactly. Wall-clock timestamps go only into the run_metadata.json
-sidecar so reruns diff clean.
+exactly, and each distinct float is formatted once. Wall-clock
+timestamps and timings go only into the run_metadata.json sidecar so
+reruns diff clean.
 """
 
 import json
 import os
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -151,10 +153,33 @@ def write_sweep_csv(cells, path):
     _write(path, _csv(SWEEP_HEADER, (sweep_row(*cell) for cell in cells)))
 
 
-def write_detail_csv(report, path):
-    """One detail CSV line per row of the report's per_step matrix."""
-    rows = ("%r,%r,%r,%r,%r,%r" % tuple(row) for row in report.per_step.tolist())
-    _write(path, _csv(DETAIL_HEADER, rows))
+def _float_text(col, known, like=None):
+    """repr of each float in col. A column in `known` (text keyed by its
+    bytes, so -0.0 is not 0.0) or of one value is formatted once; a value
+    whose bits equal its row's in `like`, a known column, reuses its text."""
+    text = known.get(col.tobytes())
+    if text is not None:
+        return text
+    values, bits = col.tolist(), col.view(np.uint64)
+    if values and (bits == bits[0]).all():
+        return [repr(values[0])] * len(values)
+    if like is None:
+        return list(map(repr, values))
+    same = (bits == like.view(np.uint64)).tolist()
+    return [hit if s else repr(v) for v, s, hit in zip(values, same, known[like.tobytes()])]
+
+
+def write_detail_csv(report, path, _known=None):
+    """One detail CSV line per row of the report's per_step matrix, each
+    float its repr, formatted once per distinct value or column; `_known`
+    is the split-column text that emit_results shares between cells."""
+    known = {} if _known is None else _known
+    t, n_a, n_b, d_a, d_b, j = columns = np.ascontiguousarray(report.per_step.T)
+    for col in (t, d_a, d_b):
+        known[col.tobytes()] = _float_text(col, known)
+    likes = (None, d_a, d_b, None, None, None)  # a grant may reuse its demand's text
+    text = [_float_text(col, known, like) for col, like in zip(columns, likes)]
+    _write(path, _csv(DETAIL_HEADER, map(",".join, zip(*text))))
 
 
 def write_curve_csv(curve, path):
@@ -166,15 +191,31 @@ def _cell_stub(agent, n_r, zeta):
     return f"{agent}_nr{n_r:g}_z{zeta:.4g}"
 
 
+def check_cell_stubs(cells):
+    """Refuse (agent, n_r, zeta) cells whose result files share a name."""
+    seen = {}
+    for cell in cells:
+        stub = _cell_stub(*cell)
+        if stub in seen:
+            raise ValueError(f"cells {seen[stub]} and {cell} would both write detail_{stub}.csv")
+        seen[stub] = cell
+
+
 def emit_results(table, out_dir):
     """Write sweep.csv, per-cell detail/curve CSVs, SVG charts, and the sidecar.
 
     Returns the list of written file paths (sidecar last).
     """
+    started = time.perf_counter()
     if not table:
         raise ValueError("empty sweep table, nothing to emit")
+    check_cell_stubs((row.agent_kind.value, row.n_r, row.zeta) for row in table)
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    known = {}  # every cell's split-column text, made once, before any file
+    for row in table:
+        for col in row.report.per_step.T[[0, 3, 4]]:
+            known[col.tobytes()] = _float_text(col, known)
 
     path = os.path.join(out_dir, "sweep.csv")
     write_sweep_csv(((row.zeta, row.n_r, row.agent_kind, row.report) for row in table), path)
@@ -183,7 +224,7 @@ def emit_results(table, out_dir):
     for row in table:
         stub = _cell_stub(row.agent_kind.value, row.n_r, row.zeta)
         path = os.path.join(out_dir, f"detail_{stub}.csv")
-        write_detail_csv(row.report, path)
+        write_detail_csv(row.report, path, _known=known)
         written.append(path)
         if row.curve is not None and len(row.curve) > 0:
             path = os.path.join(out_dir, f"curve_{stub}.csv")
@@ -207,6 +248,8 @@ def emit_results(table, out_dir):
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "cells": len(table),
         "files": [os.path.basename(p) for p in written],
+        "cell_seconds": [row.seconds for row in table],
+        "emit_seconds": time.perf_counter() - started,
     }
     _write(sidecar, json.dumps(meta, indent=2) + "\n")
     written.append(sidecar)

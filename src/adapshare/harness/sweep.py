@@ -7,14 +7,16 @@ as the full grid.
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..agents import evaluate, train
-from ..domain import AgentKind, ExperimentConfig
+from ..domain import AgentKind, ExperimentConfig, as_agent_kind
 from ..metrics import EvalReport
 from ..seeding import derive_seed
+from .results import check_cell_stubs
 
 DEFAULT_N_R = (20.0, 60.0, 100.0)
 DEFAULT_ZETAS = tuple(round(0.1 * k, 1) for k in range(11))
@@ -40,14 +42,15 @@ class SweepSpec:
             raise ValueError(f"zeta_values must be numbers in [0, 1], got {self.zeta_values}")
         object.__setattr__(self, "n_r_values", tuple(float(v) for v in self.n_r_values))
         object.__setattr__(self, "zeta_values", tuple(float(z) for z in self.zeta_values))
-        object.__setattr__(
-            self, "agent_kinds", tuple(AgentKind(k) for k in self.agent_kinds)
-        )
+        kinds = tuple(as_agent_kind(k, "agent_kinds") for k in self.agent_kinds)
+        object.__setattr__(self, "agent_kinds", kinds)
+        check_cell_stubs((k.value, n, z) for k in kinds for n in self.n_r_values for z in self.zeta_values)
 
 
 @dataclass
 class SweepRow:
-    """One evaluated cell; curve is None for the solver baselines."""
+    """One evaluated cell; curve is None for the solver baselines, and
+    seconds is run_cell's wall time in run_sweep."""
 
     n_r: float
     zeta: float
@@ -55,6 +58,7 @@ class SweepRow:
     seed: int
     report: EvalReport
     curve: np.ndarray = None
+    seconds: float = None
 
 
 def cell_seed(base_seed, n_r, zeta_index, agent_kind):
@@ -91,7 +95,9 @@ def run_sweep(spec, series, progress=None):
     for n_r in spec.n_r_values:
         for zeta_index in range(len(spec.zeta_values)):
             for kind in spec.agent_kinds:
+                started = time.perf_counter()
                 row = run_cell(series, spec, n_r, zeta_index, kind)
+                row.seconds = time.perf_counter() - started
                 rows.append(row)
                 if progress is not None:
                     progress(len(rows), total, row)

@@ -1,5 +1,6 @@
 """Config parsing, sweep orchestration, result emission, and the CLI."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -205,6 +206,22 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             solver_spec(**{key: values})
 
+    def test_bad_agent_kind_rejected_naming_the_list(self):
+        with pytest.raises(ValueError, match="^agent_kinds must be one of .*got 'bogus'"):
+            solver_spec(agent_kinds=("opt_oracle", "bogus"))
+
+    @pytest.mark.parametrize(
+        "key,values,shown",
+        [("zeta_values", (0.12341, 0.12342), "z0.1234"),
+         ("zeta_values", (0.5, 0.5), "z0.5"),
+         ("n_r_values", (20.0, 20.0000001), "nr20_")],
+    )
+    def test_colliding_result_file_names_rejected(self, key, values, shown):
+        # two cells would write one detail file; refused before any cell runs
+        with pytest.raises(ValueError, match=shown) as info:
+            solver_spec(**{key: values})
+        assert all(repr(v) in str(info.value) for v in values)
+
     def test_grid_covers_all_cells(self, small_series):
         spec = solver_spec()
         rows = run_sweep(spec, small_series)
@@ -267,6 +284,18 @@ class TestResults:
         meta = json.loads((out / "run_metadata.json").read_text())
         assert meta["cells"] == 8
         assert set(meta["files"]) == names - {"run_metadata.json"}
+        # what each cell and the emission cost, in table order
+        assert len(meta["cell_seconds"]) == 8
+        assert all(isinstance(v, float) and v > 0.0 for v in meta["cell_seconds"])
+        assert isinstance(meta["emit_seconds"], float) and meta["emit_seconds"] > 0.0
+
+    def test_emit_refuses_colliding_cells_before_writing(self, small_series, tmp_path):
+        rows = run_sweep(solver_spec(zeta_values=(0.3,)), small_series)
+        twin = dataclasses.replace(rows[0], zeta=0.30001)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"0\.3\) and .*0\.30001\)"):
+            emit_results(rows + [twin], out)
+        assert not out.exists()
 
     def test_sweep_csv_round_trips(self, small_series, tmp_path):
         rows = run_sweep(solver_spec(), small_series)
@@ -567,6 +596,25 @@ class TestCliTrainEval:
         assert rc == 0
         assert "opt_oracle: mean_j=0.000000" in capsys.readouterr().out
 
+    def test_eval_agent_is_parsed_like_config_kinds(self, constant_csv, capsys):
+        rc = run_cli("eval", "--data", constant_csv, "--agent", "OPT_BASE", "--n-r", "20")
+        assert rc == 0
+        assert "opt_base: mean_j=" in capsys.readouterr().out
+        rc = run_cli("eval", "--data", constant_csv, "--agent", "bogus", "--n-r", "20")
+        assert rc == 2
+        assert "error: --agent must be one of ddpg, td3, opt_oracle, opt_base, got 'bogus'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_eval_agent_refuses_a_configured_agent_kind(self, constant_csv, tmp_path, capsys, source):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("agent_kind = td3\n")
+        extra = ("--set", "agent_kind=td3") if source == "set" else ("--config", cfg_file)
+        rc = run_cli("eval", "--data", constant_csv, "--agent", "opt_base", "--n-r", "20", *extra)
+        assert rc == 2
+        assert "agent_kind is chosen by eval --agent" in capsys.readouterr().err
+
     def test_eval_rejects_rl_kind_by_name(self, constant_csv, capsys):
         rc = run_cli("eval", "--data", constant_csv, "--agent", "td3", "--n-r", "20")
         assert rc == 2
@@ -658,6 +706,24 @@ class TestCliSweepPlot:
         assert len(lines) == 5
         out = capsys.readouterr().out
         assert "[4/4]" in out
+
+    def test_sweep_refuses_a_configured_agent_kind(self, constant_csv, tmp_path, capsys):
+        out_dir = tmp_path / "grid"
+        rc = run_cli(*self.sweep_args(constant_csv, out_dir), "--set", "agent_kind=td3")
+        assert rc == 2
+        assert "agent_kind is chosen by sweep's agent_kinds" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_sweep_refuses_colliding_zetas_before_writing(self, constant_csv, tmp_path, capsys):
+        out_dir = tmp_path / "grid"
+        rc = run_cli(
+            "sweep", "--data", constant_csv, "--out-dir", out_dir,
+            "--agents", "opt_oracle", "--zeta-values", "0.12341,0.12342", "--n-r-values", "20",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "0.12341" in err and "0.12342" in err and "detail_opt_oracle_nr20_z0.1234.csv" in err
+        assert not out_dir.exists()
 
     def test_sweep_rerun_byte_identical(self, constant_csv, tmp_path):
         dir_1, dir_2 = tmp_path / "one", tmp_path / "two"

@@ -1,7 +1,7 @@
 """Property tests: the array solver, the flat parameter vector, Adam,
 agent checkpoints, the training step's bit-for-bit rewrites (sigmoid,
-backward, up-front draws), action projection, Jain fairness, and the
-config-file and series-CSV round trips.
+backward, up-front draws), action projection, Jain fairness, the
+config-file and series-CSV round trips, and the detail CSV's text.
 
 Each property runs on inputs hypothesis draws, with a fixed derandomized
 search so that a run is reproducible.
@@ -31,7 +31,9 @@ from adapshare.domain import (
 )
 from adapshare.env import FEASIBILITY_SLACK, RawAction, project_action
 from adapshare.harness.config import COERCERS, SWEEP_KEYS, build_experiment, parse_config_file
-from adapshare.metrics import build_report, jain_fairness
+from adapshare.harness.results import DETAIL_HEADER, emit_results, write_detail_csv
+from adapshare.harness.sweep import SweepRow
+from adapshare.metrics import EvalReport, build_report, jain_fairness
 from adapshare.oracle import grid_solve, solve_opt, solve_opt_array
 
 SETTINGS = settings(deadline=None, derandomize=True, max_examples=150)
@@ -431,3 +433,96 @@ def test_series_csv_round_trip_is_bit_exact(start, granularity, pairs):
     assert back.granularity == granularity
     for name in ("timestamps", "d_a", "d_b"):
         assert _same(getattr(back, name), getattr(series, name)), name
+
+
+# ---------------------------------------------------------------- detail CSV text
+
+# signed zeros, subnormals, values near 1e300, plain values, NaN and inf
+detail_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e299, 1e301),
+    st.floats(),
+)
+
+
+@st.composite
+def detail_columns(draw, n):
+    """A column of n floats: varying, all one value, or one value with its
+    sign flipped on some rows (so 0.0 and -0.0 mixed)."""
+    kind = draw(st.sampled_from(["varying", "constant", "signs"]))
+    if kind == "varying":
+        return draw(st.lists(detail_floats, min_size=n, max_size=n))
+    value = draw(detail_floats)
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if kind == "signs" else [False] * n
+    return [-value if flip else value for flip in flips]
+
+
+@st.composite
+def grants_like(draw, demand):
+    """A grant column equal to its demand on some rows, the demand with
+    its sign flipped (so -0.0 against 0.0) on others, else anything."""
+    other = draw(detail_columns(len(demand)))
+    picks = draw(st.lists(st.sampled_from("dso"), min_size=len(demand), max_size=len(demand)))
+    return [d if k == "d" else -d if k == "s" else o for d, o, k in zip(demand, other, picks)]
+
+
+@st.composite
+def detail_cells(draw, split):
+    """A per_step matrix over the split (t, d_a, d_b)."""
+    t, d_a, d_b = split
+    n_a, n_b = draw(grants_like(d_a)), draw(grants_like(d_b))
+    j = draw(detail_columns(len(t)))
+    return np.array([t, n_a, n_b, d_a, d_b, j], dtype=float).T
+
+
+@st.composite
+def splits(draw, n=None):
+    n = draw(st.integers(1, 12)) if n is None else n
+    return tuple(draw(detail_columns(n)) for _ in range(3))
+
+
+def _report(per_step):
+    return EvalReport(s_a=0.0, s_b=0.0, fairness=1.0, mean_j=0.0, zero_alloc_steps=0, per_step=per_step)
+
+
+def _per_row_text(per_step):
+    """The detail CSV as a per-row repr formatter writes it."""
+    rows = ["%r,%r,%r,%r,%r,%r" % tuple(row) for row in per_step.tolist()]
+    return ("\n".join([DETAIL_HEADER, *rows]) + "\n").encode()
+
+
+@SETTINGS
+@given(splits().flatmap(detail_cells))
+def test_detail_csv_is_the_per_row_repr_text(per_step):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "detail.csv")
+        write_detail_csv(_report(per_step), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _per_row_text(per_step)
+
+
+@st.composite
+def two_split_tables(draw):
+    """Cells over two splits of one length; each of the second split's
+    columns is the first's, the first's with signs flipped, or new."""
+    first = draw(splits())
+    n = len(first[0])
+    second = tuple(
+        draw(st.sampled_from([col, [-v for v in col], draw(detail_columns(n))])) for col in first
+    )
+    return [draw(detail_cells(split)) for split in (first, first, second, second)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(two_split_tables())
+def test_emit_results_detail_files_are_the_per_row_repr_text(matrices):
+    table = [
+        SweepRow(n_r=20.0, zeta=zeta, agent_kind=AgentKind.OPT_ORACLE, seed=0, report=_report(m))
+        for zeta, m in zip((0.2, 0.4, 0.6, 0.8), matrices)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_results(table, tmp)
+        for zeta, per_step in zip((0.2, 0.4, 0.6, 0.8), matrices):
+            with open(os.path.join(tmp, f"detail_opt_oracle_nr20_z{zeta}.csv"), "rb") as fh:
+                assert fh.read() == _per_row_text(per_step), zeta
