@@ -6,7 +6,7 @@ contextual bandit whose reward is -(1 + eta) J, so the critic regresses
 on the reward itself: there is no successor state to bootstrap from.
 TD3 is DDPG whose actor moves only on every td3_policy_delay-th update
 (Fujimoto et al. 2018, arXiv:1802.09477). The target networks are
-Polyak-averaged copies that nothing reads.
+Polyak-averaged copies that nothing reads, and checkpoints omit them.
 """
 
 import json
@@ -38,7 +38,6 @@ class AgentConfig:
 
     actor_lr: float = 1e-4
     critic_lr: float = 1e-3
-    tau: float = 0.005
     batch_size: int = 64
     buffer_capacity: int = 50_000
     explore_sigma: float = 0.2
@@ -46,14 +45,11 @@ class AgentConfig:
     td3_policy_delay: int = 2
     warmup_steps: int = 500
     hidden_dims: tuple = (64, 64)
-    pretrain_steps: int = 0
 
     def __post_init__(self):
         _check_fields(self)
         if self.actor_lr <= 0 or self.critic_lr <= 0:
             raise ValueError("learning rates must be positive")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
         if self.batch_size < 1 or self.buffer_capacity < 1:
             raise ValueError("batch_size and buffer_capacity must be positive")
         if self.explore_sigma < 0:
@@ -62,8 +58,8 @@ class AgentConfig:
             raise ValueError(f"sigma_decay must lie in (0, 1], got {self.sigma_decay}")
         if self.td3_policy_delay < 1:
             raise ValueError("td3_policy_delay must be a positive integer")
-        if self.warmup_steps < 0 or self.pretrain_steps < 0:
-            raise ValueError("step counts must be nonnegative")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be nonnegative, got {self.warmup_steps}")
         if len(self.hidden_dims) == 0 or not all(_is_integral(h) and h >= 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be positive widths, got {self.hidden_dims}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -100,6 +96,10 @@ class ReplayBuffer:
         return rows[:, :-1], rows[:, -1]
 
 
+# Polyak rate of the target networks; no output reads the targets
+TAU = 0.005
+
+
 class DdpgAgent:
     """Deterministic policy gradient with a single critic."""
 
@@ -124,6 +124,7 @@ class DdpgAgent:
         self.explore_rng = rng_for(seed, "explore")
         self.batch_rng = rng_for(seed, "batch")
         self.explore_sigma = cfg.explore_sigma
+        self.policy_delay = cfg.td3_policy_delay if self.kind == AgentKind.TD3 else 1
         self.update_count = 0
 
     def act(self, obs, explore=False):
@@ -159,16 +160,13 @@ class DdpgAgent:
         grad_w, grad_b, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:], inputs=False)
         nn.adam_step(self.actor_opt, [self.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
 
-    def _soft_update_targets(self):
-        tau = self.config.tau
-        nn.soft_update(self.target_actor, self.actor, tau)
-        nn.soft_update(self.target_critic, self.critic, tau)
-
     def update(self, obs_act, rew):
         """One step on a batch of [obs | u_a u_b] rows and their rewards."""
         self._update_critic(obs_act, rew)
-        self._update_actor(obs_act[:, :self.obs_dim])
-        self._soft_update_targets()
+        if self.update_count % self.policy_delay == 0:
+            self._update_actor(obs_act[:, :self.obs_dim])
+            nn.soft_update(self.target_actor, self.actor, TAU)
+            nn.soft_update(self.target_critic, self.critic, TAU)
         self.update_count += 1
 
 
@@ -176,13 +174,8 @@ class Td3Agent(DdpgAgent):
     """DDPG whose actor and targets move only on every td3_policy_delay-th update."""
 
     kind = AgentKind.TD3
-
-    def update(self, obs_act, rew):
-        self._update_critic(obs_act, rew)
-        if self.update_count % self.config.td3_policy_delay == 0:
-            self._update_actor(obs_act[:, :self.obs_dim])
-            self._soft_update_targets()
-        self.update_count += 1
+    # DDPG's own function, bound here too: bench/spans.py traces Td3Agent.__dict__["update"]
+    update = DdpgAgent.update
 
 
 _AGENT_CLASSES = {AgentKind.DDPG: DdpgAgent, AgentKind.TD3: Td3Agent}
@@ -213,25 +206,6 @@ class TrainResult:
     curve: np.ndarray
 
 
-def _pretrain_actor(agent, series, cfg, obs_rows):
-    """Optional supervised warm start: regress the actor onto oracle actions.
-
-    obs_rows[t - window_n] is the observation vector at training step t."""
-    env = cfg.env
-    rng = rng_for(cfg.seed, "pretrain")
-    batch = agent.config.batch_size
-    split_end = env.window_n + len(obs_rows)
-    for _ in range(agent.config.pretrain_steps):
-        ts = rng.integers(env.window_n, split_end, batch)
-        obs = obs_rows[ts - env.window_n]
-        n_a, n_b = solve_opt_array(series.d_a[ts], series.d_b[ts], env.zeta, env.n_r, env.d_min)
-        targets = np.stack([n_a / env.n_r, n_b / env.n_r], axis=1)
-        mu, cache = nn.forward_cache(agent.actor, obs)
-        grad_w, grad_b, _ = nn.backward(agent.actor, cache, (2.0 / batch) * (mu - targets), inputs=False)
-        nn.adam_step(agent.actor_opt, [agent.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
-    agent.target_actor = agent.actor.clone()
-
-
 def train(agent_kind, series, cfg):
     """Train an agent on the leading split of the series.
 
@@ -255,8 +229,6 @@ def train(agent_kind, series, cfg):
 
     agent = make_agent(agent_kind, obs_dim=2 * (env.window_n + 1), config=cfg.agent, seed=cfg.seed)
     obs_rows = observation_rows(series, split_end, env)
-    if agent.config.pretrain_steps > 0:
-        _pretrain_actor(agent, series, cfg, obs_rows)
     buffer = ReplayBuffer(agent.config.buffer_capacity)
     warmup = agent.config.warmup_steps
     batch_size = agent.config.batch_size
@@ -339,10 +311,10 @@ def evaluate(policy, series, cfg):
 
 
 AGENT_FORMAT = "adapshare-agent"
-AGENT_VERSION = 2
-# v1 checkpoints also stored these AgentConfig fields and TD3's second
-# critic; a v1 file whose gamma is not 0 trained a different objective
-_V1_RETIRED_CONFIG = ("gamma", "td3_target_noise", "td3_noise_clip")
+AGENT_VERSION = 3
+# AgentConfig fields that v1 and v2 checkpoints stored and that are
+# gone; a v1 file whose gamma is not 0 trained a different objective
+_RETIRED_CONFIG = ("gamma", "td3_target_noise", "td3_noise_clip", "tau", "pretrain_steps")
 
 
 def _config_to_dict(cfg):
@@ -354,7 +326,7 @@ def _config_to_dict(cfg):
 
 
 def save_agent(agent, experiment, path):
-    """Checkpoint the agent with enough context to rebuild and serve it."""
+    """Checkpoint the actor and critic with enough context to rebuild and serve them."""
     payload = {
         "format": AGENT_FORMAT,
         "version": AGENT_VERSION,
@@ -367,8 +339,6 @@ def save_agent(agent, experiment, path):
         "eval_split": experiment.eval_split,
         "actor": nn.mlp_to_dict(agent.actor),
         "critic": nn.mlp_to_dict(agent.critic),
-        "target_actor": nn.mlp_to_dict(agent.target_actor),
-        "target_critic": nn.mlp_to_dict(agent.target_critic),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -376,31 +346,31 @@ def save_agent(agent, experiment, path):
 
 
 def _field(payload, name, kind, path):
-    """payload[name] if present and a `kind`; the error names field and file."""
+    """payload[name] if present and a `kind`, not a bool; the error names field and file."""
     if name not in payload:
         raise ValueError(f"{path}: checkpoint has no {name!r}")
     value = payload[name]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{path}: checkpoint {name!r} is a {type(value).__name__}")
     return value
 
 
-def _upgrade_v1(payload, path):
-    """A v1 payload in v2 form: critic 1 and its target, retired keys dropped."""
+def _upgrade(payload, version, path):
+    """A v1 or v2 payload in v3 form: retired config keys dropped, v1's first critic kept."""
     agent_cfg = dict(_field(payload, "agent_config", dict, path))
     gamma = agent_cfg.get("gamma", 0.0)
     if gamma != 0:
         raise ValueError(
             f"{path}: agent_config.gamma is {gamma!r}; only gamma 0 checkpoints can be loaded"
         )
-    for key in _V1_RETIRED_CONFIG:
+    for key in _RETIRED_CONFIG:
         agent_cfg.pop(key, None)
     out = dict(payload, agent_config=agent_cfg)
-    for name in ("critic", "target_critic"):
-        nets = _field(payload, name + "s", list, path)
-        if not nets:
-            raise ValueError(f"{path}: checkpoint {name + 's'!r} is empty")
-        out[name] = nets[0]
+    if version == 1:
+        critics = _field(payload, "critics", list, path)
+        if not critics:
+            raise ValueError(f"{path}: checkpoint 'critics' is empty")
+        out["critic"] = critics[0]
     return out
 
 
@@ -413,7 +383,8 @@ def _build(name, path, make, *args, **kwargs):
 
 
 def load_agent(path):
-    """Rebuild (agent, ExperimentConfig) from a v2 or v1 checkpoint file."""
+    """Rebuild (agent, ExperimentConfig) from a v3, v2 or v1 checkpoint file.
+    Its target networks are the copies make_agent built; nothing reads them."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -422,8 +393,8 @@ def load_agent(path):
     if not isinstance(payload, dict) or payload.get("format") != AGENT_FORMAT:
         raise ValueError(f"{path}: not an agent checkpoint")
     version = payload.get("version")
-    if version == 1:
-        payload = _upgrade_v1(payload, path)
+    if version in (1, 2):
+        payload = _upgrade(payload, version, path)
     elif version != AGENT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     config = _build("agent_config", path, AgentConfig, **_field(payload, "agent_config", dict, path))
@@ -437,7 +408,9 @@ def load_agent(path):
     )
     agent = _build("agent_kind", path, make_agent, kind, obs_dim=2 * (env.window_n + 1), config=config)
     agent.explore_sigma = _field(payload, "explore_sigma", (int, float), path)
-    for name in ("actor", "critic", "target_actor", "target_critic"):
+    if not 0 <= agent.explore_sigma < np.inf:
+        raise ValueError(f"{path}: checkpoint 'explore_sigma' must be a finite number >= 0")
+    for name in ("actor", "critic"):
         net = _build(name, path, nn.mlp_from_dict, _field(payload, name, dict, path))
         # make_agent built each network in the shape env and agent_config imply
         fresh = getattr(agent, name)

@@ -1,10 +1,10 @@
 """Minimal feedforward networks with manual backprop.
 
-Everything an actor or critic needs and nothing more: dense layers,
-four activations, exact reverse-mode gradients, a bias-corrected
-adaptive-moment optimizer, Polyak target updates, and the plain-dict
-form agent checkpoints store as JSON. All math is float64 numpy; no
-autodiff framework.
+Dense layers, four activations, exact reverse-mode gradients, a
+bias-corrected adaptive-moment optimizer, the Polyak update of the
+agents' target networks (which no output reads), and the plain-dict
+form agent checkpoints store as JSON, refusing non-finite parameters.
+All math is float64 numpy; no autodiff framework.
 
 Each network keeps all its parameters in one contiguous vector, with
 per-layer views for the forward and backward passes. Adam and the
@@ -286,4 +286,6 @@ def mlp_from_dict(payload):
     if got != [(o,) for o, _ in expect]:
         raise ValueError(f"bias shapes {got} do not match dims {net.dims}")
     net._bind(flatten_layers(weights, biases))
+    if not np.isfinite(net.flat).all():
+        raise ValueError("a weight or bias is not finite")
     return net

@@ -126,8 +126,9 @@ def ks_distance(a, b) -> float:
     column is compared) or plain value arrays."""
     va = np.sort(np.asarray(_values_of(a), dtype=np.float64))
     vb = np.sort(np.asarray(_values_of(b), dtype=np.float64))
-    if len(va) == 0 or len(vb) == 0:
-        raise ValueError("both series must be nonempty")
+    for name, v in (("a", va), ("b", vb)):
+        if len(v) == 0 or not np.isfinite(v).all():
+            raise ValueError(f"{name} must be a nonempty sample of finite values")
     grid = np.concatenate([va, vb])
     cdf_a = np.searchsorted(va, grid, side="right") / len(va)
     cdf_b = np.searchsorted(vb, grid, side="right") / len(vb)

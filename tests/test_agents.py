@@ -24,7 +24,7 @@ from adapshare.agents import (
     train_split_end,
 )
 from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig
-from adapshare.env import Observation, RawAction, observe
+from adapshare.env import Observation, RawAction
 from adapshare.metrics import build_report, moving_average
 from adapshare.oracle import solve_opt
 
@@ -77,8 +77,8 @@ class TestAgentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             AgentConfig(actor_lr=0.0)
-        with pytest.raises(ValueError):
-            AgentConfig(tau=0.0)
+        with pytest.raises(ValueError, match="^warmup_steps must be nonnegative"):
+            AgentConfig(warmup_steps=-1)
         with pytest.raises(ValueError):
             AgentConfig(batch_size=0)
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ class TestAgentConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("actor_lr", float("nan")), ("critic_lr", float("inf")), ("explore_sigma", float("nan")),
-         ("sigma_decay", float("nan")), ("tau", float("-inf"))],
+         ("sigma_decay", float("nan")), ("actor_lr", float("-inf"))],
     )
     def test_non_finite_float_named(self, field, value):
         # a NaN rate or scale would otherwise surface only as a NaN action
@@ -103,7 +103,7 @@ class TestAgentConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("batch_size", 2.5), ("warmup_steps", float("nan")), ("buffer_capacity", float("inf")),
-         ("td3_policy_delay", 1.5), ("pretrain_steps", "3")],
+         ("td3_policy_delay", 1.5), ("warmup_steps", "3")],
     )
     def test_non_integral_count_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
@@ -322,6 +322,22 @@ class TestTd3Mechanics:
         for d_arr, t_arr in zip(ddpg.actor.params(), td3.actor.params()):
             np.testing.assert_array_equal(d_arr, t_arr)
 
+    def test_delay_one_is_ddpg_bit_for_bit(self, constant_series):
+        # one update for both kinds; DDPG's policy delay is 1
+        assert Td3Agent.update is DdpgAgent.update
+        cfg = ExperimentConfig(
+            env=EnvConfig(n_r=20.0, window_n=2),
+            seed=6,
+            train_steps=60,
+            agent=AgentConfig(batch_size=8, warmup_steps=10, hidden_dims=(8,), td3_policy_delay=1),
+        )
+        (ddpg, d_res), (td3, t_res) = (train(kind, constant_series, cfg)
+                                       for kind in (AgentKind.DDPG, AgentKind.TD3))
+        assert (ddpg.policy_delay, td3.policy_delay) == (1, 1)
+        assert d_res.rewards.tobytes() == t_res.rewards.tobytes()
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            assert getattr(ddpg, name).flat.tobytes() == getattr(td3, name).flat.tobytes()
+
 
 class TestMakeAgent:
     def test_kinds_and_strings(self):
@@ -414,18 +430,6 @@ class TestTrain:
             demands = [constant_series.demand(t) for t in eval_timesteps(constant_series, cfg)]
             report = build_report(allocs, demands, cfg.env.zeta)
             assert report.mean_j < 0.15
-
-    def test_pretrain_warm_starts_at_oracle_action(self, constant_series):
-        cfg = self.small_cfg(
-            steps=0, pretrain_steps=150, actor_lr=0.02, hidden_dims=(16,)
-        )
-        agent, _ = train(AgentKind.TD3, constant_series, cfg)
-        obs = observe(constant_series, 50, cfg.env)
-        mu = nn.forward(agent.actor, obs.vector())
-        # oracle grants the demand (5, 5) out of pool 20 -> action 0.25
-        assert mu == pytest.approx([0.25, 0.25], abs=0.05)
-        for a, b in zip(agent.actor.params(), agent.target_actor.params()):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestBenchmarkSeams:
@@ -550,6 +554,7 @@ class TestCheckpoints:
 
 
 V1_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "agent_v1.json"
+V2_FIXTURE = V1_FIXTURE.with_name("agent_v2.json")
 
 
 def checkpoint_file(tmp_path):
@@ -570,8 +575,10 @@ class TestCheckpointErrors:
     @pytest.mark.parametrize(
         "field,value",
         [("actor", None), ("critic", None), ("env", None), ("seed", None),
-         ("actor", [1, 2]), ("explore_sigma", "high"), ("agent_config", {"hidden_dims": "x"})],
-        ids=["no_actor", "no_critic", "no_env", "no_seed", "list_actor", "str_sigma", "bad_config"],
+         ("actor", [1, 2]), ("explore_sigma", "high"), ("agent_config", {"hidden_dims": "x"}),
+         ("explore_sigma", True), ("seed", True)],
+        ids=["no_actor", "no_critic", "no_env", "no_seed", "list_actor", "str_sigma", "bad_config",
+             "bool_sigma", "bool_seed"],
     )
     def test_missing_or_ill_typed_field_named(self, tmp_path, field, value):
         path = checkpoint_file(tmp_path)
@@ -587,11 +594,42 @@ class TestCheckpointErrors:
     def test_bad_network_named(self, tmp_path):
         path = checkpoint_file(tmp_path)
         payload = json.loads(path.read_text())
-        del payload["target_critic"]["dims"]
+        del payload["critic"]["dims"]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="bad checkpoint 'target_critic'"):
+        with pytest.raises(ValueError, match="bad checkpoint 'critic'"):
             load_agent(path)
 
+    @pytest.mark.parametrize("name,part", [("actor", "weights"), ("actor", "biases"),
+                                           ("critic", "weights"), ("critic", "biases")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_named(self, tmp_path, name, part, value):
+        # a NaN actor would answer every service request with a NaN action
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        last = payload[name][part][-1]
+        (last[0] if part == "weights" else last)[0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"agent.json: bad checkpoint '{name}': .*not finite"):
+            load_agent(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    def test_bad_explore_sigma_named(self, tmp_path, value):
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["explore_sigma"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="agent.json: checkpoint 'explore_sigma' must be a finite number >= 0$"):
+            load_agent(path)
+
+    @pytest.mark.parametrize("key", ["tau", "pretrain_steps"])
+    def test_v3_with_retired_config_key_refused(self, tmp_path, key):
+        # only v1 and v2 files may carry the retired keys
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["agent_config"][key] = 0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"agent.json: bad checkpoint 'agent_config': .*{key}"):
+            load_agent(path)
 
     @pytest.mark.parametrize("field,value", [("window_n", 4), ("hidden_dims", [8])])
     def test_networks_must_fit_the_config(self, tmp_path, field, value):
@@ -604,38 +642,39 @@ class TestCheckpointErrors:
             load_agent(path)
 
 
+def assert_net_is(net, stored):
+    assert [w.tolist() for w in net.weights] == stored["weights"]
+    assert [b.tolist() for b in net.biases] == stored["biases"]
+    as_stored = nn.flatten_layers([np.asarray(w) for w in stored["weights"]],
+                                  [np.asarray(b) for b in stored["biases"]])
+    assert net.flat.tobytes() == as_stored.tobytes()
+
+
+def stored_critic(payload):
+    # v1 stored TD3's twin critics; the first one is the critic
+    return payload["critics"][0] if payload["version"] == 1 else payload["critic"]
+
+
 class TestV1Checkpoint:
     def test_loads_critic_one_and_drops_retired_keys(self):
         payload = json.loads(V1_FIXTURE.read_text())
         assert payload["version"] == 1
+        assert {"gamma", "tau", "pretrain_steps"} <= payload["agent_config"].keys()
         agent, experiment = load_agent(V1_FIXTURE)
         assert agent.kind == AgentKind.TD3
         assert experiment.agent.hidden_dims == tuple(payload["agent_config"]["hidden_dims"])
-        for net, key in ((agent.actor, "actor"), (agent.critic, "critics"),
-                         (agent.target_actor, "target_actor"), (agent.target_critic, "target_critics")):
-            stored = payload[key][0] if key.endswith("s") else payload[key]
-            assert [w.tolist() for w in net.weights] == stored["weights"]
-            assert [b.tolist() for b in net.biases] == stored["biases"]
+        assert_net_is(agent.actor, payload["actor"])
+        assert_net_is(agent.critic, payload["critics"][0])
 
-    def test_acts_like_its_v2_round_trip(self, tmp_path):
-        agent, experiment = load_agent(V1_FIXTURE)
-        path = tmp_path / "v2.json"
-        save_agent(agent, experiment, path)
-        assert json.loads(path.read_text())["version"] == 2
-        again, experiment2 = load_agent(path)
-        assert experiment2 == experiment
-        obs = obs_of((0.05, 0.05), (0.05, 0.05), (0.05, 0.05))
-        assert again.act(obs) == agent.act(obs)
-        assert again.actor.flat.tobytes() == agent.actor.flat.tobytes()
-
-    def test_demo_checkpoint_is_v2_with_the_v1_networks(self):
-        # demos/out/service_agent.json was v1 until demo 06 rewrote it as v2
+    def test_demo_checkpoint_is_v3_with_the_v1_networks(self):
+        # demo 06 retrains the agent fixtures/agent_v1.json holds and
+        # rewrites demos/out/service_agent.json in the current version
         v1 = json.loads(V1_FIXTURE.read_text())
-        v2 = json.loads((V1_FIXTURE.parent.parent / "demos" / "out" / "service_agent.json").read_text())
-        assert v2["version"] == 2
-        assert v2["actor"] == v1["actor"] and v2["target_actor"] == v1["target_actor"]
-        assert v2["critic"] == v1["critics"][0]
-        assert v2["target_critic"] == v1["target_critics"][0]
+        v3 = json.loads((V1_FIXTURE.parent.parent / "demos" / "out" / "service_agent.json").read_text())
+        assert v3["version"] == 3
+        assert v3["actor"] == v1["actor"] and v3["critic"] == v1["critics"][0]
+        assert not {"target_actor", "target_critic"} & v3.keys()
+        assert not {"tau", "pretrain_steps"} & v3["agent_config"].keys()
 
     def test_nonzero_gamma_rejected(self, tmp_path):
         payload = json.loads(V1_FIXTURE.read_text())
@@ -644,3 +683,30 @@ class TestV1Checkpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="agent_config.gamma"):
             load_agent(path)
+
+
+class TestOldCheckpoints:
+    @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
+    def test_loads_the_stored_actor_and_critic(self, fixture):
+        payload = json.loads(fixture.read_text())
+        agent, experiment = load_agent(fixture)
+        assert agent.explore_sigma == payload["explore_sigma"]
+        assert experiment.env == EnvConfig(**payload["env"])
+        assert_net_is(agent.actor, payload["actor"])
+        assert_net_is(agent.critic, stored_critic(payload))
+        # the stored targets are not read; the loaded ones are make_agent's
+        fresh = make_agent(agent.kind, obs_dim=agent.obs_dim, config=experiment.agent)
+        assert agent.target_actor.flat.tobytes() == fresh.target_actor.flat.tobytes()
+
+    @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
+    def test_round_trips_through_v3(self, tmp_path, fixture):
+        agent, experiment = load_agent(fixture)
+        path = tmp_path / "v3.json"
+        save_agent(agent, experiment, path)
+        assert json.loads(path.read_text())["version"] == 3
+        again, experiment3 = load_agent(path)
+        assert experiment3 == experiment
+        obs = obs_of((0.05, 0.05), (0.05, 0.05), (0.05, 0.05))
+        assert again.act(obs) == agent.act(obs)
+        assert again.actor.flat.tobytes() == agent.actor.flat.tobytes()
+        assert again.critic.flat.tobytes() == agent.critic.flat.tobytes()

@@ -1,7 +1,7 @@
 """Golden SHA-256 digests of fixed-seed training and sweep output.
 
 Each digest covers the exact float64 bytes of the trained networks and
-reward traces plus the bytes of the agent checkpoint (format version 2),
+reward traces plus the bytes of the agent checkpoint (format version 3),
 the exact bytes of the files `emit_results` writes (all but the
 wall-clock `run_metadata.json` sidecar), or the exact bytes of the
 result files the CLI's `train` and `eval` write. A change that is
@@ -38,7 +38,7 @@ AGENT_DIGESTS = {
         "targets": "41d970b854a005405887c853d2543ca9d74abc4198702fb39be87dee3aa7ad53",
         "rewards": "29713a034fd8199c18120e84cf9be61e5f513232fcf28ac0ec20c6c55214774a",
         "curve": "44719de9fae60195e9a81a47d009649562440d1798c7b0ed990a2b26a4fb9ecb",
-        "checkpoint": "dca4003062ff1e52ccbd47eb544d82d4a1a7076586d7d043d0220ce0a20f91c9",
+        "checkpoint": "418672d28648dd09a6e6f0335e43a33e5bf3be72a61d73b655f673ac97f2b587",
     },
     ("ddpg", (32,)): {
         "actor": "652da0355b597fcb1babc639d3340fb3add47dd848a2f42dddaaf644260477a1",
@@ -46,7 +46,7 @@ AGENT_DIGESTS = {
         "targets": "b13d4c88e1ba57e23c3f6fee8ebb1c9f9aa4926036dbb9bf6e463dd47a00d7f4",
         "rewards": "ec45bffc6437ba847f381dd92d3174fc64a065ff10279c3bf91a6bc6e492db4c",
         "curve": "726983c49e378216b9257f3c965d9d25a47f373cc2684064483d670ad0dcdc55",
-        "checkpoint": "a1ed11cec09eb001f082e3f1b0eac7015028d936e31f0d39881c87af600d5f30",
+        "checkpoint": "21e23f012fc93534c4aa4fa6b95cfdcd011032042b3c5e1e766fde13d0cdaa8e",
     },
     ("td3", (64, 64)): {
         "actor": "893fb5e6904deff185895baa39fb06bffcc6fdb461c346956401a40297d98b8c",
@@ -54,7 +54,7 @@ AGENT_DIGESTS = {
         "targets": "0f07bae1fb79929aee6e43e227a7502492164069613a7919ec78a0e377761c2c",
         "rewards": "72037eb1c44ca76faf3ddc8155c44d7cc5f0847a2c4f70e3e35d570784dff8a7",
         "curve": "c1fe934bafd54ac8821f2e81253da5e0b01614a61a952ec55d7c7b07b67e98c1",
-        "checkpoint": "b63d8236b53845a0889d1346a2884d1e1e6524ba001fa3405a65200e348bb401",
+        "checkpoint": "c800064c160e00824aa1056ba98c9aec444ac8ae6c24979db60d61fb9447b6ae",
     },
     ("td3", (32,)): {
         "actor": "3395fdf85dc095ef6e242edd8a7991742cd48e53e2b28a74847c233c29bb054d",
@@ -62,7 +62,7 @@ AGENT_DIGESTS = {
         "targets": "3c56bd2d1285108840180c4c67e6d55db218131b2f88983d8e967c4470e32912",
         "rewards": "f7e2e24d151e9cdfcc56004f3d911d45600853ca934571de0d440d975d3b12a3",
         "curve": "df8a20490cf1943bc8a14fee9dc1523fcc482a2a57b59ed9709263659d264ac6",
-        "checkpoint": "da23a3fb5f8ff042183da690b481b3229ebd39fbed6b5712682f974419fcd575",
+        "checkpoint": "6b93cfcd110afef0a7b6d0fc681b78d68796df80ec05a112ecb10e69b3bd4355",
     },
 }
 

@@ -66,9 +66,11 @@ class TestConfigFile:
         with pytest.raises(ConfigFileError, match="unknown config key"):
             parse_config_file(path)
 
-    @pytest.mark.parametrize("key", ["agent.gamma", "agent.td3_target_noise", "agent.td3_noise_clip"])
+    @pytest.mark.parametrize("key", ["agent.gamma", "agent.td3_target_noise", "agent.td3_noise_clip",
+                                     "agent.tau", "agent.pretrain_steps"])
     def test_retired_agent_keys_rejected(self, tmp_path, key):
-        # the critic regresses on the reward, so no discount or target noise
+        # the critic regresses on the reward, so no discount, target noise
+        # or target rate; and no supervised warm start
         path = tmp_path / "old.cfg"
         path.write_text(f"env.n_r = 20\n{key} = 0.5\n")
         with pytest.raises(ConfigFileError, match=f"old.cfg:2: unknown config key '{key}'"):
@@ -92,10 +94,10 @@ class TestConfigFile:
         # derived from the dataclass annotations; a field whose annotation
         # has no parser, or a parser that changes, shows here
         finite = ["eval_split", "env.n_r", "env.zeta", "env.eta", "env.d_min", "env.capacity_norm",
-                  "agent.actor_lr", "agent.critic_lr", "agent.tau", "agent.explore_sigma",
+                  "agent.actor_lr", "agent.critic_lr", "agent.explore_sigma",
                   "agent.sigma_decay"]
         ints = ["seed", "train_steps", "env.window_n", "agent.batch_size", "agent.buffer_capacity",
-                "agent.td3_policy_delay", "agent.warmup_steps", "agent.pretrain_steps"]
+                "agent.td3_policy_delay", "agent.warmup_steps"]
         expected = {
             **dict.fromkeys(finite, "_finite"),
             **dict.fromkeys(ints, "int"),
@@ -105,7 +107,7 @@ class TestConfigFile:
             "zeta_values": "_float_list",
             "agent_kinds": "_kind_list",
         }
-        assert len(expected) == 24
+        assert len(expected) == 22
         assert {key: parser.__name__ for key, parser in COERCERS.items()} == expected
         assert set(SWEEP_KEYS) == {"n_r_values", "zeta_values", "agent_kinds"}
 

@@ -312,3 +312,11 @@ class TestCheckpoints:
         payload["dims"] = [2, 4, 1]
         with pytest.raises(ValueError):
             mlp_from_dict(payload)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_rejected(self, value):
+        net = Mlp([2, 3, 1], ["relu", "identity"], rng=np.random.default_rng(0))
+        payload = mlp_to_dict(net)
+        payload["biases"][0][1] = value
+        with pytest.raises(ValueError, match="a weight or bias is not finite"):
+            mlp_from_dict(payload)

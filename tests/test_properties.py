@@ -139,7 +139,6 @@ def test_loaded_agent_networks_are_flat_views():
         assert _views_of_flat(net)
 
 
-NETS = ("actor", "critic", "target_actor", "target_critic")
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -160,17 +159,17 @@ def test_checkpoint_round_trips_exactly(kind, hidden, window_n, seed, sigma):
     )
     agent = make_agent(kind, obs_dim=2 * (window_n + 1), config=experiment.agent, seed=seed)
     agent.explore_sigma = sigma
-    # targets that differ from their online networks, as after training
+    # networks that differ from make_agent's, as after training
     rng = np.random.default_rng(seed)
-    for name in ("target_actor", "target_critic"):
-        getattr(agent, name).flat[:] = rng.normal(size=getattr(agent, name).flat.size)
+    for net in (agent.actor, agent.critic):
+        net.flat[:] = rng.normal(size=net.flat.size)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "agent.json")
         save_agent(agent, experiment, path)
         loaded, got = load_agent(path)
     assert got == experiment
     assert loaded.kind == kind and loaded.explore_sigma == sigma
-    for name in NETS:
+    for name in ("actor", "critic"):
         assert getattr(loaded, name).dims == getattr(agent, name).dims
         assert getattr(loaded, name).flat.tobytes() == getattr(agent, name).flat.tobytes()
 
@@ -358,7 +357,6 @@ def experiment_configs(draw):
     agent = AgentConfig(
         actor_lr=draw(_positive(1.0)),
         critic_lr=draw(_positive(1.0)),
-        tau=draw(_positive(1.0)),
         batch_size=draw(st.integers(1, 1024)),
         buffer_capacity=draw(st.integers(1, 10**6)),
         explore_sigma=draw(st.floats(0.0, 10.0)),
@@ -366,7 +364,6 @@ def experiment_configs(draw):
         td3_policy_delay=draw(st.integers(1, 8)),
         warmup_steps=draw(st.integers(0, 10**5)),
         hidden_dims=tuple(draw(st.lists(st.integers(1, 512), min_size=1, max_size=4))),
-        pretrain_steps=draw(st.integers(0, 10**5)),
     )
     return ExperimentConfig(
         env=env,

@@ -134,3 +134,13 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_distance(np.array([]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "a,b,name",
+        [([np.nan], [1.0], "a"), ([np.nan, 1.0], [1.0, 2.0], "a"),
+         ([1.0, 2.0], [1.0, np.inf], "b"), ([1.0], [-np.inf], "b")],
+    )
+    def test_non_finite_rejected_naming_argument(self, a, b, name):
+        # a NaN sorts last and would read as a large demand, not an error
+        with pytest.raises(ValueError, match=f"^{name} must be a nonempty sample of finite values"):
+            ks_distance(np.array(a), np.array(b))
