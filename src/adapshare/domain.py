@@ -1,5 +1,6 @@
 """Core value types shared across the package: demand series, allocations,
-and run configuration.
+and run configuration; and the one CSV row reader every input file goes
+through (read_csv_rows), which names path:line in each error it raises.
 
 All types here are immutable after construction and safe to share between
 parallel workers. Demands and allocations are continuous nonnegative reals
@@ -9,6 +10,7 @@ math.
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -24,6 +26,14 @@ if TYPE_CHECKING:  # avoids a domain <-> agents import cycle
 
 def _is_integral(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+
+
+def positive_int(value, name) -> int:
+    """value as an int if it is a whole number above 0 and not a bool;
+    otherwise a ValueError names `name`."""
+    if isinstance(value, bool) or not _is_integral(value) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 class AgentKind(str, Enum):
@@ -80,8 +90,7 @@ class DemandSeries:
             raise ValueError("timestamps, d_a, d_b must have equal length")
         if len(ts) < 1:
             raise ValueError("a demand series needs at least one sample")
-        if granularity <= 0 or int(granularity) != granularity:
-            raise ValueError(f"granularity must be a positive integer, got {granularity}")
+        granularity = positive_int(granularity, "granularity")
         if len(ts) > 1:
             gaps = np.diff(ts)
             if not np.all(gaps == granularity):
@@ -97,7 +106,7 @@ class DemandSeries:
         self.timestamps = ts
         self.d_a = da
         self.d_b = db
-        self.granularity = int(granularity)
+        self.granularity = granularity
         for arr in (self.timestamps, self.d_a, self.d_b):
             arr.setflags(write=False)
 
@@ -235,38 +244,58 @@ def write_series_csv(series: DemandSeries, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def read_csv_rows(lines, header: str, parse, path) -> list:
+    """parse(cells) for each data row of CSV `lines` under `header`, in
+    file order; blank rows are skipped. A wrong header, a row of the wrong
+    width, or a ValueError from parse raises a ValueError naming path:line."""
+    reader = csv.reader(lines)
+    names = header.split(",")
+    width = len(names)
+    rows = []
+    try:
+        found = next(reader, None)
+        if found is None or [cell.strip() for cell in found] != names:
+            raise ValueError(f"expected header {header!r}, got {','.join(found or [])!r}")
+        for cells in reader:
+            if len(cells) != width:
+                if len(cells) <= 1 and not "".join(cells).strip():
+                    continue
+                raise ValueError(f"expected {width} fields, got {len(cells)}")
+            rows.append(parse(cells))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
+    return rows
+
+
 def read_series_csv(path, granularity: int | None = None) -> DemandSeries:
     """Read the canonical demand CSV. Granularity is inferred from the first
     timestamp gap unless given; single-sample files need it explicitly."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"demand series file not found: {p}")
-    lines = p.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != SERIES_HEADER:
-        raise ValueError(f"{p}: expected header {SERIES_HEADER!r}, got {lines[0]!r}" if lines else f"{p}: empty file")
-    ts, da, db = [], [], []
-    for k, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ValueError(f"{p}:{k}: expected 3 fields, got {len(cells)}")
-        try:
-            t, a, b = int(cells[0]), float(cells[1]), float(cells[2])
-        except ValueError as exc:
-            raise ValueError(f"{p}:{k}: {exc}") from exc
-        if not (math.isfinite(a) and math.isfinite(b) and a >= 0 and b >= 0):
-            raise ValueError(f"{p}:{k}: demands must be finite and nonnegative, got {a}, {b}")
+    if granularity is not None:
+        granularity = positive_int(granularity, "granularity")
+    ts = []
+
+    def row(cells):
+        nonlocal granularity
+        t, a, b = int(cells[0]), float(cells[1]), float(cells[2])
+        # NaN fails every comparison
+        if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+            raise ValueError(f"demands must be finite and nonnegative, got {a}, {b}")
         if ts:
-            if t <= ts[-1]:
-                raise ValueError(f"{p}:{k}: timestamps must increase, got {t} after {ts[-1]}")
-            if granularity is None:
-                granularity = t - ts[0]
-            elif t - ts[-1] != granularity:
-                raise ValueError(f"{p}:{k}: timestamp gap {t - ts[-1]} != {granularity}")
+            gap = t - ts[-1]
+            if gap != granularity:
+                if gap <= 0:
+                    raise ValueError(f"timestamps must increase, got {t} after {ts[-1]}")
+                if granularity is not None:
+                    raise ValueError(f"timestamp gap {gap} != {granularity}")
+                granularity = gap
         ts.append(t)
-        da.append(a)
-        db.append(b)
+        return a, b
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        demands = read_csv_rows(fh, SERIES_HEADER, row, path)
+    if not demands:
+        raise ValueError(f"{path}: no data rows")
     if granularity is None:
-        raise ValueError(f"{p}: cannot infer granularity from fewer than 2 rows")
-    return DemandSeries(ts, da, db, granularity)
+        raise ValueError(f"{path}: cannot infer granularity from fewer than 2 rows")
+    d_a, d_b = zip(*demands)
+    return DemandSeries(ts, d_a, d_b, granularity)

@@ -15,7 +15,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ..domain import AgentKind
+from ..domain import AgentKind, read_csv_rows
+from .config import _finite
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -314,36 +315,19 @@ def emit_charts(basic_rows, curves, out_dir):
 
 
 def _read_csv(path, header, parse):
-    """parse(cells) for each row under `header`; a short row or a bad
-    cell raises a ValueError naming path:line."""
-    width = header.count(",") + 1
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        found = fh.readline().strip()
-        if found != header:
-            raise ValueError(f"{path}: unexpected header {found!r}, expected {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(cells)}")
-            try:
-                rows.append(parse(cells))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+    with open(path, newline="", encoding="utf-8") as fh:
+        return read_csv_rows(fh, header, parse, path)
 
 
 def _chart_row(cells):
-    zeta, n_r, s_a, s_b, fairness, _mean_j = (float(c) for c in cells[:2] + cells[3:])
+    zeta, n_r, s_a, s_b, fairness, _mean_j = map(_finite, cells[:2] + cells[3:])
     return n_r, zeta, cells[2], s_a, s_b, fairness
 
 
 def _curve_value(cells):
     step, value = cells
     int(step)  # checked only: the charts number the steps themselves
-    return float(value)
+    return _finite(value)
 
 
 def read_sweep_csv(path):

@@ -4,120 +4,84 @@ coarser uniform grid.
 
 Pipeline: parse_dci_csv -> filter_data_transmissions -> resample_mean, then
 merge_series pairs two one-sided results into a single (d_a, d_b) series.
+A trace is one numpy record array with the DCI_HEADER columns; a row that
+does not parse or holds a value out of range is refused with its path:line.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .domain import DemandSeries
+from .domain import DemandSeries, positive_int, read_csv_rows
 
-DCI_HEADER = ["sfn", "subframe", "rnti", "prb_count", "mcs", "dci_format", "timestamp"]
+DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 
 # DCI format tag that marks data transmissions in the traces we consume
 DATA_DCI_FORMAT = "2B"
 
-
-class SchemaMismatch(ValueError):
-    """The trace file's header does not match the expected schema."""
-
-
-class MalformedRow(ValueError):
-    """A trace row failed validation; carries the 1-based row index."""
-
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"row {row}: {reason}")
-        self.row = row
-        self.reason = reason
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 class AlignmentMismatch(ValueError):
     """Two series cannot be merged: spacing or timestamps disagree."""
 
 
-@dataclass(frozen=True)
-class DciRecord:
-    """One decoded downlink control message."""
-
-    sfn: int
-    subframe: int
-    rnti: int
-    prb_count: int
-    mcs: int
-    dci_format: str
-    timestamp: int  # milliseconds since epoch
-
-    def __post_init__(self):
-        if not 0 <= self.sfn <= 1023:
-            raise ValueError(f"sfn out of range: {self.sfn}")
-        if not 0 <= self.subframe <= 9:
-            raise ValueError(f"subframe out of range: {self.subframe}")
-        if self.prb_count < 0:
-            raise ValueError(f"prb_count must be nonnegative: {self.prb_count}")
+def _dci_row(cells) -> tuple:
+    """One trace row in DCI_HEADER order; a ValueError names the value
+    out of range. Every integer must fit int64."""
+    sfn, subframe, rnti, prb_count, mcs = map(int, cells[:5])
+    timestamp = int(cells[6])
+    if not 0 <= sfn <= 1023:
+        raise ValueError(f"sfn out of range: {sfn}")
+    if not 0 <= subframe <= 9:
+        raise ValueError(f"subframe out of range: {subframe}")
+    if not 0 <= prb_count <= INT64_MAX:
+        raise ValueError(f"prb_count must be a nonnegative int64: {prb_count}")
+    if not 0 <= timestamp <= INT64_MAX:
+        raise ValueError(f"timestamp must be a nonnegative int64 of milliseconds: {timestamp}")
+    if not (INT64_MIN <= rnti <= INT64_MAX and INT64_MIN <= mcs <= INT64_MAX):
+        raise ValueError(f"rnti and mcs must fit int64, got {rnti}, {mcs}")
+    return sfn, subframe, rnti, prb_count, mcs, cells[5].strip(), timestamp
 
 
-def parse_dci_csv(path) -> list[DciRecord]:
-    """Parse a DCI trace CSV into records, in file order.
+def parse_dci_csv(path) -> np.recarray:
+    """Parse a DCI trace CSV into one record array, in file order: int64
+    columns, and `dci_format` as text as wide as its longest value.
 
-    Malformed rows raise MalformedRow with the offending row index rather
-    than being skipped silently.
+    A malformed row raises a ValueError naming path:line rather than being
+    skipped silently.
     """
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"DCI trace not found: {p}")
-    records = []
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != DCI_HEADER:
-            raise SchemaMismatch(f"{p}: expected header {','.join(DCI_HEADER)}, got {header}")
-        for idx, cells in enumerate(reader, start=2):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            if len(cells) != len(DCI_HEADER):
-                raise MalformedRow(idx, f"expected {len(DCI_HEADER)} fields, got {len(cells)}")
-            try:
-                rec = DciRecord(
-                    sfn=int(cells[0]),
-                    subframe=int(cells[1]),
-                    rnti=int(cells[2]),
-                    prb_count=int(cells[3]),
-                    mcs=int(cells[4]),
-                    dci_format=cells[5].strip(),
-                    timestamp=int(cells[6]),
-                )
-            except ValueError as exc:
-                raise MalformedRow(idx, str(exc)) from exc
-            records.append(rec)
-    return records
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
+    names = DCI_HEADER.split(",")
+    columns = list(zip(*rows)) or [()] * len(names)
+    return np.rec.fromarrays(
+        [np.array(col, dtype=str if name == "dci_format" else np.int64)
+         for name, col in zip(names, columns)],
+        names=names,
+    )
 
 
-def filter_data_transmissions(records: list[DciRecord], dci_format: str = DATA_DCI_FORMAT) -> list[DciRecord]:
+def filter_data_transmissions(records: np.recarray, dci_format: str = DATA_DCI_FORMAT) -> np.recarray:
     """Keep only records with the given DCI format, order preserved."""
-    return [r for r in records if r.dci_format == dci_format]
+    return records[records.dci_format == dci_format]
 
 
-def millisecond_totals(records: list[DciRecord]) -> tuple[np.ndarray, np.ndarray]:
+def millisecond_totals(records: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum prb_count over records sharing a millisecond timestamp.
 
     All grants in a subframe count toward network-level usage, regardless
     of RNTI. Returns (timestamps_ms, totals) sorted ascending.
     """
-    if not records:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    ts = np.array([r.timestamp for r in records], dtype=np.int64)
-    prbs = np.array([r.prb_count for r in records], dtype=np.float64)
-    uniq, inverse = np.unique(ts, return_inverse=True)
+    uniq, inverse = np.unique(records.timestamp, return_inverse=True)
     totals = np.zeros(len(uniq), dtype=np.float64)
-    np.add.at(totals, inverse, prbs)
+    np.add.at(totals, inverse, records.prb_count.astype(np.float64))
     return uniq, totals
 
 
-def resample_mean(records: list[DciRecord], granularity_s: int, side_tag: str = "a") -> DemandSeries:
+def resample_mean(records: np.recarray, granularity_s: int, side_tag: str = "a") -> DemandSeries:
     """Average per-millisecond PRB totals into epoch-aligned windows of
     `granularity_s` seconds.
 
@@ -127,14 +91,13 @@ def resample_mean(records: list[DciRecord], granularity_s: int, side_tag: str = 
     the output spacing stays uniform. Only the `side_tag` column is
     populated.
     """
-    if granularity_s <= 0 or int(granularity_s) != granularity_s:
-        raise ValueError(f"granularity_s must be a positive integer, got {granularity_s}")
+    granularity_s = positive_int(granularity_s, "granularity_s")
     if side_tag not in ("a", "b"):
         raise ValueError(f"side_tag must be 'a' or 'b', got {side_tag!r}")
-    if not records:
-        raise ValueError("cannot resample an empty record list")
+    if len(records) == 0:
+        raise ValueError("cannot resample an empty record array")
     ts_ms, totals = millisecond_totals(records)
-    window_ms = int(granularity_s) * 1000
+    window_ms = granularity_s * 1000
     windows = ts_ms // window_ms
     k0, k1 = int(windows[0]), int(windows[-1])
     n_windows = k1 - k0 + 1
@@ -144,11 +107,11 @@ def resample_mean(records: list[DciRecord], granularity_s: int, side_tag: str = 
     np.add.at(sums, offsets, totals)
     np.add.at(counts, offsets, 1)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    out_ts = (np.arange(k0, k1 + 1, dtype=np.int64)) * int(granularity_s)
+    out_ts = (np.arange(k0, k1 + 1, dtype=np.int64)) * granularity_s
     zeros = np.zeros_like(means)
     if side_tag == "a":
-        return DemandSeries(out_ts, means, zeros, int(granularity_s))
-    return DemandSeries(out_ts, zeros, means, int(granularity_s))
+        return DemandSeries(out_ts, means, zeros, granularity_s)
+    return DemandSeries(out_ts, zeros, means, granularity_s)
 
 
 def merge_series(a: DemandSeries, b: DemandSeries) -> DemandSeries:

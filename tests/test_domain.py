@@ -39,6 +39,16 @@ class TestDemandSeries:
         with pytest.raises(ValueError):
             DemandSeries([], [], [], 3600)
 
+    @pytest.mark.parametrize("granularity", [np.nan, "3600", True, 2.5, 0, -1])
+    def test_granularity_must_be_a_positive_integer(self, granularity):
+        with pytest.raises(ValueError, match=r"granularity must be a positive integer, got "):
+            DemandSeries([0], [1.0], [1.0], granularity)
+
+    def test_integral_granularity_stored_as_int(self):
+        for granularity in (np.int64(60), 60.0):
+            series = DemandSeries([0, 60], [1.0, 1.0], [1.0, 1.0], granularity)
+            assert series.granularity == 60 and type(series.granularity) is int
+
     @pytest.mark.parametrize(
         "d_a,d_b,message",
         [
@@ -209,14 +219,47 @@ class TestSeriesCsv:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,a,b\n0,1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.csv:1: expected header"):
             read_series_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"bad\.csv:1: expected header"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("granularity", [None, 3600])
+    def test_no_data_rows_named(self, tmp_path, granularity):
+        path = tmp_path / "bad.csv"
+        path.write_text(SERIES_HEADER + "\n\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: no data rows"):
+            read_series_csv(path, granularity=granularity)
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(SERIES_HEADER + "\n0,1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.csv:2: expected 3 fields, got 2"):
             read_series_csv(path)
+
+    def test_row_of_commas_is_not_blank(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n,\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: expected 3 fields, got 2"):
+            read_series_csv(path)
+
+    def test_crlf_and_blank_rows_read(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"timestamp,d_a,d_b\r\n0,1.5,2.5\r\n \r\n\r\n60,0.5,0.25\r\n")
+        series = read_series_csv(path)
+        assert series.granularity == 60
+        assert series.d_a.tolist() == [1.5, 0.5] and series.d_b.tolist() == [2.5, 0.25]
+
+    @pytest.mark.parametrize("granularity", [np.nan, "3600", True])
+    def test_given_granularity_must_be_a_positive_integer(self, tmp_path, granularity):
+        path = tmp_path / "one.csv"
+        path.write_text(SERIES_HEADER + "\n0,1.5,2.5\n")
+        with pytest.raises(ValueError, match=r"granularity must be a positive integer, got "):
+            read_series_csv(path, granularity=granularity)
 
     @pytest.mark.parametrize(
         "row", ["3600,nan,1.0", "3600,1.0,inf", "3600,-inf,1.0", "3600,-1.0,2.0"]

@@ -371,6 +371,23 @@ class TestReadBack:
         with pytest.raises(ValueError, match=f"{curve.name}:3: {message}"):
             replot(str(tmp_path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_plot_refuses_a_non_finite_sweep_cell(self, tmp_path, capsys, cell):
+        (tmp_path / "sweep.csv").write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,{cell},0.2,0.9,0.3\n")
+        assert run_cli("plot", "--dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'sweep.csv'}:2: must be a finite number, got '{cell}'" in err
+        assert not list(tmp_path.glob("*.svg"))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_plot_refuses_a_non_finite_curve_value(self, tmp_path, capsys, cell):
+        (tmp_path / "sweep.csv").write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,0.1,0.2,0.9,0.3\n")
+        curve = tmp_path / "curve_td3_nr20_z0.5.csv"
+        curve.write_text(f"{CURVE_HEADER}\n0,-0.1\n1,{cell}\n")
+        assert run_cli("plot", "--dir", tmp_path) == 2
+        assert f"error: {curve}:3: must be a finite number, got '{cell}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.svg"))
+
     def test_plot_on_truncated_sweep_csv_is_rc2(self, tmp_path, capsys):
         (tmp_path / "sweep.csv").write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,0.1\n")
         assert run_cli("plot", "--dir", tmp_path) == 2
@@ -451,6 +468,23 @@ class TestCliIngest:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,message", [
+        ("12,12,4661,9,18,2B,1674003600123", "subframe out of range: 12"),
+        ("12,3,4661,9,18,2B,-5", "timestamp must be a nonnegative int64"),
+        ("12,3,4661,9,18,2B,99999999999999999999", "timestamp must be a nonnegative int64"),
+        ("12,3,4661,9,18,2B", "expected 7 fields, got 6"),
+    ], ids=["subframe", "negative_ts", "huge_ts", "short"])
+    def test_bad_row_in_b_names_b_and_its_line(self, dci_fixture_path, tmp_path, capsys, row, message):
+        # the fixture with its last row (line 9) swapped for `row`
+        dci_b = tmp_path / "b.csv"
+        lines = Path(dci_fixture_path).read_text().splitlines()
+        dci_b.write_text("\n".join(lines[:-1] + [row]) + "\n")
+        out = tmp_path / "o.csv"
+        rc = run_cli("ingest", "--dci-a", dci_fixture_path, "--dci-b", dci_b, "--out", out)
+        assert rc == 2
+        assert f"error: {dci_b}:9: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("granularity", ["0", "-5"])
     def test_non_positive_granularity_is_rc2(self, dci_fixture_path, tmp_path, capsys, granularity):

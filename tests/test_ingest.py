@@ -3,10 +3,8 @@ import pytest
 
 from adapshare.domain import DemandSeries
 from adapshare.ingest import (
+    DCI_HEADER,
     AlignmentMismatch,
-    DciRecord,
-    MalformedRow,
-    SchemaMismatch,
     filter_data_transmissions,
     merge_series,
     millisecond_totals,
@@ -14,13 +12,22 @@ from adapshare.ingest import (
     resample_mean,
 )
 
-HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp\n"
+HEADER = DCI_HEADER + "\n"
+COLUMNS = DCI_HEADER.split(",")
 
 
-def record(prb, ts_ms, fmt="2B", sfn=1, subframe=0):
-    return DciRecord(
-        sfn=sfn, subframe=subframe, rnti=0x1234, prb_count=prb,
-        mcs=16, dci_format=fmt, timestamp=ts_ms,
+def trace(*rows):
+    """A record array shaped like parse_dci_csv's, from (prb_count,
+    timestamp_ms) or (prb_count, timestamp_ms, dci_format) rows."""
+    prb, ts, fmt = zip(*(row + ("2B",) * (3 - len(row)) for row in rows)) if rows else ((), (), ())
+    n = len(rows)
+    return np.rec.fromarrays(
+        [
+            np.ones(n, np.int64), np.zeros(n, np.int64), np.full(n, 0x1234, np.int64),
+            np.array(prb, np.int64), np.full(n, 16, np.int64), np.array(fmt, dtype=str),
+            np.array(ts, np.int64),
+        ],
+        names=COLUMNS,
     )
 
 
@@ -29,47 +36,86 @@ class TestParse:
         path = tmp_path / "one.csv"
         path.write_text(HEADER + "512,3,4660,25,16,2B,1674000000000\n")
         records = parse_dci_csv(path)
+        assert isinstance(records, np.recarray)
+        assert list(records.dtype.names) == COLUMNS
         assert len(records) == 1
         r = records[0]
         assert (r.sfn, r.subframe, r.rnti) == (512, 3, 4660)
         assert r.prb_count == 25
         assert r.dci_format == "2B"
         assert r.timestamp == 1674000000000
+        assert records.timestamp.dtype == np.int64
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(HEADER)
-        assert parse_dci_csv(path) == []
+        records = parse_dci_csv(path)
+        assert len(records) == 0
+        assert list(records.dtype.names) == COLUMNS
+
+    def test_long_format_kept_whole(self, tmp_path):
+        path = tmp_path / "long.csv"
+        name = "Format2B_with_a_long_vendor_suffix"
+        path.write_text(HEADER + f"1,0,1,5,1,{name},0\n2,0,1,7,1,1A,1\n")
+        records = parse_dci_csv(path)
+        assert records.dci_format.tolist() == [name, "1A"]
+        assert len(filter_data_transmissions(records, name)) == 1
+
+    def test_blank_rows_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(HEADER + "1,0,1,5,1,2B,0\n\n   \n1,0,1,-5,1,2B,0\n")
+        with pytest.raises(ValueError, match=r"gaps\.csv:5: prb_count"):
+            parse_dci_csv(path)
 
     def test_subframe_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "512,12,4660,25,16,2B,1674000000000\n")
-        with pytest.raises(MalformedRow) as info:
+        with pytest.raises(ValueError, match=r"bad\.csv:2: subframe out of range: 12"):
             parse_dci_csv(path)
-        assert info.value.row == 2
 
     def test_sfn_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "1024,0,4660,25,16,2B,1674000000000\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(ValueError, match=r"bad\.csv:2: sfn out of range: 1024"):
             parse_dci_csv(path)
 
     def test_negative_prb(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "512,0,4660,-3,16,2B,1674000000000\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(ValueError, match=r"bad\.csv:2: prb_count must be a nonnegative int64"):
+            parse_dci_csv(path)
+
+    @pytest.mark.parametrize("timestamp", ["-5", "9223372036854775808", "99999999999999999999"])
+    def test_timestamp_outside_int64_ms(self, tmp_path, timestamp):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "512,0,4660,3,16,2B,1674000000000\n"
+                        f"512,0,4660,3,16,2B,{timestamp}\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:3: timestamp must be a nonnegative int64 .*{timestamp}"):
+            parse_dci_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,0,99999999999999999999,3,16,2B,0", "1,0,1,3,-9223372036854775809,2B,0"])
+    def test_rnti_and_mcs_must_fit_int64(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + row + "\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: rnti and mcs must fit int64"):
             parse_dci_csv(path)
 
     def test_non_integer_field(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "512,0,4660,ten,16,2B,1674000000000\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(ValueError, match=r"bad\.csv:2: invalid literal"):
+            parse_dci_csv(path)
+
+    def test_wrong_width(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "512,0,4660,10,16,2B\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: expected 7 fields, got 6"):
             parse_dci_csv(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(ValueError, match=r"bad\.csv:1: expected header"):
             parse_dci_csv(path)
 
     def test_missing_file(self, tmp_path):
@@ -79,34 +125,35 @@ class TestParse:
 
 class TestFilter:
     def test_keeps_matching_format(self):
-        records = [record(1, 0, "2B"), record(2, 1, "1A"), record(3, 2, "2B")]
+        records = trace((1, 0, "2B"), (2, 1, "1A"), (3, 2, "2B"))
         kept = filter_data_transmissions(records, "2B")
-        assert [r.prb_count for r in kept] == [1, 3]
+        assert kept.prb_count.tolist() == [1, 3]
+        assert isinstance(kept, np.recarray)
 
     def test_default_format_is_2b(self):
-        records = [record(1, 0, "2B"), record(2, 1, "0")]
-        assert [r.prb_count for r in filter_data_transmissions(records)] == [1]
+        records = trace((1, 0, "2B"), (2, 1, "0"))
+        assert filter_data_transmissions(records).prb_count.tolist() == [1]
 
     def test_empty_input(self):
-        assert filter_data_transmissions([], "2B") == []
+        assert len(filter_data_transmissions(trace(), "2B")) == 0
 
     def test_no_matches(self):
-        assert filter_data_transmissions([record(1, 0, "1A")], "2B") == []
+        assert len(filter_data_transmissions(trace((1, 0, "1A")), "2B")) == 0
 
 
 class TestResample:
     def test_mean_of_two(self):
-        series = resample_mean([record(10, 0), record(20, 1)], 3600)
+        series = resample_mean(trace((10, 0), (20, 1)), 3600)
         assert len(series.timestamps) == 1
         assert series.d_a[0] == 15.0
 
     def test_single_total(self):
-        series = resample_mean([record(7, 0)], 3600)
+        series = resample_mean(trace((7, 0)), 3600)
         assert series.d_a[0] == 7.0
 
     def test_same_millisecond_sums(self):
         # two grants in one subframe form a single 30-PRB total
-        series = resample_mean([record(10, 5), record(20, 5)], 3600)
+        series = resample_mean(trace((10, 5), (20, 5)), 3600)
         assert series.d_a[0] == 30.0
 
     def test_fixture_hand_computed(self, dci_fixture_path):
@@ -124,31 +171,38 @@ class TestResample:
 
     def test_empty_interior_window_is_zero(self):
         # totals in hour 0 and hour 2, nothing in hour 1
-        series = resample_mean([record(10, 0), record(30, 2 * 3600 * 1000)], 3600)
+        series = resample_mean(trace((10, 0), (30, 2 * 3600 * 1000)), 3600)
         assert series.d_a.tolist() == [10.0, 0.0, 30.0]
 
     def test_side_tag(self):
-        series = resample_mean([record(10, 0)], 3600, side_tag="b")
+        series = resample_mean(trace((10, 0)), 3600, side_tag="b")
         assert series.d_b[0] == 10.0
         assert series.d_a[0] == 0.0
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            resample_mean([], 3600)
+            resample_mean(trace(), 3600)
+
+    @pytest.mark.parametrize("granularity", [float("nan"), "3600", True, 0, -60, 2.5])
+    def test_granularity_must_be_a_positive_integer(self, granularity):
+        with pytest.raises(ValueError, match=r"granularity_s must be a positive integer, got "):
+            resample_mean(trace((10, 0)), granularity)
+
+    def test_integral_granularity_of_another_type(self):
+        series = resample_mean(trace((10, 0)), np.int64(60))
+        assert series.granularity == 60 and type(series.granularity) is int
+        assert resample_mean(trace((10, 0)), 60.0).granularity == 60
 
     def test_native_granularity_identity(self):
         # totals exactly one second apart with 1 s windows pass through
-        records = [record(4, 0), record(9, 1000), record(2, 2000)]
+        records = trace((4, 0), (9, 1000), (2, 2000))
         series = resample_mean(records, 1)
         assert series.d_a.tolist() == [4.0, 9.0, 2.0]
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(11)
-        records = [
-            record(int(rng.integers(0, 50)), int(rng.integers(0, 10 * 3600 * 1000)))
-            for _ in range(200)
-        ]
-        records.sort(key=lambda r: r.timestamp)
+        ts = np.sort(rng.integers(0, 10 * 3600 * 1000, 200))
+        records = trace(*zip(rng.integers(0, 50, 200).tolist(), ts.tolist()))
         uniq, totals = millisecond_totals(records)
         series = resample_mean(records, 3600)
         window = uniq // (3600 * 1000)
@@ -158,40 +212,41 @@ class TestResample:
         assert recovered == pytest.approx(float(totals.sum()), rel=1e-12)
 
     def test_filter_commutes_with_restriction(self):
-        records = [record(5, 0, "2B"), record(9, 1, "1A"), record(4, 2, "2B")]
+        records = trace((5, 0, "2B"), (9, 1, "1A"), (4, 2, "2B"))
         via_filter = resample_mean(filter_data_transmissions(records, "2B"), 3600)
-        via_restriction = resample_mean([r for r in records if r.dci_format == "2B"], 3600)
+        via_restriction = resample_mean(trace((5, 0, "2B"), (4, 2, "2B")), 3600)
         assert np.array_equal(via_filter.d_a, via_restriction.d_a)
 
 
 class TestMerge:
     def test_pairs_columns(self):
-        a = resample_mean([record(5, 0)], 3600, side_tag="a")
-        b = resample_mean([record(7, 0)], 3600, side_tag="b")
+        a = resample_mean(trace((5, 0)), 3600, side_tag="a")
+        b = resample_mean(trace((7, 0)), 3600, side_tag="b")
         merged = merge_series(a, b)
         assert merged.d_a.tolist() == [5.0]
         assert merged.d_b.tolist() == [7.0]
 
     def test_length_mismatch(self):
-        a = resample_mean([record(5, 0), record(5, 3600 * 1000)], 3600, side_tag="a")
-        b = resample_mean([record(7, 0)], 3600, side_tag="b")
+        a = resample_mean(trace((5, 0), (5, 3600 * 1000)), 3600, side_tag="a")
+        b = resample_mean(trace((7, 0)), 3600, side_tag="b")
         with pytest.raises(AlignmentMismatch):
             merge_series(a, b)
 
     def test_granularity_mismatch(self):
-        a = resample_mean([record(5, 0)], 3600, side_tag="a")
-        b = resample_mean([record(7, 0)], 60, side_tag="b")
+        a = resample_mean(trace((5, 0)), 3600, side_tag="a")
+        b = resample_mean(trace((7, 0)), 60, side_tag="b")
         with pytest.raises(AlignmentMismatch):
             merge_series(a, b)
 
     def test_timestamp_mismatch(self):
-        a = resample_mean([record(5, 0)], 3600, side_tag="a")
-        b = resample_mean([record(7, 3600 * 1000)], 3600, side_tag="b")
+        a = resample_mean(trace((5, 0)), 3600, side_tag="a")
+        b = resample_mean(trace((7, 3600 * 1000)), 3600, side_tag="b")
         with pytest.raises(AlignmentMismatch):
             merge_series(a, b)
 
     def test_identical_sides(self):
-        a = resample_mean([record(5, 0)], 3600, side_tag="a")
-        b = resample_mean([record(5, 0)], 3600, side_tag="b")
+        a = resample_mean(trace((5, 0)), 3600, side_tag="a")
+        b = resample_mean(trace((5, 0)), 3600, side_tag="b")
         merged = merge_series(a, b)
         assert merged.d_a[0] == merged.d_b[0] == 5.0
+        assert isinstance(merged, DemandSeries)

@@ -1,7 +1,8 @@
 """Property tests: the array solver, the flat parameter vector, Adam,
 agent checkpoints, the training step's bit-for-bit rewrites (sigmoid,
 backward, up-front draws), action projection, Jain fairness, the
-config-file and series-CSV round trips, and the detail CSV's text.
+config-file and series-CSV round trips, the detail CSV's text, and the
+refusal of a malformed row in every CSV the package reads.
 
 Each property runs on inputs hypothesis draws, with a fixed derandomized
 search so that a run is reproducible.
@@ -26,12 +27,22 @@ from adapshare.domain import (
     DemandSeries,
     EnvConfig,
     ExperimentConfig,
+    SERIES_HEADER,
     read_series_csv,
     write_series_csv,
 )
 from adapshare.env import FEASIBILITY_SLACK, RawAction, project_action
 from adapshare.harness.config import COERCERS, SWEEP_KEYS, build_experiment, parse_config_file
-from adapshare.harness.results import DETAIL_HEADER, emit_results, write_detail_csv
+from adapshare.harness.results import (
+    CURVE_HEADER,
+    DETAIL_HEADER,
+    SWEEP_HEADER,
+    emit_results,
+    read_sweep_csv,
+    replot,
+    write_detail_csv,
+)
+from adapshare.ingest import DCI_HEADER, parse_dci_csv
 from adapshare.harness.sweep import SweepRow
 from adapshare.metrics import EvalReport, build_report, jain_fairness
 from adapshare.oracle import grid_solve, solve_opt, solve_opt_array
@@ -523,3 +534,63 @@ def test_emit_results_detail_files_are_the_per_row_repr_text(matrices):
         for zeta, per_step in zip((0.2, 0.4, 0.6, 0.8), matrices):
             with open(os.path.join(tmp, f"detail_opt_oracle_nr20_z{zeta}.csv"), "rb") as fh:
                 assert fh.read() == _per_row_text(per_step), zeta
+
+
+# ---------------------------------------------------------------- malformed rows
+
+
+def _replot_curve(path):
+    """Replot the directory of a curve_td3_nr20_z0.5.csv, whose sweep.csv
+    names that one cell."""
+    out_dir = os.path.dirname(path)
+    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
+        fh.write(f"{SWEEP_HEADER}\n0.5,20.0,td3,0.1,0.2,0.9,0.3\n")
+    replot(out_dir)
+
+
+# name -> (file name, header, valid row i, numeric column indices, reader)
+ROW_FORMATS = {
+    "series": ("series.csv", SERIES_HEADER, lambda i: f"{3600 * i},{0.5 * i!r},1.25",
+               (0, 1, 2), read_series_csv),
+    "dci": ("dci.csv", DCI_HEADER, lambda i: f"{i % 1024},{i % 10},17,{i},3,2B,{1000 * i}",
+            (0, 1, 2, 3, 4, 6), parse_dci_csv),
+    "sweep": ("sweep.csv", SWEEP_HEADER, lambda i: f"{i / 10!r},20.0,td3,0.1,-0.2,0.9,0.3",
+              (0, 1, 3, 4, 5, 6), read_sweep_csv),
+    "curve": ("curve_td3_nr20_z0.5.csv", CURVE_HEADER, lambda i: f"{i},{-0.5 * i!r}",
+              (0, 1), _replot_curve),
+}
+# texts no numeric column of any format accepts
+BAD_CELLS = ("", "x", "nan", "inf", "-inf", "1e999", "0x1f", "1.5.2")
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(ROW_FORMATS)), st.integers(1, 12), st.data())
+def test_a_malformed_row_is_refused_naming_its_line(name, n, data):
+    """One numeric cell of one data row is replaced by a bad text, or the
+    row loses or gains a cell; blank rows may sit anywhere in the body.
+    Reading the file raises a ValueError that starts with path:line."""
+    file_name, header, make_row, numeric, read = ROW_FORMATS[name]
+    rows = [make_row(i) for i in range(n)]
+    bad = data.draw(st.integers(0, n - 1), label="bad row")
+    cells = rows[bad].split(",")
+    how = data.draw(st.sampled_from(["cell", "short", "long"]), label="how")
+    if how == "cell":
+        cells[data.draw(st.sampled_from(numeric))] = data.draw(st.sampled_from(BAD_CELLS))
+    elif how == "short":
+        cells.pop()
+    else:
+        cells.append("1")
+    rows[bad] = ",".join(cells)
+    lines = [header] + rows
+    blanks = data.draw(st.lists(st.tuples(st.integers(0, n), st.sampled_from(["", " ", "\t "])),
+                                max_size=4), label="blank rows")
+    for pos, blank in sorted(blanks, reverse=True):
+        lines.insert(1 + pos, blank)
+    line = lines.index(rows[bad]) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, file_name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read(path)
+    assert str(info.value).startswith(f"{path}:{line}: "), str(info.value)
