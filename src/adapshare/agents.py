@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn
-from .domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, _check_fields, _is_integral
+from .domain import AgentKind, EnvConfig, ExperimentConfig, _check_fields, _is_integral
 from .env import RawAction, observation_rows, observe, project_action, step
 from .metrics import build_report, moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
@@ -255,25 +255,29 @@ def train(agent_kind, series, cfg):
     return agent, TrainResult(rewards=rewards, curve=curve)
 
 
+def _grants(n_a, n_b):
+    """The grant record array of two float64 columns."""
+    return np.rec.fromarrays((n_a, n_b), names="n_a,n_b")
+
+
 def greedy_policy(agent, series, cfg):
-    """Feasible allocations over the evaluation split, no exploration.
+    """Feasible grants over the evaluation split, no exploration.
 
     `agent` may be a trained agent, which acts one observation at a time,
     or one of the solver kinds: OPT_ORACLE solves the closed form over
     the evaluation split's demand columns in one array pass, and
     OPT_BASE solves once against the training prefix's demand maxima
-    and repeats that allocation on every step. Returns one Allocation
-    per evaluation step.
+    and repeats that allocation on every step. Returns a grant record
+    array: float64 fields n_a and n_b, one row per evaluation step.
     """
     env = cfg.env
     steps = eval_timesteps(series, cfg)
     if isinstance(agent, (str, AgentKind)):
         kind = AgentKind(agent)
         if kind == AgentKind.OPT_ORACLE:
-            n_a, n_b = solve_opt_array(
+            return _grants(*solve_opt_array(
                 series.d_a[steps.start:], series.d_b[steps.start:], env.zeta, env.n_r, env.d_min
-            )
-            return [Allocation(a, b) for a, b in zip(n_a.tolist(), n_b.tolist())]
+            ))
         if kind == AgentKind.OPT_BASE:
             split_end = train_split_end(len(series.timestamps), cfg.eval_split)
             if split_end < 1:
@@ -283,26 +287,27 @@ def greedy_policy(agent, series, cfg):
                 float(series.d_b[:split_end].max()),
             )
             alloc = solve_opt_base(max_demand, env.zeta, env.n_r, env.d_min).allocation
-            return [alloc] * len(steps)
+            return _grants(np.full(len(steps), alloc.n_a), np.full(len(steps), alloc.n_b))
         raise ValueError(f"{kind.value} must be passed as a trained agent")
-    allocs = []
-    for t in steps:
-        raw = agent.act(observe(series, t, env), explore=False)
-        allocs.append(project_action(raw, env.n_r))
-    return allocs
+    n_a = np.empty(len(steps))
+    n_b = np.empty(len(steps))
+    for i, t in enumerate(steps):
+        alloc = project_action(agent.act(observe(series, t, env), explore=False), env.n_r)
+        n_a[i], n_b[i] = alloc.n_a, alloc.n_b
+    return _grants(n_a, n_b)
 
 
 def evaluate(policy, series, cfg):
     """Score `policy` on the held-out tail of `series`.
 
-    `policy` is anything greedy_policy takes. Its allocations are scored
-    against the tail's demands, and the report's per_step matrix carries
-    the tail's timestamps.
+    `policy` is anything greedy_policy takes. Its grant record array is
+    scored against the tail's demands, and the report's per_step matrix
+    carries the tail's timestamps.
     """
-    allocs = greedy_policy(policy, series, cfg)
+    grants = greedy_policy(policy, series, cfg)
     start = eval_timesteps(series, cfg).start
     return build_report(
-        allocs,
+        grants,
         np.column_stack((series.d_a[start:], series.d_b[start:])),
         cfg.env.zeta,
         cfg.env.d_min,

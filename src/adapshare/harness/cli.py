@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from ..agents import evaluate, load_agent, save_agent, train
 from ..domain import (
     AgentKind,
@@ -118,10 +120,14 @@ def cmd_ingest(args):
     for side, path in (("a", args.dci_a), ("b", args.dci_b)):
         records = parse_dci_csv(path)
         data = filter_data_transmissions(records, args.dci_format)
+        if len(data) == 0:
+            raise ConfigFileError(f"--dci-{side} {path}: no rows of DCI format {args.dci_format}")
         series = resample_mean(data, granularity, side_tag=side)
+        # resample_mean's windows that no data row falls in read 0
+        empty = len(series) - np.unique(data.timestamp // (granularity * 1000)).size
         print(
             f"network {side.upper()}: {len(records)} rows, {len(data)} data transmissions, "
-            f"{len(series.timestamps)} windows of {granularity}s"
+            f"{len(series)} windows of {granularity}s ({empty} empty)"
         )
         merged = series if merged is None else merge_series(merged, series)
     write_series_csv(merged, args.out)

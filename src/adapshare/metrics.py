@@ -43,6 +43,8 @@ class EvalReport:
 def _alloc_arrays(allocs):
     if len(allocs) == 0:
         raise EmptyInput("no allocations to aggregate")
+    if isinstance(allocs, np.ndarray):
+        return np.array(allocs["n_a"], dtype=float), np.array(allocs["n_b"], dtype=float)
     n_a = np.array([a.n_a for a in allocs], dtype=float)
     n_b = np.array([a.n_b for a in allocs], dtype=float)
     return n_a, n_b
@@ -131,7 +133,8 @@ def moving_average(values, window):
 def build_report(allocs, demands, zeta, d_min=0.1, timestamps=None):
     """Bundle every metric for one policy run into an EvalReport.
 
-    allocs is a sequence of Allocation and demands one of (d_a, d_b)
+    allocs is a grant record array (fields n_a and n_b, as greedy_policy
+    returns) or a sequence of Allocation, and demands one of (d_a, d_b)
     pairs or a (T, 2) array. Both are read into columns once; J, surplus
     and fairness are then whole-array expressions with the same bits the
     per-step objective_j and the single-metric functions give. The

@@ -23,8 +23,8 @@ from adapshare.agents import (
     train,
     train_split_end,
 )
-from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig
-from adapshare.env import Observation, RawAction
+from adapshare.domain import AgentKind, Allocation, DemandSeries, EnvConfig, ExperimentConfig
+from adapshare.env import Observation, RawAction, observe, project_action
 from adapshare.metrics import build_report, moving_average
 from adapshare.oracle import solve_opt
 
@@ -480,27 +480,61 @@ class TestBenchmarkSeams:
         assert len(allocs) == len(observed) == len(acted) == len(eval_timesteps(constant_series, cfg))
 
 
+def bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
 class TestGreedyPolicy:
     def test_oracle_kind_matches_per_step_solver(self, small_series):
         cfg = ExperimentConfig(env=EnvConfig(n_r=6.0, zeta=0.3, window_n=1), eval_split=0.25)
-        allocs = greedy_policy(AgentKind.OPT_ORACLE, small_series, cfg)
-        ts = list(eval_timesteps(small_series, cfg))
-        assert len(allocs) == len(ts)
-        for alloc, t in zip(allocs, ts):
-            expected = solve_opt(small_series.demand(t), 0.3, 6.0).allocation
-            assert alloc == expected
+        grants = greedy_policy(AgentKind.OPT_ORACLE, small_series, cfg)
+        expected = [solve_opt(small_series.demand(t), 0.3, 6.0).allocation
+                    for t in eval_timesteps(small_series, cfg)]
+        assert isinstance(grants, np.recarray)
+        assert grants.dtype.names == ("n_a", "n_b")
+        assert bits(grants.n_a).tolist() == bits([a.n_a for a in expected]).tolist()
+        assert bits(grants.n_b).tolist() == bits([a.n_b for a in expected]).tolist()
 
     def test_base_kind_pins_training_maxima(self, small_series):
         cfg = ExperimentConfig(env=EnvConfig(n_r=6.0, zeta=0.5, window_n=1), eval_split=0.25)
-        allocs = greedy_policy(AgentKind.OPT_BASE, small_series, cfg)
-        assert len(set(allocs)) == 1
+        grants = greedy_policy(AgentKind.OPT_BASE, small_series, cfg)
         split_end = train_split_end(len(small_series), 0.25)
         max_demand = (
             float(small_series.d_a[:split_end].max()),
             float(small_series.d_b[:split_end].max()),
         )
         expected = solve_opt(max_demand, 0.5, 6.0).allocation
-        assert allocs[0] == expected
+        steps = len(eval_timesteps(small_series, cfg))
+        assert bits(grants.n_a).tolist() == bits([expected.n_a] * steps).tolist()
+        assert bits(grants.n_b).tolist() == bits([expected.n_b] * steps).tolist()
+
+    def test_trained_agent_columns_match_per_step_projection(self, small_series):
+        cfg = ExperimentConfig(env=EnvConfig(n_r=6.0, window_n=1), train_steps=0)
+        agent = make_agent(AgentKind.TD3, obs_dim=4, seed=5)
+        grants = greedy_policy(agent, small_series, cfg)
+        expected = [project_action(agent.act(observe(small_series, t, cfg.env), explore=False), 6.0)
+                    for t in eval_timesteps(small_series, cfg)]
+        assert bits(grants.n_a).tolist() == bits([a.n_a for a in expected]).tolist()
+        assert bits(grants.n_b).tolist() == bits([a.n_b for a in expected]).tolist()
+
+    @pytest.mark.parametrize("kind", [AgentKind.OPT_ORACLE, AgentKind.OPT_BASE])
+    def test_solver_kinds_build_at_most_one_allocation(self, monkeypatch, kind):
+        # a per-step Allocation cost an oracle cell ten times its solve
+        built = []
+        original = Allocation.__post_init__
+
+        def counting(alloc):
+            built.append(1)
+            original(alloc)
+
+        monkeypatch.setattr(Allocation, "__post_init__", counting)
+        rng = np.random.default_rng(9)
+        n = 10_000  # the second half, 5,000 steps, is evaluated
+        series = DemandSeries(np.arange(n) * 3600.0, rng.uniform(0, 40, n), rng.uniform(0, 40, n), 3600.0)
+        cfg = ExperimentConfig(env=EnvConfig(n_r=60.0), eval_split=0.5)
+        grants = greedy_policy(kind, series, cfg)
+        assert len(grants) == 5000
+        assert len(built) <= 1
 
     def test_rl_kind_string_rejected(self, small_series):
         cfg = ExperimentConfig(env=EnvConfig(n_r=6.0, window_n=1))

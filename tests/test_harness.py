@@ -31,6 +31,7 @@ from adapshare.harness.results import (
     write_detail_csv,
 )
 from adapshare.harness.sweep import SweepSpec, cell_seed, run_cell, run_sweep
+from adapshare.ingest import DCI_HEADER
 from adapshare.metrics import build_report
 
 
@@ -459,7 +460,28 @@ class TestCliIngest:
         # hand-computed hourly means of the format-2B rows
         assert [float(r[1]) for r in rows] == [20.0, 8.0]
         assert [float(r[2]) for r in rows] == [20.0, 8.0]
-        assert "data transmissions" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "network A: 8 rows, 6 data transmissions, 2 windows of 3600s (0 empty)",
+            "network B: 8 rows, 6 data transmissions, 2 windows of 3600s (0 empty)",
+        ]
+
+    def test_summary_counts_empty_windows(self, tmp_path, capsys):
+        # two rows 19 years apart resample into windows that are nearly all empty
+        trace = tmp_path / "far.csv"
+        trace.write_text(f"{DCI_HEADER}\n1,0,4660,10,16,2B,0\n1,0,4660,10,16,2B,1674000000000\n")
+        rc = run_cli("ingest", "--dci-a", trace, "--dci-b", trace, "--out", tmp_path / "o.csv")
+        assert rc == 0
+        assert "2 rows, 2 data transmissions, 465001 windows of 3600s (464999 empty)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rows", [["513,5,4662,99,8,1A,1674000000500"], []], ids=["other_format", "no_rows"])
+    def test_no_rows_of_the_format_names_flag_and_file(self, dci_fixture_path, tmp_path, capsys, rows):
+        dci_b = tmp_path / "b.csv"
+        dci_b.write_text("\n".join([DCI_HEADER] + rows) + "\n")
+        out = tmp_path / "o.csv"
+        rc = run_cli("ingest", "--dci-a", dci_fixture_path, "--dci-b", dci_b, "--out", out)
+        assert rc == 2
+        assert f"error: --dci-b {dci_b}: no rows of DCI format 2B" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_rc2(self, tmp_path, capsys):
         rc = run_cli(

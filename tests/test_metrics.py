@@ -104,6 +104,9 @@ class TestMeanObjective:
     def test_validation(self):
         with pytest.raises(EmptyInput):
             build_report([], [], zeta=0.5)
+        empty = np.rec.fromarrays((np.empty(0), np.empty(0)), names="n_a,n_b")
+        with pytest.raises(EmptyInput):
+            build_report(empty, np.empty((0, 2)), zeta=0.5)
         with pytest.raises(LengthMismatch):
             build_report([Allocation(1.0, 1.0)], [(1.0, 1.0), (2.0, 2.0)], zeta=0.5)
 

@@ -1,6 +1,7 @@
 """Property tests: the array solver, the flat parameter vector, Adam,
 agent checkpoints, the training step's bit-for-bit rewrites (sigmoid,
-backward, up-front draws), action projection, Jain fairness, the
+backward, up-front draws), action projection, Jain fairness, reports
+of a grant record array against those of an Allocation list, the
 config-file and series-CSV round trips, the detail CSV's text, and the
 refusal of a malformed row in every CSV the package reads.
 
@@ -345,6 +346,25 @@ def test_jain_fairness_lies_between_half_and_one(pairs):
         assert counted == []
     if all(a == b == 0.0 for a, b in pairs):
         assert fairness == 1.0
+
+
+@SETTINGS
+@given(st.lists(st.tuples(grants, grants, demands, demands), min_size=1, max_size=30), zetas)
+def test_report_of_grant_record_array_matches_allocation_list(rows, zeta):
+    allocs = [Allocation(a, b) for a, b, _, _ in rows]
+    record = np.rec.fromarrays(
+        (np.array([r[0] for r in rows]), np.array([r[1] for r in rows])), names="n_a,n_b"
+    )
+    demand_pairs = [(d_a, d_b) for _, _, d_a, d_b in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        from_list = build_report(allocs, demand_pairs, zeta)
+        from_record = build_report(record, demand_pairs, zeta)
+    assert from_record.per_step.tobytes() == from_list.per_step.tobytes()
+    # as bits, so that a NaN mean (zeta 0 times an overflowed term) compares too
+    scalars = ("s_a", "s_b", "fairness", "mean_j")
+    assert [_bits(getattr(from_record, f)) for f in scalars] == [_bits(getattr(from_list, f)) for f in scalars]
+    assert from_record.zero_alloc_steps == from_list.zero_alloc_steps
 
 
 # ---------------------------------------------------------------- file round trips
