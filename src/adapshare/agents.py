@@ -7,6 +7,9 @@ on the reward itself: there is no successor state to bootstrap from.
 TD3 is DDPG whose actor moves only on every td3_policy_delay-th update
 (Fujimoto et al. 2018, arXiv:1802.09477). The target networks are
 Polyak-averaged copies that nothing reads, and checkpoints omit them.
+TRAINABLE names the kinds train() takes. The hyperparameters are
+domain.AgentConfig, kept with the other settings so that parsing them
+imports no networks; it is importable from here too.
 """
 
 import json
@@ -15,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn
-from .domain import AgentKind, EnvConfig, ExperimentConfig, _check_fields, _is_integral
+from .domain import AgentConfig, AgentKind, EnvConfig, ExperimentConfig
 from .env import RawAction, observation_rows, observe, project_action, step
 from .metrics import build_report, moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
@@ -30,39 +33,6 @@ class InsufficientData(ValueError):
 
 class ConfigError(ValueError):
     """Series/config combination leaves no usable train or eval steps."""
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    """Learning hyperparameters; every field may be overridden per run."""
-
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-3
-    batch_size: int = 64
-    buffer_capacity: int = 50_000
-    explore_sigma: float = 0.2
-    sigma_decay: float = 0.9995
-    td3_policy_delay: int = 2
-    warmup_steps: int = 500
-    hidden_dims: tuple = (64, 64)
-
-    def __post_init__(self):
-        _check_fields(self)
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.batch_size < 1 or self.buffer_capacity < 1:
-            raise ValueError("batch_size and buffer_capacity must be positive")
-        if self.explore_sigma < 0:
-            raise ValueError(f"explore_sigma must be nonnegative, got {self.explore_sigma}")
-        if not 0.0 < self.sigma_decay <= 1.0:
-            raise ValueError(f"sigma_decay must lie in (0, 1], got {self.sigma_decay}")
-        if self.td3_policy_delay < 1:
-            raise ValueError("td3_policy_delay must be a positive integer")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be nonnegative, got {self.warmup_steps}")
-        if len(self.hidden_dims) == 0 or not all(_is_integral(h) and h >= 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be positive widths, got {self.hidden_dims}")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
 class ReplayBuffer:
@@ -179,6 +149,8 @@ class Td3Agent(DdpgAgent):
 
 
 _AGENT_CLASSES = {AgentKind.DDPG: DdpgAgent, AgentKind.TD3: Td3Agent}
+# the kinds train() takes; the rest are solvers that greedy_policy runs
+TRAINABLE = tuple(_AGENT_CLASSES)
 
 
 def make_agent(kind, obs_dim, config=None, seed=0):
@@ -194,8 +166,15 @@ def train_split_end(length, eval_split):
 
 
 def eval_timesteps(series, cfg):
-    start = max(train_split_end(len(series.timestamps), cfg.eval_split), cfg.env.window_n)
-    return range(start, len(series.timestamps))
+    """The held-out timesteps; a ConfigError if there are none."""
+    n = len(series.timestamps)
+    start = max(train_split_end(n, cfg.eval_split), cfg.env.window_n)
+    if start >= n:
+        raise ConfigError(
+            f"evaluation split is empty: it would start at step {start} of a "
+            f"{n}-step series (eval_split {cfg.eval_split}, env.window_n {cfg.env.window_n})"
+        )
+    return range(start, n)
 
 
 @dataclass
@@ -224,8 +203,7 @@ def train(agent_kind, series, cfg):
             f"training split [0, {split_end}) leaves no timestep with a "
             f"{env.window_n}-step history"
         )
-    if max(split_end, env.window_n) >= n:
-        raise ConfigError("evaluation split is empty")
+    eval_timesteps(series, cfg)
 
     agent = make_agent(agent_kind, obs_dim=2 * (env.window_n + 1), config=cfg.agent, seed=cfg.seed)
     obs_rows = observation_rows(series, split_end, env)

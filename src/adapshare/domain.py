@@ -1,6 +1,8 @@
 """Core value types shared across the package: demand series, allocations,
-and run configuration; and the one CSV row reader every input file goes
-through (read_csv_rows), which names path:line in each error it raises.
+and the run configuration (EnvConfig, AgentConfig and ExperimentConfig,
+each checking its fields by their annotations); and the one CSV row
+reader every input file goes through (read_csv_rows), which names
+path:line in each error it raises.
 
 All types here are immutable after construction and safe to share between
 parallel workers. Demands and allocations are continuous nonnegative reals
@@ -13,15 +15,11 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # avoids a domain <-> agents import cycle
-    from .agents import AgentConfig
 
 
 def _is_integral(value) -> bool:
@@ -45,11 +43,6 @@ class AgentKind(str, Enum):
     OPT_BASE = "opt_base"
 
 
-def _type_name(field) -> str:
-    """A dataclass field's annotation by name, deferred (a string) or not."""
-    return field.type if isinstance(field.type, str) else field.type.__name__
-
-
 def as_agent_kind(value, name):
     """value as an AgentKind; a ValueError names `name` if it is none."""
     try:
@@ -62,8 +55,8 @@ def as_agent_kind(value, name):
 def _check_fields(config) -> None:
     """Check a config dataclass's float, int and AgentKind fields by their
     annotations, naming the field; ints and kinds are stored canonically."""
-    for field in fields(config):
-        name, value, kind = field.name, getattr(config, field.name), _type_name(field)
+    for f in fields(config):
+        name, value, kind = f.name, getattr(config, f.name), f.type
         if kind == "float":
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -208,12 +201,45 @@ class EnvConfig:
 
 
 @dataclass(frozen=True)
+class AgentConfig:
+    """Learning hyperparameters; every field may be overridden per run."""
+
+    actor_lr: float = 1e-4
+    critic_lr: float = 1e-3
+    batch_size: int = 64
+    buffer_capacity: int = 50_000
+    explore_sigma: float = 0.2
+    sigma_decay: float = 0.9995
+    td3_policy_delay: int = 2
+    warmup_steps: int = 500
+    hidden_dims: tuple = (64, 64)
+
+    def __post_init__(self):
+        _check_fields(self)
+        if self.actor_lr <= 0 or self.critic_lr <= 0:
+            raise ValueError("learning rates must be positive")
+        if self.batch_size < 1 or self.buffer_capacity < 1:
+            raise ValueError("batch_size and buffer_capacity must be positive")
+        if self.explore_sigma < 0:
+            raise ValueError(f"explore_sigma must be nonnegative, got {self.explore_sigma}")
+        if not 0.0 < self.sigma_decay <= 1.0:
+            raise ValueError(f"sigma_decay must lie in (0, 1], got {self.sigma_decay}")
+        if self.td3_policy_delay < 1:
+            raise ValueError("td3_policy_delay must be a positive integer")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be nonnegative, got {self.warmup_steps}")
+        if len(self.hidden_dims) == 0 or not all(_is_integral(h) and h >= 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be positive widths, got {self.hidden_dims}")
+        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one training/evaluation run depends on."""
 
     env: EnvConfig
     agent_kind: AgentKind = AgentKind.TD3
-    agent: "AgentConfig | None" = None
+    agent: AgentConfig = field(default_factory=AgentConfig)
     seed: int = 42
     train_steps: int = 20000
     eval_split: float = 0.25
@@ -224,12 +250,8 @@ class ExperimentConfig:
             raise ValueError(f"eval_split must lie in (0, 1), got {self.eval_split}")
         if self.train_steps < 0:
             raise ValueError(f"train_steps must be nonnegative, got {self.train_steps}")
-        if self.agent is None:
-            from .agents import AgentConfig
 
-            object.__setattr__(self, "agent", AgentConfig())
-
-    def with_env(self, **changes) -> "ExperimentConfig":
+    def with_env(self, **changes) -> ExperimentConfig:
         return replace(self, env=replace(self.env, **changes))
 
 

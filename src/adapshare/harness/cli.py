@@ -3,7 +3,8 @@
 Subcommands: ingest, synth, train, eval, sweep, serve, plot. Settings
 resolve in precedence order: built-in defaults, then --config file,
 then the ADAPSHARE_SEED environment variable, then explicit flags and
---set key=value overrides.
+--set key=value overrides. A settings flag is stored under its config
+key (--n-r as env.n_r) and parsed by that key's parser, like --set.
 """
 
 import argparse
@@ -12,25 +13,26 @@ import sys
 
 import numpy as np
 
-from ..agents import evaluate, load_agent, save_agent, train
+from ..agents import TRAINABLE, evaluate, load_agent, save_agent, train
 from ..domain import (
     AgentKind,
     DemandSeries,
     read_series_csv,
     write_series_csv,
 )
-from ..ingest import filter_data_transmissions, merge_series, parse_dci_csv, resample_mean
+from ..ingest import AlignmentMismatch, filter_data_transmissions, merge_series, parse_dci_csv, resample_mean
 from ..synthgen import fit, generate, ks_distance
 from . import results as results_mod
-from .config import SWEEP_KEYS, ConfigFileError, _kind, build_experiment, coerce_overrides, parse_config_file
+from .config import (COERCERS, SWEEP_KEYS, ConfigFileError, _kind, build_experiment, coerce_overrides,
+                     parse_config_file)
 from .service import serve
 from .sweep import DEFAULT_N_R, SweepSpec, run_sweep
 
 
-def _sources(args, flag_keys):
-    """The coerced settings of --config, ADAPSHARE_SEED, the flags in
-    flag_keys ({config key: argparse attribute}) and --set, in that
-    (ascending) precedence order."""
+def _sources(args):
+    """The coerced settings of --config, ADAPSHARE_SEED, the flags (each
+    stored under its config key) and --set, in that (ascending)
+    precedence order."""
     file_kv = parse_config_file(args.config) if getattr(args, "config", None) else {}
     env_kv = {}
     env_seed = os.environ.get("ADAPSHARE_SEED")
@@ -39,11 +41,7 @@ def _sources(args, flag_keys):
             env_kv["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigFileError(f"ADAPSHARE_SEED must be an integer: {env_seed!r}") from exc
-    flags = {}
-    for key, attr in flag_keys.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            flags[key] = value
+    flags = {key: value for key, value in vars(args).items() if key in COERCERS and value is not None}
     set_kv = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
@@ -53,43 +51,27 @@ def _sources(args, flag_keys):
     return file_kv, env_kv, coerce_overrides(flags), set_kv
 
 
-def _collect_mapping(args, flag_keys):
+def _collect_mapping(args):
     """Merge config sources into one coerced mapping (last write wins)."""
     mapping = {}
-    for source in _sources(args, flag_keys):
+    for source in _sources(args):
         mapping.update(source)
     return mapping
 
-
-# eval's --agent and sweep's --agents choose the agent themselves
-RUN_FLAGS = {
-    "env.n_r": "n_r",
-    "env.zeta": "zeta",
-    "seed": "seed",
-    "train_steps": "steps",
-}
-
-EXPERIMENT_FLAGS = {**RUN_FLAGS, "agent_kind": "agent"}
-
-SWEEP_FLAGS = {
-    **RUN_FLAGS,
-    "n_r_values": "n_r_values",
-    "zeta_values": "zeta_values",
-    "agent_kinds": "agents",
-}
 
 # the network's input width and scale; a checkpoint was trained on them
 OBSERVATION_KEYS = ("env.window_n", "env.capacity_norm")
 
 
 def _add_experiment_flags(parser, with_agent=True):
+    # each flag is stored under its config key and parsed like --set
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--n-r", dest="n_r", type=float, help="resource pool size in PRB")
-    parser.add_argument("--zeta", type=float, help="priority weight for network A")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--steps", type=int, help="training steps")
+    parser.add_argument("--n-r", dest="env.n_r", metavar="N_R", help="resource pool size in PRB")
+    parser.add_argument("--zeta", dest="env.zeta", metavar="ZETA", help="priority weight for network A")
+    parser.add_argument("--seed", help="base seed")
+    parser.add_argument("--steps", dest="train_steps", metavar="STEPS", help="training steps")
     if with_agent:
-        parser.add_argument("--agent", help="agent kind: ddpg, td3, opt_oracle, opt_base")
+        parser.add_argument("--agent", dest="agent_kind", metavar="AGENT", help="agent kind: ddpg or td3")
     parser.add_argument(
         "--set",
         action="append",
@@ -116,7 +98,7 @@ def _granularity(args):
 
 def cmd_ingest(args):
     granularity = _granularity(args)
-    merged = None
+    traces = []
     for side, path in (("a", args.dci_a), ("b", args.dci_b)):
         records = parse_dci_csv(path)
         data = filter_data_transmissions(records, args.dci_format)
@@ -129,7 +111,17 @@ def cmd_ingest(args):
             f"network {side.upper()}: {len(records)} rows, {len(data)} data transmissions, "
             f"{len(series)} windows of {granularity}s ({empty} empty)"
         )
-        merged = series if merged is None else merge_series(merged, series)
+        traces.append((f"--dci-{side} {path}", series))
+    (_, a), (_, b) = traces
+    try:
+        merged = merge_series(a, b)
+    except AlignmentMismatch as exc:
+        longer = "--dci-a" if len(a) > len(b) else "--dci-b" if len(b) > len(a) else "neither"
+        spans = "; ".join(
+            f"{name} covers {len(s)} windows, t = {s.timestamps[0]} to {s.timestamps[-1]} s"
+            for name, s in traces
+        )
+        raise ConfigFileError(f"the traces do not line up ({longer} is longer): {spans}") from exc
     write_series_csv(merged, args.out)
     print(f"wrote {args.out}")
 
@@ -141,7 +133,7 @@ def cmd_synth(args):
     if side is None:
         raise ConfigFileError("--ref has both columns populated; pick one with --side")
     stats = fit(ref, side=side)
-    seed = _collect_mapping(args, {"seed": "seed"}).get("seed", 42)
+    seed = _collect_mapping(args).get("seed", 42)
     if granularity is None:
         granularity = ref.granularity
     gen_a = generate(stats, args.length, seed, side="a", granularity=granularity)
@@ -161,11 +153,8 @@ def cmd_synth(args):
 
 def cmd_train(args):
     series = read_series_csv(args.data)
-    mapping = _collect_mapping(args, EXPERIMENT_FLAGS)
-    if "agent_kind" not in mapping:
-        mapping["agent_kind"] = AgentKind.TD3
-    cfg = build_experiment(mapping)
-    if cfg.agent_kind not in (AgentKind.DDPG, AgentKind.TD3):
+    cfg = build_experiment(_collect_mapping(args))
+    if cfg.agent_kind not in TRAINABLE:
         raise ConfigFileError(f"train needs ddpg or td3, got {cfg.agent_kind.value}")
     agent, result = train(cfg.agent_kind, series, cfg)
     tail = result.curve[-1] if len(result.curve) else float("nan")
@@ -195,7 +184,7 @@ def cmd_eval(args):
         # the checkpoint fixes every setting but the env.* keys that leave
         # the observation alone; ADAPSHARE_SEED, which only seeds new runs,
         # is left out
-        file_kv, _, flag_kv, set_kv = _sources(args, RUN_FLAGS)
+        file_kv, _, flag_kv, set_kv = _sources(args)
         mapping = {**file_kv, **flag_kv, **set_kv}
         fixed = sorted(
             key for key in mapping if not key.startswith("env.") or key in OBSERVATION_KEYS
@@ -210,9 +199,9 @@ def cmd_eval(args):
         label = cfg.agent_kind.value
     else:
         kind = _kind(args.agent, "--agent")
-        if kind in (AgentKind.DDPG, AgentKind.TD3):
+        if kind in TRAINABLE:
             raise ConfigFileError("RL agents need --checkpoint; --agent is for the solvers")
-        mapping = _collect_mapping(args, RUN_FLAGS)
+        mapping = _collect_mapping(args)
         if "agent_kind" in mapping:
             raise ConfigFileError("agent_kind is chosen by eval --agent; set it in no config file or --set")
         cfg = build_experiment(mapping)
@@ -231,7 +220,7 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     series = read_series_csv(args.data)
-    mapping = _collect_mapping(args, SWEEP_FLAGS)
+    mapping = _collect_mapping(args)
     sweep_lists = {key: mapping.pop(key) for key in SWEEP_KEYS if key in mapping}
     if "agent_kind" in mapping:
         raise ConfigFileError("agent_kind is chosen by sweep's agent_kinds; set it in no config file or --set")
@@ -280,7 +269,7 @@ def build_parser():
     p.add_argument("--side", choices=["a", "b", "auto"], default="auto",
                    help="which column of --ref to fit (default: the populated one)")
     p.add_argument("--length", type=int, default=860, help="samples to generate (default 860)")
-    p.add_argument("--seed", type=int, help="seed for column A; column B uses seed+1")
+    p.add_argument("--seed", help="seed for column A; column B uses seed+1")
     p.add_argument("--granularity", type=int, help="output spacing seconds (default: ref's)")
     p.add_argument("--out", required=True, help="output demand series CSV")
     p.set_defaults(func=cmd_synth)
@@ -307,7 +296,8 @@ def build_parser():
     _add_experiment_flags(p, with_agent=False)
     p.add_argument("--n-r-values", help="comma list, e.g. 20,60,100")
     p.add_argument("--zeta-values", help="comma list, e.g. 0,0.1,...,1")
-    p.add_argument("--agents", help="comma list, e.g. td3,opt_oracle,opt_base")
+    p.add_argument("--agents", dest="agent_kinds", metavar="AGENTS",
+                   help="comma list, e.g. td3,opt_oracle,opt_base")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("serve", help="answer allocation requests over TCP")

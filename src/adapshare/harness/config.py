@@ -4,18 +4,19 @@ One assignment per line, `#` lines are comments. Nested fields use
 dotted names (`env.n_r = 60`, `agent.actor_lr = 1e-4`); list-valued
 sweep fields take comma-separated values (`n_r_values = 20,60,100`).
 Callers overlay sources in precedence order (defaults < file <
-ADAPSHARE_SEED < CLI flags) before building the dataclasses.
+ADAPSHARE_SEED < CLI flags < --set) before building the dataclasses.
 
 The key table is derived: one key per field of ExperimentConfig,
 EnvConfig (`env.`) and AgentConfig (`agent.`), parsed by its annotation,
-plus the three sweep lists.
+plus the three sweep lists. It is the one parser of settings: the CLI
+stores each flag under its key and parses it here, like a --set value.
+Only domain is imported, never the agents and their networks.
 """
 
 import math
 from dataclasses import fields
 
-from ..domain import EnvConfig, ExperimentConfig, _type_name, as_agent_kind
-from ..agents import AgentConfig
+from ..domain import AgentConfig, EnvConfig, ExperimentConfig, as_agent_kind
 
 
 class ConfigFileError(ValueError):
@@ -51,7 +52,7 @@ SWEEP_KEYS = {"n_r_values": _float_list, "zeta_values": _float_list, "agent_kind
 # every assignable key with its parser; ExperimentConfig's env and agent
 # fields are the env. and agent. sections, not keys
 COERCERS = {
-    prefix + field.name: _PARSERS[_type_name(field)]
+    prefix + field.name: _PARSERS[field.type]
     for prefix, cls in (("", ExperimentConfig), ("env.", EnvConfig), ("agent.", AgentConfig))
     for field in fields(cls)
     if field.name not in ("env", "agent")

@@ -5,14 +5,12 @@ agent kind), so any subset of cells reproduces exactly the same rows
 as the full grid.
 """
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..agents import evaluate, train
+from ..agents import TRAINABLE, evaluate, train
 from ..domain import AgentKind, ExperimentConfig, as_agent_kind
 from ..metrics import EvalReport
 from ..seeding import derive_seed
@@ -21,8 +19,6 @@ from .results import check_cell_stubs
 DEFAULT_N_R = (20.0, 60.0, 100.0)
 DEFAULT_ZETAS = tuple(round(0.1 * k, 1) for k in range(11))
 DEFAULT_AGENTS = (AgentKind.DDPG, AgentKind.TD3, AgentKind.OPT_ORACLE, AgentKind.OPT_BASE)
-
-TRAINABLE = (AgentKind.DDPG, AgentKind.TD3)
 
 
 @dataclass(frozen=True)
@@ -35,13 +31,17 @@ class SweepSpec:
     def __post_init__(self):
         if not self.n_r_values or not self.zeta_values or not self.agent_kinds:
             raise ValueError("sweep lists must be nonempty")
-        # checked here, so that a bad entry fails before any cell runs
-        if not all(isinstance(n, numbers.Real) and math.isfinite(n) and n > 0 for n in self.n_r_values):
-            raise ValueError(f"n_r_values must be positive finite numbers, got {self.n_r_values}")
-        if not all(isinstance(z, numbers.Real) and 0.0 <= z <= 1.0 for z in self.zeta_values):
-            raise ValueError(f"zeta_values must be numbers in [0, 1], got {self.zeta_values}")
-        object.__setattr__(self, "n_r_values", tuple(float(v) for v in self.n_r_values))
-        object.__setattr__(self, "zeta_values", tuple(float(z) for z in self.zeta_values))
+        # each entry goes through the EnvConfig rules its cells will meet,
+        # so that a bad entry fails before any cell runs
+        for name, key in (("n_r_values", "n_r"), ("zeta_values", "zeta")):
+            for value in getattr(self, name):
+                try:
+                    self.base.with_env(**{key: value})
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{name} must be valid env.{key} values, got {value!r}: {exc}"
+                    ) from exc
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         kinds = tuple(as_agent_kind(k, "agent_kinds") for k in self.agent_kinds)
         object.__setattr__(self, "agent_kinds", kinds)
         check_cell_stubs((k.value, n, z) for k in kinds for n in self.n_r_values for z in self.zeta_values)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapshare import agents as agents_mod
 from adapshare import nn
@@ -24,9 +26,10 @@ from adapshare.agents import (
     train_split_end,
 )
 from adapshare.domain import AgentKind, Allocation, DemandSeries, EnvConfig, ExperimentConfig
-from adapshare.env import Observation, RawAction, observe, project_action
+from adapshare.env import Observation, RawAction, observe, project_action, step
 from adapshare.metrics import build_report, moving_average
 from adapshare.oracle import solve_opt
+from adapshare.seeding import rng_for
 
 
 def obs_of(*pairs):
@@ -368,6 +371,68 @@ class TestSplits:
         cfg = ExperimentConfig(env=EnvConfig(n_r=20.0, window_n=8), eval_split=0.25)
         ts = eval_timesteps(small_series, cfg)
         assert list(ts) == [8, 9]
+
+    @pytest.mark.parametrize("policy", [AgentKind.OPT_ORACLE, AgentKind.OPT_BASE, "trained"])
+    @pytest.mark.parametrize("window_n,eval_split", [(1, 0.0001), (10, 0.25)],
+                             ids=["tiny_split", "long_window"])
+    def test_empty_evaluation_split_refused(self, small_series, policy, window_n, eval_split):
+        # the check train makes, so that no policy is scored on zero steps
+        cfg = ExperimentConfig(env=EnvConfig(n_r=20.0, window_n=window_n), eval_split=eval_split)
+        if policy == "trained":
+            policy = make_agent(AgentKind.TD3, obs_dim=2 * (window_n + 1), seed=1)
+        with pytest.raises(ConfigError, match="^evaluation split is empty: .* step 10 of a 10-step"):
+            agents_mod.evaluate(policy, small_series, cfg)
+
+
+def reference_train(kind, series, cfg):
+    """train() as a per-step loop: observe, an exploring act, env.step,
+    then the exploration scale's decay; the timesteps are drawn up front
+    from the same stream. Kept so that train's semantics stay pinned
+    whatever shape its loop takes."""
+    env, agent_cfg = cfg.env, cfg.agent
+    agent = make_agent(kind, obs_dim=2 * (env.window_n + 1), config=agent_cfg, seed=cfg.seed)
+    buffer = ReplayBuffer(agent_cfg.buffer_capacity)
+    split_end = train_split_end(len(series), cfg.eval_split)
+    ts = rng_for(cfg.seed, "tsample").integers(env.window_n, split_end, cfg.train_steps)
+    rewards = []
+    for i, t in enumerate(ts.tolist()):
+        obs = observe(series, t, env)
+        raw = agent.act(obs, explore=True)
+        r = step(series, t, raw, env).reward
+        buffer.add(obs.vector(), raw, r)
+        rewards.append(r)
+        if i >= agent_cfg.warmup_steps and buffer.size >= agent_cfg.batch_size:
+            agent.update(*buffer.sample(agent.batch_rng, agent_cfg.batch_size))
+        agent.explore_sigma *= agent_cfg.sigma_decay
+    return agent, np.array(rewards)
+
+
+class TestTrainMatchesReferenceLoop:
+    @settings(deadline=None, derandomize=True, max_examples=20)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        window_n=st.integers(0, 5),
+        kind=st.sampled_from([AgentKind.DDPG, AgentKind.TD3]),
+        delay=st.integers(1, 3),
+    )
+    def test_bit_for_bit(self, seed, window_n, kind, delay):
+        rng = np.random.default_rng(seed)
+        n = 40
+        series = DemandSeries(np.arange(n) * 3600, rng.uniform(0, 30, n), rng.uniform(0, 30, n), 3600)
+        cfg = ExperimentConfig(
+            env=EnvConfig(n_r=20.0, zeta=float(rng.uniform()), window_n=window_n),
+            seed=seed,
+            train_steps=60,
+            agent=AgentConfig(batch_size=8, warmup_steps=12, hidden_dims=(8, 4),
+                              explore_sigma=0.3, sigma_decay=0.99, td3_policy_delay=delay),
+        )
+        agent, result = train(kind, series, cfg)
+        ref, ref_rewards = reference_train(kind, series, cfg)
+        assert bits(result.rewards).tolist() == bits(ref_rewards).tolist()
+        assert bits(agent.actor.flat).tolist() == bits(ref.actor.flat).tolist()
+        assert bits(agent.critic.flat).tolist() == bits(ref.critic.flat).tolist()
+        assert agent.explore_sigma == ref.explore_sigma
+        assert agent.update_count == ref.update_count == 60 - 12
 
 
 class TestTrain:

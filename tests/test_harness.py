@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adapshare
 from adapshare.agents import AgentConfig, eval_timesteps, load_agent
 from adapshare.domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, write_series_csv
 from adapshare.harness.cli import main
@@ -123,6 +126,17 @@ class TestConfigFile:
         cfg = build_experiment(single)
         assert (cfg.seed, cfg.env.n_r, cfg.agent.hidden_dims) == (42, 60.0, (64, 64))
 
+    def test_config_loads_without_the_agents(self):
+        # the settings live in domain, so parsing them needs no networks
+        src = str(Path(adapshare.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import adapshare.domain, adapshare.harness.config; "
+            "print('adapshare.agents' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_coerce_overrides(self):
         out = coerce_overrides({"env.zeta": "0.4", "seed": 3, "agent_kind": "ddpg"})
         assert out == {"env.zeta": 0.4, "seed": 3, "agent_kind": AgentKind.DDPG}
@@ -207,6 +221,18 @@ class TestSweep:
     def test_bad_list_entry_rejected_naming_the_list(self, key, values):
         # refused at construction, before any cell of the grid runs
         with pytest.raises(ValueError, match=f"^{key} must be"):
+            solver_spec(**{key: values})
+
+    @pytest.mark.parametrize(
+        "key,values,reason",
+        [("n_r_values", (20.0, 200.0), r"capacity_norm \(100.0\) must cover the pool size \(200.0\)"),
+         ("n_r_values", (20.0, -1.0), "n_r must be positive"),
+         ("zeta_values", (0.5, 1.5), r"zeta must lie in \[0, 1\]")],
+        ids=["n_r_above_capacity_norm", "negative_n_r", "zeta_above_one"],
+    )
+    def test_entry_refused_by_env_config_names_the_list(self, key, values, reason):
+        # every entry meets the EnvConfig rules its cells would meet
+        with pytest.raises(ValueError, match=f"^{key} must be valid env.*got {values[1]!r}: {reason}"):
             solver_spec(**{key: values})
 
     def test_bad_agent_kind_rejected_naming_the_list(self):
@@ -508,6 +534,19 @@ class TestCliIngest:
         assert f"error: {dci_b}:9: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_traces_over_different_hours_name_flags_files_and_spans(self, dci_fixture_path, tmp_path, capsys):
+        far = tmp_path / "far.csv"
+        far.write_text(f"{DCI_HEADER}\n1,0,4660,10,16,2B,0\n1,0,4660,10,16,2B,1674000000000\n")
+        out = tmp_path / "o.csv"
+        rc = run_cli("ingest", "--dci-a", dci_fixture_path, "--dci-b", far, "--out", out)
+        assert rc == 2
+        assert (
+            "error: the traces do not line up (--dci-b is longer): "
+            f"--dci-a {dci_fixture_path} covers 2 windows, t = 1674000000 to 1674003600 s; "
+            f"--dci-b {far} covers 465001 windows, t = 0 to 1674000000 s"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("granularity", ["0", "-5"])
     def test_non_positive_granularity_is_rc2(self, dci_fixture_path, tmp_path, capsys, granularity):
         out = tmp_path / "o.csv"
@@ -546,6 +585,12 @@ class TestCliSynth:
         expected = f"--granularity must be a positive number of seconds, got {granularity}"
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+    def test_synth_seed_flag_is_parsed_like_the_seed_key(self, hourly_fixture_path, tmp_path, capsys):
+        rc = run_cli("synth", "--ref", hourly_fixture_path, "--length", "5", "--seed", "x",
+                     "--out", tmp_path / "x.csv")
+        assert rc == 2
+        assert "error: bad value for seed: " in capsys.readouterr().err
 
     def test_two_sided_ref_needs_side(self, tmp_path, constant_csv, capsys):
         rc = run_cli("synth", "--ref", constant_csv, "--out", tmp_path / "x.csv")
@@ -654,6 +699,14 @@ class TestCliTrainEval:
         assert rc == 0
         assert "opt_oracle: mean_j=0.000000" in capsys.readouterr().out
 
+    def test_eval_solver_on_empty_split_is_rc2(self, constant_csv, capsys):
+        rc = run_cli("eval", "--data", constant_csv, "--agent", "opt_oracle", "--n-r", "20",
+                     "--set", "eval_split=0.0001")
+        assert rc == 2
+        assert "error: evaluation split is empty: it would start at step 60 of a 60-step" in (
+            capsys.readouterr().err
+        )
+
     def test_eval_agent_is_parsed_like_config_kinds(self, constant_csv, capsys):
         rc = run_cli("eval", "--data", constant_csv, "--agent", "OPT_BASE", "--n-r", "20")
         assert rc == 0
@@ -737,8 +790,15 @@ class TestCliPrecedence:
             (("train", "--n-r", "20", "--set", "seed=ten"), "seed"),
             (("train", "--n-r", "20", "--set", "agent.hidden_dims="), "agent.hidden_dims"),
             (("sweep", "--out-dir", "grid", "--n-r-values", "20,x"), "n_r_values"),
+            (("train", "--n-r", "20", "--seed", "x"), "seed"),
+            (("train", "--n-r", "wide"), "env.n_r"),
+            (("train", "--n-r", "20", "--zeta", "nan"), "env.zeta"),
+            (("train", "--n-r", "20", "--steps", "1.5"), "train_steps"),
+            (("train", "--n-r", "20", "--agent", "bogus"), "agent_kind"),
+            (("sweep", "--out-dir", "grid", "--agents", "td3,bogus"), "agent_kinds"),
         ],
-        ids=["set_seed", "set_empty_list", "sweep_list_flag"],
+        ids=["set_seed", "set_empty_list", "sweep_list_flag", "seed_flag", "n_r_flag", "zeta_flag",
+             "steps_flag", "agent_flag", "agents_flag"],
     )
     def test_bad_value_names_its_key(self, constant_csv, tmp_path, capsys, monkeypatch, args, key):
         monkeypatch.chdir(tmp_path)
@@ -770,6 +830,19 @@ class TestCliSweepPlot:
         rc = run_cli(*self.sweep_args(constant_csv, out_dir), "--set", "agent_kind=td3")
         assert rc == 2
         assert "agent_kind is chosen by sweep's agent_kinds" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_sweep_refuses_a_pool_above_capacity_norm_before_any_cell(self, constant_csv, tmp_path, capsys):
+        # refused naming the list, before the n_r = 20 cells run
+        out_dir = tmp_path / "grid"
+        rc = run_cli(
+            "sweep", "--data", constant_csv, "--out-dir", out_dir,
+            "--agents", "opt_oracle", "--n-r-values", "20,200",
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "[1/" not in out
+        assert err.startswith("error: n_r_values must be valid env.n_r values, got 200.0: capacity_norm")
         assert not out_dir.exists()
 
     def test_sweep_refuses_colliding_zetas_before_writing(self, constant_csv, tmp_path, capsys):

@@ -142,6 +142,22 @@ class TestParseRequest:
         with pytest.raises(MalformedRequest, match="zeta must lie"):
             _parse_request(request_line(zeta=zeta), WINDOW_N)
 
+    @pytest.mark.parametrize(
+        "field,kw",
+        [("n_r", dict(n_r=True, zeta=False)), ("zeta", dict(zeta=False)),
+         ("demand_history", dict(history=[[True, 2.0], [1.0, 1.0], [1.0, 1.0]])),
+         ("demand_history", dict(history=HISTORY + [[1.0, False]]))],
+        ids=["n_r", "zeta", "history", "unused_history_pair"],
+    )
+    def test_booleans_refused_naming_the_field(self, field, kw):
+        # JSON true and false would otherwise read as 1.0 and 0.0
+        with pytest.raises(MalformedRequest, match=f"^{field} .*(true|false|boolean)"):
+            _parse_request(request_line(**kw), WINDOW_N)
+
+    def test_boolean_in_an_ignored_field_is_harmless(self):
+        pairs, n_r, zeta = _parse_request(request_line(verbose=True, note="true"), WINDOW_N)
+        assert pairs.tolist() == HISTORY and (n_r, zeta) == (100.0, 0.5)
+
 
 class TestAnswer:
     def test_matches_in_process_policy(self, live_server, expected):
