@@ -8,6 +8,7 @@ key (--n-r as env.n_r) and parsed by that key's parser, like --set.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,7 +27,7 @@ from . import results as results_mod
 from .config import (COERCERS, SWEEP_KEYS, ConfigFileError, _kind, build_experiment, coerce_overrides,
                      parse_config_file)
 from .service import serve
-from .sweep import DEFAULT_N_R, SweepSpec, run_sweep
+from .sweep import SweepSpec, run_sweep
 
 
 def _sources(args):
@@ -116,12 +117,13 @@ def cmd_ingest(args):
     try:
         merged = merge_series(a, b)
     except AlignmentMismatch as exc:
-        longer = "--dci-a" if len(a) > len(b) else "--dci-b" if len(b) > len(a) else "neither"
+        longer = "--dci-a" if len(a) > len(b) else "--dci-b" if len(b) > len(a) else None
         spans = "; ".join(
             f"{name} covers {len(s)} windows, t = {s.timestamps[0]} to {s.timestamps[-1]} s"
             for name, s in traces
         )
-        raise ConfigFileError(f"the traces do not line up ({longer} is longer): {spans}") from exc
+        reason = f"{longer} is longer" if longer else exc
+        raise ConfigFileError(f"the traces do not line up ({reason}): {spans}") from exc
     write_series_csv(merged, args.out)
     print(f"wrote {args.out}")
 
@@ -224,7 +226,10 @@ def cmd_sweep(args):
     sweep_lists = {key: mapping.pop(key) for key in SWEEP_KEYS if key in mapping}
     if "agent_kind" in mapping:
         raise ConfigFileError("agent_kind is chosen by sweep's agent_kinds; set it in no config file or --set")
-    mapping.setdefault("env.n_r", sweep_lists.get("n_r_values", DEFAULT_N_R)[0])
+    # no cell runs at the base's pool size; the smallest positive float
+    # passes every EnvConfig rule on n_r that a positive capacity_norm can,
+    # so SweepSpec checks each n_r_values entry, the first included
+    mapping.setdefault("env.n_r", math.ulp(0.0))
     base = build_experiment(mapping)
     spec = SweepSpec(base=base, **sweep_lists)
 

@@ -43,14 +43,12 @@ def _parse_request(line, window_n):
         raise MalformedRequest(
             f"demand_history must list at least {window_n + 1} (d_a, d_b) pairs, newest first"
         )
-    # JSON true and false would pass as 1.0 and 0.0; the substring test
-    # spares the common request the walk over its pairs
-    if "true" in line or "false" in line:
-        for key in ("n_r", "zeta"):
-            if isinstance(payload[key], bool):
-                raise MalformedRequest(f"{key} must be a number, got {json.dumps(payload[key])}")
-        if any(isinstance(x, bool) for pair in history if isinstance(pair, list) for x in pair):
-            raise MalformedRequest("demand_history entries must be numeric pairs, got a boolean")
+    # JSON true and false would pass as 1.0 and 0.0
+    for key in ("n_r", "zeta"):
+        if isinstance(payload[key], bool):
+            raise MalformedRequest(f"{key} must be a number, got {json.dumps(payload[key])}")
+    if any(isinstance(x, bool) for pair in history if isinstance(pair, list) for x in pair):
+        raise MalformedRequest("demand_history entries must be numeric pairs, got a boolean")
     try:
         pairs = np.asarray(history, dtype=float)
     except (TypeError, ValueError) as exc:

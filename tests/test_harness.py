@@ -547,6 +547,19 @@ class TestCliIngest:
         ) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_equal_lengths_over_different_hours_keep_the_reason(self, dci_fixture_path, tmp_path, capsys):
+        early = tmp_path / "early.csv"
+        early.write_text(f"{DCI_HEADER}\n1,0,4660,10,16,2B,0\n1,0,4660,10,16,2B,3600000\n")
+        out = tmp_path / "o.csv"
+        rc = run_cli("ingest", "--dci-a", dci_fixture_path, "--dci-b", early, "--out", out)
+        assert rc == 2
+        assert (
+            "error: the traces do not line up (timestamps are not aligned): "
+            f"--dci-a {dci_fixture_path} covers 2 windows, t = 1674000000 to 1674003600 s; "
+            f"--dci-b {early} covers 2 windows, t = 0 to 3600 s"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("granularity", ["0", "-5"])
     def test_non_positive_granularity_is_rc2(self, dci_fixture_path, tmp_path, capsys, granularity):
         out = tmp_path / "o.csv"
@@ -844,6 +857,27 @@ class TestCliSweepPlot:
         assert "[1/" not in out
         assert err.startswith("error: n_r_values must be valid env.n_r values, got 200.0: capacity_norm")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("values", ["200", "0,20"])
+    def test_sweep_refuses_a_bad_first_pool_size_naming_the_list(self, constant_csv, tmp_path, capsys, values):
+        # the first entry is checked like the rest, though no env.n_r is set
+        out_dir = tmp_path / "grid"
+        rc = run_cli(
+            "sweep", "--data", constant_csv, "--out-dir", out_dir,
+            "--agents", "opt_oracle", "--n-r-values", values,
+        )
+        assert rc == 2
+        first = float(values.split(",")[0])
+        assert capsys.readouterr().err.startswith(f"error: n_r_values must be valid env.n_r values, got {first!r}: ")
+        assert not out_dir.exists()
+
+    def test_sweep_blames_a_bad_setting_not_the_pool_sizes(self, constant_csv, tmp_path, capsys):
+        rc = run_cli(
+            "sweep", "--data", constant_csv, "--out-dir", tmp_path / "grid",
+            "--agents", "opt_oracle", "--n-r-values", "20", "--set", "env.eta=-1",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: eta must be nonnegative")
 
     def test_sweep_refuses_colliding_zetas_before_writing(self, constant_csv, tmp_path, capsys):
         out_dir = tmp_path / "grid"
