@@ -20,7 +20,7 @@ _EXPORTS = {
     "synthgen": ("DemandStats", "fit", "generate", "ks_distance"),
     "agents": ("DdpgAgent", "ReplayBuffer", "Td3Agent", "eval_timesteps", "evaluate",
                "greedy_policy", "load_agent", "make_agent", "save_agent", "train"),
-    "metrics": ("EvalReport", "build_report", "jain_fairness", "moving_average", "surplus_deficit"),
+    "metrics": ("EvalReport", "build_report", "moving_average"),
     "seeding": ("derive_seed", "rng_for"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -115,8 +115,8 @@ class DdpgAgent:
         """One mean-squared-error step of Q(obs, act) towards the reward."""
         q, cache = nn.forward_cache(self.critic, obs_act)
         err = q - rew[:, None]
-        grad_w, grad_b, _ = nn.backward(self.critic, cache, (2.0 / obs_act.shape[0]) * err, inputs=False)
-        nn.adam_step(self.critic_opt, [self.critic.flat], [nn.flatten_layers(grad_w, grad_b)])
+        grad, _ = nn.backward(self.critic, cache, (2.0 / obs_act.shape[0]) * err, inputs=False)
+        nn.adam_step(self.critic_opt, [self.critic.flat], [grad])
 
     def _update_actor(self, obs):
         batch = obs.shape[0]
@@ -124,11 +124,9 @@ class DdpgAgent:
         x = np.concatenate([obs, mu], axis=1)
         _, critic_cache = nn.forward_cache(self.critic, x)
         # ascend mean Q: backprop -1/B through the critic into the action slice
-        _, _, dx = nn.backward(
-            self.critic, critic_cache, np.full((batch, 1), -1.0 / batch), params=False
-        )
-        grad_w, grad_b, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:], inputs=False)
-        nn.adam_step(self.actor_opt, [self.actor.flat], [nn.flatten_layers(grad_w, grad_b)])
+        _, dx = nn.backward(self.critic, critic_cache, np.full((batch, 1), -1.0 / batch), params=False)
+        grad, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:], inputs=False)
+        nn.adam_step(self.actor_opt, [self.actor.flat], [grad])
 
     def update(self, obs_act, rew):
         """One step on a batch of [obs | u_a u_b] rows and their rewards."""

@@ -22,14 +22,19 @@ from pathlib import Path
 import numpy as np
 
 
+def _is_number(value) -> bool:
+    """A finite real that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _is_integral(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    return _is_number(value) and int(value) == value
 
 
 def positive_int(value, name) -> int:
     """value as an int if it is a whole number above 0 and not a bool;
     otherwise a ValueError names `name`."""
-    if isinstance(value, bool) or not _is_integral(value) or value <= 0:
+    if not _is_integral(value) or value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -54,11 +59,12 @@ def as_agent_kind(value, name):
 
 def _check_fields(config) -> None:
     """Check a config dataclass's float, int and AgentKind fields by their
-    annotations, naming the field; ints and kinds are stored canonically."""
+    annotations, naming the field; ints and kinds are stored canonically.
+    A bool is refused as a float or an int."""
     for f in fields(config):
         name, value, kind = f.name, getattr(config, f.name), f.type
         if kind == "float":
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not _is_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         elif kind == "int":
             if not _is_integral(value):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Allocation, DemandSeries, EnvConfig, clamp_demand, clamp_demands
+from .domain import Allocation, DemandSeries, EnvConfig, clamp_demand
 
 FEASIBILITY_SLACK = 1e-9
 
@@ -74,14 +74,6 @@ def objective_j(alloc: Allocation, demand: tuple[float, float], zeta: float, d_m
     d_a = clamp_demand(demand[0], d_min)
     d_b = clamp_demand(demand[1], d_min)
     return _weighted_squares(alloc.n_a, alloc.n_b, d_a, d_b, zeta)
-
-
-def objective_j_array(n_a, n_b, d_a, d_b, zeta: float, d_min: float) -> np.ndarray:
-    """objective_j over grant and demand columns, element for element the
-    same bits."""
-    d_a = clamp_demands(d_a, d_min, "d_a")
-    d_b = clamp_demands(d_b, d_min, "d_b")
-    return _weighted_squares(n_a, n_b, d_a, d_b, zeta)
 
 
 def reward(j: float, eta: float) -> float:

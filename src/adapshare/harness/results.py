@@ -51,8 +51,9 @@ def _nice_ticks(lo, hi, target=5):
     return ticks
 
 
-def svg_line_chart(lines, title, x_label, y_label, width=720, height=440):
-    """Render labeled (xs, ys) polylines to an SVG document string."""
+def svg_line_chart(lines, title, x_label, y_label):
+    """Render labeled (xs, ys) polylines to a 720 x 440 SVG document string."""
+    width, height = 720, 440
     margin_l, margin_r, margin_t, margin_b = 62, 16, 34, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

@@ -3,15 +3,17 @@
 Surplus/deficit is the signed mean of (allocated - demanded) / demanded per
 network, so 0 means perfect tracking, +0.5 means half again too much, and -1
 means nothing allocated. Fairness is Jain's index averaged over steps.
+build_report computes all of them, with the mean objective J, from one
+grant record array (the form greedy_policy returns) and its demands.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .env import objective_j_array
+from .domain import clamp_demands
+from .env import _weighted_squares
 
 
 class LengthMismatch(ValueError):
@@ -40,27 +42,11 @@ class EvalReport:
     per_step: np.ndarray = field(compare=False)
 
 
-def _alloc_arrays(allocs):
-    if len(allocs) == 0:
-        raise EmptyInput("no allocations to aggregate")
-    if isinstance(allocs, np.ndarray):
-        return np.array(allocs["n_a"], dtype=float), np.array(allocs["n_b"], dtype=float)
-    n_a = np.array([a.n_a for a in allocs], dtype=float)
-    n_b = np.array([a.n_b for a in allocs], dtype=float)
-    return n_a, n_b
-
-
 def _demand_arrays(demands, length):
     if len(demands) != length:
         raise LengthMismatch(f"{length} allocations vs {len(demands)} demands")
     pairs = np.array(demands, dtype=float).reshape(length, 2)
     return pairs[:, 0], pairs[:, 1]
-
-
-def _surplus(n_a, n_b, d_a, d_b, d_min):
-    d_a = np.maximum(d_a, d_min)
-    d_b = np.maximum(d_b, d_min)
-    return float(np.mean((n_a - d_a) / d_a)), float(np.mean((n_b - d_b) / d_b))
 
 
 def _jain(n_a, n_b):
@@ -89,31 +75,6 @@ def _mean_left_to_right(values):
     return float(np.add.accumulate(values)[-1]) / len(values)
 
 
-def surplus_deficit(allocs, demands, d_min=0.1):
-    """Mean fractional surplus (+) or deficit (-) per network.
-
-    s_a = (1/T) sum (n_a - d_a) / d_a, demands clamped by d_min before
-    division; symmetrically s_b.
-    """
-    n_a, n_b = _alloc_arrays(allocs)
-    return _surplus(n_a, n_b, *_demand_arrays(demands, len(allocs)), d_min)
-
-
-def jain_fairness(allocs):
-    """Mean per-step Jain index (n_a + n_b)^2 / (2 (n_a^2 + n_b^2)).
-
-    A (0, 0) step is 0/0; both sides are equally starved there, so it
-    counts as 1 and a warning reports how many steps did.
-    """
-    fairness, zero_steps = _jain(*_alloc_arrays(allocs))
-    if zero_steps:
-        warnings.warn(
-            f"{zero_steps} all-zero allocation step(s) counted as fairness 1",
-            stacklevel=2,
-        )
-    return fairness
-
-
 def moving_average(values, window):
     """Trailing mean with an expanding head: out[i] = mean(values[max(0, i-window+1) .. i])."""
     if window < 1:
@@ -130,31 +91,40 @@ def moving_average(values, window):
     return out
 
 
-def build_report(allocs, demands, zeta, d_min=0.1, timestamps=None):
+def build_report(grants, demands, zeta, d_min=0.1, timestamps=None):
     """Bundle every metric for one policy run into an EvalReport.
 
-    allocs is a grant record array (fields n_a and n_b, as greedy_policy
-    returns) or a sequence of Allocation, and demands one of (d_a, d_b)
-    pairs or a (T, 2) array. Both are read into columns once; J, surplus
-    and fairness are then whole-array expressions with the same bits the
-    per-step objective_j and the single-metric functions give. The
-    report's per_step matrix takes its t column from timestamps, or
-    0 .. T-1 when none are given.
+    grants is a grant record array (fields n_a and n_b, as greedy_policy
+    returns), and demands a sequence of (d_a, d_b) pairs or a (T, 2)
+    array. Each demand column is floored at d_min once (clamp_demands),
+    and that column feeds both J and the surplus:
+      J_t = zeta ((n_a - d_a) / d_a)^2 + (1 - zeta) ((n_b - d_b) / d_b)^2,
+        the per-step objective_j's formula and bits;
+      s_a = mean((n_a - d_a) / d_a), and s_b likewise;
+      fairness = mean Jain index (n_a + n_b)^2 / (2 (n_a^2 + n_b^2)),
+        a (0, 0) step counting as 1 (both sides equally starved) and
+        tallied in zero_alloc_steps.
+    mean_j adds J left to right. The per_step matrix holds the unfloored
+    demands and takes its t column from timestamps, or 0 .. T-1 when none
+    are given.
     """
-    n_a, n_b = _alloc_arrays(allocs)
-    d_a, d_b = _demand_arrays(demands, len(allocs))
-    j = objective_j_array(n_a, n_b, d_a, d_b, zeta, d_min)
-    s_a, s_b = _surplus(n_a, n_b, d_a, d_b, d_min)
+    if len(grants) == 0:
+        raise EmptyInput("no allocations to aggregate")
+    n_a = np.asarray(grants["n_a"], dtype=float)
+    n_b = np.asarray(grants["n_b"], dtype=float)
+    d_a, d_b = _demand_arrays(demands, len(grants))
+    floor_a = clamp_demands(d_a, d_min, "d_a")
+    floor_b = clamp_demands(d_b, d_min, "d_b")
+    j = _weighted_squares(n_a, n_b, floor_a, floor_b, zeta)
     fairness, zero_steps = _jain(n_a, n_b)
     t = np.arange(len(j)) if timestamps is None else timestamps
     per_step = np.column_stack((t, n_a, n_b, d_a, d_b, j))
     per_step.setflags(write=False)
     return EvalReport(
-        s_a=s_a,
-        s_b=s_b,
+        s_a=float(np.mean((n_a - floor_a) / floor_a)),
+        s_b=float(np.mean((n_b - floor_b) / floor_b)),
         fairness=fairness,
         mean_j=_mean_left_to_right(j),
         zero_alloc_steps=zero_steps,
         per_step=per_step,
     )
-

@@ -7,16 +7,18 @@ form agent checkpoints store as JSON, refusing non-finite parameters.
 All math is float64 numpy; no autodiff framework.
 
 Each network keeps all its parameters in one contiguous vector, with
-per-layer views for the forward and backward passes. Adam and the
+per-layer views (`layer_views`) for the forward and backward passes.
+`backward` writes the parameter gradient into a fresh vector with the
+same layout, so an update hands that one vector to Adam. Adam and the
 Polyak update work element by element, so running them once on that
 vector gives the same bits as running them on each layer's arrays.
 
 `backward` computes only what its caller reads: `params=False` skips
-the weight and bias gradients (the actor step's pass through the
-critic wants only the gradient w.r.t. the action), and `inputs=False`
-skips the gradient w.r.t. the network's input (every update that
-steps a network's own parameters). Each activation's derivative comes
-from the forward cache, so nothing is evaluated twice.
+the parameter gradient (the actor step's pass through the critic wants
+only the gradient w.r.t. the action), and `inputs=False` skips the
+gradient w.r.t. the network's input (every update that steps a
+network's own parameters). Each activation's derivative comes from the
+forward cache, so nothing is evaluated twice.
 """
 
 import numpy as np
@@ -50,13 +52,14 @@ ACTIVATIONS = {
 class Mlp:
     """Dense network; weights[l] has shape (dims[l+1], dims[l]).
 
-    activations has one name per weight layer. All parameters live in
-    one contiguous float64 vector `flat`, ordered as params() lists
-    them; `weights` and `biases` are views into it, so an optimizer may
-    update either the whole vector or each array, in place.
+    activations has one name per weight layer, and rng (a numpy
+    Generator) draws the uniform, fan-in-bounded initial weights. All
+    parameters live in one contiguous float64 vector `flat`, ordered as
+    params() lists them; `weights` and `biases` are views into it, so an
+    optimizer may update either the whole vector or each array, in place.
     """
 
-    def __init__(self, dims, activations, rng=None):
+    def __init__(self, dims, activations, rng):
         dims = [int(d) for d in dims]
         activations = list(activations)
         if len(dims) < 2:
@@ -74,8 +77,6 @@ class Mlp:
         self.dims = dims
         self.activations = activations
         self._bind(np.empty(sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))))
-        if rng is None:
-            rng = np.random.default_rng()
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[1])
             w[...] = rng.uniform(-bound, bound, w.shape)
@@ -84,14 +85,7 @@ class Mlp:
     def _bind(self, flat):
         """Adopt `flat` as the parameter vector and carve the layer views."""
         self.flat = flat
-        self.weights = []
-        self.biases = []
-        offset = 0
-        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
-            self.weights.append(flat[offset: offset + fan_out * fan_in].reshape(fan_out, fan_in))
-            offset += fan_out * fan_in
-            self.biases.append(flat[offset: offset + fan_out])
-            offset += fan_out
+        self.weights, self.biases = layer_views(self.dims, flat)
 
     def params(self):
         """Parameter arrays, weights then biases per layer: views of `flat`."""
@@ -109,10 +103,18 @@ class Mlp:
         return dup
 
 
-def flatten_layers(weights, biases):
-    """Per-layer weight and bias arrays (parameters, or the gradients
-    backward() returns) as one vector laid out like `Mlp.flat`."""
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+def layer_views(dims, flat):
+    """(weights, biases): per-layer views into `flat`, a vector laid out
+    like `Mlp.flat` (layer by layer, the (out, in) weight matrix then the
+    bias), for the parameters or for a gradient backward() returns."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[offset: offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset: offset + fan_out])
+        offset += fan_out
+    return weights, biases
 
 
 def _as_batch(net, x):
@@ -155,11 +157,11 @@ def forward_cache(net, x):
 def backward(net, cache, upstream, params=True, inputs=True):
     """Exact gradients of sum(output * upstream) for a cached forward pass.
 
-    Returns (weight_grads, bias_grads, input_grad) with shapes matching
-    net.weights, net.biases, and the cached input. params=False skips
-    the weight and bias gradients and inputs=False the input gradient;
-    a skipped part comes back as None, and every part still computed
-    has the same bits as in the full pass.
+    Returns (grad, input_grad): grad is a new vector laid out like
+    net.flat (layer_views carves it per layer), and input_grad has the
+    cached input's shape. params=False skips grad and inputs=False the
+    input gradient; a skipped part comes back as None, and every part
+    still computed has the same bits as in the full pass.
     """
     pre, post, squeeze = cache
     up = np.asarray(upstream, dtype=float)
@@ -170,19 +172,25 @@ def backward(net, cache, upstream, params=True, inputs=True):
             f"upstream gradient shape {np.asarray(upstream).shape} does not match "
             f"output shape ({post[0].shape[0]}, {net.dims[-1]})"
         )
-    grad_w = [None] * len(net.weights) if params else None
-    grad_b = [None] * len(net.weights) if params else None
+    grad = np.empty(net.flat.size) if params else None
+    grad_w, grad_b = layer_views(net.dims, grad) if params else (None, None)
     d = up
     for layer in range(len(net.weights) - 1, -1, -1):
         dz = ACTIVATIONS[net.activations[layer]][1](d, pre[layer], post[layer + 1])
         if params:
-            grad_w[layer] = dz.T @ post[layer]
-            grad_b[layer] = dz.sum(axis=0)
+            np.matmul(dz.T, post[layer], out=grad_w[layer])
+            dz.sum(axis=0, out=grad_b[layer])
         if layer > 0 or inputs:
             d = dz @ net.weights[layer]
     if not inputs:
-        return grad_w, grad_b, None
-    return grad_w, grad_b, (d[0] if squeeze else d)
+        return grad, None
+    return grad, (d[0] if squeeze else d)
+
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamState:
@@ -192,13 +200,10 @@ class AdamState:
     a list of per-layer arrays works the same way, array by array.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
@@ -217,7 +222,7 @@ def adam_step(state, params, grads):
         raise ShapeMismatch("params/grads do not match the optimizer state")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v, (s1, s2) in zip(
         params, grads, state.first_moment, state.second_moment, state.scratch
     ):
@@ -233,7 +238,7 @@ def adam_step(state, params, grads):
         s1 *= state.lr
         np.divide(v, 1.0 - b2 ** t, out=s2)  # v_hat
         np.sqrt(s2, out=s2)
-        s2 += state.eps
+        s2 += ADAM_EPS
         s1 /= s2
         p -= s1
     return params
@@ -285,7 +290,7 @@ def mlp_from_dict(payload):
     got = [b.shape for b in biases]
     if got != [(o,) for o, _ in expect]:
         raise ValueError(f"bias shapes {got} do not match dims {net.dims}")
-    net._bind(flatten_layers(weights, biases))
+    net._bind(np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair]))
     if not np.isfinite(net.flat).all():
         raise ValueError("a weight or bias is not finite")
     return net

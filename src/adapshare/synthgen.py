@@ -77,14 +77,13 @@ def generate(
     seed: int,
     side: str = "a",
     granularity: int = 3600,
-    start_timestamp: int = 0,
 ) -> DemandSeries:
     """Draw a synthetic one-sided series from fitted stats.
 
     Latent chain: z_0 ~ N(0,1), z_t = rho*z_{t-1} + sqrt(1-rho^2)*eps_t; each
     z_t maps through the Gaussian CDF to a uniform, then through the
     empirical quantile table (linear interpolation). Deterministic given
-    (stats, length, seed).
+    (stats, length, seed). Timestamps run from 0 in steps of granularity.
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
@@ -104,7 +103,7 @@ def generate(
     else:
         positions = np.arange(len(sv)) / (len(sv) - 1)
         values = np.interp(u, positions, sv)
-    timestamps = start_timestamp + granularity * np.arange(length, dtype=np.int64)
+    timestamps = granularity * np.arange(length, dtype=np.int64)
     zeros = np.zeros(length)
     if side == "a":
         return DemandSeries(timestamps, values, zeros, granularity)
@@ -113,19 +112,12 @@ def generate(
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
-def _values_of(series_or_values):
-    if isinstance(series_or_values, DemandSeries):
-        s = series_or_values
-        return s.column(s.populated_side() or "a")
-    return series_or_values
-
-
 def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: the maximum absolute gap
-    between empirical CDFs. Accepts one-sided series (their populated
-    column is compared) or plain value arrays."""
-    va = np.sort(np.asarray(_values_of(a), dtype=np.float64))
-    vb = np.sort(np.asarray(_values_of(b), dtype=np.float64))
+    """Two-sample Kolmogorov-Smirnov statistic of two value arrays (a
+    series' demand column, say): the maximum absolute gap between their
+    empirical CDFs. An empty or non-finite sample is refused, naming it."""
+    va = np.sort(np.asarray(a, dtype=np.float64))
+    vb = np.sort(np.asarray(b, dtype=np.float64))
     for name, v in (("a", va), ("b", vb)):
         if len(v) == 0 or not np.isfinite(v).all():
             raise ValueError(f"{name} must be a nonempty sample of finite values")

@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled data files and small reusable demand series."""
+"""Shared fixtures: bundled data files and small reusable demand series,
+and `grants`, which builds the grant record array build_report reads."""
 
 from pathlib import Path
 
@@ -8,6 +9,13 @@ import pytest
 from adapshare import DemandSeries, fit, generate, read_series_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def grants(pairs):
+    """The grant record array of (n_a, n_b) pairs: float64 fields n_a and
+    n_b, the form greedy_policy returns."""
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    return np.rec.fromarrays((pairs[:, 0], pairs[:, 1]), names="n_a,n_b")
 
 
 @pytest.fixture(scope="session")

@@ -25,11 +25,10 @@ from adapshare import (
     solve_opt,
     train,
 )
-from adapshare.domain import Allocation
 from adapshare.harness.sweep import SweepSpec, run_sweep
 from adapshare.harness.results import emit_results
 from adapshare.ingest import filter_data_transmissions, parse_dci_csv, resample_mean
-from adapshare.metrics import jain_fairness, surplus_deficit
+from conftest import grants
 
 
 def _verdict(label, ok, detail):
@@ -98,7 +97,8 @@ def test_backprop_matches_finite_differences():
         x = suite_rng.normal(0.0, 1.0, dims[0])
         upstream = suite_rng.normal(0.0, 1.0, dims[-1])
         _out, cache = nn.forward_cache(net, x)
-        grad_w, grad_b, grad_x = nn.backward(net, cache, upstream)
+        grad, grad_x = nn.backward(net, cache, upstream)
+        grad_w, grad_b = nn.layer_views(net.dims, grad)
         analytic = np.concatenate([g.ravel() for g in grad_w + grad_b + [grad_x]])
         numeric = np.empty_like(analytic)
         k = 0
@@ -218,11 +218,11 @@ def test_td3_fairness_tracks_oracle(priority_sweep_runs):
 
 def test_metric_conventions_exact():
     demands = [(5.0, 5.0), (4.0, 6.0), (3.0, 7.0)]
-    starved = [Allocation(0.0, 0.0)] * 3
-    s_a, s_b = surplus_deficit(starved, demands)
-    equal = jain_fairness([Allocation(3.0, 3.0), Allocation(7.0, 7.0)])
-    one_sided_a = jain_fairness([Allocation(6.0, 0.0)])
-    one_sided_b = jain_fairness([Allocation(0.0, 4.0)])
+    starved = build_report(grants([(0.0, 0.0)] * 3), demands, 0.5)
+    s_a, s_b = starved.s_a, starved.s_b
+    equal = build_report(grants([(3.0, 3.0), (7.0, 7.0)]), demands[:2], 0.5).fairness
+    one_sided_a = build_report(grants([(6.0, 0.0)]), demands[:1], 0.5).fairness
+    one_sided_b = build_report(grants([(0.0, 4.0)]), demands[:1], 0.5).fairness
     ok = (
         abs(s_a - (-1.0)) <= 1e-12
         and abs(s_b - (-1.0)) <= 1e-12

@@ -117,7 +117,16 @@ class TestAgentConfig:
         assert (cfg.batch_size, cfg.warmup_steps) == (32, 7)
         assert isinstance(cfg.batch_size, int) and isinstance(cfg.warmup_steps, int)
 
-    @pytest.mark.parametrize("dims", [(2.5,), (float("nan"),), (8, 0)])
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [("batch_size", True, "an integer"), ("warmup_steps", False, "an integer"),
+         ("actor_lr", True, "a finite number")],
+    )
+    def test_bool_field_named(self, field, value, kind):
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value}$"):
+            AgentConfig(**{field: value})
+
+    @pytest.mark.parametrize("dims", [(2.5,), (float("nan"),), (8, 0), (True,), (8, False)])
     def test_bad_hidden_width_named(self, dims):
         with pytest.raises(ValueError, match="hidden_dims must be positive widths"):
             AgentConfig(hidden_dims=dims)
@@ -690,6 +699,16 @@ class TestCheckpointErrors:
         with pytest.raises(ValueError, match=f"agent.json: .*'{field}'"):
             load_agent(path)
 
+    def test_bool_config_value_named(self, tmp_path):
+        # JSON true would otherwise load as a batch of 1
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["agent_config"]["batch_size"] = True
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="agent.json: bad checkpoint 'agent_config': "
+                                             "batch_size must be an integer, got True$"):
+            load_agent(path)
+
     def test_bad_network_named(self, tmp_path):
         path = checkpoint_file(tmp_path)
         payload = json.loads(path.read_text())
@@ -744,8 +763,11 @@ class TestCheckpointErrors:
 def assert_net_is(net, stored):
     assert [w.tolist() for w in net.weights] == stored["weights"]
     assert [b.tolist() for b in net.biases] == stored["biases"]
-    as_stored = nn.flatten_layers([np.asarray(w) for w in stored["weights"]],
-                                  [np.asarray(b) for b in stored["biases"]])
+    # the loaded vector is the stored layers in Mlp.flat's order
+    as_stored = np.empty(net.flat.size)
+    weights, biases = nn.layer_views(net.dims, as_stored)
+    for view, layer in zip(weights + biases, stored["weights"] + stored["biases"]):
+        view[...] = layer
     assert net.flat.tobytes() == as_stored.tobytes()
 
 

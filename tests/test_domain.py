@@ -124,6 +124,17 @@ class TestEnvConfig:
         with pytest.raises(ValueError, match="window_n must be (an|a nonnegative) integer"):
             EnvConfig(n_r=60.0, window_n=value)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [({"n_r": True, "zeta": False}, "n_r"), ({"n_r": 60.0, "window_n": True}, "window_n"),
+         ({"n_r": 60.0, "zeta": False}, "zeta"), ({"n_r": 60.0, "d_min": True}, "d_min")],
+    )
+    def test_bool_field_rejected_naming_it(self, kwargs, field):
+        # True and False pass as 1 and 0 to numbers.Real, but no setting means them
+        message = f"^{field} must be (a finite number|an integer), got (True|False)$"
+        with pytest.raises(ValueError, match=message):
+            EnvConfig(**kwargs)
+
     def test_int_pool_size_is_kept_as_given(self):
         # float fields are checked, not coerced, so a checkpoint writes 60
         cfg = EnvConfig(n_r=60)
@@ -164,6 +175,15 @@ class TestExperimentConfig:
     )
     def test_bad_field_rejected_naming_it(self, field, value, message):
         with pytest.raises(ValueError, match=message):
+            ExperimentConfig(env=EnvConfig(n_r=60.0), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [("seed", True, "an integer"), ("train_steps", False, "an integer"),
+         ("eval_split", True, "a finite number")],
+    )
+    def test_bool_field_rejected_naming_it(self, field, value, kind):
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value}$"):
             ExperimentConfig(env=EnvConfig(n_r=60.0), **{field: value})
 
     def test_agent_kind_name_is_stored_as_the_enum(self):

@@ -12,7 +12,7 @@ import pytest
 
 import adapshare
 from adapshare.agents import AgentConfig, eval_timesteps, load_agent
-from adapshare.domain import AgentKind, Allocation, EnvConfig, ExperimentConfig, write_series_csv
+from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig, write_series_csv
 from adapshare.harness.cli import main
 from adapshare.harness.config import (
     COERCERS,
@@ -36,6 +36,7 @@ from adapshare.harness.results import (
 from adapshare.harness.sweep import SweepSpec, cell_seed, run_cell, run_sweep
 from adapshare.ingest import DCI_HEADER
 from adapshare.metrics import build_report
+from conftest import grants
 
 
 class TestConfigFile:
@@ -137,6 +138,11 @@ class TestConfigFile:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_every_exported_name_resolves(self):
+        # the exports load lazily, so a stale entry would fail only on first use
+        missing = [name for name in adapshare.__all__ if not hasattr(adapshare, name)]
+        assert missing == []
+
     def test_coerce_overrides(self):
         out = coerce_overrides({"env.zeta": "0.4", "seed": 3, "agent_kind": "ddpg"})
         assert out == {"env.zeta": 0.4, "seed": 3, "agent_kind": AgentKind.DDPG}
@@ -211,6 +217,11 @@ class TestSweep:
             solver_spec(n_r_values=(0.0,))
         with pytest.raises(ValueError):
             solver_spec(zeta_values=(1.2,))
+
+    def test_bool_pool_size_refused_naming_the_list(self):
+        with pytest.raises(ValueError, match="^n_r_values must be valid env.n_r values, got True: "
+                                             "n_r must be a finite number"):
+            solver_spec(n_r_values=(True,))
 
     @pytest.mark.parametrize(
         "key,values",
@@ -424,7 +435,7 @@ class TestReadBack:
 class TestCsvOutput:
     def test_sweep_header_and_row_shape(self):
         assert SWEEP_HEADER == "zeta,n_r,agent,s_a,s_b,fairness,mean_j"
-        report = build_report([Allocation(5.0, 5.0)], [(5.0, 5.0)], zeta=0.5)
+        report = build_report(grants([(5.0, 5.0)]), [(5.0, 5.0)], zeta=0.5)
         row = sweep_row(0.5, 20.0, "td3", report)
         cells = row.split(",")
         assert len(cells) == 7
@@ -433,21 +444,21 @@ class TestCsvOutput:
         assert float(cells[3]) == report.s_a
 
     def test_sweep_row_accepts_kind_enum(self):
-        report = build_report([Allocation(5.0, 5.0)], [(5.0, 5.0)], zeta=0.5)
+        report = build_report(grants([(5.0, 5.0)]), [(5.0, 5.0)], zeta=0.5)
         row = sweep_row(0.1, 60.0, AgentKind.OPT_BASE, report)
         assert row.split(",")[2] == "opt_base"
 
     def test_rows_roundtrip_through_float(self):
         # repr floats must parse back to the exact same values
         report = build_report(
-            [Allocation(1.0 / 3.0, 2.0 / 7.0)], [(0.123456789, 9.87)], zeta=1.0 / 3.0
+            grants([(1.0 / 3.0, 2.0 / 7.0)]), [(0.123456789, 9.87)], zeta=1.0 / 3.0
         )
         cells = sweep_row(1.0 / 3.0, 20.0, "ddpg", report).split(",")
         assert float(cells[0]) == 1.0 / 3.0
         assert float(cells[6]) == report.mean_j
 
     def test_detail_csv(self, tmp_path):
-        allocs = [Allocation(1.5, 2.5), Allocation(1.0 / 3.0, 2.0 / 7.0)]
+        allocs = grants([(1.5, 2.5), (1.0 / 3.0, 2.0 / 7.0)])
         report = build_report(
             allocs, [(1.0, 2.0), (0.123456789, 9.87)], zeta=0.5, timestamps=[7, 8]
         )

@@ -5,88 +5,79 @@ import pytest
 
 from adapshare.domain import Allocation
 from adapshare.env import objective_j
-from adapshare.metrics import (
-    EmptyInput,
-    LengthMismatch,
-    build_report,
-    jain_fairness,
-    moving_average,
-    surplus_deficit,
-)
+from adapshare.metrics import EmptyInput, LengthMismatch, build_report, moving_average
 from adapshare.oracle import solve_opt
+from conftest import grants
+
+
+def surplus(pairs, demands, d_min=0.1):
+    report = build_report(grants(pairs), demands, zeta=0.5, d_min=d_min)
+    return report.s_a, report.s_b
+
+
+def fairness(pairs):
+    # demands equal to the grants keep J finite at any grant scale
+    return build_report(grants(pairs), pairs, zeta=0.5).fairness
 
 
 class TestSurplusDeficit:
     def test_hand_computed_pair(self):
         # step 1: a surplus (30 vs 20) = +0.5; step 2 has none
         # step 1: b deficit (20 vs 25) = -0.2; step 2 has none
-        allocs = [Allocation(30.0, 20.0), Allocation(10.0, 5.0)]
         demands = [(20.0, 25.0), (10.0, 5.0)]
-        s_a, s_b = surplus_deficit(allocs, demands)
+        s_a, s_b = surplus([(30.0, 20.0), (10.0, 5.0)], demands)
         assert s_a == pytest.approx(0.25, abs=1e-12)
         assert s_b == pytest.approx(-0.1, abs=1e-12)
 
     def test_perfect_tracking_is_zero(self):
-        allocs = [Allocation(7.0, 3.0)] * 5
         demands = [(7.0, 3.0)] * 5
-        assert surplus_deficit(allocs, demands) == (0.0, 0.0)
+        assert surplus(demands, demands) == (0.0, 0.0)
 
     def test_nothing_allocated_is_minus_one(self):
-        allocs = [Allocation(0.0, 0.0)] * 3
         demands = [(4.0, 9.0)] * 3
-        assert surplus_deficit(allocs, demands) == (-1.0, -1.0)
+        assert surplus([(0.0, 0.0)] * 3, demands) == (-1.0, -1.0)
 
     def test_zero_demand_clamped(self):
         # d_b = 0 clamps to 0.1: (0.05 - 0.1) / 0.1 = -0.5
-        s_a, s_b = surplus_deficit([Allocation(0.0, 0.05)], [(5.0, 0.0)], d_min=0.1)
+        s_a, s_b = surplus([(0.0, 0.05)], [(5.0, 0.0)], d_min=0.1)
         assert s_a == pytest.approx(-1.0)
         assert s_b == pytest.approx(-0.5, abs=1e-12)
 
     def test_length_mismatch_and_empty(self):
         with pytest.raises(LengthMismatch):
-            surplus_deficit([Allocation(1.0, 1.0)], [])
+            surplus([(1.0, 1.0)], [])
         with pytest.raises(EmptyInput):
-            surplus_deficit([], [])
+            surplus([], [])
 
 
 class TestJainFairness:
     def test_hand_computed(self):
         # (10,10) -> 1.0; (20,0) -> 0.5; mean 0.75
-        allocs = [Allocation(10.0, 10.0), Allocation(20.0, 0.0)]
-        assert jain_fairness(allocs) == pytest.approx(0.75, abs=1e-12)
+        assert fairness([(10.0, 10.0), (20.0, 0.0)]) == pytest.approx(0.75, abs=1e-12)
 
     def test_equal_positive_shares_give_one(self):
         for v in (0.3, 5.0, 40.0):
-            assert jain_fairness([Allocation(v, v)]) == pytest.approx(1.0, abs=1e-15)
+            assert fairness([(v, v)]) == pytest.approx(1.0, abs=1e-15)
 
     def test_scale_invariant_per_step(self):
-        a = jain_fairness([Allocation(3.0, 1.0)])
+        a = fairness([(3.0, 1.0)])
         # at 1e-200 and 1e200 the squares leave the float range
         for scale in (10.0, 1e-200, 1e200):
-            b = jain_fairness([Allocation(3.0 * scale, scale)])
+            b = fairness([(3.0 * scale, scale)])
             assert a == pytest.approx(b, abs=1e-15)
 
     def test_bounded_below_by_half(self):
         rng = np.random.default_rng(2)
-        allocs = [Allocation(*rng.uniform(0, 20, size=2)) for _ in range(100)]
-        f = jain_fairness(allocs)
+        f = fairness(rng.uniform(0, 20, size=(100, 2)))
         assert 0.5 <= f <= 1.0
-
-    def test_zero_alloc_warns_and_counts_as_one(self):
-        allocs = [Allocation(0.0, 0.0), Allocation(20.0, 0.0)]
-        with pytest.warns(UserWarning, match="1 all-zero allocation step"):
-            f = jain_fairness(allocs)
-        assert f == pytest.approx(0.75, abs=1e-12)
-        assert build_report(allocs, [(1.0, 1.0)] * 2, zeta=0.5).zero_alloc_steps == 1
 
 
 class TestMeanObjective:
     def test_zero_when_allocation_meets_demand(self):
-        allocs = [Allocation(5.0, 6.0)]
-        assert build_report(allocs, [(5.0, 6.0)], zeta=0.7).mean_j == 0.0
+        assert build_report(grants([(5.0, 6.0)]), [(5.0, 6.0)], zeta=0.7).mean_j == 0.0
 
     def test_hand_computed_average(self):
-        allocs = [Allocation(15.0, 20.0), Allocation(30.0, 20.0)]
+        allocs = grants([(15.0, 20.0), (30.0, 20.0)])
         demands = [(30.0, 20.0), (30.0, 20.0)]
         # step 1: 0.5*0.25 + 0 = 0.125; step 2: 0
         assert build_report(allocs, demands, zeta=0.5).mean_j == pytest.approx(0.0625, abs=1e-12)
@@ -95,20 +86,18 @@ class TestMeanObjective:
         rng = np.random.default_rng(8)
         demands = [tuple(rng.uniform(5, 40, size=2)) for _ in range(50)]
         n_r = 20.0
-        oracle_allocs = [solve_opt(d, 0.5, n_r).allocation for d in demands]
-        even = [Allocation(n_r / 2, n_r / 2)] * len(demands)
+        oracle = [solve_opt(d, 0.5, n_r).allocation for d in demands]
+        oracle_allocs = grants([(a.n_a, a.n_b) for a in oracle])
+        even = grants([(n_r / 2, n_r / 2)] * len(demands))
         j_oracle = build_report(oracle_allocs, demands, zeta=0.5).mean_j
         j_even = build_report(even, demands, zeta=0.5).mean_j
         assert j_oracle <= j_even + 1e-12
 
     def test_validation(self):
         with pytest.raises(EmptyInput):
-            build_report([], [], zeta=0.5)
-        empty = np.rec.fromarrays((np.empty(0), np.empty(0)), names="n_a,n_b")
-        with pytest.raises(EmptyInput):
-            build_report(empty, np.empty((0, 2)), zeta=0.5)
+            build_report(grants([]), np.empty((0, 2)), zeta=0.5)
         with pytest.raises(LengthMismatch):
-            build_report([Allocation(1.0, 1.0)], [(1.0, 1.0), (2.0, 2.0)], zeta=0.5)
+            build_report(grants([(1.0, 1.0)]), [(1.0, 1.0), (2.0, 2.0)], zeta=0.5)
 
 
 class TestMovingAverage:
@@ -147,10 +136,10 @@ class TestMovingAverage:
 class TestBuildReport:
     def test_columns_match_per_step_objective_bits(self):
         rng = np.random.default_rng(3)
-        allocs = [Allocation(*rng.uniform(0.0, 30.0, 2)) for _ in range(500)]
+        pairs = [tuple(rng.uniform(0.0, 30.0, 2)) for _ in range(500)]
         demands = [tuple(rng.uniform(0.0, 30.0, 2)) for _ in range(500)]
-        report = build_report(allocs, demands, 0.3)
-        per_step = [objective_j(a, d, 0.3, 0.1) for a, d in zip(allocs, demands)]
+        report = build_report(grants(pairs), demands, 0.3)
+        per_step = [objective_j(Allocation(*p), d, 0.3, 0.1) for p, d in zip(pairs, demands)]
         total = 0.0
         for j in per_step:
             total += j
@@ -159,12 +148,11 @@ class TestBuildReport:
 
     def test_non_finite_demand_rejected(self):
         with pytest.raises(ValueError, match="d_b must be finite"):
-            build_report([Allocation(1.0, 1.0)], [(1.0, float("nan"))], 0.5)
+            build_report(grants([(1.0, 1.0)]), [(1.0, float("nan"))], 0.5)
 
     def test_bundles_all_metrics(self):
-        allocs = [Allocation(30.0, 20.0), Allocation(10.0, 5.0)]
         demands = [(20.0, 25.0), (10.0, 5.0)]
-        report = build_report(allocs, demands, zeta=0.5)
+        report = build_report(grants([(30.0, 20.0), (10.0, 5.0)]), demands, zeta=0.5)
         assert report.s_a == pytest.approx(0.25)
         assert report.s_b == pytest.approx(-0.1)
         assert report.fairness == pytest.approx(
@@ -185,15 +173,14 @@ class TestBuildReport:
     def test_zero_steps_counted_without_warning_noise(self):
         import warnings
 
-        allocs = [Allocation(0.0, 0.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = build_report(allocs, [(5.0, 5.0)], zeta=0.5)
+            report = build_report(grants([(0.0, 0.0)]), [(5.0, 5.0)], zeta=0.5)
         assert report.zero_alloc_steps == 1
         assert report.fairness == 1.0
 
     def test_per_step_rows_carry_timestamps(self):
-        allocs = [Allocation(1.0, 2.0), Allocation(3.0, 4.0)]
+        allocs = grants([(1.0, 2.0), (3.0, 4.0)])
         demands = [(1.0, 2.0), (5.0, 5.0)]
         report = build_report(allocs, demands, zeta=0.5, timestamps=[100, 101])
         assert report.per_step.shape == (2, 6)

@@ -15,6 +15,7 @@ from adapshare.nn import (
     backward,
     forward,
     forward_cache,
+    layer_views,
     mlp_from_dict,
     mlp_to_dict,
     soft_update,
@@ -28,24 +29,21 @@ def single_layer(w, b, activation):
     return net
 
 
-def interleave(grad_w, grad_b):
-    out = []
-    for w, b in zip(grad_w, grad_b):
-        out.append(w)
-        out.append(b)
-    return out
-
-
 class TestConstruction:
     def test_validation(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ShapeMismatch):
-            Mlp([4], [])
+            Mlp([4], [], rng)
         with pytest.raises(ShapeMismatch):
-            Mlp([4, 0], ["relu"])
+            Mlp([4, 0], ["relu"], rng)
         with pytest.raises(ShapeMismatch):
-            Mlp([4, 3, 2], ["relu"])
+            Mlp([4, 3, 2], ["relu"], rng)
         with pytest.raises(ShapeMismatch):
-            Mlp([4, 2], ["softplus"])
+            Mlp([4, 2], ["softplus"], rng)
+
+    def test_rng_is_required(self):
+        with pytest.raises(TypeError):
+            Mlp([4, 2], ["identity"])
 
     def test_init_bounded_by_fan_in(self):
         net = Mlp([4, 8, 2], ["relu", "identity"], rng=np.random.default_rng(9))
@@ -110,17 +108,35 @@ class TestBackward:
         # out = W x + b: dL/dW = u x^T, dL/db = u, dL/dx = W^T u
         net = single_layer([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0], "identity")
         _, cache = forward_cache(net, [5.0, 6.0])
-        grad_w, grad_b, grad_x = backward(net, cache, [1.0, 10.0])
-        np.testing.assert_allclose(grad_w[0], [[5.0, 6.0], [50.0, 60.0]])
-        np.testing.assert_allclose(grad_b[0], [1.0, 10.0])
+        grad, grad_x = backward(net, cache, [1.0, 10.0])
+        # laid out like net.flat: W row by row, then b
+        np.testing.assert_allclose(grad, [5.0, 6.0, 50.0, 60.0, 1.0, 10.0])
         np.testing.assert_allclose(grad_x, [31.0, 42.0])
+
+    def test_gradient_views_match_the_parameter_views(self):
+        net = Mlp([3, 4, 2], ["relu", "identity"], rng=np.random.default_rng(8))
+        _, cache = forward_cache(net, np.ones((2, 3)))
+        grad, _ = backward(net, cache, np.ones((2, 2)))
+        assert grad.shape == net.flat.shape
+        grad_w, grad_b = layer_views(net.dims, grad)
+        assert [g.shape for g in grad_w] == [w.shape for w in net.weights]
+        assert [g.shape for g in grad_b] == [b.shape for b in net.biases]
+        assert all(np.shares_memory(g, grad) for g in grad_w + grad_b)
+
+    def test_each_call_returns_a_new_vector(self):
+        net = Mlp([3, 2], ["identity"], rng=np.random.default_rng(0))
+        _, cache = forward_cache(net, np.ones(3))
+        first, _ = backward(net, cache, np.ones(2))
+        second, _ = backward(net, cache, np.ones(2), inputs=False)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, net.flat)
+        assert first.tobytes() == second.tobytes()
 
     def test_zero_upstream_gives_zero_gradients(self):
         net = Mlp([3, 4, 2], ["tanh", "identity"], rng=np.random.default_rng(5))
         _, cache = forward_cache(net, np.ones(3))
-        grad_w, grad_b, grad_x = backward(net, cache, np.zeros(2))
-        assert all(np.all(g == 0) for g in grad_w)
-        assert all(np.all(g == 0) for g in grad_b)
+        grad, grad_x = backward(net, cache, np.zeros(2))
+        assert np.all(grad == 0)
         assert np.all(grad_x == 0)
 
     def test_batch_gradient_is_sum_of_samples(self):
@@ -129,15 +145,12 @@ class TestBackward:
         xs = rng.normal(size=(2, 3))
         ups = rng.normal(size=(2, 2))
         _, cache = forward_cache(net, xs)
-        gw_batch, gb_batch, _ = backward(net, cache, ups)
+        g_batch, _ = backward(net, cache, ups)
         _, c0 = forward_cache(net, xs[0])
-        gw0, gb0, _ = backward(net, c0, ups[0])
+        g0, _ = backward(net, c0, ups[0])
         _, c1 = forward_cache(net, xs[1])
-        gw1, gb1, _ = backward(net, c1, ups[1])
-        for gb, g0, g1 in zip(gw_batch, gw0, gw1):
-            np.testing.assert_allclose(gb, g0 + g1, atol=1e-12)
-        for gb, g0, g1 in zip(gb_batch, gb0, gb1):
-            np.testing.assert_allclose(gb, g0 + g1, atol=1e-12)
+        g1, _ = backward(net, c1, ups[1])
+        np.testing.assert_allclose(g_batch, g0 + g1, atol=1e-12)
 
     def test_upstream_shape_checked(self):
         net = Mlp([3, 2], ["identity"], rng=np.random.default_rng(0))
@@ -162,8 +175,9 @@ class TestBackward:
                 return float(np.sum(forward(net, x) * upstream))
 
             _, cache = forward_cache(net, x)
-            grad_w, grad_b, grad_x = backward(net, cache, upstream)
-            arrays = list(zip(net.params(), interleave(grad_w, grad_b)))
+            grad, grad_x = backward(net, cache, upstream)
+            grad_w, grad_b = layer_views(net.dims, grad)
+            arrays = list(zip(net.weights + net.biases, grad_w + grad_b))
             arrays.append((x, grad_x))
             for arr, grad in arrays:
                 flat = arr.reshape(-1)
@@ -215,7 +229,7 @@ class TestAdam:
         net = Mlp([2, 8, 1], ["tanh", "identity"], rng=rng)
         x = rng.normal(size=(16, 2))
         y = (x[:, :1] - x[:, 1:]) * 0.5
-        state = AdamState(net.params(), lr=0.01)
+        state = AdamState([net.flat], lr=0.01)
 
         def mse():
             return float(np.mean((forward(net, x) - y) ** 2))
@@ -223,8 +237,8 @@ class TestAdam:
         start = mse()
         for _ in range(300):
             out, cache = forward_cache(net, x)
-            grad_w, grad_b, _ = backward(net, cache, 2.0 * (out - y) / len(x))
-            adam_step(state, net.params(), interleave(grad_w, grad_b))
+            grad, _ = backward(net, cache, 2.0 * (out - y) / len(x))
+            adam_step(state, [net.flat], [grad])
         assert mse() < start * 0.05
 
     def test_validation(self):
