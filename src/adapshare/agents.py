@@ -13,7 +13,7 @@ imports no networks; it is importable from here too.
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -298,23 +298,16 @@ AGENT_VERSION = 3
 _RETIRED_CONFIG = ("gamma", "td3_target_noise", "td3_noise_clip", "tau", "pretrain_steps")
 
 
-def _config_to_dict(cfg):
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def save_agent(agent, experiment, path):
-    """Checkpoint the actor and critic with enough context to rebuild and serve them."""
+    """Checkpoint the actor and critic with enough context to rebuild and serve them.
+    The configs are their dataclass fields; json writes hidden_dims as an array."""
     payload = {
         "format": AGENT_FORMAT,
         "version": AGENT_VERSION,
         "agent_kind": agent.kind.value,
         "explore_sigma": agent.explore_sigma,
-        "env": _config_to_dict(experiment.env),
-        "agent_config": _config_to_dict(agent.config),
+        "env": asdict(experiment.env),
+        "agent_config": asdict(agent.config),
         "seed": experiment.seed,
         "train_steps": experiment.train_steps,
         "eval_split": experiment.eval_split,
@@ -365,7 +358,11 @@ def _build(name, path, make, *args, **kwargs):
 
 def load_agent(path):
     """Rebuild (agent, ExperimentConfig) from a v3, v2 or v1 checkpoint file.
-    Its target networks are the copies make_agent built; nothing reads them."""
+
+    make_agent builds the agent from the stored configs; each stored
+    network, once its dims and activations match, is copied into the one
+    built, so the agent keeps its fresh optimizer states. Its target
+    networks are the copies make_agent built; nothing reads them."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -400,7 +397,5 @@ def load_agent(path):
                 f"{path}: checkpoint {name!r} has dims {net.dims} and activations "
                 f"{net.activations}; env and agent_config imply {fresh.dims}, {fresh.activations}"
             )
-        setattr(agent, name, net)
-    agent.actor_opt = nn.AdamState([agent.actor.flat], config.actor_lr)
-    agent.critic_opt = nn.AdamState([agent.critic.flat], config.critic_lr)
+        fresh.flat[...] = net.flat
     return agent, experiment

@@ -222,10 +222,9 @@ class AgentConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.batch_size < 1 or self.buffer_capacity < 1:
-            raise ValueError("batch_size and buffer_capacity must be positive")
+        for name in ("actor_lr", "critic_lr", "batch_size", "buffer_capacity"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.explore_sigma < 0:
             raise ValueError(f"explore_sigma must be nonnegative, got {self.explore_sigma}")
         if not 0.0 < self.sigma_decay <= 1.0:

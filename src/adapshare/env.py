@@ -16,8 +16,6 @@ import numpy as np
 
 from .domain import Allocation, DemandSeries, EnvConfig, clamp_demand
 
-FEASIBILITY_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class Observation:

@@ -130,12 +130,16 @@ def cmd_ingest(args):
 
 def cmd_synth(args):
     granularity = _granularity(args)
+    seed = _collect_mapping(args).get("seed", 42)
+    if seed < 0:
+        raise ConfigFileError(
+            f"seed must be a nonnegative integer for synth (column B uses seed + 1), got {seed}"
+        )
     ref = read_series_csv(args.ref)
     side = args.side if args.side != "auto" else ref.populated_side()
     if side is None:
         raise ConfigFileError("--ref has both columns populated; pick one with --side")
     stats = fit(ref, side=side)
-    seed = _collect_mapping(args).get("seed", 42)
     if granularity is None:
         granularity = ref.granularity
     gen_a = generate(stats, args.length, seed, side="a", granularity=granularity)

@@ -3,9 +3,11 @@
 This module alone knows the result-file formats; the sweep and the CLI
 write through it. Every data file is reproducible byte-for-byte from
 (dataset, spec, seed): floats go through `repr`, so they also read back
-exactly, and each distinct float is formatted once. Wall-clock
-timestamps and timings go only into the run_metadata.json sidecar so
-reruns diff clean.
+exactly, and each distinct float is formatted once. The charts are drawn
+only from the CSVs, by replot, which emit_results calls once they are
+written, so a sweep and a later `adapshare plot` draw the same bytes.
+Wall-clock timestamps, timings and the cells' derived seeds go only into
+the run_metadata.json sidecar so reruns diff clean.
 """
 
 import json
@@ -204,9 +206,12 @@ def check_cell_stubs(cells):
 
 
 def emit_results(table, out_dir):
-    """Write sweep.csv, per-cell detail/curve CSVs, SVG charts, and the sidecar.
+    """Write sweep.csv, per-cell detail/curve CSVs and the sidecar, and draw
+    the charts from those CSVs through replot.
 
-    Returns the list of written file paths (sidecar last).
+    A cell without a curve removes any curve CSV of its name, so the charts
+    show only curves this table wrote. Returns the list of written file
+    paths (sidecar last).
     """
     started = time.perf_counter()
     if not table:
@@ -228,90 +233,26 @@ def emit_results(table, out_dir):
         path = os.path.join(out_dir, f"detail_{stub}.csv")
         write_detail_csv(row.report, path, _known=known)
         written.append(path)
+        path = os.path.join(out_dir, f"curve_{stub}.csv")
         if row.curve is not None and len(row.curve) > 0:
-            path = os.path.join(out_dir, f"curve_{stub}.csv")
             write_curve_csv(row.curve, path)
             written.append(path)
+        elif os.path.exists(path):
+            os.remove(path)
 
-    basic = [
-        (row.n_r, row.zeta, row.agent_kind.value,
-         row.report.s_a, row.report.s_b, row.report.fairness)
-        for row in table
-    ]
-    curves = {
-        (row.agent_kind.value, row.n_r, row.zeta): row.curve
-        for row in table
-        if row.curve is not None and len(row.curve) > 0
-    }
-    written.extend(emit_charts(basic, curves, out_dir))
+    written.extend(replot(out_dir))
 
     sidecar = os.path.join(out_dir, "run_metadata.json")
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "cells": len(table),
         "files": [os.path.basename(p) for p in written],
+        "cell_seeds": [row.seed for row in table],
         "cell_seconds": [row.seconds for row in table],
         "emit_seconds": time.perf_counter() - started,
     }
     _write(sidecar, json.dumps(meta, indent=2) + "\n")
     written.append(sidecar)
-    return written
-
-
-def emit_charts(basic_rows, curves, out_dir):
-    """SVG charts from plain tuples; shared by emit_results and replot.
-
-    basic_rows: (n_r, zeta, agent, s_a, s_b, fairness) per cell.
-    curves: {(agent, n_r, zeta): moving-average array}.
-    """
-    written = []
-    n_r_values = sorted({row[0] for row in basic_rows})
-    for n_r in n_r_values:
-        cells = sorted((r for r in basic_rows if r[0] == n_r), key=lambda r: r[1])
-        agents = []
-        for row in cells:
-            if row[2] not in agents:
-                agents.append(row[2])
-        surplus_lines = []
-        fairness_lines = []
-        for agent in agents:
-            sub = [r for r in cells if r[2] == agent]
-            zetas = [r[1] for r in sub]
-            surplus_lines.append((f"{agent} A", zetas, [r[3] for r in sub]))
-            surplus_lines.append((f"{agent} B", zetas, [r[4] for r in sub]))
-            fairness_lines.append((agent, zetas, [r[5] for r in sub]))
-        if len({r[1] for r in cells}) > 1:
-            path = os.path.join(out_dir, f"surplus_nr{n_r:g}.svg")
-            _write(path, svg_line_chart(
-                surplus_lines,
-                title=f"Mean surplus/deficit, pool {n_r:g} PRB",
-                x_label="priority weight",
-                y_label="fractional surplus",
-            ))
-            written.append(path)
-            path = os.path.join(out_dir, f"fairness_nr{n_r:g}.svg")
-            _write(path, svg_line_chart(
-                fairness_lines,
-                title=f"Jain fairness, pool {n_r:g} PRB",
-                x_label="priority weight",
-                y_label="fairness index",
-            ))
-            written.append(path)
-    by_agent_nr = {}
-    for (agent, n_r, zeta), curve in sorted(curves.items()):
-        by_agent_nr.setdefault((agent, n_r), []).append((zeta, curve))
-    for (agent, n_r), entries in by_agent_nr.items():
-        chart_lines = [
-            (f"z={zeta:.4g}", np.arange(len(curve)), curve) for zeta, curve in entries
-        ]
-        path = os.path.join(out_dir, f"curves_{agent}_nr{n_r:g}.svg")
-        _write(path, svg_line_chart(
-            chart_lines,
-            title=f"{agent} reward (window-100 average), pool {n_r:g} PRB",
-            x_label="training step",
-            y_label="mean reward",
-        ))
-        written.append(path)
     return written
 
 
@@ -333,17 +274,61 @@ def _curve_value(cells):
 
 def read_sweep_csv(path):
     """Parse sweep.csv back into the (n_r, zeta, agent, s_a, s_b, fairness)
-    tuples emit_charts takes."""
+    tuples replot charts; a non-finite metric is refused, naming path:line."""
     return _read_csv(path, SWEEP_HEADER, _chart_row)
 
 
 def replot(out_dir):
-    """Rebuild the SVG charts from the CSVs already in out_dir."""
-    basic = read_sweep_csv(os.path.join(out_dir, "sweep.csv"))
-    curves = {}
-    for n_r, zeta, agent, *_ in basic:
-        stub = _cell_stub(agent, n_r, zeta)
-        path = os.path.join(out_dir, f"curve_{stub}.csv")
+    """Draw the SVG charts from the CSVs in out_dir, the only way any chart
+    is drawn: emit_results calls it after writing them, and so does
+    `adapshare plot`. Each pool with two or more priority weights gets a
+    surplus and a fairness chart from sweep.csv; each (agent, pool) with a
+    curve CSV for a sweep.csv cell gets a learning-curve chart.
+    Returns the written paths.
+    """
+    rows = read_sweep_csv(os.path.join(out_dir, "sweep.csv"))
+    written = []
+    for n_r in sorted({row[0] for row in rows}):
+        cells = sorted((r for r in rows if r[0] == n_r), key=lambda r: r[1])
+        if len({r[1] for r in cells}) < 2:
+            continue
+        surplus_lines = []
+        fairness_lines = []
+        for agent in dict.fromkeys(r[2] for r in cells):
+            sub = [r for r in cells if r[2] == agent]
+            zetas = [r[1] for r in sub]
+            surplus_lines.append((f"{agent} A", zetas, [r[3] for r in sub]))
+            surplus_lines.append((f"{agent} B", zetas, [r[4] for r in sub]))
+            fairness_lines.append((agent, zetas, [r[5] for r in sub]))
+        path = os.path.join(out_dir, f"surplus_nr{n_r:g}.svg")
+        _write(path, svg_line_chart(
+            surplus_lines,
+            title=f"Mean surplus/deficit, pool {n_r:g} PRB",
+            x_label="priority weight",
+            y_label="fractional surplus",
+        ))
+        written.append(path)
+        path = os.path.join(out_dir, f"fairness_nr{n_r:g}.svg")
+        _write(path, svg_line_chart(
+            fairness_lines,
+            title=f"Jain fairness, pool {n_r:g} PRB",
+            x_label="priority weight",
+            y_label="fairness index",
+        ))
+        written.append(path)
+    curves = {}  # (agent, n_r) -> one chart line per zeta, zetas ascending
+    for agent, n_r, zeta in sorted({(r[2], r[0], r[1]) for r in rows}):
+        path = os.path.join(out_dir, f"curve_{_cell_stub(agent, n_r, zeta)}.csv")
         if os.path.exists(path):
-            curves[(agent, n_r, zeta)] = np.asarray(_read_csv(path, CURVE_HEADER, _curve_value))
-    return emit_charts(basic, curves, out_dir)
+            curve = _read_csv(path, CURVE_HEADER, _curve_value)
+            curves.setdefault((agent, n_r), []).append((f"z={zeta:.4g}", np.arange(len(curve)), curve))
+    for (agent, n_r), chart_lines in curves.items():
+        path = os.path.join(out_dir, f"curves_{agent}_nr{n_r:g}.svg")
+        _write(path, svg_line_chart(
+            chart_lines,
+            title=f"{agent} reward (window-100 average), pool {n_r:g} PRB",
+            x_label="training step",
+            y_label="mean reward",
+        ))
+        written.append(path)
+    return written

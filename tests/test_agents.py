@@ -126,6 +126,14 @@ class TestAgentConfig:
         with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value}$"):
             AgentConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("actor_lr", 0.0), ("critic_lr", -1e-3), ("batch_size", 0), ("buffer_capacity", -5)],
+    )
+    def test_non_positive_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive, got {value}$"):
+            AgentConfig(**{field: value})
+
     @pytest.mark.parametrize("dims", [(2.5,), (float("nan"),), (8, 0), (True,), (8, False)])
     def test_bad_hidden_width_named(self, dims):
         with pytest.raises(ValueError, match="hidden_dims must be positive widths"):

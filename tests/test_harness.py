@@ -326,6 +326,8 @@ class TestResults:
         assert set(meta["files"]) == names - {"run_metadata.json"}
         # what each cell and the emission cost, in table order
         assert len(meta["cell_seconds"]) == 8
+        assert meta["cell_seeds"] == [row.seed for row in rows]
+        assert len(set(meta["cell_seeds"])) == 8
         assert all(isinstance(v, float) and v > 0.0 for v in meta["cell_seconds"])
         assert isinstance(meta["emit_seconds"], float) and meta["emit_seconds"] > 0.0
 
@@ -376,14 +378,34 @@ class TestResults:
         texts = [t.text for t in root.findall(f".//{ns}text")]
         assert "demo" in texts
 
-    def test_replot_rebuilds_charts(self, small_series, tmp_path):
-        rows = run_sweep(solver_spec(), small_series)
-        emit_results(rows, tmp_path)
-        svgs = sorted(p.name for p in tmp_path.glob("*.svg"))
+    def test_replot_rebuilds_charts(self, constant_series, tmp_path):
+        # trained and solver cells at two zetas: every kind of chart
+        base = ExperimentConfig(
+            env=EnvConfig(n_r=20.0, window_n=1), train_steps=30, seed=2,
+            agent=AgentConfig(batch_size=8, warmup_steps=5, hidden_dims=(4,)),
+        )
+        spec = SweepSpec(base=base, n_r_values=(20.0,), zeta_values=(0.3, 0.7),
+                         agent_kinds=(AgentKind.TD3, AgentKind.OPT_BASE))
+        emit_results(run_sweep(spec, constant_series), tmp_path)
+        svgs = {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")}
+        assert sorted(svgs) == ["curves_td3_nr20.svg", "fairness_nr20.svg", "surplus_nr20.svg"]
         for name in svgs:
             (tmp_path / name).unlink()
-        replot(tmp_path)
-        assert sorted(p.name for p in tmp_path.glob("*.svg")) == svgs
+        assert run_cli("plot", "--dir", tmp_path) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")} == svgs
+
+    def test_sweep_charts_no_curve_it_did_not_write(self, small_series, tmp_path):
+        # a curve CSV left by an earlier run whose cell this sweep trains 0 steps
+        stale = tmp_path / "curve_td3_nr20_z0.5.csv"
+        stale.write_text(f"{CURVE_HEADER}\n0,-0.1\n1,-0.2\n")
+        spec = solver_spec(n_r_values=(20.0,), zeta_values=(0.2, 0.5), agent_kinds=(AgentKind.TD3,))
+        written = {Path(p).name for p in emit_results(run_sweep(spec, small_series), tmp_path)}
+        assert not stale.exists()
+        svgs = {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")}
+        assert sorted(svgs) == ["fairness_nr20.svg", "surplus_nr20.svg"]
+        assert set(svgs) <= written
+        assert run_cli("plot", "--dir", tmp_path) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")} == svgs
 
 
 class TestReadBack:
@@ -628,6 +650,20 @@ class TestCliSynth:
         )
         assert rc == 2
         assert "ADAPSHARE_SEED must be an integer: 'ten'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_is_refused_naming_seed(self, hourly_fixture_path, tmp_path, capsys,
+                                                  monkeypatch, source):
+        # numpy once refused it with a message that named no flag or key
+        out = tmp_path / "x.csv"
+        extra = ("--seed", "-1") if source == "flag" else ()
+        if source == "env":
+            monkeypatch.setenv("ADAPSHARE_SEED", "-1")
+        rc = run_cli("synth", "--ref", hourly_fixture_path, "--length", "5", *extra, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: seed must be a nonnegative integer for synth (column B uses seed + 1), got -1" in err
+        assert not out.exists()
 
 
 class TestCliTrainEval:
