@@ -13,6 +13,7 @@ imports no networks; it is importable from here too.
 """
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -352,17 +353,18 @@ def _build(name, path, make, *args, **kwargs):
     """make(*args, **kwargs), any failure raised as a ValueError naming field and file."""
     try:
         return make(*args, **kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad checkpoint {name!r}: {exc}") from exc
 
 
 def load_agent(path):
     """Rebuild (agent, ExperimentConfig) from a v3, v2 or v1 checkpoint file.
 
-    make_agent builds the agent from the stored configs; each stored
-    network, once its dims and activations match, is copied into the one
-    built, so the agent keeps its fresh optimizer states. Its target
-    networks are the copies make_agent built; nothing reads them."""
+    make_agent builds the agent from the stored configs, so each network
+    has the shape env and agent_config imply; nn.load_params checks each
+    stored network against it in full and then writes the weights in, so
+    the agent keeps its fresh optimizer states. Its target networks are
+    the copies make_agent built; nothing reads them."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -379,23 +381,15 @@ def load_agent(path):
     env = _build("env", path, EnvConfig, **_field(payload, "env", dict, path))
     kind = _build("agent_kind", path, AgentKind, _field(payload, "agent_kind", str, path))
     experiment = _build(
-        "train_steps/eval_split", path, ExperimentConfig, env=env, agent_kind=kind, agent=config,
+        "seed/train_steps/eval_split", path, ExperimentConfig, env=env, agent_kind=kind, agent=config,
         seed=_field(payload, "seed", int, path),
         train_steps=_field(payload, "train_steps", int, path),
         eval_split=_field(payload, "eval_split", (int, float), path),
     )
     agent = _build("agent_kind", path, make_agent, kind, obs_dim=2 * (env.window_n + 1), config=config)
     agent.explore_sigma = _field(payload, "explore_sigma", (int, float), path)
-    if not 0 <= agent.explore_sigma < np.inf:
+    if not 0 <= agent.explore_sigma <= sys.float_info.max:
         raise ValueError(f"{path}: checkpoint 'explore_sigma' must be a finite number >= 0")
     for name in ("actor", "critic"):
-        net = _build(name, path, nn.mlp_from_dict, _field(payload, name, dict, path))
-        # make_agent built each network in the shape env and agent_config imply
-        fresh = getattr(agent, name)
-        if (net.dims, net.activations) != (fresh.dims, fresh.activations):
-            raise ValueError(
-                f"{path}: checkpoint {name!r} has dims {net.dims} and activations "
-                f"{net.activations}; env and agent_config imply {fresh.dims}, {fresh.activations}"
-            )
-        fresh.flat[...] = net.flat
+        _build(name, path, nn.load_params, getattr(agent, name), _field(payload, name, dict, path))
     return agent, experiment

@@ -15,16 +15,20 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 
 def _is_number(value) -> bool:
-    """A finite real that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A real in float range, not a bool: NaN, inf and an int past float range fail."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_integral(value) -> bool:
@@ -304,6 +308,8 @@ def read_series_csv(path, granularity: int | None = None) -> DemandSeries:
     def row(cells):
         nonlocal granularity
         t, a, b = int(cells[0]), float(cells[1]), float(cells[2])
+        if not INT64_MIN <= t <= INT64_MAX:
+            raise ValueError(f"timestamp must fit int64, got {t}")
         # NaN fails every comparison
         if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
             raise ValueError(f"demands must be finite and nonnegative, got {a}, {b}")

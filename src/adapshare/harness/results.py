@@ -82,28 +82,20 @@ def svg_line_chart(lines, title, x_label, y_label):
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    for tick in _nice_ticks(x_lo, x_hi):
-        if not x_lo <= tick <= x_hi:
-            continue
+    for tick in (t for t in _nice_ticks(x_lo, x_hi) if x_lo <= t <= x_hi):
         x = px(tick)
-        parts.append(
+        parts += [
             f'<line x1="{x:.2f}" y1="{margin_t}" x2="{x:.2f}" y2="{margin_t + plot_h}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{margin_t + plot_h + 16}" text-anchor="middle">{_fmt(tick)}</text>'
-        )
-    for tick in _nice_ticks(y_lo, y_hi):
-        if not y_lo <= tick <= y_hi:
-            continue
+            f'stroke="#dddddd" stroke-width="1"/>',
+            f'<text x="{x:.2f}" y="{margin_t + plot_h + 16}" text-anchor="middle">{_fmt(tick)}</text>',
+        ]
+    for tick in (t for t in _nice_ticks(y_lo, y_hi) if y_lo <= t <= y_hi):
         y = py(tick)
-        parts.append(
+        parts += [
             f'<line x1="{margin_l}" y1="{y:.2f}" x2="{margin_l + plot_w}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{margin_l - 6}" y="{y + 4:.2f}" text-anchor="end">{_fmt(tick)}</text>'
-        )
+            f'stroke="#dddddd" stroke-width="1"/>',
+            f'<text x="{margin_l - 6}" y="{y + 4:.2f}" text-anchor="end">{_fmt(tick)}</text>',
+        ]
     parts.append(
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333"/>'
@@ -210,14 +202,18 @@ def emit_results(table, out_dir):
     the charts from those CSVs through replot.
 
     A cell without a curve removes any curve CSV of its name, so the charts
-    show only curves this table wrote. Returns the list of written file
-    paths (sidecar last).
+    show only curves this table wrote. A file that the directory's earlier
+    sidecar lists and this emit does not write is removed, so the sidecar
+    lists every result file the directory holds. Returns the list of
+    written file paths (sidecar last).
     """
     started = time.perf_counter()
     if not table:
         raise ValueError("empty sweep table, nothing to emit")
     check_cell_stubs((row.agent_kind.value, row.n_r, row.zeta) for row in table)
     os.makedirs(out_dir, exist_ok=True)
+    sidecar = os.path.join(out_dir, "run_metadata.json")
+    earlier = _sidecar_files(sidecar) if os.path.exists(sidecar) else []
     written = []
     known = {}  # every cell's split-column text, made once, before any file
     for row in table:
@@ -241,8 +237,10 @@ def emit_results(table, out_dir):
             os.remove(path)
 
     written.extend(replot(out_dir))
+    for name in set(earlier) - {os.path.basename(p) for p in written}:
+        if os.path.isfile(os.path.join(out_dir, name)):
+            os.remove(os.path.join(out_dir, name))
 
-    sidecar = os.path.join(out_dir, "run_metadata.json")
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "cells": len(table),
@@ -254,6 +252,19 @@ def emit_results(table, out_dir):
     _write(sidecar, json.dumps(meta, indent=2) + "\n")
     written.append(sidecar)
     return written
+
+
+def _sidecar_files(path):
+    """The basenames a run_metadata.json lists under "files"; a sidecar
+    that does not parse into a list of names is an error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            files = json.load(fh)["files"]
+        if not isinstance(files, list):
+            raise TypeError(f"'files' is not a list: {files!r}")
+        return [os.path.basename(name) for name in files]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a sweep sidecar: {exc}") from exc
 
 
 def _read_csv(path, header, parse):
@@ -300,22 +311,13 @@ def replot(out_dir):
             surplus_lines.append((f"{agent} A", zetas, [r[3] for r in sub]))
             surplus_lines.append((f"{agent} B", zetas, [r[4] for r in sub]))
             fairness_lines.append((agent, zetas, [r[5] for r in sub]))
-        path = os.path.join(out_dir, f"surplus_nr{n_r:g}.svg")
-        _write(path, svg_line_chart(
-            surplus_lines,
-            title=f"Mean surplus/deficit, pool {n_r:g} PRB",
-            x_label="priority weight",
-            y_label="fractional surplus",
-        ))
-        written.append(path)
-        path = os.path.join(out_dir, f"fairness_nr{n_r:g}.svg")
-        _write(path, svg_line_chart(
-            fairness_lines,
-            title=f"Jain fairness, pool {n_r:g} PRB",
-            x_label="priority weight",
-            y_label="fairness index",
-        ))
-        written.append(path)
+        for name, chart, title, y_label in (
+            ("surplus", surplus_lines, "Mean surplus/deficit", "fractional surplus"),
+            ("fairness", fairness_lines, "Jain fairness", "fairness index"),
+        ):
+            path = os.path.join(out_dir, f"{name}_nr{n_r:g}.svg")
+            _write(path, svg_line_chart(chart, f"{title}, pool {n_r:g} PRB", "priority weight", y_label))
+            written.append(path)
     curves = {}  # (agent, n_r) -> one chart line per zeta, zetas ascending
     for agent, n_r, zeta in sorted({(r[2], r[0], r[1]) for r in rows}):
         path = os.path.join(out_dir, f"curve_{_cell_stub(agent, n_r, zeta)}.csv")

@@ -44,22 +44,23 @@ def _parse_request(line, window_n):
             f"demand_history must list at least {window_n + 1} (d_a, d_b) pairs, newest first"
         )
     # JSON true and false would pass as 1.0 and 0.0
+    scalars = {}
     for key in ("n_r", "zeta"):
         if isinstance(payload[key], bool):
             raise MalformedRequest(f"{key} must be a number, got {json.dumps(payload[key])}")
+        try:
+            scalars[key] = float(payload[key])
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise MalformedRequest(f"{key} must be a number: {exc}") from exc
     if any(isinstance(x, bool) for pair in history if isinstance(pair, list) for x in pair):
         raise MalformedRequest("demand_history entries must be numeric pairs, got a boolean")
     try:
         pairs = np.asarray(history, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise MalformedRequest(f"demand_history entries must be numeric pairs: {exc}") from exc
     if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.isfinite(pairs).all() or (pairs < 0).any():
         raise MalformedRequest("demand_history entries must be finite nonnegative pairs")
-    try:
-        n_r = float(payload["n_r"])
-        zeta = float(payload["zeta"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedRequest(f"n_r and zeta must be numbers: {exc}") from exc
+    n_r, zeta = scalars["n_r"], scalars["zeta"]
     if not np.isfinite(n_r) or n_r <= 0:
         raise MalformedRequest(f"n_r must be positive, got {payload['n_r']!r}")
     if not 0.0 <= zeta <= 1.0:

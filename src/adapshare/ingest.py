@@ -14,14 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import DemandSeries, positive_int, read_csv_rows
+from .domain import INT64_MAX, INT64_MIN, DemandSeries, positive_int, read_csv_rows
 
 DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 
 # DCI format tag that marks data transmissions in the traces we consume
 DATA_DCI_FORMAT = "2B"
-
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 class AlignmentMismatch(ValueError):
@@ -76,9 +74,7 @@ def millisecond_totals(records: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     of RNTI. Returns (timestamps_ms, totals) sorted ascending.
     """
     uniq, inverse = np.unique(records.timestamp, return_inverse=True)
-    totals = np.zeros(len(uniq), dtype=np.float64)
-    np.add.at(totals, inverse, records.prb_count.astype(np.float64))
-    return uniq, totals
+    return uniq, np.bincount(inverse, weights=records.prb_count.astype(np.float64), minlength=len(uniq))
 
 
 def resample_mean(records: np.recarray, granularity_s: int, side_tag: str = "a") -> DemandSeries:
@@ -101,17 +97,13 @@ def resample_mean(records: np.recarray, granularity_s: int, side_tag: str = "a")
     windows = ts_ms // window_ms
     k0, k1 = int(windows[0]), int(windows[-1])
     n_windows = k1 - k0 + 1
-    sums = np.zeros(n_windows, dtype=np.float64)
-    counts = np.zeros(n_windows, dtype=np.int64)
-    offsets = (windows - k0).astype(np.int64)
-    np.add.at(sums, offsets, totals)
-    np.add.at(counts, offsets, 1)
+    offsets = windows - k0
+    sums = np.bincount(offsets, weights=totals, minlength=n_windows)
+    counts = np.bincount(offsets, minlength=n_windows)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     out_ts = (np.arange(k0, k1 + 1, dtype=np.int64)) * granularity_s
-    zeros = np.zeros_like(means)
-    if side_tag == "a":
-        return DemandSeries(out_ts, means, zeros, granularity_s)
-    return DemandSeries(out_ts, zeros, means, granularity_s)
+    columns = means, np.zeros_like(means)
+    return DemandSeries(out_ts, *(columns if side_tag == "a" else columns[::-1]), granularity_s)
 
 
 def merge_series(a: DemandSeries, b: DemandSeries) -> DemandSeries:

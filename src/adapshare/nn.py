@@ -3,7 +3,8 @@
 Dense layers, four activations, exact reverse-mode gradients, a
 bias-corrected adaptive-moment optimizer, the Polyak update of the
 agents' target networks (which no output reads), and the plain-dict
-form agent checkpoints store as JSON, refusing non-finite parameters.
+form agent checkpoints store as JSON, which load_params checks in full
+before it writes the parameters into a network of the same shape.
 All math is float64 numpy; no autodiff framework.
 
 Each network keeps all its parameters in one contiguous vector, with
@@ -273,24 +274,27 @@ def mlp_to_dict(net):
     }
 
 
-def mlp_from_dict(payload):
-    if payload.get("format") != MLP_FORMAT:
-        raise ValueError(f"not a model payload: format={payload.get('format')!r}")
-    if payload.get("version") != MLP_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')!r}")
-    net = object.__new__(Mlp)
-    net.dims = [int(d) for d in payload["dims"]]
-    net.activations = list(payload["activations"])
-    weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-    expect = [(o, i) for i, o in zip(net.dims[:-1], net.dims[1:])]
-    got = [w.shape for w in weights]
-    if got != expect:
-        raise ValueError(f"weight shapes {got} do not chain with dims {net.dims}")
-    got = [b.shape for b in biases]
-    if got != [(o,) for o, _ in expect]:
-        raise ValueError(f"bias shapes {got} do not match dims {net.dims}")
-    net._bind(np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair]))
-    if not np.isfinite(net.flat).all():
+def load_params(net, payload):
+    """Write an mlp_to_dict payload into `net` in place, once its format,
+    version, dims, activations, array count per layer and array shapes
+    match net's and every value is finite; a refused payload writes nothing."""
+    stamp = payload.get("format"), payload.get("version")
+    if stamp != (MLP_FORMAT, MLP_VERSION):
+        raise ValueError(f"not a {MLP_FORMAT} v{MLP_VERSION} payload: format and version {stamp}")
+    if (payload["dims"], payload["activations"]) != (net.dims, net.activations):
+        raise ValueError(f"dims {payload['dims']} and activations {payload['activations']} "
+                         f"do not fit the network's {net.dims} and {net.activations}")
+    arrays = payload["weights"], payload["biases"]
+    if [len(a) for a in arrays] != [len(net.weights)] * 2:
+        raise ValueError(f"{len(net.weights)} layers need as many weight and bias arrays, "
+                         f"got {len(arrays[0])} and {len(arrays[1])}")
+    flat = np.empty_like(net.flat)
+    for part, views, stored in zip(("weights", "biases"), layer_views(net.dims, flat), arrays):
+        for layer, (view, array) in enumerate(zip(views, stored)):
+            array = np.asarray(array, dtype=float)
+            if array.shape != view.shape:
+                raise ValueError(f"{part}[{layer}] has shape {array.shape}, the network's {view.shape}")
+            view[...] = array
+    if not np.isfinite(flat).all():
         raise ValueError("a weight or bias is not finite")
-    return net
+    net.flat[...] = flat

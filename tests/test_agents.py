@@ -96,7 +96,7 @@ class TestAgentConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("actor_lr", float("nan")), ("critic_lr", float("inf")), ("explore_sigma", float("nan")),
-         ("sigma_decay", float("nan")), ("actor_lr", float("-inf"))],
+         ("sigma_decay", float("nan")), ("actor_lr", float("-inf")), ("actor_lr", 10 ** 400)],
     )
     def test_non_finite_float_named(self, field, value):
         # a NaN rate or scale would otherwise surface only as a NaN action
@@ -106,7 +106,8 @@ class TestAgentConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("batch_size", 2.5), ("warmup_steps", float("nan")), ("buffer_capacity", float("inf")),
-         ("td3_policy_delay", 1.5), ("warmup_steps", "3")],
+         ("td3_policy_delay", 1.5), ("warmup_steps", "3"), ("batch_size", 10 ** 400),
+         ("warmup_steps", -10 ** 400)],
     )
     def test_non_integral_count_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
@@ -134,7 +135,7 @@ class TestAgentConfig:
         with pytest.raises(ValueError, match=f"^{field} must be positive, got {value}$"):
             AgentConfig(**{field: value})
 
-    @pytest.mark.parametrize("dims", [(2.5,), (float("nan"),), (8, 0), (True,), (8, False)])
+    @pytest.mark.parametrize("dims", [(2.5,), (float("nan"),), (8, 0), (True,), (8, False), (8, 10 ** 400)])
     def test_bad_hidden_width_named(self, dims):
         with pytest.raises(ValueError, match="hidden_dims must be positive widths"):
             AgentConfig(hidden_dims=dims)
@@ -738,7 +739,7 @@ class TestCheckpointErrors:
         with pytest.raises(ValueError, match=f"agent.json: bad checkpoint '{name}': .*not finite"):
             load_agent(path)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, 10 ** 400])
     def test_bad_explore_sigma_named(self, tmp_path, value):
         path = checkpoint_file(tmp_path)
         payload = json.loads(path.read_text())
@@ -764,7 +765,39 @@ class TestCheckpointErrors:
         section = "env" if field == "window_n" else "agent_config"
         payload[section][field] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="agent.json: checkpoint 'actor' has dims"):
+        with pytest.raises(ValueError, match="agent.json: bad checkpoint 'actor': dims .* do not fit"):
+            load_agent(path)
+
+    @pytest.mark.parametrize("name,part", [("actor", "weights"), ("critic", "biases")])
+    def test_int_past_float_range_named(self, tmp_path, name, part):
+        # float() cannot hold a 401-digit JSON integer
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        last = payload[name][part][-1]
+        (last[0] if part == "weights" else last)[0] = 10 ** 400
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"agent.json: bad checkpoint '{name}': int too large"):
+            load_agent(path)
+
+    @pytest.mark.parametrize("section,field,label", [
+        (None, "seed", "seed/train_steps/eval_split"), ("env", "window_n", "env"),
+        ("agent_config", "batch_size", "agent_config"),
+    ])
+    def test_setting_past_float_range_named(self, tmp_path, section, field, label):
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        (payload[section] if section else payload)[field] = 10 ** 400
+        path.write_text(json.dumps(payload))
+        message = f"agent.json: bad checkpoint '{label}': {field} must be an integer"
+        with pytest.raises(ValueError, match=message):
+            load_agent(path)
+
+    def test_extra_trailing_layer_refused(self, tmp_path):
+        path = checkpoint_file(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["actor"]["weights"].append([[0.0]])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="agent.json: bad checkpoint 'actor': 3 layers need"):
             load_agent(path)
 
 

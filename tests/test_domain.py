@@ -110,7 +110,8 @@ class TestEnvConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("n_r", np.nan), ("d_min", np.nan), ("eta", np.nan), ("capacity_norm", np.inf),
-         ("n_r", np.inf), ("window_n", np.nan), ("zeta", np.nan), ("n_r", "60")],
+         ("n_r", np.inf), ("window_n", np.nan), ("zeta", np.nan), ("n_r", "60"),
+         ("n_r", 10 ** 400), ("eta", -10 ** 400), ("window_n", 10 ** 400)],
     )
     def test_non_finite_field_rejected(self, field, value):
         kwargs = {"n_r": 60.0, field: value}
@@ -160,7 +161,8 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("train_steps", 10.5), ("train_steps", np.nan), ("seed", 1.5), ("seed", "x")],
+        [("train_steps", 10.5), ("train_steps", np.nan), ("seed", 1.5), ("seed", "x"),
+         ("seed", 10 ** 400), ("train_steps", 10 ** 400)],
     )
     def test_non_integral_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -305,6 +307,21 @@ class TestSeriesCsv:
         path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n" + row + "\n")
         with pytest.raises(ValueError, match="bad.csv:3: timestamps must increase"):
             read_series_csv(path)
+
+    @pytest.mark.parametrize("first,second,line", [
+        (2 ** 63, 2 ** 63 + 3600, 2), (-(2 ** 63) - 1, -(2 ** 63) + 3599, 2),
+        (2 ** 63 - 3600, 2 ** 63, 3), (10 ** 30, 10 ** 30 + 3600, 2),
+    ])
+    def test_timestamp_outside_int64_names_line(self, tmp_path, first, second, line):
+        path = tmp_path / "late.csv"
+        path.write_text(f"{SERIES_HEADER}\n{first},1.0,2.0\n{second},1.0,2.0\n")
+        with pytest.raises(ValueError, match=f"late.csv:{line}: timestamp must fit int64, got "):
+            read_series_csv(path)
+
+    def test_int64_extremes_read(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text(f"{SERIES_HEADER}\n{2 ** 63 - 3601},1.0,2.0\n{2 ** 63 - 1},1.0,2.0\n")
+        assert read_series_csv(path).timestamps.tolist() == [2 ** 63 - 3601, 2 ** 63 - 1]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import adapshare
-from adapshare.agents import AgentConfig, eval_timesteps, load_agent
+from adapshare.agents import AgentConfig, eval_timesteps, load_agent, make_agent, save_agent
 from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig, write_series_csv
 from adapshare.harness.cli import main
 from adapshare.harness.config import (
@@ -406,6 +406,36 @@ class TestResults:
         assert set(svgs) <= written
         assert run_cli("plot", "--dir", tmp_path) == 0
         assert {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")} == svgs
+
+    def test_rerun_removes_files_of_the_earlier_sweep(self, small_series, tmp_path):
+        wide = solver_spec(n_r_values=(20.0, 60.0), agent_kinds=(AgentKind.OPT_ORACLE,))
+        emit_results(run_sweep(wide, small_series), tmp_path)
+        (tmp_path / "notes.txt").write_text("not a result file\n")
+        narrow = dataclasses.replace(wide, n_r_values=(20.0,))
+        written = {Path(p).name for p in emit_results(run_sweep(narrow, small_series), tmp_path)}
+        assert {p.name for p in tmp_path.iterdir()} == written | {"notes.txt"}
+        assert not any("nr60" in name for name in written)
+        meta = json.loads((tmp_path / "run_metadata.json").read_text())
+        assert set(meta["files"]) == written - {"run_metadata.json"}
+
+    def test_rerun_deletes_only_basenames_in_its_directory(self, small_series, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        outside = tmp_path / "sweep.csv"
+        outside.write_text("kept\n")
+        (out / "run_metadata.json").write_text(json.dumps({"files": ["../sweep.csv", "../out", "x.svg"]}))
+        (out / "x.svg").write_text("<svg/>\n")
+        emit_results(run_sweep(solver_spec(), small_series), out)
+        assert outside.read_text() == "kept\n"
+        assert not (out / "x.svg").exists()
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"cells": 1}', '{"files": "sweep.csv"}', '{"files": [1]}'],
+                             ids=["truncated", "list", "no_files", "files_string", "files_number"])
+    def test_unreadable_sidecar_is_named_before_writing(self, small_series, tmp_path, text):
+        (tmp_path / "run_metadata.json").write_text(text)
+        with pytest.raises(ValueError, match="run_metadata.json: not a sweep sidecar"):
+            emit_results(run_sweep(solver_spec(), small_series), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["run_metadata.json"]
 
 
 class TestReadBack:
@@ -865,6 +895,80 @@ class TestCliPrecedence:
         rc = run_cli(*args, "--data", constant_csv)
         assert rc == 2
         assert f"error: bad value for {key}: " in capsys.readouterr().err
+
+
+BIG = 10 ** 400
+
+
+def _checkpoint(tmp_path):
+    """A small TD3 checkpoint for window_n 4."""
+    cfg = ExperimentConfig(env=EnvConfig(n_r=20.0), agent=AgentConfig(hidden_dims=(8,)), train_steps=0)
+    path = tmp_path / "agent.json"
+    save_agent(make_agent("td3", obs_dim=10, config=cfg.agent), cfg, path)
+    return path
+
+
+class TestCliIntegersOutOfRange:
+    """An integer past float or int64 range is refused naming where it came from."""
+
+    @pytest.fixture
+    def big_timestamps_csv(self, tmp_path):
+        path = tmp_path / "late.csv"
+        rows = "".join(f"{10 ** 30 + 3600 * i},1.0,1.0\n" for i in range(4))
+        path.write_text(f"timestamp,d_a,d_b\n{rows}")
+        return path
+
+    CASES = [
+        ("set_window_n", "window_n must be an integer"),
+        ("set_hidden_dims", "hidden_dims must be positive widths"),
+        ("env_seed", "seed must be an integer"),
+        ("config_file_int", "batch_size must be an integer"),
+        ("checkpoint_seed", "agent.json: bad checkpoint 'seed/train_steps/eval_split': seed must be"),
+        ("checkpoint_bias", "agent.json: bad checkpoint 'actor': int too large"),
+        ("series_timestamp", "late.csv:2: timestamp must fit int64"),
+        ("ingest_granularity", "--granularity must be at most 9223372036854775 seconds"),
+        ("synth_granularity", "--granularity must be at most 9223372036854775 seconds"),
+        ("serve_port", "--port must lie in 0..65535"),
+    ]
+
+    @pytest.mark.parametrize("case,named", CASES, ids=[case for case, _ in CASES])
+    def test_refused_with_rc2(self, case, named, constant_csv, big_timestamps_csv, dci_fixture_path,
+                              hourly_fixture_path, tmp_path, capsys, monkeypatch):
+        train = ("train", "--data", constant_csv, "--n-r", "20", "--steps", "0")
+        out = tmp_path / "out.csv"
+        if case == "set_window_n":
+            args = (*train, "--set", f"env.window_n={BIG}")
+        elif case == "set_hidden_dims":
+            args = (*train, "--set", f"agent.hidden_dims=8,{BIG}")
+        elif case == "env_seed":
+            monkeypatch.setenv("ADAPSHARE_SEED", str(BIG))
+            args = train
+        elif case == "config_file_int":
+            config = tmp_path / "run.cfg"
+            config.write_text(f"agent.batch_size = {BIG}\n")
+            args = (*train, "--config", config)
+        elif case in ("checkpoint_seed", "checkpoint_bias"):
+            path = _checkpoint(tmp_path)
+            payload = json.loads(path.read_text())
+            if case == "checkpoint_seed":
+                payload["seed"] = BIG
+            else:
+                payload["actor"]["biases"][0][0] = BIG
+            path.write_text(json.dumps(payload))
+            args = ("eval", "--data", constant_csv, "--checkpoint", path)
+        elif case == "series_timestamp":
+            args = ("eval", "--data", big_timestamps_csv, "--agent", "opt_oracle", "--n-r", "20")
+        elif case == "ingest_granularity":
+            args = ("ingest", "--dci-a", dci_fixture_path, "--dci-b", dci_fixture_path,
+                    "--granularity", 10 ** 23, "--out", out)
+        elif case == "synth_granularity":
+            args = ("synth", "--ref", hourly_fixture_path, "--granularity", 10 ** 23, "--out", out)
+        else:
+            args = ("serve", "--checkpoint", _checkpoint(tmp_path), "--port", BIG)
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
 
 
 class TestCliSweepPlot:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapshare.domain import DemandSeries
 from adapshare.ingest import (
@@ -216,6 +218,47 @@ class TestResample:
         via_filter = resample_mean(filter_data_transmissions(records, "2B"), 3600)
         via_restriction = resample_mean(trace((5, 0, "2B"), (4, 2, "2B")), 3600)
         assert np.array_equal(via_filter.d_a, via_restriction.d_a)
+
+
+def _reference_totals(records):
+    """millisecond_totals written as an np.add.at scatter-add."""
+    uniq, inverse = np.unique(records.timestamp, return_inverse=True)
+    totals = np.zeros(len(uniq))
+    np.add.at(totals, inverse, records.prb_count.astype(np.float64))
+    return uniq, totals
+
+
+def _reference_means(records, granularity_s):
+    """resample_mean's window means, its sums and counts scatter-added."""
+    ts_ms, totals = _reference_totals(records)
+    offsets = ts_ms // (granularity_s * 1000) - ts_ms[0] // (granularity_s * 1000)
+    sums = np.zeros(offsets[-1] + 1)
+    counts = np.zeros(offsets[-1] + 1, dtype=np.int64)
+    np.add.at(sums, offsets, totals)
+    np.add.at(counts, offsets, 1)
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+
+
+# 41 millisecond stamps 1.25 s apart, so draws repeat stamps, leave
+# one-second windows empty, and fit one 60-second window
+grant_rows = st.lists(
+    st.tuples(st.integers(0, 2 ** 60), st.integers(0, 40).map(lambda k: 1_674_000_000_000 + 1250 * k)),
+    min_size=1, max_size=60,
+)
+
+
+class TestScatterSums:
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(grant_rows, st.sampled_from([1, 2, 5, 60]))
+    def test_bits_match_the_add_at_reference(self, rows, granularity_s):
+        records = trace(*rows)
+        uniq, totals = millisecond_totals(records)
+        want_uniq, want_totals = _reference_totals(records)
+        assert uniq.tobytes() == want_uniq.tobytes()
+        assert totals.view(np.uint64).tolist() == want_totals.view(np.uint64).tolist()
+        means = resample_mean(records, granularity_s).d_a
+        want_means = _reference_means(records, granularity_s)
+        assert means.view(np.uint64).tolist() == want_means.view(np.uint64).tolist()
 
 
 class TestMerge:

@@ -16,7 +16,7 @@ from adapshare.nn import (
     forward,
     forward_cache,
     layer_views,
-    mlp_from_dict,
+    load_params,
     mlp_to_dict,
     soft_update,
 )
@@ -304,9 +304,9 @@ class TestCheckpoints:
         net = Mlp([5, 7, 3], ["relu", "sigmoid"], rng=np.random.default_rng(21))
         path = tmp_path / "net.json"
         path.write_text(json.dumps(mlp_to_dict(net)))
-        loaded = mlp_from_dict(json.loads(path.read_text()))
-        assert loaded.dims == net.dims
-        assert loaded.activations == net.activations
+        loaded = Mlp([5, 7, 3], ["relu", "sigmoid"], rng=np.random.default_rng(22))
+        load_params(loaded, json.loads(path.read_text()))
+        assert loaded.flat.tobytes() == net.flat.tobytes()
         for a, b in zip(loaded.params(), net.params()):
             np.testing.assert_array_equal(a, b)
         x = np.random.default_rng(1).normal(size=(4, 5))
@@ -316,16 +316,16 @@ class TestCheckpoints:
         net = Mlp([2, 2], ["identity"], rng=np.random.default_rng(0))
         payload = mlp_to_dict(net)
         with pytest.raises(ValueError):
-            mlp_from_dict({**payload, "format": "something-else"})
+            load_params(net, {**payload, "format": "something-else"})
         with pytest.raises(ValueError):
-            mlp_from_dict({**payload, "version": 99})
+            load_params(net, {**payload, "version": 99})
 
     def test_inconsistent_shapes_rejected(self):
         net = Mlp([2, 3, 1], ["relu", "identity"], rng=np.random.default_rng(0))
         payload = mlp_to_dict(net)
         payload["dims"] = [2, 4, 1]
-        with pytest.raises(ValueError):
-            mlp_from_dict(payload)
+        with pytest.raises(ValueError, match="dims"):
+            load_params(net, payload)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameter_rejected(self, value):
@@ -333,4 +333,62 @@ class TestCheckpoints:
         payload = mlp_to_dict(net)
         payload["biases"][0][1] = value
         with pytest.raises(ValueError, match="a weight or bias is not finite"):
-            mlp_from_dict(payload)
+            load_params(net, payload)
+
+
+def _spoil(payload, how):
+    """A copy of an mlp_to_dict payload for [2, 3, 1] broken one way."""
+    payload = json.loads(json.dumps(payload))
+    if how == "activations":
+        payload["activations"] = ["tanh", "identity"]
+    elif how == "extra_weight":
+        # one weight too many after two valid layers; zip would drop it
+        payload["weights"].append([[0.5]])
+    elif how == "missing_bias":
+        payload["biases"].pop()
+    elif how == "weight_shape":
+        payload["weights"][1] = [[0.5, 0.5]]
+    elif how == "bias_shape":
+        payload["biases"][0] = [0.5, 0.5, 0.5, 0.5]
+    elif how == "ragged":
+        payload["weights"][0][2] = [0.5]
+    elif how == "last_value_nan":
+        payload["biases"][-1][-1] = float("nan")
+    elif how == "huge_int":
+        payload["weights"][0][0][0] = 10 ** 400
+    return payload
+
+
+SPOILS = ["activations", "extra_weight", "missing_bias", "weight_shape", "bias_shape", "ragged",
+          "last_value_nan", "huge_int"]
+
+
+class TestLoadParams:
+    @pytest.mark.parametrize("how", SPOILS)
+    def test_refused_payload_leaves_the_network_unchanged(self, how):
+        net = Mlp([2, 3, 1], ["relu", "identity"], rng=np.random.default_rng(0))
+        payload = mlp_to_dict(Mlp([2, 3, 1], ["relu", "identity"], rng=np.random.default_rng(1)))
+        before = net.flat.tobytes()
+        with pytest.raises((ValueError, OverflowError)):
+            load_params(net, _spoil(payload, how))
+        assert net.flat.tobytes() == before
+
+    @pytest.mark.parametrize("how,message", [
+        ("extra_weight", "2 layers need as many weight and bias arrays, got 3 and 2"),
+        ("missing_bias", "got 2 and 1"),
+        ("weight_shape", r"weights\[1\] has shape \(1, 2\), the network's \(1, 3\)"),
+        ("bias_shape", r"biases\[0\] has shape \(4,\), the network's \(3,\)"),
+        ("activations", r"activations \['tanh', 'identity'\] do not fit"),
+    ])
+    def test_refusal_names_what_does_not_fit(self, how, message):
+        net = Mlp([2, 3, 1], ["relu", "identity"], rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            load_params(net, _spoil(mlp_to_dict(net), how))
+
+    def test_writes_in_place_so_views_and_optimizer_state_stay_bound(self):
+        net = Mlp([2, 3, 1], ["relu", "identity"], rng=np.random.default_rng(0))
+        flat, weights = net.flat, net.weights
+        source = Mlp([2, 3, 1], ["relu", "identity"], rng=np.random.default_rng(1))
+        load_params(net, mlp_to_dict(source))
+        assert net.flat is flat and net.weights is weights
+        assert net.flat.tobytes() == source.flat.tobytes()

@@ -130,7 +130,8 @@ def _views_of_flat(net):
 def test_weights_stay_views_after_clone_and_load(dims, seed):
     net = _net(dims, seed)
     dup = net.clone()
-    loaded = nn.mlp_from_dict(nn.mlp_to_dict(net))
+    loaded = _net(dims, seed + 1)
+    nn.load_params(loaded, nn.mlp_to_dict(net))
     assert dup.flat.tobytes() == net.flat.tobytes() == loaded.flat.tobytes()
     assert not np.shares_memory(dup.flat, net.flat)
     for copy in (net, dup, loaded):

@@ -134,8 +134,16 @@ class TestParseRequest:
             _parse_request(request_line(n_r=n_r), WINDOW_N)
 
     def test_non_numeric_pool(self):
-        with pytest.raises(MalformedRequest, match="must be numbers"):
+        with pytest.raises(MalformedRequest, match="^n_r must be a number: "):
             _parse_request(request_line(n_r="wide"), WINDOW_N)
+
+    @pytest.mark.parametrize("field,kw", [
+        ("n_r", dict(n_r=10 ** 400)), ("zeta", dict(zeta=-10 ** 400)),
+        ("demand_history", dict(history=[[5.0, 10 ** 400]] + HISTORY[1:])),
+    ], ids=["n_r", "zeta", "history"])
+    def test_int_past_float_range_names_the_field(self, field, kw):
+        with pytest.raises(MalformedRequest, match=f"^{field} .*int too large"):
+            _parse_request(request_line(**kw), WINDOW_N)
 
     @pytest.mark.parametrize("zeta", [-0.1, 1.5])
     def test_bad_zeta(self, zeta):
@@ -191,6 +199,14 @@ class TestOverTcp:
         assert "not valid JSON" in replies[0]["error"]
         assert "at least 3" in replies[1]["error"]
         assert replies[2] == expected(HISTORY)
+
+    @pytest.mark.parametrize("kw", [dict(n_r=10 ** 400), dict(history=[[10 ** 400, 1.0]] + HISTORY[1:])],
+                             ids=["n_r", "history"])
+    def test_connection_survives_an_int_past_float_range(self, live_server, expected, kw):
+        # float() and np.asarray raise OverflowError on a 401-digit integer
+        replies = exchange(live_server.server_address, [request_line(**kw), request_line()])
+        assert "int too large" in replies[0]["error"]
+        assert replies[1] == expected(HISTORY)
 
     def test_sequential_connections(self, live_server, expected):
         for _ in range(2):
