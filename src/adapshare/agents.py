@@ -1,9 +1,11 @@
 """DDPG and TD3 agents over the spectrum-sharing bandit.
 
 Both agents learn a deterministic actor mapping the demand-history
-observation to a raw action in [0,1]^2. Each allocation is a one-step
-contextual bandit whose reward is -(1 + eta) J, so the critic regresses
-on the reward itself: there is no successor state to bootstrap from.
+observation to a raw action (u_a, u_b) in [0,1]^2, a pair of Python
+floats that env.project_action takes as it is. Each allocation is a
+one-step contextual bandit whose reward, the one float env.step
+returns, is -(1 + eta) J, so the critic regresses on the reward itself:
+there is no successor state to bootstrap from.
 TD3 is DDPG whose actor moves only on every td3_policy_delay-th update
 (Fujimoto et al. 2018, arXiv:1802.09477). The target networks are
 Polyak-averaged copies that nothing reads, and checkpoints omit them.
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import nn
 from .domain import AgentConfig, AgentKind, EnvConfig, ExperimentConfig
-from .env import RawAction, observation_rows, observe, project_action, step
+from .env import observation_rows, observe, project_action, step
 from .metrics import build_report, moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
 # solver calls through agents.solve_opt and agents.solve_opt_base
@@ -53,7 +55,7 @@ class ReplayBuffer:
             self._rows = np.zeros((self.capacity, obs_vec.size + 3))
         row = self._rows[self.cursor]
         row[:-3] = obs_vec
-        row[-3:] = (raw.u_a, raw.u_b, reward)
+        row[-3:] = (*raw, reward)
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -99,18 +101,19 @@ class DdpgAgent:
         self.update_count = 0
 
     def act(self, obs, explore=False):
-        """The actor's action for an Observation; with explore, perturbed
-        by one N(0, explore_sigma^2) draw per component."""
+        """The actor's raw action (u_a, u_b) for an Observation; with
+        explore, perturbed by one N(0, explore_sigma^2) draw per component."""
         noise = self.explore_rng.standard_normal(2) * self.explore_sigma if explore else None
         return self._action(obs.vector(), noise)
 
     def _action(self, obs_vec, noise=None):
-        """The raw action for an observation vector, with optional
-        exploration noise added and clipped to the unit box."""
+        """The raw action (u_a, u_b) for an observation vector, as Python
+        floats, with optional exploration noise added and clipped to the
+        unit box."""
         mu = nn.forward(self.actor, obs_vec)
         if noise is not None:
             mu = np.clip(mu + noise, 0.0, 1.0)
-        return RawAction(u_a=float(mu[0]), u_b=float(mu[1]))
+        return float(mu[0]), float(mu[1])
 
     def _update_critic(self, obs_act, rew):
         """One mean-squared-error step of Q(obs, act) towards the reward."""
@@ -155,7 +158,8 @@ TRAINABLE = tuple(_AGENT_CLASSES)
 def make_agent(kind, obs_dim, config=None, seed=0):
     kind = AgentKind(kind)
     if kind not in _AGENT_CLASSES:
-        raise ValueError(f"{kind.value} is a solver, not a trainable agent")
+        trainable = " or ".join(k.value for k in TRAINABLE)
+        raise ValueError(f"{kind.value} is a solver; train needs {trainable}")
     return _AGENT_CLASSES[kind](obs_dim, config=config, seed=seed)
 
 
@@ -222,7 +226,7 @@ def train(agent_kind, series, cfg):
     for i, t in enumerate(ts.tolist()):
         obs_vec = obs_rows[t - env.window_n]
         raw = agent._action(obs_vec, noise[i])
-        r = step(series, t, raw, env).reward
+        r = step(series, t, raw, env)
         buffer.add(obs_vec, raw, r)
         rewards[i] = r
         if i >= warmup and buffer.size >= batch_size:

@@ -298,11 +298,10 @@ def read_csv_rows(lines, header: str, parse, path) -> list:
     return rows
 
 
-def read_series_csv(path, granularity: int | None = None) -> DemandSeries:
+def read_series_csv(path) -> DemandSeries:
     """Read the canonical demand CSV. Granularity is inferred from the first
-    timestamp gap unless given; single-sample files need it explicitly."""
-    if granularity is not None:
-        granularity = positive_int(granularity, "granularity")
+    timestamp gap, so a file needs at least two rows."""
+    granularity = None
     ts = []
 
     def row(cells):

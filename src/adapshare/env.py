@@ -1,10 +1,11 @@
 """The contextual-bandit spectrum-sharing environment.
 
 Each step is a one-shot decision: observe the current and recent demand
-pairs, pick a raw action in [0,1]^2, have it projected onto the feasible
-pool, and receive reward -(1 + eta) * J where J is the weighted sum of
-squared fractional surpluses/deficits. Actions never influence future
-demand, so steps carry no hidden state.
+pairs, pick a raw action (u_a, u_b) in [0,1]^2, have it projected onto
+the feasible pool, and receive reward -(1 + eta) * J where J is the
+weighted sum of squared fractional surpluses/deficits. A raw action is
+a pair of floats and a step's outcome is its reward, one float. Actions
+never influence future demand, so steps carry no hidden state.
 """
 
 from __future__ import annotations
@@ -37,25 +38,6 @@ class Observation:
         return self.pairs.ravel()
 
 
-@dataclass(frozen=True)
-class RawAction:
-    """Pre-projection actor output; both components in [0, 1]."""
-
-    u_a: float
-    u_b: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.u_a <= 1.0 and 0.0 <= self.u_b <= 1.0):
-            raise ValueError(f"raw action out of [0,1]^2: ({self.u_a}, {self.u_b})")
-
-
-@dataclass(frozen=True)
-class StepResult:
-    allocation: Allocation
-    j_value: float
-    reward: float
-
-
 def _weighted_squares(n_a, n_b, d_a, d_b, zeta):
     # the J formula for floats and for numpy columns alike
     frac_a = (n_a - d_a) / d_a
@@ -79,17 +61,20 @@ def reward(j: float, eta: float) -> float:
     return -(1.0 + eta) * j
 
 
-def project_action(raw: RawAction, n_r: float) -> Allocation:
-    """Map a raw [0,1]^2 action onto the feasible pool.
+def project_action(raw: tuple[float, float], n_r: float) -> Allocation:
+    """Map a raw action (u_a, u_b) in [0,1]^2 onto the feasible pool.
 
     The candidate grant is (u_a*n_r, u_b*n_r); if it overshoots the pool,
     both components are rescaled radially so the A:B ratio the actor asked
     for is preserved and the budget line is met exactly.
     """
+    u_a, u_b = raw
+    if not (0.0 <= u_a <= 1.0 and 0.0 <= u_b <= 1.0):
+        raise ValueError(f"raw action out of [0,1]^2: ({u_a}, {u_b})")
     if not 0.0 < n_r < math.inf:
         raise ValueError(f"n_r must be positive and finite, got {n_r}")
-    cand_a = raw.u_a * n_r
-    cand_b = raw.u_b * n_r
+    cand_a = u_a * n_r
+    cand_b = u_b * n_r
     total = cand_a + cand_b
     if total > n_r:
         scale = n_r / total
@@ -98,14 +83,19 @@ def project_action(raw: RawAction, n_r: float) -> Allocation:
     return Allocation(cand_a, cand_b)
 
 
-def observe(series: DemandSeries, t: int, cfg: EnvConfig) -> Observation:
-    """Build the context at step t: demand pairs at t, t-1, ..., t-window_n,
-    normalized by capacity_norm. Indices below window_n are not valid
-    episode starts."""
+def _check_step(series: DemandSeries, t: int, cfg: EnvConfig) -> None:
+    """Refuse a step t that has no full demand window or lies past the series."""
     if t < cfg.window_n or t >= len(series):
         raise IndexError(
             f"t={t} outside valid range [{cfg.window_n}, {len(series) - 1}] for window_n={cfg.window_n}"
         )
+
+
+def observe(series: DemandSeries, t: int, cfg: EnvConfig) -> Observation:
+    """Build the context at step t: demand pairs at t, t-1, ..., t-window_n,
+    normalized by capacity_norm. Indices below window_n are not valid
+    episode starts."""
+    _check_step(series, t, cfg)
     idx = np.arange(t, t - cfg.window_n - 1, -1)
     pairs = np.stack([series.d_a[idx], series.d_b[idx]], axis=1) / cfg.capacity_norm
     return Observation(pairs)
@@ -121,13 +111,10 @@ def observation_rows(series: DemandSeries, stop: int, cfg: EnvConfig) -> np.ndar
     return pairs[idx].reshape(len(idx), -1)
 
 
-def step(series: DemandSeries, t: int, raw: RawAction, cfg: EnvConfig) -> StepResult:
-    """One bandit interaction at step t. Pure: never mutates the series, and
-    the outcome is independent of actions taken at other times."""
-    if t < cfg.window_n or t >= len(series):
-        raise IndexError(
-            f"t={t} outside valid range [{cfg.window_n}, {len(series) - 1}] for window_n={cfg.window_n}"
-        )
+def step(series: DemandSeries, t: int, raw: tuple[float, float], cfg: EnvConfig) -> float:
+    """The reward of raw action (u_a, u_b) at step t. Pure: never mutates
+    the series, and the outcome is independent of actions taken at other
+    times."""
+    _check_step(series, t, cfg)
     alloc = project_action(raw, cfg.n_r)
-    j = objective_j(alloc, series.demand(t), cfg.zeta, cfg.d_min)
-    return StepResult(allocation=alloc, j_value=j, reward=reward(j, cfg.eta))
+    return reward(objective_j(alloc, series.demand(t), cfg.zeta, cfg.d_min), cfg.eta)

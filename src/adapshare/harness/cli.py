@@ -156,8 +156,6 @@ def cmd_synth(args):
 def cmd_train(args):
     series = read_series_csv(args.data)
     cfg = build_experiment(_collect_mapping(args))
-    if cfg.agent_kind not in TRAINABLE:
-        raise ConfigFileError(f"train needs ddpg or td3, got {cfg.agent_kind.value}")
     agent, result = train(cfg.agent_kind, series, cfg)
     tail = result.curve[-1] if len(result.curve) else float("nan")
     print(
@@ -324,7 +322,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigFileError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -8,6 +8,7 @@ policy is loaded once and never mutated while serving.
 """
 
 import json
+import math
 import socketserver
 import threading
 
@@ -106,6 +107,9 @@ class AllocationServer(socketserver.ThreadingTCPServer):
         alloc = project_action(raw, n_r)
         current = (float(pairs[0, 0]), float(pairs[0, 1]))
         j = objective_j(alloc, current, zeta, env.d_min)
+        # json.dumps would write Infinity or NaN, which is not JSON
+        if not math.isfinite(j):
+            raise MalformedRequest(f"n_r {n_r!r} is too large: its j_estimate overflows")
         return {"n_a": alloc.n_a, "n_b": alloc.n_b, "j_estimate": j}
 
 

@@ -9,6 +9,8 @@ All math is float64 numpy; no autodiff framework.
 
 Each network keeps all its parameters in one contiguous vector, with
 per-layer views (`layer_views`) for the forward and backward passes.
+`forward` and `forward_cache` run the same private layer loop; only
+`forward_cache` keeps each layer's pre-activation and output.
 `backward` writes the parameter gradient into a fresh vector with the
 same layout, so an update hands that one vector to Adam. Adam and the
 Polyak update work element by element, so running them once on that
@@ -130,13 +132,20 @@ def _as_batch(net, x):
     return x, squeeze
 
 
-def forward(net, x):
-    """Apply the network. Accepts a vector or a (batch, dim) matrix."""
-    a, squeeze = _as_batch(net, x)
+def _layers(net, a):
+    """Yield (pre-activation, output) of each dense layer applied to batch a."""
     for w, b, name in zip(net.weights, net.biases, net.activations):
         z = a @ w.T
         z += b
         a = ACTIVATIONS[name][0](z)
+        yield z, a
+
+
+def forward(net, x):
+    """Apply the network. Accepts a vector or a (batch, dim) matrix."""
+    a, squeeze = _as_batch(net, x)
+    for _, a in _layers(net, a):
+        pass
     return a[0] if squeeze else a
 
 
@@ -145,14 +154,10 @@ def forward_cache(net, x):
     (pre-activations, layer outputs with the input first, squeeze)."""
     a, squeeze = _as_batch(net, x)
     pre, post = [], [a]
-    for w, b, name in zip(net.weights, net.biases, net.activations):
-        z = a @ w.T
-        z += b
+    for z, a in _layers(net, a):
         pre.append(z)
-        a = ACTIVATIONS[name][0](z)
         post.append(a)
-    out = a[0] if squeeze else a
-    return out, (pre, post, squeeze)
+    return (a[0] if squeeze else a), (pre, post, squeeze)
 
 
 def backward(net, cache, upstream, params=True, inputs=True):

@@ -47,17 +47,13 @@ class DemandStats:
         return float(self.sorted_values[-1])
 
 
-def fit(series: DemandSeries, side: str | None = None) -> DemandStats:
-    """Extract the quantile table and lag-1 Pearson correlation from a
-    one-sided series.
+def fit(series: DemandSeries, side: str) -> DemandStats:
+    """Extract the quantile table and lag-1 Pearson correlation from the
+    series' side ('a' or 'b') column.
 
     A zero-variance reference has no defined correlation; it is fixed at 0
     so downstream generation degenerates to a constant rather than NaN.
     """
-    if side is None:
-        side = series.populated_side()
-        if side is None:
-            raise ValueError("series is two-sided; pass side='a' or side='b' explicitly")
     values = np.asarray(series.column(side), dtype=np.float64)
     if len(values) < 2:
         raise ValueError(f"need at least 2 samples to fit, got {len(values)}")

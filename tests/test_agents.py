@@ -26,7 +26,7 @@ from adapshare.agents import (
     train_split_end,
 )
 from adapshare.domain import AgentKind, Allocation, DemandSeries, EnvConfig, ExperimentConfig
-from adapshare.env import Observation, RawAction, observe, project_action, step
+from adapshare.env import Observation, observe, project_action, step
 from adapshare.metrics import build_report, moving_average
 from adapshare.oracle import solve_opt
 from adapshare.seeding import rng_for
@@ -37,7 +37,7 @@ def obs_of(*pairs):
 
 
 def add(buf, reward=-0.5, u=(0.3, 0.4), pairs=((0.1, 0.2), (0.3, 0.4))):
-    buf.add(obs_of(*pairs).vector(), RawAction(*u), reward)
+    buf.add(obs_of(*pairs).vector(), tuple(u), reward)
 
 
 def batch_of(n, reward=-0.5, u=(0.3, 0.4), pairs=((0.1, 0.2), (0.3, 0.4))):
@@ -185,7 +185,8 @@ class TestAct:
         a1 = agent.act(obs)
         a2 = agent.act(obs)
         assert a1 == a2
-        assert 0.0 <= a1.u_a <= 1.0 and 0.0 <= a1.u_b <= 1.0
+        # a pair of Python floats, not numpy scalars, so the reply JSON keeps its text
+        assert len(a1) == 2 and all(type(u) is float and 0.0 <= u <= 1.0 for u in a1)
 
     def test_zero_sigma_explore_equals_greedy(self):
         agent = make_agent(AgentKind.DDPG, obs_dim=4, config=AgentConfig(explore_sigma=0.0), seed=1)
@@ -205,7 +206,7 @@ class TestAct:
         obs = obs_of((0.2, 0.3), (0.1, 0.4))
         for _ in range(50):
             a = agent.act(obs, explore=True)
-            assert 0.0 <= a.u_a <= 1.0 and 0.0 <= a.u_b <= 1.0
+            assert all(0.0 <= u <= 1.0 for u in a)
 
 
 def zero_params(net):
@@ -416,7 +417,7 @@ def reference_train(kind, series, cfg):
     for i, t in enumerate(ts.tolist()):
         obs = observe(series, t, env)
         raw = agent.act(obs, explore=True)
-        r = step(series, t, raw, env).reward
+        r = step(series, t, raw, env)
         buffer.add(obs.vector(), raw, r)
         rewards.append(r)
         if i >= agent_cfg.warmup_steps and buffer.size >= agent_cfg.batch_size:

@@ -250,12 +250,11 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match=r"bad\.csv:1: expected header"):
             read_series_csv(path)
 
-    @pytest.mark.parametrize("granularity", [None, 3600])
-    def test_no_data_rows_named(self, tmp_path, granularity):
+    def test_no_data_rows_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(SERIES_HEADER + "\n\n")
         with pytest.raises(ValueError, match=r"bad\.csv: no data rows"):
-            read_series_csv(path, granularity=granularity)
+            read_series_csv(path)
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -275,13 +274,6 @@ class TestSeriesCsv:
         series = read_series_csv(path)
         assert series.granularity == 60
         assert series.d_a.tolist() == [1.5, 0.5] and series.d_b.tolist() == [2.5, 0.25]
-
-    @pytest.mark.parametrize("granularity", [np.nan, "3600", True])
-    def test_given_granularity_must_be_a_positive_integer(self, tmp_path, granularity):
-        path = tmp_path / "one.csv"
-        path.write_text(SERIES_HEADER + "\n0,1.5,2.5\n")
-        with pytest.raises(ValueError, match=r"granularity must be a positive integer, got "):
-            read_series_csv(path, granularity=granularity)
 
     @pytest.mark.parametrize(
         "row", ["3600,nan,1.0", "3600,1.0,inf", "3600,-inf,1.0", "3600,-1.0,2.0"]
@@ -330,8 +322,5 @@ class TestSeriesCsv:
     def test_single_row_needs_granularity(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text(SERIES_HEADER + "\n0,1.5,2.5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"one\.csv: cannot infer granularity from fewer than 2 rows"):
             read_series_csv(path)
-        series = read_series_csv(path, granularity=3600)
-        assert len(series.timestamps) == 1
-        assert series.d_a[0] == 1.5

@@ -6,7 +6,6 @@ import pytest
 from adapshare.domain import Allocation, DemandSeries, EnvConfig
 from adapshare.env import (
     Observation,
-    RawAction,
     objective_j,
     observe,
     project_action,
@@ -69,42 +68,42 @@ class TestReward:
 
 class TestProjectAction:
     def test_feasible_action_passes_through(self):
-        alloc = project_action(RawAction(0.2, 0.3), n_r=10.0)
+        alloc = project_action((0.2, 0.3), n_r=10.0)
         assert (alloc.n_a, alloc.n_b) == (2.0, 3.0)
 
     def test_overshoot_rescaled_onto_budget(self):
-        alloc = project_action(RawAction(0.8, 0.8), n_r=10.0)
+        alloc = project_action((0.8, 0.8), n_r=10.0)
         assert alloc.n_a == pytest.approx(5.0)
         assert alloc.n_b == pytest.approx(5.0)
         assert alloc.n_a + alloc.n_b == pytest.approx(10.0, abs=1e-12)
 
     def test_rescale_preserves_requested_ratio(self):
-        alloc = project_action(RawAction(0.9, 0.3), n_r=10.0)
+        alloc = project_action((0.9, 0.3), n_r=10.0)
         assert alloc.n_a == pytest.approx(7.5)
         assert alloc.n_b == pytest.approx(2.5)
         assert alloc.n_a / alloc.n_b == pytest.approx(3.0)
 
     def test_budget_boundary_untouched(self):
-        alloc = project_action(RawAction(0.5, 0.5), n_r=10.0)
+        alloc = project_action((0.5, 0.5), n_r=10.0)
         assert (alloc.n_a, alloc.n_b) == (5.0, 5.0)
 
     def test_always_feasible(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            raw = RawAction(*rng.uniform(0, 1, size=2))
+            raw = tuple(rng.uniform(0, 1, size=2))
             alloc = project_action(raw, n_r=20.0)
             assert alloc.n_a + alloc.n_b <= 20.0 + 1e-9
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -5.0])
     def test_pool_must_be_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="n_r must be positive and finite"):
-            project_action(RawAction(0.5, 0.5), n_r=bad)
+            project_action((0.5, 0.5), n_r=bad)
 
     def test_raw_action_validated(self):
-        with pytest.raises(ValueError):
-            RawAction(1.2, 0.5)
-        with pytest.raises(ValueError):
-            RawAction(0.5, -0.01)
+        with pytest.raises(ValueError, match=r"^raw action out of \[0,1\]\^2: \(1\.2, 0\.5\)$"):
+            project_action((1.2, 0.5), n_r=10.0)
+        with pytest.raises(ValueError, match=r"^raw action out of \[0,1\]\^2: \(0\.5, -0\.01\)$"):
+            project_action((0.5, -0.01), n_r=10.0)
 
 
 class TestObservation:
@@ -157,19 +156,19 @@ class TestStep:
     def test_composes_projection_objective_reward(self):
         series = make_series([1, 2, 30.0], [1, 2, 20.0])
         cfg = EnvConfig(n_r=20.0, zeta=0.5, eta=0.5, window_n=1)
-        result = step(series, 2, RawAction(1.0, 1.0), cfg)
-        assert result.allocation.n_a == pytest.approx(10.0)
-        assert result.allocation.n_b == pytest.approx(10.0)
-        expected_j = objective_j(result.allocation, (30.0, 20.0), zeta=0.5, d_min=0.1)
-        assert result.j_value == pytest.approx(expected_j, abs=1e-15)
-        assert result.reward == pytest.approx(-1.5 * expected_j, abs=1e-15)
+        r = step(series, 2, (1.0, 1.0), cfg)
+        alloc = project_action((1.0, 1.0), cfg.n_r)
+        assert alloc.n_a == pytest.approx(10.0)
+        assert alloc.n_b == pytest.approx(10.0)
+        expected_j = objective_j(alloc, (30.0, 20.0), zeta=0.5, d_min=0.1)
+        assert r == pytest.approx(-1.5 * expected_j, abs=1e-15)
 
     def test_pure_and_repeatable(self):
         series = make_series([3, 7, 5], [4, 2, 6])
         cfg = EnvConfig(n_r=10.0, window_n=1)
         before = series.d_a.copy()
-        r1 = step(series, 2, RawAction(0.4, 0.4), cfg)
-        r2 = step(series, 2, RawAction(0.4, 0.4), cfg)
+        r1 = step(series, 2, (0.4, 0.4), cfg)
+        r2 = step(series, 2, (0.4, 0.4), cfg)
         assert r1 == r2
         np.testing.assert_array_equal(series.d_a, before)
 
@@ -177,4 +176,4 @@ class TestStep:
         series = make_series([1, 2, 3], [1, 2, 3])
         cfg = EnvConfig(n_r=10.0, window_n=2)
         with pytest.raises(IndexError):
-            step(series, 1, RawAction(0.1, 0.1), cfg)
+            step(series, 1, (0.1, 0.1), cfg)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import socket
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -969,6 +970,30 @@ class TestCliIntegersOutOfRange:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert not out.exists()
+
+
+class TestCliOsErrors:
+    """A file or socket the command cannot use is an error line and rc 2, not a traceback."""
+
+    @pytest.mark.parametrize("case", ["port_taken", "data_is_a_directory", "out_is_a_directory"])
+    def test_refused_with_rc2(self, case, constant_csv, tmp_path, capsys):
+        solver_eval = ("eval", "--agent", "opt_oracle", "--n-r", "20")
+        if case == "port_taken":
+            with socket.socket() as held:
+                held.bind(("127.0.0.1", 0))
+                held.listen()
+                port = held.getsockname()[1]
+                rc = run_cli("serve", "--checkpoint", _checkpoint(tmp_path), "--port", port)
+            named = f"cannot bind 127.0.0.1:{port}"
+        elif case == "data_is_a_directory":
+            rc = run_cli(*solver_eval, "--data", tmp_path)
+            named = "Is a directory"
+        else:
+            rc = run_cli(*solver_eval, "--data", constant_csv, "--out", tmp_path)
+            named = "Is a directory"
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 class TestCliSweepPlot:

@@ -29,7 +29,7 @@ from adapshare.domain import (
     read_series_csv,
     write_series_csv,
 )
-from adapshare.env import RawAction, project_action
+from adapshare.env import project_action
 from adapshare.harness.config import COERCERS, SWEEP_KEYS, build_experiment, parse_config_file
 from adapshare.harness.results import (
     CURVE_HEADER,
@@ -308,7 +308,7 @@ unit = st.floats(0.0, 1.0)
 @SETTINGS
 @given(unit, unit, pools)
 def test_projection_feasible_and_keeps_the_ratio_it_rescales(u_a, u_b, n_r):
-    alloc = project_action(RawAction(u_a, u_b), n_r)
+    alloc = project_action((u_a, u_b), n_r)
     assert alloc.n_a >= 0.0 and alloc.n_b >= 0.0
     assert alloc.n_a + alloc.n_b <= n_r + FEASIBILITY_SLACK
     if u_a * n_r + u_b * n_r > n_r:

@@ -64,6 +64,13 @@ def live_server(checkpoint_path):
     server.server_close()
 
 
+def strict_json(text):
+    """json.loads that refuses the Infinity and NaN tokens, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"reply is not JSON: it holds {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def exchange(address, lines):
     """Send newline-delimited requests on one connection, collect replies."""
     with socket.create_connection(address, timeout=10) as sock:
@@ -72,7 +79,7 @@ def exchange(address, lines):
         for line in lines:
             fh.write(line.encode("utf-8") + b"\n")
             fh.flush()
-            replies.append(json.loads(fh.readline().decode("utf-8")))
+            replies.append(strict_json(fh.readline().decode("utf-8")))
         return replies
 
 
@@ -206,6 +213,13 @@ class TestOverTcp:
         # float() and np.asarray raise OverflowError on a 401-digit integer
         replies = exchange(live_server.server_address, [request_line(**kw), request_line()])
         assert "int too large" in replies[0]["error"]
+        assert replies[1] == expected(HISTORY)
+
+    def test_connection_survives_a_pool_whose_j_overflows(self, live_server, expected):
+        # demands floored at d_min = 0.1 make ((n_a - 0.1) / 0.1)^2 overflow
+        zeros = [[0.0, 0.0]] * (WINDOW_N + 1)
+        replies = exchange(live_server.server_address, [request_line(history=zeros, n_r=1e300), request_line()])
+        assert replies[0] == {"error": "n_r 1e+300 is too large: its j_estimate overflows"}
         assert replies[1] == expected(HISTORY)
 
     def test_sequential_connections(self, live_server, expected):

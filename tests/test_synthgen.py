@@ -30,12 +30,12 @@ class TestStats:
 
 class TestFit:
     def test_constant_series_zero_corr(self):
-        stats = fit(one_sided([5.0, 5.0, 5.0]))
+        stats = fit(one_sided([5.0, 5.0, 5.0]), side="a")
         assert stats.sorted_values.tolist() == [5.0, 5.0, 5.0]
         assert stats.lag1_corr == 0.0
 
     def test_linear_trend_perfect_corr(self):
-        stats = fit(one_sided([1.0, 2.0, 3.0, 4.0]))
+        stats = fit(one_sided([1.0, 2.0, 3.0, 4.0]), side="a")
         assert stats.lag1_corr == pytest.approx(1.0, abs=1e-12)
 
     def test_fixture_against_direct_pearson(self, ref_series):
@@ -47,21 +47,14 @@ class TestFit:
         assert np.array_equal(stats.sorted_values, np.sort(x))
         assert stats.length == len(x)
 
-    def test_two_sided_requires_side(self):
-        series = DemandSeries([0.0, 1.0], [1.0, 2.0], [3.0, 4.0], 1)
-        with pytest.raises(ValueError):
-            fit(series)
-        stats = fit(series, side="b")
-        assert stats.sorted_values.tolist() == [3.0, 4.0]
-
     def test_too_short(self):
         with pytest.raises(ValueError):
-            fit(one_sided([5.0]))
+            fit(one_sided([5.0]), side="a")
 
 
 class TestGenerate:
     def test_length_and_side(self):
-        stats = fit(one_sided([1.0, 2.0, 3.0, 4.0, 5.0]))
+        stats = fit(one_sided([1.0, 2.0, 3.0, 4.0, 5.0]), side="a")
         series = generate(stats, 860, seed=42)
         assert len(series.timestamps) == 860
         assert series.populated_side() == "a"
