@@ -12,6 +12,7 @@ from adapshare import (
     write_series_csv,
 )
 from adapshare.domain import SERIES_HEADER
+from adapshare.harness.cli import main
 
 
 class TestClampDemand:
@@ -250,11 +251,19 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match=r"bad\.csv:1: expected header"):
             read_series_csv(path)
 
-    def test_no_data_rows_named(self, tmp_path):
+    @pytest.mark.parametrize("granularity", [None, 3600])
+    def test_no_data_rows_named(self, tmp_path, capsys, granularity):
         path = tmp_path / "bad.csv"
         path.write_text(SERIES_HEADER + "\n\n")
         with pytest.raises(ValueError, match=r"bad\.csv: no data rows"):
             read_series_csv(path)
+        # synth is the one caller that supplies a granularity next to the file
+        argv = ["synth", "--ref", str(path), "--out", str(tmp_path / "x.csv")]
+        if granularity is not None:
+            argv += ["--granularity", str(granularity)]
+        assert main(argv) == 2
+        assert "bad.csv: no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
