@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .domain import AgentConfig, AgentKind, EnvConfig, ExperimentConfig
+from .domain import AgentConfig, AgentKind, EnvConfig, ExperimentConfig, load_json
 from .env import observation_rows, observe, project_action, step
 from .metrics import build_report, moving_average
 # solve_opt is not called here, but bench/phases.py times the sweep's
@@ -371,8 +371,8 @@ def load_agent(path):
     the copies make_agent built; nothing reads them."""
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+            payload = load_json(fh.read())
+        except ValueError as exc:
             raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != AGENT_FORMAT:
         raise ValueError(f"{path}: not an agent checkpoint")

@@ -1,8 +1,8 @@
 """Core value types shared across the package: demand series, allocations,
 and the run configuration (EnvConfig, AgentConfig and ExperimentConfig,
-each checking its fields by their annotations); and the one CSV row
-reader every input file goes through (read_csv_rows), which names
-path:line in each error it raises.
+each checking its fields by their annotations); the one CSV row reader
+every input file goes through (read_csv_rows), which names path:line in
+each error it raises; and the one JSON reader (load_json).
 
 All types here are immutable after construction and safe to share between
 parallel workers. Demands and allocations are continuous nonnegative reals
@@ -13,6 +13,7 @@ math.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
 import sys
@@ -273,6 +274,15 @@ def write_series_csv(series: DemandSeries, path) -> None:
     for i in range(len(series)):
         lines.append(f"{int(series.timestamps[i])},{float(series.d_a[i])!r},{float(series.d_b[i])!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def load_json(text):
+    """json.loads(text); every refusal is a ValueError, also for input
+    nested past the recursion limit, where json.loads raises RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def read_csv_rows(lines, header: str, parse, path) -> list:

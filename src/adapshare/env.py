@@ -77,7 +77,8 @@ def project_action(raw: tuple[float, float], n_r: float) -> Allocation:
     cand_b = u_b * n_r
     total = cand_a + cand_b
     if total > n_r:
-        scale = n_r / total
+        # halving is exact, and keeps a sum past the float maximum finite
+        scale = n_r / total if total < math.inf else (0.5 * n_r) / (0.5 * cand_a + 0.5 * cand_b)
         cand_a *= scale
         cand_b *= scale
     return Allocation(cand_a, cand_b)

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ..domain import AgentKind, read_csv_rows
+from ..domain import AgentKind, load_json, read_csv_rows
 from .config import _finite
 
 PALETTE = (
@@ -259,7 +259,7 @@ def _sidecar_files(path):
     that does not parse into a list of names is an error naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            files = json.load(fh)["files"]
+            files = load_json(fh.read())["files"]
         if not isinstance(files, list):
             raise TypeError(f"'files' is not a list: {files!r}")
         return [os.path.basename(name) for name in files]

@@ -15,6 +15,7 @@ import threading
 import numpy as np
 
 from ..agents import load_agent
+from ..domain import load_json
 from ..env import Observation, objective_j, project_action
 
 
@@ -31,8 +32,8 @@ class MalformedRequest(ValueError):
 
 def _parse_request(line, window_n):
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+        payload = load_json(line)
+    except ValueError as exc:
         raise MalformedRequest(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedRequest("request must be an object")

@@ -6,10 +6,21 @@ Pipeline: parse_dci_csv -> filter_data_transmissions -> resample_mean, then
 merge_series pairs two one-sided results into a single (d_a, d_b) series.
 A trace is one numpy record array with the DCI_HEADER columns; a row that
 does not parse or holds a value out of range is refused with its path:line.
+
+parse_dci_csv first parses the whole file in one np.loadtxt pass. The row
+reader (domain.read_csv_rows) takes the file instead when that pass could
+differ from it or fails: a header that does not match, a byte outside
+printable ASCII or line ends (quotes, NUL, tabs, other control characters,
+non-ASCII text, undecodable UTF-8), a dci_format value of _FORMAT_WIDTH or
+more characters (np.loadtxt cuts it short without a word), any np.loadtxt
+error or warning (a row of the wrong width, a blank-looking row, no data
+rows, a value that is not a plain int64 such as 1_000 or 1.0), or a value
+out of range. The records, and the path:line errors, are the row reader's.
 """
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +32,14 @@ DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 # DCI format tag that marks data transmissions in the traces we consume
 DATA_DCI_FORMAT = "2B"
 
+SFN_MAX, SUBFRAME_MAX = 1023, 9
+# dci_format's text width in the whole-file pass; np.loadtxt cuts a longer
+# value short, and the width costs time per row, so keep it small
+_FORMAT_WIDTH = 8
+# what np.loadtxt parses as the csv module and int() do: printable ASCII
+# except the quote, and line ends
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
+
 
 class AlignmentMismatch(ValueError):
     """Two series cannot be merged: spacing or timestamps disagree."""
@@ -31,9 +50,9 @@ def _dci_row(cells) -> tuple:
     out of range. Every integer must fit int64."""
     sfn, subframe, rnti, prb_count, mcs = map(int, cells[:5])
     timestamp = int(cells[6])
-    if not 0 <= sfn <= 1023:
+    if not 0 <= sfn <= SFN_MAX:
         raise ValueError(f"sfn out of range: {sfn}")
-    if not 0 <= subframe <= 9:
+    if not 0 <= subframe <= SUBFRAME_MAX:
         raise ValueError(f"subframe out of range: {subframe}")
     if not 0 <= prb_count <= INT64_MAX:
         raise ValueError(f"prb_count must be a nonnegative int64: {prb_count}")
@@ -51,6 +70,9 @@ def parse_dci_csv(path) -> np.recarray:
     A malformed row raises a ValueError naming path:line rather than being
     skipped silently.
     """
+    records = _whole_file(path)
+    if records is not None:
+        return records
     with Path(path).open(newline="", encoding="utf-8") as fh:
         rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
     names = DCI_HEADER.split(",")
@@ -59,6 +81,41 @@ def parse_dci_csv(path) -> np.recarray:
         [np.array(col, dtype=str if name == "dci_format" else np.int64)
          for name, col in zip(names, columns)],
         names=names,
+    )
+
+
+def _whole_file(path) -> np.recarray | None:
+    """parse_dci_csv's records from one np.loadtxt pass over the file, or
+    None when the row reader must read it (see the module docstring)."""
+    names = DCI_HEADER.split(",")
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError:
+            return None
+    if not lines or [cell.strip() for cell in lines[0].split(",")] != names:
+        return None
+    text = "".join(lines)
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
+        return None
+    dtype = [(name, f"U{_FORMAT_WIDTH}" if name == "dci_format" else np.int64) for name in names]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    formats = table["dci_format"]
+    highs = {"sfn": SFN_MAX, "subframe": SUBFRAME_MAX, "prb_count": INT64_MAX, "timestamp": INT64_MAX}
+    if (np.strings.str_len(formats) >= _FORMAT_WIDTH).any() or any(
+        ((table[name] < 0) | (table[name] > high)).any() for name, high in highs.items()
+    ):
+        return None
+    # as the row reader: stripped, and as wide as the longest value
+    formats = np.strings.strip(formats)
+    formats = formats.astype(f"U{max(1, np.strings.str_len(formats).max())}")
+    return np.rec.fromarrays(
+        [formats if name == "dci_format" else table[name] for name in names], names=names
     )
 
 

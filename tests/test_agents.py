@@ -690,6 +690,16 @@ class TestCheckpointErrors:
         with pytest.raises(ValueError, match="agent.json: not a JSON checkpoint"):
             load_agent(path)
 
+    @pytest.mark.parametrize("data", [b"[" * 50_000, b'{"seed": ' + b"9" * 5_000 + b"}", b"\xff{}"],
+                             ids=["deep", "digits", "not_utf8"])
+    def test_unreadable_json_names_path(self, tmp_path, data):
+        # json.loads raises RecursionError and a plain ValueError on the first
+        # two, and reading the third raises UnicodeDecodeError
+        path = tmp_path / "agent.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="agent.json: not a JSON checkpoint"):
+            load_agent(path)
+
     @pytest.mark.parametrize(
         "field,value",
         [("actor", None), ("critic", None), ("env", None), ("seed", None),

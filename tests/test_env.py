@@ -87,6 +87,14 @@ class TestProjectAction:
         alloc = project_action((0.5, 0.5), n_r=10.0)
         assert (alloc.n_a, alloc.n_b) == (5.0, 5.0)
 
+    def test_candidate_sum_past_the_float_maximum_rescaled(self):
+        # 0.9 * 1e308 twice overflows to inf; n_r / inf would grant (0, 0)
+        alloc = project_action((0.9, 0.9), n_r=1e308)
+        assert (alloc.n_a, alloc.n_b) == (5e307, 5e307)
+        alloc = project_action((1.0, 0.5), n_r=1.5e308)
+        assert alloc.n_a == pytest.approx(1e308, rel=1e-15)
+        assert alloc.n_b == pytest.approx(5e307, rel=1e-15)
+
     def test_always_feasible(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -430,8 +430,9 @@ class TestResults:
         assert outside.read_text() == "kept\n"
         assert not (out / "x.svg").exists()
 
-    @pytest.mark.parametrize("text", ["{", "[]", '{"cells": 1}', '{"files": "sweep.csv"}', '{"files": [1]}'],
-                             ids=["truncated", "list", "no_files", "files_string", "files_number"])
+    @pytest.mark.parametrize("text", ["{", "[]", '{"cells": 1}', '{"files": "sweep.csv"}', '{"files": [1]}',
+                                      "[" * 50_000],
+                             ids=["truncated", "list", "no_files", "files_string", "files_number", "deep"])
     def test_unreadable_sidecar_is_named_before_writing(self, small_series, tmp_path, text):
         (tmp_path / "run_metadata.json").write_text(text)
         with pytest.raises(ValueError, match="run_metadata.json: not a sweep sidecar"):
@@ -743,6 +744,12 @@ class TestCliTrainEval:
         assert float(cells[1]) == 60.0
         assert cells[2] == "td3"
         assert (tmp_path / "detail.csv").exists()
+
+    def test_eval_deeply_nested_checkpoint_is_an_error(self, hourly_fixture_path, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 50_000)
+        assert run_cli("eval", "--checkpoint", deep, "--data", hourly_fixture_path) == 2
+        assert capsys.readouterr().err == f"error: {deep}: not a JSON checkpoint: JSON nested too deeply\n"
 
     def test_eval_checkpoint_rejects_keys_it_fixes(self, constant_csv, tmp_path, capsys):
         assert run_cli(*self.train_args(constant_csv, tmp_path)) == 0

@@ -1,12 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adapshare.domain import DemandSeries
+from adapshare.domain import DemandSeries, read_csv_rows
 from adapshare.ingest import (
     DCI_HEADER,
     AlignmentMismatch,
+    _dci_row,
+    _whole_file,
     filter_data_transmissions,
     merge_series,
     millisecond_totals,
@@ -123,6 +128,147 @@ class TestParse:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_dci_csv(tmp_path / "absent.csv")
+
+
+def row_reader_records(path):
+    """The records the row reader alone makes of a trace: read_csv_rows with
+    _dci_row, each column an np.array (text as wide as its longest value)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
+    columns = list(zip(*rows)) or [()] * len(COLUMNS)
+    return np.rec.fromarrays(
+        [np.array(col, dtype=str if name == "dci_format" else np.int64) for name, col in zip(COLUMNS, columns)],
+        names=COLUMNS,
+    )
+
+
+def outcome(parse, path):
+    """("records", dtype, bytes) of what parse makes of path, or ("error",
+    message) for the ValueError it raises."""
+    try:
+        records = parse(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "records", records.dtype, records.tobytes()
+
+
+PLAIN_ROW = "512,3,4660,25,16,2B,1674000000000"
+
+
+class TestWholeFilePass:
+    """parse_dci_csv parses a file in one pass where that pass reads it as
+    the row reader does, and hands the rest to the row reader; either way
+    it returns the row reader's records or raises its path:line error."""
+
+    @pytest.mark.parametrize("body, whole_file", [
+        pytest.param(PLAIN_ROW.replace("2B", '"2B"'), False, id="quoted_field"),
+        pytest.param(PLAIN_ROW.replace("2B", "2\x00B"), False, id="nul_byte"),
+        pytest.param(PLAIN_ROW.replace("2B", " 2B "), True, id="padded_format"),
+        pytest.param(PLAIN_ROW.replace("2B", "Format2B_vendor"), False, id="over_long_format"),
+        pytest.param(PLAIN_ROW.replace("2B", "abcdefgh"), False, id="format_at_the_width"),
+        pytest.param(PLAIN_ROW.replace("25", "1_000"), False, id="underscore"),
+        pytest.param(PLAIN_ROW.replace("25", "+5"), True, id="plus_sign"),
+        pytest.param(PLAIN_ROW.replace("25", "25\x1c"), False, id="separator_after_a_number"),
+        pytest.param("", False, id="header_only"),
+        pytest.param(f"{PLAIN_ROW}\r\n\r\n{PLAIN_ROW}\r\n", True, id="crlf"),
+        pytest.param(f"{PLAIN_ROW}\n   \n{PLAIN_ROW}\n", False, id="whitespace_only_row"),
+        pytest.param("\n".join([PLAIN_ROW] * 5 + [PLAIN_ROW.replace("512", "1024", 1), PLAIN_ROW]),
+                     False, id="sfn_out_of_range_on_line_7"),
+    ])
+    def test_same_outcome_as_the_row_reader(self, tmp_path, body, whole_file):
+        path = tmp_path / "trace.csv"
+        path.write_bytes((HEADER + body + ("\n" if body else "")).encode("utf-8"))
+        assert (_whole_file(path) is not None) == whole_file
+        assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+
+    def test_undecodable_bytes_named_by_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(HEADER.encode() + PLAIN_ROW.encode() + b"\n" + b"1,0,1,5,1,\xff,0\n")
+        assert _whole_file(path) is None
+        assert outcome(parse_dci_csv, path)[0] == "error"
+        assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+
+    def test_fixture_takes_the_whole_file_pass(self, dci_fixture_path):
+        assert outcome(_whole_file, dci_fixture_path) == outcome(row_reader_records, dci_fixture_path)
+
+    def test_quoted_fixture_reads_as_the_plain_one(self, dci_fixture_path):
+        quoted = dci_fixture_path.with_name("dci_small_quoted.csv")
+        assert _whole_file(quoted) is None
+        assert outcome(parse_dci_csv, quoted) == outcome(parse_dci_csv, dci_fixture_path)
+
+
+def _number(ints):
+    """Integer text as a trace might hold it: plain, or a nonnegative value
+    signed, padded or zero-led; both readers parse all of these alike."""
+    return st.tuples(ints, st.sampled_from(["{}", "+{}", " {}", "{} ", "00{}"])).map(
+        lambda pair: pair[1].format(pair[0]) if pair[0] >= 0 else str(pair[0]))
+
+
+dci_rows = st.tuples(
+    _number(st.integers(0, 1023)),
+    _number(st.integers(0, 9)),
+    _number(st.integers(-(2 ** 63), 2 ** 63 - 1)),
+    _number(st.integers(0, 2 ** 63 - 1)),
+    _number(st.integers(-(2 ** 63), 2 ** 63 - 1)),
+    st.sampled_from(["2B", "1A", "0", " 2B ", "", "abcdefg"]),
+    _number(st.integers(0, 2 ** 63 - 1)),
+).map(",".join)
+
+# what breaks a number, a format, a row or the file: every way the two
+# readers could part, and plain errors
+bad_numbers = st.one_of(
+    st.sampled_from(["-1", "1024", "10", str(2 ** 63), str(-(2 ** 63) - 1), "9" * 30]),
+    st.sampled_from(["1_000", "1.0", "0x10", "1e3", "\u0661\u0662", "ten", "", "  ", "+-7"]),
+    st.sampled_from(['"7"', "7\x00", "\x1c7", "7\x1f", "7\t", "\x0c7"]),
+)
+bad_formats = st.sampled_from([
+    '"2B"', "2\x00B", "\x1c2B", "2B\x1f", "\t2B", "\u00fc", "abcdefgh", "Format2B_vendor", " 2B,",
+])
+bad_rows = st.sampled_from([
+    "", "   ", "\t", "\x0c", ",,,,,,", "1,2", DCI_HEADER, '"1",0,1,1,1,2B,1', "\x00", "1,0,1,1,1,2B,1,",
+])
+headers = st.one_of(st.just(DCI_HEADER), st.sampled_from([
+    " sfn , subframe ,rnti,prb_count,mcs,dci_format,timestamp ",
+    '"sfn",subframe,rnti,prb_count,mcs,dci_format,timestamp', "sfn,subframe,rnti,prb_count,mcs,format,timestamp",
+    "", "\x00" + DCI_HEADER,
+]))
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def dci_files(draw):
+    """Bytes of a DCI trace: a header and valid rows, then a few edits that
+    swap a number or a format or add a row, and now and then bytes that are
+    not UTF-8."""
+    rows = draw(st.lists(dci_rows, max_size=8))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        kind = draw(st.sampled_from(["number", "format", "row"])) if rows else "row"
+        if kind == "row":
+            rows.insert(draw(st.integers(0, len(rows))), draw(bad_rows))
+            continue
+        k = draw(st.integers(0, len(rows) - 1))
+        cells = rows[k].split(",")
+        if kind == "format" and len(cells) == len(COLUMNS):
+            cells[COLUMNS.index("dci_format")] = draw(bad_formats)
+        else:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(bad_numbers)
+        rows[k] = ",".join(cells)
+    end = draw(line_ends)
+    text = end.join([draw(headers)] + rows) + draw(st.sampled_from([end, ""]))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        data += b"1,0,1,5,1,\xff,0" + end.encode()
+    return data
+
+
+class TestDifferential:
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(dci_files())
+    def test_parse_matches_the_row_reader(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            path.write_bytes(data)
+            assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
 
 
 class TestFilter:

@@ -100,6 +100,12 @@ class TestParseRequest:
         with pytest.raises(MalformedRequest, match="not valid JSON"):
             _parse_request("nope{", WINDOW_N)
 
+    @pytest.mark.parametrize("line", ["[" * 50_000, '{"n_r": ' + "9" * 5_000 + "}"], ids=["deep", "digits"])
+    def test_json_past_the_parser_limits(self, line):
+        # json.loads raises RecursionError and a plain ValueError on these
+        with pytest.raises(MalformedRequest, match="not valid JSON"):
+            _parse_request(line, WINDOW_N)
+
     def test_non_object(self):
         with pytest.raises(MalformedRequest, match="must be an object"):
             _parse_request("[1, 2]", WINDOW_N)
@@ -222,6 +228,19 @@ class TestOverTcp:
         assert replies[0] == {"error": "n_r 1e+300 is too large: its j_estimate overflows"}
         assert replies[1] == expected(HISTORY)
 
+    def test_connection_survives_deeply_nested_json(self, live_server, expected):
+        replies = exchange(live_server.server_address, ["[" * 50_000, request_line()])
+        assert replies[0] == {"error": "not valid JSON: JSON nested too deeply"}
+        assert replies[1] == expected(HISTORY)
+
+    def test_pool_past_half_the_float_maximum_is_not_granted_as_nothing(self, live_server, expected):
+        # this actor asks for u_a + u_b of about 1.013, so u_a * n_r + u_b * n_r
+        # overflowed to inf, which projected onto (0, 0) with J = 1; the grant
+        # now fills the pool, and its J overflows
+        replies = exchange(live_server.server_address, [request_line(n_r=1.79e308), request_line()])
+        assert replies[0] == {"error": "n_r 1.79e+308 is too large: its j_estimate overflows"}
+        assert replies[1] == expected(HISTORY)
+
     def test_sequential_connections(self, live_server, expected):
         for _ in range(2):
             replies = exchange(live_server.server_address, [request_line()])
@@ -253,6 +272,12 @@ class TestStartServer:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}\n')
         with pytest.raises(CheckpointInvalid, match="not an agent checkpoint"):
+            start_server(path)
+
+    def test_deeply_nested_checkpoint(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 50_000)
+        with pytest.raises(CheckpointInvalid, match="deep.json: not a JSON checkpoint: JSON nested too deeply"):
             start_server(path)
 
     def test_binds_ephemeral_port(self, checkpoint_path):
