@@ -16,6 +16,8 @@ more characters (np.loadtxt cuts it short without a word), any np.loadtxt
 error or warning (a row of the wrong width, a blank-looking row, no data
 rows, a value that is not a plain int64 such as 1_000 or 1.0), or a value
 out of range. The records, and the path:line errors, are the row reader's.
+Both read one list of the file's lines; the file is opened again only when
+it is not UTF-8, for the row reader to name the line of the bad bytes.
 """
 
 from __future__ import annotations
@@ -70,11 +72,18 @@ def parse_dci_csv(path) -> np.recarray:
     A malformed row raises a ValueError naming path:line rather than being
     skipped silently.
     """
-    records = _whole_file(path)
-    if records is not None:
-        return records
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        # the row reader reads up to the undecodable bytes, to name their line
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
+    else:
+        records = _whole_file(lines)
+        if records is not None:
+            return records
+        rows = read_csv_rows(lines, DCI_HEADER, _dci_row, path)
     names = DCI_HEADER.split(",")
     columns = list(zip(*rows)) or [()] * len(names)
     return np.rec.fromarrays(
@@ -84,15 +93,11 @@ def parse_dci_csv(path) -> np.recarray:
     )
 
 
-def _whole_file(path) -> np.recarray | None:
-    """parse_dci_csv's records from one np.loadtxt pass over the file, or
-    None when the row reader must read it (see the module docstring)."""
+def _whole_file(lines: list[str]) -> np.recarray | None:
+    """parse_dci_csv's records from one np.loadtxt pass over the file's
+    lines, or None when the row reader must read them (see the module
+    docstring)."""
     names = DCI_HEADER.split(",")
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        try:
-            lines = list(fh)
-        except UnicodeDecodeError:
-            return None
     if not lines or [cell.strip() for cell in lines[0].split(",")] != names:
         return None
     text = "".join(lines)
@@ -106,9 +111,12 @@ def _whole_file(path) -> np.recarray | None:
     except (ValueError, Warning):
         return None
     formats = table["dci_format"]
-    highs = {"sfn": SFN_MAX, "subframe": SUBFRAME_MAX, "prb_count": INT64_MAX, "timestamp": INT64_MAX}
-    if (np.strings.str_len(formats) >= _FORMAT_WIDTH).any() or any(
-        ((table[name] < 0) | (table[name] > high)).any() for name, high in highs.items()
+    # prb_count and timestamp have no upper bound below int64's own
+    if (
+        (np.strings.str_len(formats) >= _FORMAT_WIDTH).any()
+        or (table["sfn"] > SFN_MAX).any()
+        or (table["subframe"] > SUBFRAME_MAX).any()
+        or any((table[name] < 0).any() for name in ("sfn", "subframe", "prb_count", "timestamp"))
     ):
         return None
     # as the row reader: stripped, and as wide as the longest value

@@ -152,6 +152,12 @@ def outcome(parse, path):
     return "records", records.dtype, records.tobytes()
 
 
+def whole_file_pass(path):
+    """_whole_file on path's lines as parse_dci_csv reads them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _whole_file(list(fh))
+
+
 PLAIN_ROW = "512,3,4660,25,16,2B,1674000000000"
 
 
@@ -178,22 +184,21 @@ class TestWholeFilePass:
     def test_same_outcome_as_the_row_reader(self, tmp_path, body, whole_file):
         path = tmp_path / "trace.csv"
         path.write_bytes((HEADER + body + ("\n" if body else "")).encode("utf-8"))
-        assert (_whole_file(path) is not None) == whole_file
+        assert (whole_file_pass(path) is not None) == whole_file
         assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
 
     def test_undecodable_bytes_named_by_line(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_bytes(HEADER.encode() + PLAIN_ROW.encode() + b"\n" + b"1,0,1,5,1,\xff,0\n")
-        assert _whole_file(path) is None
         assert outcome(parse_dci_csv, path)[0] == "error"
         assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
 
     def test_fixture_takes_the_whole_file_pass(self, dci_fixture_path):
-        assert outcome(_whole_file, dci_fixture_path) == outcome(row_reader_records, dci_fixture_path)
+        assert outcome(whole_file_pass, dci_fixture_path) == outcome(row_reader_records, dci_fixture_path)
 
     def test_quoted_fixture_reads_as_the_plain_one(self, dci_fixture_path):
         quoted = dci_fixture_path.with_name("dci_small_quoted.csv")
-        assert _whole_file(quoted) is None
+        assert whole_file_pass(quoted) is None
         assert outcome(parse_dci_csv, quoted) == outcome(parse_dci_csv, dci_fixture_path)
 
 
