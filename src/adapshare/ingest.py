@@ -7,22 +7,25 @@ merge_series pairs two one-sided results into a single (d_a, d_b) series.
 A trace is one numpy record array with the DCI_HEADER columns; a row that
 does not parse or holds a value out of range is refused with its path:line.
 
-parse_dci_csv first parses the whole file in one np.loadtxt pass. The row
-reader (domain.read_csv_rows) takes the file instead when that pass could
-differ from it or fails: a header that does not match, a byte outside
-printable ASCII or line ends (quotes, NUL, tabs, other control characters,
-non-ASCII text, undecodable UTF-8), a dci_format value of _FORMAT_WIDTH or
-more characters (np.loadtxt cuts it short without a word), any np.loadtxt
-error or warning (a row of the wrong width, a blank-looking row, no data
-rows, a value that is not a plain int64 such as 1_000 or 1.0), or a value
-out of range. The records, and the path:line errors, are the row reader's.
-Both read one list of the file's lines; the file is opened again only when
-it is not UTF-8, for the row reader to name the line of the bad bytes.
+parse_dci_csv parses the file as it reads it, in np.loadtxt passes of
+_CHUNK_LINES lines. The row reader (domain.read_csv_rows) takes the file
+instead when such a pass could differ from it or fails: a header that does
+not match, a byte outside printable ASCII or line ends (quotes, NUL, tabs,
+other control characters, non-ASCII text, undecodable UTF-8), a dci_format
+value of _FORMAT_WIDTH or more characters (np.loadtxt cuts it short without
+a word), any np.loadtxt error or warning (a row of the wrong width, a
+blank-looking row, a slice or file without data rows, a value that is not
+a plain int64 such as 1_000 or 1.0), or a value out of range. The records,
+and the path:line errors, are the row reader's. It reads the file from the
+top, so a file is read twice up to the pass that declines it; no pass keeps
+its lines, so the parse's memory stays small.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +38,18 @@ DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 DATA_DCI_FORMAT = "2B"
 
 SFN_MAX, SUBFRAME_MAX = 1023, 9
-# dci_format's text width in the whole-file pass; np.loadtxt cuts a longer
-# value short, and the width costs time per row, so keep it small
+# dci_format's width in bytes in an np.loadtxt pass; np.loadtxt cuts a
+# longer value short, and the width costs time and memory per row, so keep
+# it small. A pass reads only ASCII, so bytes hold the text as it is.
 _FORMAT_WIDTH = 8
+_TABLE_DTYPE = [(name, f"S{_FORMAT_WIDTH}" if name == "dci_format" else np.int64)
+                for name in DCI_HEADER.split(",")]
 # what np.loadtxt parses as the csv module and int() do: printable ASCII
 # except the quote, and line ends
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
+# lines per np.loadtxt pass: a trace is parsed as it is read, in slices
+# that stay small in memory
+_CHUNK_LINES = 512
 
 
 class AlignmentMismatch(ValueError):
@@ -72,18 +81,17 @@ def parse_dci_csv(path) -> np.recarray:
     A malformed row raises a ValueError naming path:line rather than being
     skipped silently.
     """
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError:
-        # the row reader reads up to the undecodable bytes, to name their line
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
-    else:
-        records = _whole_file(lines)
-        if records is not None:
-            return records
-        rows = read_csv_rows(lines, DCI_HEADER, _dci_row, path)
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        try:
+            records = _whole_file(fh)
+        except UnicodeDecodeError:
+            records = None
+    if records is not None:
+        return records
+    # from the top: the row reader names the line of a bad row or of bytes
+    # that are not UTF-8
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
     names = DCI_HEADER.split(",")
     columns = list(zip(*rows)) or [()] * len(names)
     return np.rec.fromarrays(
@@ -93,38 +101,61 @@ def parse_dci_csv(path) -> np.recarray:
     )
 
 
-def _whole_file(lines: list[str]) -> np.recarray | None:
-    """parse_dci_csv's records from one np.loadtxt pass over the file's
-    lines, or None when the row reader must read them (see the module
-    docstring)."""
+def _whole_file(lines: Iterable[str]) -> np.recarray | None:
+    """parse_dci_csv's records from np.loadtxt passes over `lines`,
+    _CHUNK_LINES at a time, or None when the row reader must read them
+    (see the module docstring)."""
+    lines = iter(lines)
     names = DCI_HEADER.split(",")
-    if not lines or [cell.strip() for cell in lines[0].split(",")] != names:
+    header = next(lines, None)
+    if header is None:
         return None
+    if [cell.strip() for cell in header.split(",")] != names or not _plain([header]):
+        return None
+    tables, width = [], 1
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        table = _plain_rows(chunk)
+        if table is None:
+            return None
+        tables.append(table)
+        width = max(width, int(np.strings.str_len(table["dci_format"]).max(initial=0)))
+    if not tables:
+        return None
+    # as the row reader: dci_format as text as wide as its longest value,
+    # which every stripped value fits
+    dtype = [(name, f"U{width}" if name == "dci_format" else np.int64) for name in names]
+    return np.concatenate(tables, dtype=dtype, casting="unsafe").view(np.recarray)
+
+
+def _plain(lines: list[str]) -> bool:
+    """Whether `lines` hold only _PLAIN_BYTES."""
     text = "".join(lines)
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+
+
+def _plain_rows(lines: list[str]) -> np.ndarray | None:
+    """The data rows `lines` as one np.loadtxt table, dci_format stripped,
+    or None when the row reader could read them otherwise or would refuse
+    them."""
+    if not _plain(lines):
         return None
-    dtype = [(name, f"U{_FORMAT_WIDTH}" if name == "dci_format" else np.int64) for name in names]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+            table = np.loadtxt(lines, dtype=_TABLE_DTYPE, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    formats = table["dci_format"]
     # prb_count and timestamp have no upper bound below int64's own
     if (
-        (np.strings.str_len(formats) >= _FORMAT_WIDTH).any()
+        (np.strings.str_len(table["dci_format"]) >= _FORMAT_WIDTH).any()
         or (table["sfn"] > SFN_MAX).any()
         or (table["subframe"] > SUBFRAME_MAX).any()
         or any((table[name] < 0).any() for name in ("sfn", "subframe", "prb_count", "timestamp"))
     ):
         return None
-    # as the row reader: stripped, and as wide as the longest value
-    formats = np.strings.strip(formats)
-    formats = formats.astype(f"U{max(1, np.strings.str_len(formats).max())}")
-    return np.rec.fromarrays(
-        [formats if name == "dci_format" else table[name] for name in names], names=names
-    )
+    # as the row reader: stripped
+    table["dci_format"] = np.strings.strip(table["dci_format"])
+    return table
 
 
 def filter_data_transmissions(records: np.recarray, dci_format: str = DATA_DCI_FORMAT) -> np.recarray:

@@ -1,11 +1,13 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adapshare import ingest
 from adapshare.domain import DemandSeries, read_csv_rows
 from adapshare.ingest import (
     DCI_HEADER,
@@ -201,6 +203,22 @@ class TestWholeFilePass:
         assert whole_file_pass(quoted) is None
         assert outcome(parse_dci_csv, quoted) == outcome(parse_dci_csv, dci_fixture_path)
 
+    def test_slices_join_into_the_row_readers_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 3)
+        rows = [PLAIN_ROW.replace("2B", fmt) for fmt in ["2B", " 1A", "0", "abcdefg", "", "2B "] * 2]
+        path = tmp_path / "trace.csv"
+        path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        assert outcome(whole_file_pass, path) == outcome(row_reader_records, path)
+        assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+
+    def test_bad_row_in_a_later_slice_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 2)
+        rows = [PLAIN_ROW] * 5 + [PLAIN_ROW.replace("512", "1024", 1), PLAIN_ROW]
+        path = tmp_path / "trace.csv"
+        path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        assert whole_file_pass(path) is None
+        assert outcome(parse_dci_csv, path) == ("error", f"{path}:7: sfn out of range: 1024")
+
 
 def _number(ints):
     """Integer text as a trace might hold it: plain, or a nonnegative value
@@ -271,6 +289,14 @@ class TestDifferential:
     @given(dci_files())
     def test_parse_matches_the_row_reader(self, data):
         with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            path.write_bytes(data)
+            assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(dci_files())
+    def test_parse_in_slices_of_two_lines_matches_the_row_reader(self, data):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_LINES", 2):
             path = Path(tmp) / "trace.csv"
             path.write_bytes(data)
             assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
