@@ -2,7 +2,8 @@
 and the run configuration (EnvConfig, AgentConfig and ExperimentConfig,
 each checking its fields by their annotations); the one CSV row reader
 every input file goes through (read_csv_rows), which names path:line in
-each error it raises; and the one JSON reader (load_json).
+each error it raises, and the byte check (_plain) that lets a file take an
+np.loadtxt pass instead; and the one JSON reader (load_json).
 
 All types here are immutable after construction and safe to share between
 parallel workers. Demands and allocations are continuous nonnegative reals
@@ -17,6 +18,7 @@ import json
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -285,6 +287,17 @@ def load_json(text):
         raise ValueError("JSON nested too deeply") from None
 
 
+# what np.loadtxt parses as the csv module, int() and float() do: printable
+# ASCII except the quote, and line ends
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
+
+
+def _plain(lines: list[str]) -> bool:
+    """Whether `lines` hold only _PLAIN_BYTES."""
+    text = "".join(lines)
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+
+
 def read_csv_rows(lines, header: str, parse, path) -> list:
     """parse(cells) for each data row of CSV `lines` under `header`, in
     file order; blank rows are skipped. A wrong header, a row of the wrong
@@ -308,9 +321,61 @@ def read_csv_rows(lines, header: str, parse, path) -> list:
     return rows
 
 
+_SERIES_DTYPE = [("timestamp", np.int64), ("d_a", np.float64), ("d_b", np.float64)]
+
+
 def read_series_csv(path) -> DemandSeries:
     """Read the canonical demand CSV. Granularity is inferred from the first
-    timestamp gap, so a file needs at least two rows."""
+    timestamp gap, so a file needs at least two rows.
+
+    The file is read once and parsed in one np.loadtxt pass
+    (_loadtxt_series). The row reader (_series_rows) reads it instead,
+    from the top, when that pass could read it otherwise or would refuse
+    it; its series and its path:line errors are the only ones.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        lines = []
+    series = _loadtxt_series(lines)
+    return series if series is not None else _series_rows(path)
+
+
+def _loadtxt_series(lines: list[str]) -> DemandSeries | None:
+    """The series in `lines` from one np.loadtxt pass, or None when the row
+    reader must read them: a header that does not match, a byte outside
+    _PLAIN_BYTES (quotes, tabs, non-ASCII text), any np.loadtxt error or
+    warning (a row of the wrong width, a whitespace-only row, no data rows,
+    a timestamp that is not a plain int64 such as 1_000, 5.0 or 2**63), fewer
+    than two rows, a demand that is negative, NaN or infinite, or timestamp
+    gaps that are not all equal and positive."""
+    header = lines[0] if lines else ""
+    if [cell.strip() for cell in header.split(",")] != SERIES_HEADER.split(",") or not _plain(lines):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=_SERIES_DTYPE, delimiter=",", comments=None,
+                               skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    ts, d_a, d_b = (np.ascontiguousarray(table[name]) for name in table.dtype.names)
+    if len(ts) < 2:
+        return None
+    gaps = np.diff(ts)
+    # np.diff wraps past int64, so a falling step can read as a rise equal
+    # to the others: the order is checked on the timestamps themselves
+    if not (gaps[0] > 0 and (gaps == gaps[0]).all() and (ts[1:] > ts[:-1]).all()):
+        return None
+    # NaN fails every comparison
+    if not all(((0.0 <= d) & (d < np.inf)).all() for d in (d_a, d_b)):
+        return None
+    return DemandSeries(ts, d_a, d_b, int(gaps[0]))
+
+
+def _series_rows(path) -> DemandSeries:
+    """read_series_csv through the row reader, one row at a time."""
     granularity = None
     ts = []
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import INT64_MAX, INT64_MIN, DemandSeries, positive_int, read_csv_rows
+from .domain import INT64_MAX, INT64_MIN, DemandSeries, _plain, positive_int, read_csv_rows
 
 DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 
@@ -44,9 +44,6 @@ SFN_MAX, SUBFRAME_MAX = 1023, 9
 _FORMAT_WIDTH = 8
 _TABLE_DTYPE = [(name, f"S{_FORMAT_WIDTH}" if name == "dci_format" else np.int64)
                 for name in DCI_HEADER.split(",")]
-# what np.loadtxt parses as the csv module and int() do: printable ASCII
-# except the quote, and line ends
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
 # lines per np.loadtxt pass: a trace is parsed as it is read, in slices
 # that stay small in memory
 _CHUNK_LINES = 512
@@ -125,12 +122,6 @@ def _whole_file(lines: Iterable[str]) -> np.recarray | None:
     # which every stripped value fits
     dtype = [(name, f"U{width}" if name == "dci_format" else np.int64) for name in names]
     return np.concatenate(tables, dtype=dtype, casting="unsafe").view(np.recarray)
-
-
-def _plain(lines: list[str]) -> bool:
-    """Whether `lines` hold only _PLAIN_BYTES."""
-    text = "".join(lines)
-    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
 
 
 def _plain_rows(lines: list[str]) -> np.ndarray | None:

@@ -12,15 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
-from .domain import DemandSeries
+from .domain import INT64_MAX, DemandSeries
 
 _SQRT2 = np.sqrt(2.0)
 
 
 def _gauss_cdf(z: np.ndarray) -> np.ndarray:
-    # Phi(z) through the complementary error function
+    # Phi(z) through the complementary error function; scipy loads here, on
+    # first use, so the commands that never synthesize a series skip its
+    # import (math.erfc would be cheaper, but differs in the last bits)
+    from scipy.special import erfc
+
     return 0.5 * erfc(-z / _SQRT2)
 
 
@@ -83,6 +86,11 @@ def generate(
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
+    # the last timestamp must fit int64, or the timestamps wrap
+    if int(granularity) * (int(length) - 1) > INT64_MAX:
+        raise ValueError(
+            f"length {length} at granularity {granularity} puts the last timestamp past int64"
+        )
     rng = np.random.default_rng(seed)
     rho = stats.lag1_corr
     z = np.empty(length, dtype=np.float64)

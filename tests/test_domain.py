@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapshare import (
     AgentKind,
@@ -11,7 +16,7 @@ from adapshare import (
     read_series_csv,
     write_series_csv,
 )
-from adapshare.domain import SERIES_HEADER
+from adapshare.domain import SERIES_HEADER, _loadtxt_series, _series_rows
 from adapshare.harness.cli import main
 
 
@@ -333,3 +338,173 @@ class TestSeriesCsv:
         path.write_text(SERIES_HEADER + "\n0,1.5,2.5\n")
         with pytest.raises(ValueError, match=r"one\.csv: cannot infer granularity from fewer than 2 rows"):
             read_series_csv(path)
+
+
+def series_outcome(read, path):
+    """What read(path) gives: the series' bits, or the ValueError's text."""
+    try:
+        series = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    columns = (series.timestamps, series.d_a, series.d_b)
+    return ("series", *((col.dtype, col.tobytes()) for col in columns),
+            type(series.granularity), series.granularity)
+
+
+def loadtxt_pass(path):
+    """_loadtxt_series on path's lines as read_series_csv reads them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _loadtxt_series(fh.readlines())
+
+
+class TestLoadtxtPass:
+    """read_series_csv parses a file in one np.loadtxt pass where that pass
+    reads it as the row reader does, and hands the rest to the row reader;
+    either way it returns the row reader's series or raises its path:line
+    error."""
+
+    @pytest.mark.parametrize("body, loadtxt", [
+        pytest.param("0,1.5,2.5\n1_000,1.5,2.5\n", False, id="underscore_timestamp"),
+        pytest.param("0,1.5,2.5\n+5,1.5,2.5\n", True, id="plus_sign_timestamp"),
+        pytest.param("0,1.5,2.5\n 5 ,1.5,2.5\n", True, id="padded_timestamp"),
+        pytest.param("0,1.5,2.5\n5.0,1.5,2.5\n", False, id="float_timestamp"),
+        pytest.param("0,1.5,2.5\n1e3,1.5,2.5\n", False, id="exponent_timestamp"),
+        pytest.param("0,1.5,2.5\n5,nan,2.5\n", False, id="nan_demand"),
+        pytest.param("0,1.5,2.5\n5,1.5,inf\n", False, id="inf_demand"),
+        pytest.param("0,1.5,2.5\n5,1e400,2.5\n", False, id="overflowing_demand"),
+        pytest.param("0,1.5,2.5\n5,-1.5,2.5\n", False, id="negative_demand"),
+        pytest.param('0,"1.5",2.5\n5,1.5,2.5\n', False, id="quoted_cell"),
+        pytest.param("0,1.5,2.5\n\n5,1.5,2.5\n", True, id="blank_row"),
+        pytest.param("0,1.5,2.5\n   \n5,1.5,2.5\n", False, id="whitespace_only_row"),
+        pytest.param("0,1.5,2.5\r\n\r\n5,1.5,2.5\r\n", True, id="crlf"),
+        pytest.param("0,1.5,2.5\r5,1.5,2.5\r", True, id="bare_cr"),
+        pytest.param("0,\t1.5,2.5\n5,1.5,2.5\n", False, id="tab"),
+        pytest.param("0,1.5,2.5\n5,1.5,2.5,\n", False, id="wide_row"),
+        pytest.param("0,1.5,2.5\n", False, id="one_data_row"),
+        pytest.param("", False, id="header_only"),
+        pytest.param("0,1.5,2.5\n5,1.5,2.5\n11,1.5,2.5\n", False, id="unequal_gap"),
+        pytest.param("5,1.5,2.5\n0,1.5,2.5\n-5,1.5,2.5\n", False, id="falling_timestamps"),
+        pytest.param(f"{2 ** 63 - 3601},1.5,2.5\n{2 ** 63 - 1},1.5,2.5\n", True, id="int64_max"),
+        pytest.param(f"{2 ** 63 - 1},1.5,2.5\n{2 ** 63},1.5,2.5\n", False, id="past_int64_max"),
+        # each gap wraps to 2**63 - 1 in int64, though the second step falls
+        pytest.param(f"{2 ** 63 - 1},1.5,2.5\n-2,1.5,2.5\n{2 ** 63 - 3},1.5,2.5\n", False,
+                     id="gap_that_wraps"),
+        pytest.param(f"{-(2 ** 63)},1.5,2.5\n{2 ** 63 - 1},1.5,2.5\n", False, id="gap_past_int64"),
+    ])
+    def test_same_outcome_as_the_row_reader(self, tmp_path, body, loadtxt):
+        path = tmp_path / "series.csv"
+        path.write_text(f"{SERIES_HEADER}\n{body}", encoding="utf-8", newline="")
+        assert (loadtxt_pass(path) is not None) == loadtxt
+        assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+
+    @pytest.mark.parametrize("header, loadtxt", [
+        pytest.param(" timestamp , d_a,d_b ", True, id="padded_header"),
+        pytest.param('"timestamp",d_a,d_b', False, id="quoted_header"),
+        pytest.param("time,d_a,d_b", False, id="wrong_header"),
+    ])
+    def test_header(self, tmp_path, header, loadtxt):
+        path = tmp_path / "series.csv"
+        path.write_text(f"{header}\n0,1.5,2.5\n5,1.5,2.5\n", encoding="utf-8")
+        assert (loadtxt_pass(path) is not None) == loadtxt
+        assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+
+    def test_undecodable_bytes_named_by_line(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(f"{SERIES_HEADER}\n0,1.5,2.5\n5,\xff,2.5\n".encode("latin-1"))
+        outcome = series_outcome(read_series_csv, path)
+        assert outcome[0] == "error" and "series.csv:" in outcome[1]
+        assert outcome == series_outcome(_series_rows, path)
+
+    def test_fixture_takes_the_loadtxt_pass(self, hourly_fixture_path):
+        assert loadtxt_pass(hourly_fixture_path) is not None
+        assert series_outcome(read_series_csv, hourly_fixture_path) == series_outcome(
+            _series_rows, hourly_fixture_path)
+
+    def test_quoted_fixture_reads_as_the_plain_one(self, hourly_fixture_path):
+        quoted = hourly_fixture_path.with_name("lte_hourly_quoted.csv")
+        assert loadtxt_pass(quoted) is None
+        assert series_outcome(read_series_csv, quoted) == series_outcome(read_series_csv, hourly_fixture_path)
+
+    def test_columns_are_contiguous(self, tmp_path, small_series):
+        path = tmp_path / "series.csv"
+        write_series_csv(small_series, path)
+        back = loadtxt_pass(path)
+        assert all(col.flags.c_contiguous for col in (back.timestamps, back.d_a, back.d_b))
+
+
+def _timestamp_text(value):
+    """Integer text as a series might hold it: plain, or a nonnegative
+    value signed, padded or zero-led; both readers parse all of these."""
+    return st.sampled_from(["{}", "+{}", " {}", "{} ", "00{}"]).map(
+        lambda form: form.format(value) if value >= 0 else str(value))
+
+
+def _demand_text(value):
+    """A demand as text: repr, as write_series_csv writes it, or another
+    decimal or exponent form."""
+    return st.sampled_from(["{!r}", "{:.17g}", "{:.3f}", "{:e}", "{:.25f}", " {!r} ", "{:.0f}."]).map(
+        lambda form: form.format(value))
+
+
+# what breaks a cell, a row or the file: every way the two readers could
+# part, and plain errors
+bad_cells = st.sampled_from([
+    "1_000", "5.0", "1e3", '"7"', "\t7", "7\x00", "\x1c7", "7\x1f", "", "  ", "0x10", "0x1p3",
+    "١", "+-7", "1 2", str(2 ** 63), str(-(2 ** 63) - 1), "9" * 30, ".5", "5.", "+.5e-3",
+])
+# demands that both readers parse, and the row reader refuses or keeps
+odd_demands = st.sampled_from([
+    "nan", "NaN", "inf", "-inf", "infinity", "1e400", "-1", "-0.0", "1e-400", "4.9e-324", "1e308",
+])
+bad_rows = st.sampled_from(["", "   ", "\t", ",", "1,2", "1,2,3,4", SERIES_HEADER, '"1",2,3', "\x00", "\x0c"])
+headers = st.one_of(st.just(SERIES_HEADER), st.sampled_from([
+    " timestamp , d_a ,d_b ", '"timestamp",d_a,d_b', "timestamp,d_a", "", "\ufefftimestamp,d_a,d_b",
+]))
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def series_files(draw):
+    """Bytes of a series CSV: a header and evenly spaced rows, then a few
+    edits that swap a cell or a demand, shift a timestamp or add a row, and
+    now and then bytes that are not UTF-8."""
+    # mostly series that fit int64, and now and then one that crosses its ends
+    start = draw(st.sampled_from([-(2 ** 63), 0, 0, 0, 2 ** 63 - 10 ** 5]).flatmap(
+        lambda low: st.integers(low, low + 10 ** 5)))
+    gap = draw(st.one_of(st.sampled_from([1, 60, 3600, 2 ** 40]), st.integers(-5, 2 ** 64)))
+    # negative, NaN and infinite demands come from the edits below
+    demands = draw(st.sampled_from([st.floats(0, 1e6), st.floats(min_value=0, allow_infinity=False)]))
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        cells = [draw(_timestamp_text(start + i * gap))]
+        cells += [draw(demands.flatmap(_demand_text)) for _ in range(2)]
+        rows.append(",".join(cells))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        kind = draw(st.sampled_from(["cell", "demand", "shift", "row"])) if rows else "row"
+        if kind == "row":
+            rows.insert(draw(st.integers(0, len(rows))), draw(bad_rows))
+            continue
+        k = draw(st.integers(0, len(rows) - 1))
+        cells = rows[k].split(",")
+        if kind == "shift":
+            cells[0] = str(start + k * gap + draw(st.integers(-2, 2)))
+        elif kind == "demand":
+            cells[draw(st.integers(1, 2))] = draw(odd_demands)
+        else:
+            cells[draw(st.integers(0, 2))] = draw(bad_cells)
+        rows[k] = ",".join(cells)
+    end = draw(line_ends)
+    data = (end.join([draw(headers)] + rows) + draw(st.sampled_from([end, ""]))).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        data += b"0,\xff,1" + end.encode()
+    return data
+
+
+class TestSeriesDifferential:
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(series_files())
+    def test_read_matches_the_row_reader(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            path.write_bytes(data)
+            assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)

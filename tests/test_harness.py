@@ -139,6 +139,18 @@ class TestConfigFile:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_loads_without_scipy(self):
+        # only synthesizing a series needs scipy, so serve, train, eval and
+        # sweep start without its import
+        src = str(Path(adapshare.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import adapshare.harness.cli; "
+            "print('scipy' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_every_exported_name_resolves(self):
         # the exports load lazily, so a stale entry would fail only on first use
         missing = [name for name in adapshare.__all__ if not hasattr(adapshare, name)]
@@ -661,6 +673,18 @@ class TestCliSynth:
         )
         assert rc == 2
         expected = f"--granularity must be a positive number of seconds, got {granularity}"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("length, granularity", [("2000", "9223372036854775"), ("99999999999999999999", None)])
+    def test_timestamps_past_int64_are_rc2(self, hourly_fixture_path, tmp_path, capsys, length, granularity):
+        # the first once wrote timestamps that wrapped negative, which eval
+        # then refused; the second got numpy's "Maximum allowed dimension"
+        out = tmp_path / "x.csv"
+        extra = ("--granularity", granularity) if granularity else ()
+        rc = run_cli("synth", "--ref", hourly_fixture_path, "--length", length, *extra, "--out", out)
+        assert rc == 2
+        expected = f"error: length {length} at granularity {granularity or 3600} puts the last timestamp past int64"
         assert expected in capsys.readouterr().err
         assert not out.exists()
 

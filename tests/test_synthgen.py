@@ -90,6 +90,21 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(stats, 0, seed=1)
 
+    def test_last_timestamp_at_int64_max(self):
+        stats = DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=0.0, length=2)
+        assert generate(stats, 2, seed=1, granularity=2 ** 63 - 1).timestamps.tolist() == [0, 2 ** 63 - 1]
+
+    @pytest.mark.parametrize("length, granularity", [
+        (2000, 9223372036854775), (3, 2 ** 63 - 1), (2 ** 63 + 1, 1), (10 ** 20, 3600),
+    ])
+    def test_timestamps_past_int64_refused(self, length, granularity):
+        # they once wrapped to negative values, which DemandSeries let pass
+        # (its np.diff wraps too); the largest lengths never reach numpy
+        stats = DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=0.0, length=2)
+        with pytest.raises(ValueError, match=f"length {length} at granularity {granularity} puts the last "
+                                             "timestamp past int64"):
+            generate(stats, length, seed=1, granularity=granularity)
+
 
 class TestKsDistance:
     def test_identical_is_zero(self, ref_series):
