@@ -2,8 +2,8 @@
 and the run configuration (EnvConfig, AgentConfig and ExperimentConfig,
 each checking its fields by their annotations); the one CSV row reader
 every input file goes through (read_csv_rows), which names path:line in
-each error it raises, and the byte check (_plain) that lets a file take an
-np.loadtxt pass instead; and the one JSON reader (load_json).
+each error it raises, and the np.loadtxt passes (loadtxt_passes) that may
+read a file in its place; and the one JSON reader (load_json).
 
 All types here are immutable after construction and safe to share between
 parallel workers. Demands and allocations are continuous nonnegative reals
@@ -14,6 +14,7 @@ math.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -97,13 +98,18 @@ class DemandSeries:
         if len(ts) < 1:
             raise ValueError("a demand series needs at least one sample")
         granularity = positive_int(granularity, "granularity")
-        if len(ts) > 1:
-            gaps = np.diff(ts)
-            if not np.all(gaps == granularity):
-                bad = int(np.argmax(gaps != granularity))
-                raise ValueError(
-                    f"non-uniform spacing at index {bad + 1}: gap {gaps[bad]} != {granularity}"
-                )
+        if granularity > INT64_MAX:
+            raise ValueError(f"granularity must fit int64, got {granularity}")
+        # np.diff wraps past int64, so the order is compared on the
+        # timestamps themselves; a rising step's wrapped gap then equals
+        # the granularity only if its true gap does
+        steady = (ts[1:] > ts[:-1]) & (np.diff(ts) == granularity)
+        if not steady.all():
+            bad = int(np.argmin(steady)) + 1
+            before, after = int(ts[bad - 1]), int(ts[bad])
+            if after <= before:
+                raise ValueError(f"timestamps must increase at index {bad}: {after} after {before}")
+            raise ValueError(f"non-uniform spacing at index {bad}: gap {after - before} != {granularity}")
         for name, col in (("d_a", da), ("d_b", db)):
             ok = np.isfinite(col) & (col >= 0)
             if not ok.all():
@@ -287,15 +293,9 @@ def load_json(text):
         raise ValueError("JSON nested too deeply") from None
 
 
-# what np.loadtxt parses as the csv module, int() and float() do: printable
-# ASCII except the quote, and line ends
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
-
-
-def _plain(lines: list[str]) -> bool:
-    """Whether `lines` hold only _PLAIN_BYTES."""
-    text = "".join(lines)
-    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+def _is_header(cells, header: str) -> bool:
+    """Whether `cells`, stripped, are the names in `header`."""
+    return [cell.strip() for cell in cells] == header.split(",")
 
 
 def read_csv_rows(lines, header: str, parse, path) -> list:
@@ -303,12 +303,11 @@ def read_csv_rows(lines, header: str, parse, path) -> list:
     file order; blank rows are skipped. A wrong header, a row of the wrong
     width, or a ValueError from parse raises a ValueError naming path:line."""
     reader = csv.reader(lines)
-    names = header.split(",")
-    width = len(names)
+    width = len(header.split(","))
     rows = []
     try:
         found = next(reader, None)
-        if found is None or [cell.strip() for cell in found] != names:
+        if found is None or not _is_header(found, header):
             raise ValueError(f"expected header {header!r}, got {','.join(found or [])!r}")
         for cells in reader:
             if len(cells) != width:
@@ -321,6 +320,51 @@ def read_csv_rows(lines, header: str, parse, path) -> list:
     return rows
 
 
+# what np.loadtxt parses as the csv module, int() and float() do: printable
+# ASCII except the quote, and line ends
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
+# lines per np.loadtxt pass: a file is parsed as it is read, in passes that
+# stay small in memory
+_CHUNK_LINES = 512
+
+
+def _plain(lines: list[str]) -> bool:
+    """Whether `lines` hold only _PLAIN_BYTES."""
+    text = "".join(lines)
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+
+
+def loadtxt_passes(lines, header: str, dtype, check) -> list[np.ndarray] | None:
+    """The data rows of CSV `lines` under `header` as np.loadtxt tables of
+    `dtype`, one per pass of _CHUNK_LINES lines, or None when the row reader
+    (read_csv_rows) must read the file instead, from the top: a header whose
+    stripped cells do not match, a byte outside _PLAIN_BYTES (quotes, NUL,
+    tabs and other control characters, non-ASCII text, bytes that are not
+    UTF-8), any np.loadtxt error or warning (a row of the wrong width, a
+    whitespace-only row, a pass or file without data rows, an integer that
+    is not a plain int64 such as 1_000 or 1.0), or a pass whose table
+    check(table) refuses. No line is kept past its pass."""
+    lines = iter(lines)
+    tables = []
+    try:
+        first = next(lines, None)
+        if first is None or not _is_header(first.split(","), header) or not _plain([first]):
+            return None
+        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+            if not _plain(chunk):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            if not check(table):
+                return None
+            tables.append(table)
+    # a UnicodeDecodeError is a ValueError
+    except (ValueError, Warning):
+        return None
+    return tables or None
+
+
 _SERIES_DTYPE = [("timestamp", np.int64), ("d_a", np.float64), ("d_b", np.float64)]
 
 
@@ -328,50 +372,31 @@ def read_series_csv(path) -> DemandSeries:
     """Read the canonical demand CSV. Granularity is inferred from the first
     timestamp gap, so a file needs at least two rows.
 
-    The file is read once and parsed in one np.loadtxt pass
-    (_loadtxt_series). The row reader (_series_rows) reads it instead,
-    from the top, when that pass could read it otherwise or would refuse
-    it; its series and its path:line errors are the only ones.
+    The file is parsed as it is read, in np.loadtxt passes
+    (_loadtxt_series). The row reader (_series_rows) reads it instead, from
+    the top, when those passes could read it otherwise or would refuse it;
+    its series and its path:line errors are the only ones.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        lines = []
-    series = _loadtxt_series(lines)
+    with open(path, newline="", encoding="utf-8") as fh:
+        series = _loadtxt_series(fh)
     return series if series is not None else _series_rows(path)
 
 
-def _loadtxt_series(lines: list[str]) -> DemandSeries | None:
-    """The series in `lines` from one np.loadtxt pass, or None when the row
-    reader must read them: a header that does not match, a byte outside
-    _PLAIN_BYTES (quotes, tabs, non-ASCII text), any np.loadtxt error or
-    warning (a row of the wrong width, a whitespace-only row, no data rows,
-    a timestamp that is not a plain int64 such as 1_000, 5.0 or 2**63), fewer
-    than two rows, a demand that is negative, NaN or infinite, or timestamp
-    gaps that are not all equal and positive."""
-    header = lines[0] if lines else ""
-    if [cell.strip() for cell in header.split(",")] != SERIES_HEADER.split(",") or not _plain(lines):
+def _loadtxt_series(lines) -> DemandSeries | None:
+    """The series in `lines` from loadtxt_passes, or None when the row
+    reader must read them: the passes decline, there are fewer than two
+    rows, or DemandSeries refuses the columns."""
+    tables = loadtxt_passes(lines, SERIES_HEADER, _SERIES_DTYPE, lambda table: True)
+    if tables is None:
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=_SERIES_DTYPE, delimiter=",", comments=None,
-                               skiprows=1, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    ts, d_a, d_b = (np.ascontiguousarray(table[name]) for name in table.dtype.names)
+    ts, d_a, d_b = (np.concatenate([table[name] for table in tables]) for name, _ in _SERIES_DTYPE)
     if len(ts) < 2:
         return None
-    gaps = np.diff(ts)
-    # np.diff wraps past int64, so a falling step can read as a rise equal
-    # to the others: the order is checked on the timestamps themselves
-    if not (gaps[0] > 0 and (gaps == gaps[0]).all() and (ts[1:] > ts[:-1]).all()):
+    try:
+        # Python ints: the first gap may overflow int64
+        return DemandSeries(ts, d_a, d_b, int(ts[1]) - int(ts[0]))
+    except ValueError:
         return None
-    # NaN fails every comparison
-    if not all(((0.0 <= d) & (d < np.inf)).all() for d in (d_a, d_b)):
-        return None
-    return DemandSeries(ts, d_a, d_b, int(gaps[0]))
 
 
 def _series_rows(path) -> DemandSeries:
@@ -394,6 +419,8 @@ def _series_rows(path) -> DemandSeries:
                     raise ValueError(f"timestamps must increase, got {t} after {ts[-1]}")
                 if granularity is not None:
                     raise ValueError(f"timestamp gap {gap} != {granularity}")
+                if gap > INT64_MAX:
+                    raise ValueError(f"timestamp gap {gap} does not fit int64")
                 granularity = gap
         ts.append(t)
         return a, b

@@ -72,8 +72,14 @@ def _coerce(key, value):
 def parse_config_file(path):
     """Read a key=value file into a coerced mapping."""
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
+    # an undecodable byte is kept as a lone surrogate, which does not
+    # encode, so its line can be named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigFileError(f"{path}:{lineno}: not UTF-8 text") from None
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -7,30 +7,22 @@ merge_series pairs two one-sided results into a single (d_a, d_b) series.
 A trace is one numpy record array with the DCI_HEADER columns; a row that
 does not parse or holds a value out of range is refused with its path:line.
 
-parse_dci_csv parses the file as it reads it, in np.loadtxt passes of
-_CHUNK_LINES lines. The row reader (domain.read_csv_rows) takes the file
-instead when such a pass could differ from it or fails: a header that does
-not match, a byte outside printable ASCII or line ends (quotes, NUL, tabs,
-other control characters, non-ASCII text, undecodable UTF-8), a dci_format
-value of _FORMAT_WIDTH or more characters (np.loadtxt cuts it short without
-a word), any np.loadtxt error or warning (a row of the wrong width, a
-blank-looking row, a slice or file without data rows, a value that is not
-a plain int64 such as 1_000 or 1.0), or a value out of range. The records,
-and the path:line errors, are the row reader's. It reads the file from the
-top, so a file is read twice up to the pass that declines it; no pass keeps
-its lines, so the parse's memory stays small.
+parse_dci_csv parses the file as it reads it, through domain.loadtxt_passes,
+which states when the row reader (domain.read_csv_rows) takes the file
+instead. A trace adds two rules of its own: a dci_format value of
+_FORMAT_WIDTH or more characters (np.loadtxt cuts it short without a word)
+and a value out of range. The records, and the path:line errors, are the
+row reader's.
 """
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-from .domain import INT64_MAX, INT64_MIN, DemandSeries, _plain, positive_int, read_csv_rows
+from .domain import INT64_MAX, INT64_MIN, DemandSeries, loadtxt_passes, positive_int, read_csv_rows
 
 DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 
@@ -44,9 +36,6 @@ SFN_MAX, SUBFRAME_MAX = 1023, 9
 _FORMAT_WIDTH = 8
 _TABLE_DTYPE = [(name, f"S{_FORMAT_WIDTH}" if name == "dci_format" else np.int64)
                 for name in DCI_HEADER.split(",")]
-# lines per np.loadtxt pass: a trace is parsed as it is read, in slices
-# that stay small in memory
-_CHUNK_LINES = 512
 
 
 class AlignmentMismatch(ValueError):
@@ -79,10 +68,7 @@ def parse_dci_csv(path) -> np.recarray:
     skipped silently.
     """
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        try:
-            records = _whole_file(fh)
-        except UnicodeDecodeError:
-            records = None
+        records = _whole_file(fh)
     if records is not None:
         return records
     # from the top: the row reader names the line of a bad row or of bytes
@@ -99,54 +85,31 @@ def parse_dci_csv(path) -> np.recarray:
 
 
 def _whole_file(lines: Iterable[str]) -> np.recarray | None:
-    """parse_dci_csv's records from np.loadtxt passes over `lines`,
-    _CHUNK_LINES at a time, or None when the row reader must read them
-    (see the module docstring)."""
-    lines = iter(lines)
-    names = DCI_HEADER.split(",")
-    header = next(lines, None)
-    if header is None:
+    """parse_dci_csv's records from loadtxt_passes over `lines`, or None
+    when the row reader must read them (see the module docstring)."""
+    tables = loadtxt_passes(lines, DCI_HEADER, _TABLE_DTYPE, _in_range)
+    if tables is None:
         return None
-    if [cell.strip() for cell in header.split(",")] != names or not _plain([header]):
-        return None
-    tables, width = [], 1
-    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-        table = _plain_rows(chunk)
-        if table is None:
-            return None
-        tables.append(table)
+    # as the row reader: dci_format stripped, as text as wide as its
+    # longest value
+    width = 1
+    for table in tables:
+        table["dci_format"] = np.strings.strip(table["dci_format"])
         width = max(width, int(np.strings.str_len(table["dci_format"]).max(initial=0)))
-    if not tables:
-        return None
-    # as the row reader: dci_format as text as wide as its longest value,
-    # which every stripped value fits
-    dtype = [(name, f"U{width}" if name == "dci_format" else np.int64) for name in names]
+    dtype = [(name, f"U{width}" if name == "dci_format" else np.int64) for name in DCI_HEADER.split(",")]
     return np.concatenate(tables, dtype=dtype, casting="unsafe").view(np.recarray)
 
 
-def _plain_rows(lines: list[str]) -> np.ndarray | None:
-    """The data rows `lines` as one np.loadtxt table, dci_format stripped,
-    or None when the row reader could read them otherwise or would refuse
-    them."""
-    if not _plain(lines):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=_TABLE_DTYPE, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
+def _in_range(table: np.ndarray) -> bool:
+    """Whether every value of an np.loadtxt pass is in range, and every
+    dci_format value shorter than _FORMAT_WIDTH."""
     # prb_count and timestamp have no upper bound below int64's own
-    if (
+    return not (
         (np.strings.str_len(table["dci_format"]) >= _FORMAT_WIDTH).any()
         or (table["sfn"] > SFN_MAX).any()
         or (table["subframe"] > SUBFRAME_MAX).any()
         or any((table[name] < 0).any() for name in ("sfn", "subframe", "prb_count", "timestamp"))
-    ):
-        return None
-    # as the row reader: stripped
-    table["dci_format"] = np.strings.strip(table["dci_format"])
-    return table
+    )
 
 
 def filter_data_transmissions(records: np.recarray, dci_format: str = DATA_DCI_FORMAT) -> np.recarray:

@@ -1,5 +1,6 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from adapshare import (
     read_series_csv,
     write_series_csv,
 )
+from adapshare import domain
 from adapshare.domain import SERIES_HEADER, _loadtxt_series, _series_rows
 from adapshare.harness.cli import main
 
@@ -40,6 +42,15 @@ class TestDemandSeries:
     def test_uniform_spacing_required(self):
         with pytest.raises(ValueError):
             DemandSeries([0.0, 3600.0, 7201.0], [1, 1, 1], [1, 1, 1], 3600)
+
+    def test_falling_timestamps_named_by_index(self):
+        # np.diff wraps both steps to 2**63 - 1, the granularity
+        with pytest.raises(ValueError, match=r"timestamps must increase at index 1: -2 after 9223372036854775807"):
+            DemandSeries([2 ** 63 - 1, -2, 2 ** 63 - 3], [1.0] * 3, [0.0] * 3, 2 ** 63 - 1)
+
+    def test_granularity_past_int64_rejected(self):
+        with pytest.raises(ValueError, match=r"granularity must fit int64"):
+            DemandSeries([-(2 ** 63), 2 ** 63 - 1], [1.0] * 2, [0.0] * 2, 2 ** 64 - 1)
 
     def test_length_at_least_one(self):
         with pytest.raises(ValueError):
@@ -324,6 +335,12 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match=f"late.csv:{line}: timestamp must fit int64, got "):
             read_series_csv(path)
 
+    def test_first_gap_past_int64_names_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{SERIES_HEADER}\n{-(2 ** 63)},1.0,2.0\n{2 ** 63 - 1},1.0,2.0\n")
+        with pytest.raises(ValueError, match=f"wide.csv:3: timestamp gap {2 ** 64 - 1} does not fit int64"):
+            read_series_csv(path)
+
     def test_int64_extremes_read(self, tmp_path):
         path = tmp_path / "edge.csv"
         path.write_text(f"{SERIES_HEADER}\n{2 ** 63 - 3601},1.0,2.0\n{2 ** 63 - 1},1.0,2.0\n")
@@ -425,6 +442,28 @@ class TestLoadtxtPass:
         assert loadtxt_pass(quoted) is None
         assert series_outcome(read_series_csv, quoted) == series_outcome(read_series_csv, hourly_fixture_path)
 
+    @pytest.mark.parametrize("body, message", [
+        pytest.param("0,1.5,2.5\n5,1.5,2.5\n11,1.5,2.5\n16,1.5,2.5\n", "timestamp gap 6 != 5",
+                     id="unequal_gap"),
+        pytest.param("0,1.5,2.5\n5,1.5,2.5\n3,1.5,2.5\n8,1.5,2.5\n",
+                     "timestamps must increase, got 3 after 5", id="falling_timestamp"),
+    ])
+    def test_bad_step_across_a_pass_boundary_names_its_line(self, tmp_path, monkeypatch, body, message):
+        # passes of two lines: lines 2-3, then 4-5; the bad step is 3 to 4
+        monkeypatch.setattr(domain, "_CHUNK_LINES", 2)
+        path = tmp_path / "series.csv"
+        path.write_text(f"{SERIES_HEADER}\n{body}", encoding="utf-8")
+        assert loadtxt_pass(path) is None
+        assert series_outcome(read_series_csv, path) == ("error", f"{path}:4: {message}")
+        assert series_outcome(_series_rows, path) == ("error", f"{path}:4: {message}")
+
+    def test_passes_join_into_the_row_readers_series(self, tmp_path, monkeypatch, small_series):
+        monkeypatch.setattr(domain, "_CHUNK_LINES", 3)
+        path = tmp_path / "series.csv"
+        write_series_csv(small_series, path)
+        assert loadtxt_pass(path) is not None
+        assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+
     def test_columns_are_contiguous(self, tmp_path, small_series):
         path = tmp_path / "series.csv"
         write_series_csv(small_series, path)
@@ -486,12 +525,14 @@ def series_files(draw):
             continue
         k = draw(st.integers(0, len(rows) - 1))
         cells = rows[k].split(",")
+        # a bad row added above may have fewer than three cells
+        last = len(cells) - 1
         if kind == "shift":
             cells[0] = str(start + k * gap + draw(st.integers(-2, 2)))
         elif kind == "demand":
-            cells[draw(st.integers(1, 2))] = draw(odd_demands)
+            cells[min(draw(st.integers(1, 2)), last)] = draw(odd_demands)
         else:
-            cells[draw(st.integers(0, 2))] = draw(bad_cells)
+            cells[min(draw(st.integers(0, 2)), last)] = draw(bad_cells)
         rows[k] = ",".join(cells)
     end = draw(line_ends)
     data = (end.join([draw(headers)] + rows) + draw(st.sampled_from([end, ""]))).encode("utf-8")
@@ -505,6 +546,14 @@ class TestSeriesDifferential:
     @given(series_files())
     def test_read_matches_the_row_reader(self, data):
         with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            path.write_bytes(data)
+            assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(series_files())
+    def test_read_in_passes_of_two_lines_matches_the_row_reader(self, data):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(domain, "_CHUNK_LINES", 2):
             path = Path(tmp) / "series.csv"
             path.write_bytes(data)
             assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -65,6 +66,14 @@ class TestConfigFile:
         path.write_text("seed = 1\nnot a line\n")
         with pytest.raises(ConfigFileError, match=":2"):
             parse_config_file(path)
+
+    def test_bytes_that_are_not_utf8_named_by_line(self, tmp_path, capsys, hourly_fixture_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = 1\n# caf\xc3\xa9\nenv.n_r = \xff60\n")
+        with pytest.raises(ConfigFileError, match=rf"^{re.escape(str(path))}:3: not UTF-8 text$"):
+            parse_config_file(path)
+        assert main(["train", "--data", str(hourly_fixture_path), "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: not UTF-8 text\n"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adapshare import ingest
+from adapshare import domain, ingest
 from adapshare.domain import DemandSeries, read_csv_rows
 from adapshare.ingest import (
     DCI_HEADER,
@@ -204,7 +204,7 @@ class TestWholeFilePass:
         assert outcome(parse_dci_csv, quoted) == outcome(parse_dci_csv, dci_fixture_path)
 
     def test_slices_join_into_the_row_readers_records(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(domain, "_CHUNK_LINES", 3)
         rows = [PLAIN_ROW.replace("2B", fmt) for fmt in ["2B", " 1A", "0", "abcdefg", "", "2B "] * 2]
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
@@ -212,7 +212,7 @@ class TestWholeFilePass:
         assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
 
     def test_bad_row_in_a_later_slice_names_its_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", 2)
+        monkeypatch.setattr(domain, "_CHUNK_LINES", 2)
         rows = [PLAIN_ROW] * 5 + [PLAIN_ROW.replace("512", "1024", 1), PLAIN_ROW]
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
@@ -296,7 +296,7 @@ class TestDifferential:
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(dci_files())
     def test_parse_in_slices_of_two_lines_matches_the_row_reader(self, data):
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_LINES", 2):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(domain, "_CHUNK_LINES", 2):
             path = Path(tmp) / "trace.csv"
             path.write_bytes(data)
             assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
