@@ -1,9 +1,11 @@
 """Core value types shared across the package: demand series, allocations,
 and the run configuration (EnvConfig, AgentConfig and ExperimentConfig,
-each checking its fields by their annotations); the one CSV row reader
-every input file goes through (read_csv_rows), which names path:line in
-each error it raises, and the np.loadtxt passes (loadtxt_passes) that may
-read a file in its place; and the one JSON reader (load_json).
+each checking its fields by their annotations); the one CSV table reader
+every input file goes through (read_table), which parses a file in
+np.loadtxt passes or row by row, names path:line in each error it raises,
+and checks each format's rules (a rule function per format, such as the
+series rules DemandSeries also holds) once for both; and the one JSON
+reader (load_json).
 
 All types here are immutable after construction and safe to share between
 parallel workers. Demands and allocations are continuous nonnegative reals
@@ -100,21 +102,9 @@ class DemandSeries:
         granularity = positive_int(granularity, "granularity")
         if granularity > INT64_MAX:
             raise ValueError(f"granularity must fit int64, got {granularity}")
-        # np.diff wraps past int64, so the order is compared on the
-        # timestamps themselves; a rising step's wrapped gap then equals
-        # the granularity only if its true gap does
-        steady = (ts[1:] > ts[:-1]) & (np.diff(ts) == granularity)
-        if not steady.all():
-            bad = int(np.argmin(steady)) + 1
-            before, after = int(ts[bad - 1]), int(ts[bad])
-            if after <= before:
-                raise ValueError(f"timestamps must increase at index {bad}: {after} after {before}")
-            raise ValueError(f"non-uniform spacing at index {bad}: gap {after - before} != {granularity}")
-        for name, col in (("d_a", da), ("d_b", db)):
-            ok = np.isfinite(col) & (col >= 0)
-            if not ok.all():
-                bad = int(np.argmin(ok))
-                raise ValueError(f"{name}[{bad}] must be a finite nonnegative demand, got {col[bad]}")
+        fault = _series_fault(ts, da, db, granularity)
+        if fault is not None:
+            raise ValueError(f"at index {fault[0]}: {fault[1]}")
         self.timestamps = ts
         self.d_a = da
         self.d_b = db
@@ -298,26 +288,81 @@ def _is_header(cells, header: str) -> bool:
     return [cell.strip() for cell in cells] == header.split(",")
 
 
-def read_csv_rows(lines, header: str, parse, path) -> list:
-    """parse(cells) for each data row of CSV `lines` under `header`, in
-    file order; blank rows are skipped. A wrong header, a row of the wrong
-    width, or a ValueError from parse raises a ValueError naming path:line."""
-    reader = csv.reader(lines)
-    width = len(header.split(","))
-    rows = []
-    try:
-        found = next(reader, None)
-        if found is None or not _is_header(found, header):
-            raise ValueError(f"expected header {header!r}, got {','.join(found or [])!r}")
-        for cells in reader:
-            if len(cells) != width:
-                if len(cells) <= 1 and not "".join(cells).strip():
-                    continue
-                raise ValueError(f"expected {width} fields, got {len(cells)}")
-            rows.append(parse(cells))
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
-    return rows
+def first_fault(checks):
+    """(index, message) of the earliest bad row among `checks`, pairs of a
+    boolean mask of bad rows and a function that words row i's fault; on
+    one row the earlier check is named. None if no mask holds a row."""
+    faults = [(int(bad.argmax()), word) for bad, word in checks if bad.any()]
+    if not faults:
+        return None
+    i, word = min(faults, key=lambda fault: fault[0])
+    return i, word(i)
+
+
+def worded(text, col):
+    """A first_fault wording: `text` with row i's value of `col`."""
+    return lambda i: text.format(col[i])
+
+
+def _series_fault(ts, d_a, d_b, granularity: int):
+    """first_fault of a demand series' rules: every demand finite and
+    nonnegative, every timestamp above the one before by `granularity`, a
+    Python int that need not fit int64 (read_series_csv infers it)."""
+    # np.diff wraps past int64, so the order is compared on the timestamps
+    # themselves; a rising step's wrapped gap then equals a granularity in
+    # (0, INT64_MAX] only if its true gap does, and it never equals 0
+    step = granularity if 0 < granularity <= INT64_MAX else 0
+    steady = (ts[1:] > ts[:-1]) & (np.diff(ts) == step)
+
+    def step_fault(i):
+        before, after = int(ts[i - 1]), int(ts[i])
+        if after <= before:
+            return f"timestamps must increase, got {after} after {before}"
+        if granularity > INT64_MAX:
+            return f"timestamp gap {granularity} does not fit int64"
+        return f"timestamp gap {after - before} != {granularity}"
+
+    # NaN fails every comparison
+    demands = [(~((col >= 0) & (col < np.inf)),
+                worded(name + " must be a finite nonnegative demand, got {}", col))
+               for name, col in (("d_a", d_a), ("d_b", d_b))]
+    return first_fault(demands + [(np.concatenate(([False], ~steady)), step_fault)])
+
+
+def read_table(path, opener, header: str, dtype, rule) -> np.ndarray:
+    """The data rows of the CSV file at `path` under `header`, in file order,
+    as one structured array of `dtype`'s columns: int64, float64 and text
+    ("S<width>"), which comes back as str as wide as its longest value.
+    `opener` opens the file, as Path(path).open does; rule(table) is the
+    format's own check, first_fault of its rows. The np.loadtxt passes
+    (_loadtxt_parts) parse the file as it is read; on any doubt or fault the
+    row reader (_row_table) reads it from the top and names path:line of the
+    first bad row. Both end in _checked."""
+    with opener(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        parts = _loadtxt_parts(fh, header, dtype)
+    if parts is not None:
+        table, fault = _checked(parts, dtype, rule)
+        if fault is None:
+            return table
+    # the row reader names the line; a fault the passes found lies in the
+    # rows up to it, which the row reader reads alike, so it stops there
+    with opener(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        return _row_table(fh, path, header, dtype, rule, None if parts is None else fault[0] + 1)
+
+
+def _checked(parts, dtype, rule):
+    """The tables `parts` (text stripped) joined, each text column narrowed
+    to its longest value, and the first fault of its rows: a float that is
+    not finite, or rule's fault, whichever row comes first (rule's if both
+    are on one row)."""
+    final = [(name, f"U{max(int(np.strings.str_len(part[name]).max(initial=1)) for part in parts)}"
+              if np.dtype(spec).kind == "S" else spec) for name, spec in dtype]
+    table = np.concatenate(parts, dtype=final, casting="unsafe")
+    finite = first_fault([(~np.isfinite(table[name]),
+                           worded(name + " must be a finite number, got {}", table[name]))
+                          for name in table.dtype.names if table.dtype[name].kind == "f"])
+    faults = [fault for fault in (rule(table), finite) if fault is not None]
+    return table, min(faults, key=lambda fault: fault[0], default=None)
 
 
 # what np.loadtxt parses as the csv module, int() and float() do: printable
@@ -334,102 +379,112 @@ def _plain(lines: list[str]) -> bool:
     return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
 
 
-def loadtxt_passes(lines, header: str, dtype, check) -> list[np.ndarray] | None:
-    """The data rows of CSV `lines` under `header` as np.loadtxt tables of
-    `dtype`, one per pass of _CHUNK_LINES lines, or None when the row reader
-    (read_csv_rows) must read the file instead, from the top: a header whose
-    stripped cells do not match, a byte outside _PLAIN_BYTES (quotes, NUL,
-    tabs and other control characters, non-ASCII text, bytes that are not
-    UTF-8), any np.loadtxt error or warning (a row of the wrong width, a
-    whitespace-only row, a pass or file without data rows, an integer that
-    is not a plain int64 such as 1_000 or 1.0), or a pass whose table
-    check(table) refuses. No line is kept past its pass."""
+def _loadtxt_parts(lines, header: str, dtype) -> list[np.ndarray] | None:
+    """The data rows of CSV `lines` as the tables of np.loadtxt passes of
+    _CHUNK_LINES lines, text stripped, or None when the row reader must read
+    them: a header that does not match, a byte outside _PLAIN_BYTES, any
+    np.loadtxt error or warning (no data rows among them), or a text value
+    that fills its width (np.loadtxt would cut a longer one short). No line
+    is kept past its pass."""
     lines = iter(lines)
-    tables = []
-    try:
-        first = next(lines, None)
-        if first is None or not _is_header(first.split(","), header) or not _plain([first]):
+    first = next(lines, None)
+    if first is None or not _is_header(first.split(","), header) or not _plain([first]):
+        return None
+    texts = [name for name, spec in dtype if np.dtype(spec).kind == "S"]
+    parts = []
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        if not _plain(chunk):
             return None
-        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-            if not _plain(chunk):
-                return None
+        try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                table = np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            if not check(table):
+                part = np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+        for name in texts:
+            if (np.strings.str_len(part[name]) >= part.dtype[name].itemsize).any():
                 return None
-            tables.append(table)
-    # a UnicodeDecodeError is a ValueError
-    except (ValueError, Warning):
-        return None
-    return tables or None
+            part[name] = np.strings.strip(part[name])
+        parts.append(part)
+    return parts or None
+
+
+def _row_table(lines, path, header: str, dtype, rule, stop) -> np.ndarray:
+    """read_table's table of CSV `lines`, read row by row up to `stop` rows
+    (None: all); blank rows are skipped. Each cell is converted by its
+    column's kind: int64 through int(), and it must fit int64; float64
+    through float(); text stripped. A ValueError names path:line of the
+    first bad row in file order: a line that is not UTF-8, a wrong header
+    or width, a cell that does not convert, or a fault of _checked, which
+    checks the rows before it."""
+    reader = csv.reader(lines)
+    kinds = [np.dtype(spec).kind for _, spec in dtype]
+    convert = [{"i": int, "f": float, "S": str.strip}[kind] for kind in kinds]
+    rows, line_nums, error = [], [], None
+    try:
+        found = next(reader, None) or []
+        _utf8(found)
+        if not _is_header(found, header):
+            raise ValueError(f"expected header {header!r}, got {','.join(found)!r}")
+        for cells in reader:
+            if not "".join(cells).isascii():
+                _utf8(cells)
+            if len(cells) != len(dtype):
+                if len(cells) <= 1 and not "".join(cells).strip():
+                    continue
+                raise ValueError(f"expected {len(dtype)} fields, got {len(cells)}")
+            # a tuple, which the garbage collector stops tracking: zip(*rows)
+            # below then takes half the time
+            rows.append(tuple([conv(text) for conv, text in zip(convert, cells)]))
+            line_nums.append(reader.line_num)
+            if len(rows) == stop:
+                break
+    except (ValueError, csv.Error) as exc:
+        error = reader.line_num or 1, exc
+    values = list(zip(*rows)) or [()] * len(dtype)
+    # the first int64 cell that does not fit ends the rows read, as one that
+    # does not parse does (min and max rule most columns out at C speed)
+    ends = [next(i for i, v in enumerate(col) if not INT64_MIN <= v <= INT64_MAX)
+            if kind == "i" and col and not INT64_MIN <= min(col) <= max(col) <= INT64_MAX else len(rows)
+            for col, kind in zip(values, kinds)]
+    if min(ends) < len(rows):
+        end, c = min(ends), ends.index(min(ends))
+        error = line_nums[end], ValueError(f"{dtype[c][0]} must fit int64, got {values[c][end]}")
+        values = [col[:end] for col in values]
+    part = np.rec.fromarrays([np.array(col, dtype=str if kind == "S" else spec)
+                              for col, (_, spec), kind in zip(values, dtype, kinds)],
+                             names=[name for name, _ in dtype])
+    table, fault = _checked([part], dtype, rule)
+    if fault is not None:
+        raise ValueError(f"{path}:{line_nums[fault[0]]}: {fault[1]}")
+    if error is not None:
+        raise ValueError(f"{path}:{error[0]}: {error[1]}") from error[1]
+    return table
+
+
+def _utf8(cells) -> None:
+    """Refuse cells that hold bytes that are not UTF-8 (as lone surrogates)."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("not UTF-8 text") from None
 
 
 _SERIES_DTYPE = [("timestamp", np.int64), ("d_a", np.float64), ("d_b", np.float64)]
 
 
 def read_series_csv(path) -> DemandSeries:
-    """Read the canonical demand CSV. Granularity is inferred from the first
-    timestamp gap, so a file needs at least two rows.
-
-    The file is parsed as it is read, in np.loadtxt passes
-    (_loadtxt_series). The row reader (_series_rows) reads it instead, from
-    the top, when those passes could read it otherwise or would refuse it;
-    its series and its path:line errors are the only ones.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        series = _loadtxt_series(fh)
-    return series if series is not None else _series_rows(path)
+    """Read the canonical demand CSV through read_table. Granularity is
+    inferred from the first timestamp gap, so a file needs two rows."""
+    table = read_table(path, Path(path).open, SERIES_HEADER, _SERIES_DTYPE, _series_rule)
+    if len(table) < 2:
+        raise ValueError(f"{path}: no data rows" if len(table) == 0
+                         else f"{path}: cannot infer granularity from fewer than 2 rows")
+    ts, d_a, d_b = (np.ascontiguousarray(table[name]) for name, _ in _SERIES_DTYPE)
+    return DemandSeries(ts, d_a, d_b, int(ts[1]) - int(ts[0]))
 
 
-def _loadtxt_series(lines) -> DemandSeries | None:
-    """The series in `lines` from loadtxt_passes, or None when the row
-    reader must read them: the passes decline, there are fewer than two
-    rows, or DemandSeries refuses the columns."""
-    tables = loadtxt_passes(lines, SERIES_HEADER, _SERIES_DTYPE, lambda table: True)
-    if tables is None:
-        return None
-    ts, d_a, d_b = (np.concatenate([table[name] for table in tables]) for name, _ in _SERIES_DTYPE)
-    if len(ts) < 2:
-        return None
-    try:
-        # Python ints: the first gap may overflow int64
-        return DemandSeries(ts, d_a, d_b, int(ts[1]) - int(ts[0]))
-    except ValueError:
-        return None
-
-
-def _series_rows(path) -> DemandSeries:
-    """read_series_csv through the row reader, one row at a time."""
-    granularity = None
-    ts = []
-
-    def row(cells):
-        nonlocal granularity
-        t, a, b = int(cells[0]), float(cells[1]), float(cells[2])
-        if not INT64_MIN <= t <= INT64_MAX:
-            raise ValueError(f"timestamp must fit int64, got {t}")
-        # NaN fails every comparison
-        if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
-            raise ValueError(f"demands must be finite and nonnegative, got {a}, {b}")
-        if ts:
-            gap = t - ts[-1]
-            if gap != granularity:
-                if gap <= 0:
-                    raise ValueError(f"timestamps must increase, got {t} after {ts[-1]}")
-                if granularity is not None:
-                    raise ValueError(f"timestamp gap {gap} != {granularity}")
-                if gap > INT64_MAX:
-                    raise ValueError(f"timestamp gap {gap} does not fit int64")
-                granularity = gap
-        ts.append(t)
-        return a, b
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        demands = read_csv_rows(fh, SERIES_HEADER, row, path)
-    if not demands:
-        raise ValueError(f"{path}: no data rows")
-    if granularity is None:
-        raise ValueError(f"{path}: cannot infer granularity from fewer than 2 rows")
-    d_a, d_b = zip(*demands)
-    return DemandSeries(ts, d_a, d_b, granularity)
+def _series_rule(table):
+    ts = table["timestamp"]
+    # Python ints: the first gap may not fit int64
+    return _series_fault(ts, table["d_a"], table["d_b"], int(ts[1]) - int(ts[0]) if len(ts) > 1 else 1)

@@ -6,19 +6,21 @@ write through it. Every data file is reproducible byte-for-byte from
 exactly, and each distinct float is formatted once. The charts are drawn
 only from the CSVs, by replot, which emit_results calls once they are
 written, so a sweep and a later `adapshare plot` draw the same bytes.
-Wall-clock timestamps, timings and the cells' derived seeds go only into
-the run_metadata.json sidecar so reruns diff clean.
+sweep.csv and the curve CSVs are read back through domain.read_table,
+whose rules (every cell converts, every float is finite) are all these
+formats have. Wall-clock timestamps, timings and the cells' derived seeds
+go only into the run_metadata.json sidecar so reruns diff clean.
 """
 
 import json
 import os
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
-from ..domain import AgentKind, load_json, read_csv_rows
-from .config import _finite
+from ..domain import AgentKind, load_json, read_table
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -28,6 +30,9 @@ PALETTE = (
 SWEEP_HEADER = "zeta,n_r,agent,s_a,s_b,fairness,mean_j"
 DETAIL_HEADER = "t,n_a,n_b,d_a,d_b,j"
 CURVE_HEADER = "step,reward_moving_avg"
+# as read back; an agent name of 16 bytes or more takes read_table's row reader
+_SWEEP_DTYPE = [(name, "S16" if name == "agent" else np.float64) for name in SWEEP_HEADER.split(",")]
+_CURVE_DTYPE = [("step", np.int64), ("reward_moving_avg", np.float64)]
 
 
 def _fmt(value):
@@ -267,26 +272,16 @@ def _sidecar_files(path):
         raise ValueError(f"{path}: not a sweep sidecar: {exc}") from exc
 
 
-def _read_csv(path, header, parse):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return read_csv_rows(fh, header, parse, path)
-
-
-def _chart_row(cells):
-    zeta, n_r, s_a, s_b, fairness, _mean_j = map(_finite, cells[:2] + cells[3:])
-    return n_r, zeta, cells[2], s_a, s_b, fairness
-
-
-def _curve_value(cells):
-    step, value = cells
-    int(step)  # checked only: the charts number the steps themselves
-    return _finite(value)
+def _no_rule(table):
+    """The sweep and curve CSVs have no rule beyond read_table's own."""
+    return None
 
 
 def read_sweep_csv(path):
     """Parse sweep.csv back into the (n_r, zeta, agent, s_a, s_b, fairness)
     tuples replot charts; a non-finite metric is refused, naming path:line."""
-    return _read_csv(path, SWEEP_HEADER, _chart_row)
+    table = read_table(path, Path(path).open, SWEEP_HEADER, _SWEEP_DTYPE, _no_rule)
+    return table[["n_r", "zeta", "agent", "s_a", "s_b", "fairness"]].tolist()
 
 
 def replot(out_dir):
@@ -322,8 +317,10 @@ def replot(out_dir):
     for agent, n_r, zeta in sorted({(r[2], r[0], r[1]) for r in rows}):
         path = os.path.join(out_dir, f"curve_{_cell_stub(agent, n_r, zeta)}.csv")
         if os.path.exists(path):
-            curve = _read_csv(path, CURVE_HEADER, _curve_value)
-            curves.setdefault((agent, n_r), []).append((f"z={zeta:.4g}", np.arange(len(curve)), curve))
+            # the step column is checked only: the charts number the steps themselves
+            curve = read_table(path, Path(path).open, CURVE_HEADER, _CURVE_DTYPE, _no_rule)
+            curves.setdefault((agent, n_r), []).append(
+                (f"z={zeta:.4g}", np.arange(len(curve)), curve["reward_moving_avg"]))
     for (agent, n_r), chart_lines in curves.items():
         path = os.path.join(out_dir, f"curves_{agent}_nr{n_r:g}.svg")
         _write(path, svg_line_chart(

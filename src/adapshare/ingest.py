@@ -4,25 +4,19 @@ coarser uniform grid.
 
 Pipeline: parse_dci_csv -> filter_data_transmissions -> resample_mean, then
 merge_series pairs two one-sided results into a single (d_a, d_b) series.
-A trace is one numpy record array with the DCI_HEADER columns; a row that
-does not parse or holds a value out of range is refused with its path:line.
-
-parse_dci_csv parses the file as it reads it, through domain.loadtxt_passes,
-which states when the row reader (domain.read_csv_rows) takes the file
-instead. A trace adds two rules of its own: a dci_format value of
-_FORMAT_WIDTH or more characters (np.loadtxt cuts it short without a word)
-and a value out of range. The records, and the path:line errors, are the
-row reader's.
+A trace is one numpy record array with the DCI_HEADER columns, read through
+domain.read_table; the one rule of its own is the range of each value
+(_out_of_range). A row that does not parse or holds a value out of range
+is refused with its path:line.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-from .domain import INT64_MAX, INT64_MIN, DemandSeries, loadtxt_passes, positive_int, read_csv_rows
+from .domain import INT64_MAX, DemandSeries, first_fault, positive_int, read_table, worded
 
 DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 
@@ -30,34 +24,21 @@ DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 DATA_DCI_FORMAT = "2B"
 
 SFN_MAX, SUBFRAME_MAX = 1023, 9
-# dci_format's width in bytes in an np.loadtxt pass; np.loadtxt cuts a
-# longer value short, and the width costs time and memory per row, so keep
-# it small. A pass reads only ASCII, so bytes hold the text as it is.
-_FORMAT_WIDTH = 8
-_TABLE_DTYPE = [(name, f"S{_FORMAT_WIDTH}" if name == "dci_format" else np.int64)
-                for name in DCI_HEADER.split(",")]
+# dci_format is 8 bytes wide in an np.loadtxt pass, as the width costs time
+# and memory per row; a value of 8 bytes or more takes the row reader
+_DCI_DTYPE = [(name, "S8" if name == "dci_format" else np.int64) for name in DCI_HEADER.split(",")]
+# each range checked, in the order a row's faults are named; prb_count and
+# timestamp have no upper bound below int64's own
+_RANGES = (
+    ("sfn", SFN_MAX, "sfn out of range: {}"),
+    ("subframe", SUBFRAME_MAX, "subframe out of range: {}"),
+    ("prb_count", INT64_MAX, "prb_count must be a nonnegative int64: {}"),
+    ("timestamp", INT64_MAX, "timestamp must be a nonnegative int64 of milliseconds: {}"),
+)
 
 
 class AlignmentMismatch(ValueError):
     """Two series cannot be merged: spacing or timestamps disagree."""
-
-
-def _dci_row(cells) -> tuple:
-    """One trace row in DCI_HEADER order; a ValueError names the value
-    out of range. Every integer must fit int64."""
-    sfn, subframe, rnti, prb_count, mcs = map(int, cells[:5])
-    timestamp = int(cells[6])
-    if not 0 <= sfn <= SFN_MAX:
-        raise ValueError(f"sfn out of range: {sfn}")
-    if not 0 <= subframe <= SUBFRAME_MAX:
-        raise ValueError(f"subframe out of range: {subframe}")
-    if not 0 <= prb_count <= INT64_MAX:
-        raise ValueError(f"prb_count must be a nonnegative int64: {prb_count}")
-    if not 0 <= timestamp <= INT64_MAX:
-        raise ValueError(f"timestamp must be a nonnegative int64 of milliseconds: {timestamp}")
-    if not (INT64_MIN <= rnti <= INT64_MAX and INT64_MIN <= mcs <= INT64_MAX):
-        raise ValueError(f"rnti and mcs must fit int64, got {rnti}, {mcs}")
-    return sfn, subframe, rnti, prb_count, mcs, cells[5].strip(), timestamp
 
 
 def parse_dci_csv(path) -> np.recarray:
@@ -67,49 +48,13 @@ def parse_dci_csv(path) -> np.recarray:
     A malformed row raises a ValueError naming path:line rather than being
     skipped silently.
     """
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        records = _whole_file(fh)
-    if records is not None:
-        return records
-    # from the top: the row reader names the line of a bad row or of bytes
-    # that are not UTF-8
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
-    names = DCI_HEADER.split(",")
-    columns = list(zip(*rows)) or [()] * len(names)
-    return np.rec.fromarrays(
-        [np.array(col, dtype=str if name == "dci_format" else np.int64)
-         for name, col in zip(names, columns)],
-        names=names,
-    )
+    return read_table(path, Path(path).open, DCI_HEADER, _DCI_DTYPE, _out_of_range).view(np.recarray)
 
 
-def _whole_file(lines: Iterable[str]) -> np.recarray | None:
-    """parse_dci_csv's records from loadtxt_passes over `lines`, or None
-    when the row reader must read them (see the module docstring)."""
-    tables = loadtxt_passes(lines, DCI_HEADER, _TABLE_DTYPE, _in_range)
-    if tables is None:
-        return None
-    # as the row reader: dci_format stripped, as text as wide as its
-    # longest value
-    width = 1
-    for table in tables:
-        table["dci_format"] = np.strings.strip(table["dci_format"])
-        width = max(width, int(np.strings.str_len(table["dci_format"]).max(initial=0)))
-    dtype = [(name, f"U{width}" if name == "dci_format" else np.int64) for name in DCI_HEADER.split(",")]
-    return np.concatenate(tables, dtype=dtype, casting="unsafe").view(np.recarray)
-
-
-def _in_range(table: np.ndarray) -> bool:
-    """Whether every value of an np.loadtxt pass is in range, and every
-    dci_format value shorter than _FORMAT_WIDTH."""
-    # prb_count and timestamp have no upper bound below int64's own
-    return not (
-        (np.strings.str_len(table["dci_format"]) >= _FORMAT_WIDTH).any()
-        or (table["sfn"] > SFN_MAX).any()
-        or (table["subframe"] > SUBFRAME_MAX).any()
-        or any((table[name] < 0).any() for name in ("sfn", "subframe", "prb_count", "timestamp"))
-    )
+def _out_of_range(table: np.ndarray):
+    """first_fault of the trace's ranges, or None."""
+    return first_fault([((table[name] < 0) | (table[name] > top), worded(text, table[name]))
+                        for name, top, text in _RANGES])
 
 
 def filter_data_transmissions(records: np.recarray, dci_format: str = DATA_DCI_FORMAT) -> np.recarray:

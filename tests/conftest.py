@@ -1,12 +1,14 @@
-"""Shared fixtures: bundled data files and small reusable demand series,
-and `grants`, which builds the grant record array build_report reads."""
+"""Shared fixtures: bundled data files and small reusable demand series;
+`grants`, which builds the grant record array build_report reads; and
+`loadtxt_route`, which shows whether the CSV table reader's np.loadtxt
+passes read a file."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adapshare import DemandSeries, fit, generate, read_series_csv
+from adapshare import DemandSeries, domain, fit, generate, read_series_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,6 +18,16 @@ def grants(pairs):
     n_b, the form greedy_policy returns."""
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     return np.rec.fromarrays((pairs[:, 0], pairs[:, 1]), names="n_a,n_b")
+
+
+def loadtxt_route(path, header, dtype, rule):
+    """The table domain.read_table's np.loadtxt passes make of the CSV file
+    at path, or None where they hand it to the row reader."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        parts = domain._loadtxt_parts(fh, header, dtype)
+    if parts is not None:
+        table, fault = domain._checked(parts, dtype, rule)
+        return None if fault else table
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,10 @@ from adapshare import (
     write_series_csv,
 )
 from adapshare import domain
-from adapshare.domain import SERIES_HEADER, _loadtxt_series, _series_rows
+from adapshare.domain import SERIES_HEADER
 from adapshare.harness.cli import main
+from conftest import loadtxt_route
+from row_reference import series_rows, where
 
 
 class TestClampDemand:
@@ -45,7 +47,7 @@ class TestDemandSeries:
 
     def test_falling_timestamps_named_by_index(self):
         # np.diff wraps both steps to 2**63 - 1, the granularity
-        with pytest.raises(ValueError, match=r"timestamps must increase at index 1: -2 after 9223372036854775807"):
+        with pytest.raises(ValueError, match=r"at index 1: timestamps must increase, got -2 after 9223372036854775807"):
             DemandSeries([2 ** 63 - 1, -2, 2 ** 63 - 3], [1.0] * 3, [0.0] * 3, 2 ** 63 - 1)
 
     def test_granularity_past_int64_rejected(self):
@@ -69,10 +71,10 @@ class TestDemandSeries:
     @pytest.mark.parametrize(
         "d_a,d_b,message",
         [
-            ([np.nan, 1.0], [1.0, np.inf], r"d_a\[0\] must be a finite"),
-            ([1.0, 2.0], [1.0, np.inf], r"d_b\[1\] must be a finite"),
-            ([1.0, -np.inf], [1.0, 1.0], r"d_a\[1\] must be a finite"),
-            ([1.0, 2.0], [-0.5, 1.0], r"d_b\[0\] must be a finite nonnegative"),
+            ([np.nan, 1.0], [1.0, np.inf], r"at index 0: d_a must be a finite nonnegative demand, got nan"),
+            ([1.0, 2.0], [1.0, np.inf], r"at index 1: d_b must be a finite nonnegative demand, got inf"),
+            ([1.0, -np.inf], [1.0, 1.0], r"at index 1: d_a must be a finite nonnegative demand, got -inf"),
+            ([1.0, 2.0], [-0.5, 1.0], r"at index 0: d_b must be a finite nonnegative demand, got -0.5"),
         ],
         ids=["nan_a", "inf_b", "neg_inf_a", "negative_b"],
     )
@@ -306,7 +308,9 @@ class TestSeriesCsv:
     def test_non_finite_cell_names_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n\n" + row + "\n")
-        with pytest.raises(ValueError, match="bad.csv:4: demands must be finite and nonnegative"):
+        _, a, b = row.split(",")
+        name, value = ("d_a", a) if a != "1.0" else ("d_b", b)
+        with pytest.raises(ValueError, match=f"bad.csv:4: {name} must be a finite nonnegative demand, got {value}$"):
             read_series_csv(path)
 
     @pytest.mark.parametrize("row", ["3600,abc,1.0", "later,1.0,1.0", "9000,1.0,2.0"])
@@ -358,27 +362,28 @@ class TestSeriesCsv:
 
 
 def series_outcome(read, path):
-    """What read(path) gives: the series' bits, or the ValueError's text."""
+    """What read(path) gives: the series' bits, or the path:line its
+    ValueError names."""
     try:
         series = read(path)
     except ValueError as exc:
-        return "error", str(exc)
+        return "error", where(exc, path)
+    if isinstance(series, tuple):  # the reference's (timestamps, d_a, d_b, granularity)
+        series = DemandSeries(*series)
     columns = (series.timestamps, series.d_a, series.d_b)
     return ("series", *((col.dtype, col.tobytes()) for col in columns),
             type(series.granularity), series.granularity)
 
 
 def loadtxt_pass(path):
-    """_loadtxt_series on path's lines as read_series_csv reads them."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return _loadtxt_series(fh.readlines())
+    return loadtxt_route(path, SERIES_HEADER, domain._SERIES_DTYPE, domain._series_rule)
 
 
 class TestLoadtxtPass:
-    """read_series_csv parses a file in one np.loadtxt pass where that pass
-    reads it as the row reader does, and hands the rest to the row reader;
-    either way it returns the row reader's series or raises its path:line
-    error."""
+    """read_series_csv parses a file in np.loadtxt passes where they read
+    it as the row reader does, and hands the rest to the row reader; either
+    way it returns the series of the reference rules (row_reference) or
+    names the line they name."""
 
     @pytest.mark.parametrize("body, loadtxt", [
         pytest.param("0,1.5,2.5\n1_000,1.5,2.5\n", False, id="underscore_timestamp"),
@@ -397,7 +402,8 @@ class TestLoadtxtPass:
         pytest.param("0,1.5,2.5\r5,1.5,2.5\r", True, id="bare_cr"),
         pytest.param("0,\t1.5,2.5\n5,1.5,2.5\n", False, id="tab"),
         pytest.param("0,1.5,2.5\n5,1.5,2.5,\n", False, id="wide_row"),
-        pytest.param("0,1.5,2.5\n", False, id="one_data_row"),
+        # the passes read one row, and read_series_csv refuses the file
+        pytest.param("0,1.5,2.5\n", True, id="one_data_row"),
         pytest.param("", False, id="header_only"),
         pytest.param("0,1.5,2.5\n5,1.5,2.5\n11,1.5,2.5\n", False, id="unequal_gap"),
         pytest.param("5,1.5,2.5\n0,1.5,2.5\n-5,1.5,2.5\n", False, id="falling_timestamps"),
@@ -407,12 +413,15 @@ class TestLoadtxtPass:
         pytest.param(f"{2 ** 63 - 1},1.5,2.5\n-2,1.5,2.5\n{2 ** 63 - 3},1.5,2.5\n", False,
                      id="gap_that_wraps"),
         pytest.param(f"{-(2 ** 63)},1.5,2.5\n{2 ** 63 - 1},1.5,2.5\n", False, id="gap_past_int64"),
+        # the first bad row in file order is named, whatever breaks it
+        pytest.param("0,1.5,2.5\n5,-1.5,2.5\n10,abc,2.5\n", False, id="rule_fault_before_a_conversion_fault"),
+        pytest.param("0,1.5,2.5\n5,abc,2.5\n11,1.5,2.5\n", False, id="conversion_fault_before_a_rule_fault"),
     ])
     def test_same_outcome_as_the_row_reader(self, tmp_path, body, loadtxt):
         path = tmp_path / "series.csv"
         path.write_text(f"{SERIES_HEADER}\n{body}", encoding="utf-8", newline="")
         assert (loadtxt_pass(path) is not None) == loadtxt
-        assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+        assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)
 
     @pytest.mark.parametrize("header, loadtxt", [
         pytest.param(" timestamp , d_a,d_b ", True, id="padded_header"),
@@ -423,19 +432,26 @@ class TestLoadtxtPass:
         path = tmp_path / "series.csv"
         path.write_text(f"{header}\n0,1.5,2.5\n5,1.5,2.5\n", encoding="utf-8")
         assert (loadtxt_pass(path) is not None) == loadtxt
-        assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+        assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)
 
     def test_undecodable_bytes_named_by_line(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_bytes(f"{SERIES_HEADER}\n0,1.5,2.5\n5,\xff,2.5\n".encode("latin-1"))
-        outcome = series_outcome(read_series_csv, path)
-        assert outcome[0] == "error" and "series.csv:" in outcome[1]
-        assert outcome == series_outcome(_series_rows, path)
+        assert series_outcome(read_series_csv, path) == ("error", f"{path}:3")
+        assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)
+        # past the text layer's first 8 KiB decode chunk too
+        rows = [f"{3600 * i},1.5,2.5" for i in range(1000)]
+        rows[900] = "3240000,\xff,2.5"
+        path = tmp_path / "badutf.csv"
+        path.write_bytes(f"{SERIES_HEADER}\n" .encode() + "\n".join(rows).encode("latin-1") + b"\n")
+        with pytest.raises(ValueError) as info:
+            read_series_csv(path)
+        assert str(info.value) == f"{path}:902: not UTF-8 text"
 
     def test_fixture_takes_the_loadtxt_pass(self, hourly_fixture_path):
         assert loadtxt_pass(hourly_fixture_path) is not None
         assert series_outcome(read_series_csv, hourly_fixture_path) == series_outcome(
-            _series_rows, hourly_fixture_path)
+            series_rows, hourly_fixture_path)
 
     def test_quoted_fixture_reads_as_the_plain_one(self, hourly_fixture_path):
         quoted = hourly_fixture_path.with_name("lte_hourly_quoted.csv")
@@ -454,20 +470,23 @@ class TestLoadtxtPass:
         path = tmp_path / "series.csv"
         path.write_text(f"{SERIES_HEADER}\n{body}", encoding="utf-8")
         assert loadtxt_pass(path) is None
-        assert series_outcome(read_series_csv, path) == ("error", f"{path}:4: {message}")
-        assert series_outcome(_series_rows, path) == ("error", f"{path}:4: {message}")
+        with pytest.raises(ValueError) as info:
+            read_series_csv(path)
+        assert str(info.value) == f"{path}:4: {message}"
+        assert series_outcome(series_rows, path) == ("error", f"{path}:4")
 
     def test_passes_join_into_the_row_readers_series(self, tmp_path, monkeypatch, small_series):
         monkeypatch.setattr(domain, "_CHUNK_LINES", 3)
         path = tmp_path / "series.csv"
         write_series_csv(small_series, path)
         assert loadtxt_pass(path) is not None
-        assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+        assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)
 
     def test_columns_are_contiguous(self, tmp_path, small_series):
         path = tmp_path / "series.csv"
         write_series_csv(small_series, path)
-        back = loadtxt_pass(path)
+        assert loadtxt_pass(path) is not None
+        back = read_series_csv(path)
         assert all(col.flags.c_contiguous for col in (back.timestamps, back.d_a, back.d_b))
 
 
@@ -548,7 +567,7 @@ class TestSeriesDifferential:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "series.csv"
             path.write_bytes(data)
-            assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+            assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(series_files())
@@ -556,4 +575,4 @@ class TestSeriesDifferential:
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(domain, "_CHUNK_LINES", 2):
             path = Path(tmp) / "series.csv"
             path.write_bytes(data)
-            assert series_outcome(read_series_csv, path) == series_outcome(_series_rows, path)
+            assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)

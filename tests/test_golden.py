@@ -10,9 +10,15 @@ unchanged; a change that means to alter results updates the digests
 and says why.
 
 The training digests pass through BLAS matrix products, whose rounding
-depends on the numpy build and on the CPU kernels it selects. They were
-captured with numpy 2.4.6 (OpenBLAS) on x86-64; on another build,
-recapture them from the unchanged code before judging a change.
+depends on the OpenBLAS kernel class that runs them, not only on the
+numpy build. They were captured with numpy 2.4.6 (OpenBLAS 0.3.31, built
+for every x86-64 kernel) on an AVX-512 CPU, where OpenBLAS picks its
+SkylakeX kernel. The same wheel on the same CPU, with
+OPENBLAS_CORETYPE=Haswell forcing the kernel meant for AVX2 CPUs, fails 6
+of these tests: the four trained-agent cases, the learned sweep files and
+the CLI result files (ROADMAP, "Committed bytes that hold on any x86-64
+BLAS kernel"). On another kernel class or build, recapture them from the
+unchanged code before judging a change.
 """
 
 import hashlib

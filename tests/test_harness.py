@@ -24,6 +24,7 @@ from adapshare.harness.config import (
     coerce_overrides,
     parse_config_file,
 )
+from adapshare.harness import results
 from adapshare.harness.results import (
     CURVE_HEADER,
     DETAIL_HEADER,
@@ -38,7 +39,7 @@ from adapshare.harness.results import (
 from adapshare.harness.sweep import SweepSpec, cell_seed, run_cell, run_sweep
 from adapshare.ingest import DCI_HEADER
 from adapshare.metrics import build_report
-from conftest import grants
+from conftest import grants, loadtxt_route
 
 
 class TestConfigFile:
@@ -476,7 +477,8 @@ class TestReadBack:
         ("1", "expected 2 fields, got 1"),
         ("1,-0.x", "could not convert"),
         ("one,-0.2", "invalid literal"),
-    ], ids=["short_row", "bad_float", "bad_step"])
+        (f"{2 ** 63},-0.2", f"step must fit int64, got {2 ** 63}"),
+    ], ids=["short_row", "bad_float", "bad_step", "step_past_int64"])
     def test_bad_curve_row_names_its_line(self, tmp_path, row, message):
         (tmp_path / "sweep.csv").write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,0.1,0.2,0.9,0.3\n")
         curve = tmp_path / "curve_td3_nr20_z0.5.csv"
@@ -489,7 +491,7 @@ class TestReadBack:
         (tmp_path / "sweep.csv").write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,{cell},0.2,0.9,0.3\n")
         assert run_cli("plot", "--dir", tmp_path) == 2
         err = capsys.readouterr().err
-        assert f"error: {tmp_path / 'sweep.csv'}:2: must be a finite number, got '{cell}'" in err
+        assert f"error: {tmp_path / 'sweep.csv'}:2: s_a must be a finite number, got {cell}\n" in err
         assert not list(tmp_path.glob("*.svg"))
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -498,8 +500,38 @@ class TestReadBack:
         curve = tmp_path / "curve_td3_nr20_z0.5.csv"
         curve.write_text(f"{CURVE_HEADER}\n0,-0.1\n1,{cell}\n")
         assert run_cli("plot", "--dir", tmp_path) == 2
-        assert f"error: {curve}:3: must be a finite number, got '{cell}'" in capsys.readouterr().err
+        assert f"error: {curve}:3: reward_moving_avg must be a finite number, got {cell}\n" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.svg"))
+
+    def test_quoted_sweep_and_curve_read_as_the_plain_ones(self, tmp_path):
+        # quotes send a file to the row reader; the plain one takes the
+        # np.loadtxt passes, with an agent name of up to 15 bytes
+        rows = [["0.5", "20.0", "opt_oracle", "0.1", "-0.2", "0.9", "0.3"],
+                ["0.25", "20.0", "td3", "1e-05", "0.5", "1.0", "0.125"],
+                ["0.5", "60.0", "fifteen_bytes__", "-0.0", "0.2", "0.75", "0.5"]]
+        curve = [["0", "-0.5"], ["1", "-0.25"], ["2", "-0.125"]]
+        for name, quote in (("plain", "{}"), ("quoted", '"{}"')):
+            (tmp_path / name).mkdir()
+            for file, header, body in (("sweep.csv", SWEEP_HEADER, rows),
+                                       ("curve_td3_nr20_z0.25.csv", CURVE_HEADER, curve)):
+                lines = [",".join(quote.format(cell) for cell in row) for row in body]
+                (tmp_path / name / file).write_text("\n".join([header] + lines) + "\n")
+        for name, passes in (("plain", True), ("quoted", False)):
+            table = loadtxt_route(tmp_path / name / "sweep.csv", SWEEP_HEADER, results._SWEEP_DTYPE, results._no_rule)
+            assert (table is not None) == passes
+        back = read_sweep_csv(tmp_path / "plain" / "sweep.csv")
+        assert back == read_sweep_csv(tmp_path / "quoted" / "sweep.csv")
+        assert [tuple(map(type, row)) for row in back] == [(float, float, str, float, float, float)] * 3
+        assert back[2] == (60.0, 0.5, "fifteen_bytes__", -0.0, 0.2, 0.75)
+        charts = [replot(str(tmp_path / name)) for name in ("plain", "quoted")]
+        assert [Path(p).name for p in charts[0]] == [Path(p).name for p in charts[1]]
+        assert "curves_td3_nr20.svg" in [Path(p).name for p in charts[0]]
+        assert [Path(p).read_bytes() for p in charts[0]] == [Path(p).read_bytes() for p in charts[1]]
+
+    def test_long_or_padded_agent_names_read(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(f"{SWEEP_HEADER}\n0.5,20.0, td3 ,0.1,0.2,0.9,0.3\n0.5,20.0,{'a' * 40},0.1,0.2,0.9,0.3\n")
+        assert [row[2] for row in read_sweep_csv(path)] == ["td3", "a" * 40]
 
     def test_plot_on_truncated_sweep_csv_is_rc2(self, tmp_path, capsys):
         (tmp_path / "sweep.csv").write_text(f"{SWEEP_HEADER}\n0.5,20.0,td3,0.1\n")
@@ -606,7 +638,7 @@ class TestCliIngest:
     @pytest.mark.parametrize("row,message", [
         ("12,12,4661,9,18,2B,1674003600123", "subframe out of range: 12"),
         ("12,3,4661,9,18,2B,-5", "timestamp must be a nonnegative int64"),
-        ("12,3,4661,9,18,2B,99999999999999999999", "timestamp must be a nonnegative int64"),
+        ("12,3,4661,9,18,2B,99999999999999999999", "timestamp must fit int64, got 99999999999999999999"),
         ("12,3,4661,9,18,2B", "expected 7 fields, got 6"),
     ], ids=["subframe", "negative_ts", "huge_ts", "short"])
     def test_bad_row_in_b_names_b_and_its_line(self, dci_fixture_path, tmp_path, capsys, row, message):

@@ -1,3 +1,4 @@
+import contextlib
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -8,18 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapshare import domain, ingest
-from adapshare.domain import DemandSeries, read_csv_rows
+from adapshare.domain import DemandSeries
 from adapshare.ingest import (
     DCI_HEADER,
     AlignmentMismatch,
-    _dci_row,
-    _whole_file,
     filter_data_transmissions,
     merge_series,
     millisecond_totals,
     parse_dci_csv,
     resample_mean,
 )
+from conftest import loadtxt_route
+from row_reference import dci_records, where
 
 HEADER = DCI_HEADER + "\n"
 COLUMNS = DCI_HEADER.split(",")
@@ -99,14 +100,25 @@ class TestParse:
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "512,0,4660,3,16,2B,1674000000000\n"
                         f"512,0,4660,3,16,2B,{timestamp}\n")
-        with pytest.raises(ValueError, match=rf"bad\.csv:3: timestamp must be a nonnegative int64 .*{timestamp}"):
+        # a negative one breaks the range; a larger one the conversion, which
+        # names every int64 column alike
+        message = ("timestamp must be a nonnegative int64 of milliseconds: " if timestamp == "-5"
+                   else "timestamp must fit int64, got ")
+        with pytest.raises(ValueError, match=rf"bad\.csv:3: {message}{timestamp}$"):
             parse_dci_csv(path)
 
     @pytest.mark.parametrize("row", ["1,0,99999999999999999999,3,16,2B,0", "1,0,1,3,-9223372036854775809,2B,0"])
     def test_rnti_and_mcs_must_fit_int64(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + row + "\n")
-        with pytest.raises(ValueError, match=r"bad\.csv:2: rnti and mcs must fit int64"):
+        name, value = ("rnti", row.split(",")[2]) if len(row.split(",")[2]) > 1 else ("mcs", row.split(",")[4])
+        with pytest.raises(ValueError, match=rf"bad\.csv:2: {name} must fit int64, got {value}$"):
+            parse_dci_csv(path)
+
+    def test_sfn_past_int64_named_by_the_conversion(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + f"{2 ** 63},0,1,3,16,2B,0\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:2: sfn must fit int64, got {2 ** 63}$"):
             parse_dci_csv(path)
 
     def test_non_integer_field(self, tmp_path):
@@ -132,41 +144,32 @@ class TestParse:
             parse_dci_csv(tmp_path / "absent.csv")
 
 
-def row_reader_records(path):
-    """The records the row reader alone makes of a trace: read_csv_rows with
-    _dci_row, each column an np.array (text as wide as its longest value)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = read_csv_rows(fh, DCI_HEADER, _dci_row, path)
-    columns = list(zip(*rows)) or [()] * len(COLUMNS)
-    return np.rec.fromarrays(
-        [np.array(col, dtype=str if name == "dci_format" else np.int64) for name, col in zip(COLUMNS, columns)],
-        names=COLUMNS,
-    )
-
-
 def outcome(parse, path):
     """("records", dtype, bytes) of what parse makes of path, or ("error",
-    message) for the ValueError it raises."""
+    path:line) for the ValueError it raises."""
     try:
         records = parse(path)
     except ValueError as exc:
-        return "error", str(exc)
+        return "error", where(exc, path)
     return "records", records.dtype, records.tobytes()
 
 
 def whole_file_pass(path):
-    """_whole_file on path's lines as parse_dci_csv reads them."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return _whole_file(list(fh))
+    return loadtxt_route(path, DCI_HEADER, ingest._DCI_DTYPE, ingest._out_of_range)
+
+
+def loadtxt_records(path):
+    return whole_file_pass(path).view(np.recarray)
 
 
 PLAIN_ROW = "512,3,4660,25,16,2B,1674000000000"
 
 
 class TestWholeFilePass:
-    """parse_dci_csv parses a file in one pass where that pass reads it as
-    the row reader does, and hands the rest to the row reader; either way
-    it returns the row reader's records or raises its path:line error."""
+    """parse_dci_csv parses a file in np.loadtxt passes where they read it
+    as the row reader does, and hands the rest to the row reader; either
+    way it returns the records of the reference rules (row_reference) or
+    names the line they name."""
 
     @pytest.mark.parametrize("body, whole_file", [
         pytest.param(PLAIN_ROW.replace("2B", '"2B"'), False, id="quoted_field"),
@@ -182,21 +185,34 @@ class TestWholeFilePass:
         pytest.param(f"{PLAIN_ROW}\n   \n{PLAIN_ROW}\n", False, id="whitespace_only_row"),
         pytest.param("\n".join([PLAIN_ROW] * 5 + [PLAIN_ROW.replace("512", "1024", 1), PLAIN_ROW]),
                      False, id="sfn_out_of_range_on_line_7"),
+        # the first bad row in file order is named, whatever breaks it
+        pytest.param("\n".join([PLAIN_ROW, PLAIN_ROW.replace("512", "1024", 1), PLAIN_ROW.replace("25", "ten")]),
+                     False, id="range_fault_before_a_conversion_fault"),
+        pytest.param("\n".join([PLAIN_ROW, PLAIN_ROW.replace("25", "ten"), PLAIN_ROW.replace("512", "1024", 1)]),
+                     False, id="conversion_fault_before_a_range_fault"),
     ])
     def test_same_outcome_as_the_row_reader(self, tmp_path, body, whole_file):
         path = tmp_path / "trace.csv"
         path.write_bytes((HEADER + body + ("\n" if body else "")).encode("utf-8"))
         assert (whole_file_pass(path) is not None) == whole_file
-        assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+        assert outcome(parse_dci_csv, path) == outcome(dci_records, path)
 
     def test_undecodable_bytes_named_by_line(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_bytes(HEADER.encode() + PLAIN_ROW.encode() + b"\n" + b"1,0,1,5,1,\xff,0\n")
-        assert outcome(parse_dci_csv, path)[0] == "error"
-        assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+        assert outcome(parse_dci_csv, path) == ("error", f"{path}:3")
+        assert outcome(parse_dci_csv, path) == outcome(dci_records, path)
+        # past the text layer's first 8 KiB decode chunk too
+        rows = [PLAIN_ROW] * 1000
+        rows[900] = PLAIN_ROW.replace("2B", "2\xff")
+        path = tmp_path / "baddci.csv"
+        path.write_bytes(HEADER.encode() + "\n".join(rows).encode("latin-1") + b"\n")
+        with pytest.raises(ValueError) as info:
+            parse_dci_csv(path)
+        assert str(info.value) == f"{path}:902: not UTF-8 text"
 
     def test_fixture_takes_the_whole_file_pass(self, dci_fixture_path):
-        assert outcome(whole_file_pass, dci_fixture_path) == outcome(row_reader_records, dci_fixture_path)
+        assert outcome(loadtxt_records, dci_fixture_path) == outcome(dci_records, dci_fixture_path)
 
     def test_quoted_fixture_reads_as_the_plain_one(self, dci_fixture_path):
         quoted = dci_fixture_path.with_name("dci_small_quoted.csv")
@@ -208,8 +224,32 @@ class TestWholeFilePass:
         rows = [PLAIN_ROW.replace("2B", fmt) for fmt in ["2B", " 1A", "0", "abcdefg", "", "2B "] * 2]
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
-        assert outcome(whole_file_pass, path) == outcome(row_reader_records, path)
-        assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+        assert outcome(loadtxt_records, path) == outcome(dci_records, path)
+        assert outcome(parse_dci_csv, path) == outcome(dci_records, path)
+
+    def test_row_reader_stops_at_the_fault_the_passes_found(self, tmp_path):
+        rows = [PLAIN_ROW] * 3000
+        rows[8] = PLAIN_ROW.replace("512", "1024", 1)
+        path = tmp_path / "trace.csv"
+        path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        lines_read = []  # per opening of the file
+
+        def counting(fh):
+            for line in fh:
+                lines_read[-1] += 1
+                yield line
+
+        @contextlib.contextmanager
+        def counted(**kwargs):
+            lines_read.append(0)
+            with open(path, **kwargs) as fh:
+                yield counting(fh)
+
+        with pytest.raises(ValueError) as info:
+            domain.read_table(path, counted, DCI_HEADER, ingest._DCI_DTYPE, ingest._out_of_range)
+        assert str(info.value) == f"{path}:10: sfn out of range: 1024"
+        # the passes read every line; the row reader the header and 9 rows
+        assert lines_read == [3001, 10]
 
     def test_bad_row_in_a_later_slice_names_its_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(domain, "_CHUNK_LINES", 2)
@@ -217,7 +257,9 @@ class TestWholeFilePass:
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
         assert whole_file_pass(path) is None
-        assert outcome(parse_dci_csv, path) == ("error", f"{path}:7: sfn out of range: 1024")
+        with pytest.raises(ValueError) as info:
+            parse_dci_csv(path)
+        assert str(info.value) == f"{path}:7: sfn out of range: 1024"
 
 
 def _number(ints):
@@ -291,7 +333,7 @@ class TestDifferential:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.csv"
             path.write_bytes(data)
-            assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+            assert outcome(parse_dci_csv, path) == outcome(dci_records, path)
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(dci_files())
@@ -299,7 +341,7 @@ class TestDifferential:
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(domain, "_CHUNK_LINES", 2):
             path = Path(tmp) / "trace.csv"
             path.write_bytes(data)
-            assert outcome(parse_dci_csv, path) == outcome(row_reader_records, path)
+            assert outcome(parse_dci_csv, path) == outcome(dci_records, path)
 
 
 class TestFilter:
