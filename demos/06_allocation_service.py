@@ -10,12 +10,13 @@ get an error object and the connection stays open.
 
 import json
 import socket
+import threading
 from pathlib import Path
 
 from adapshare import DemandSeries, EnvConfig, ExperimentConfig, train
 from adapshare.agents import AgentConfig, save_agent
 from adapshare.domain import AgentKind
-from adapshare.harness.service import serve_in_thread
+from adapshare.harness.service import start_server
 
 import numpy as np
 
@@ -47,7 +48,9 @@ checkpoint = out_dir / "service_agent.json"
 save_agent(agent, cfg, checkpoint)
 print(f"trained and saved {checkpoint.relative_to(repo)}")
 
-server, _thread = serve_in_thread(checkpoint)
+# port 0 binds a free ephemeral port; the daemon thread ends with the demo
+server = start_server(checkpoint)
+threading.Thread(target=server.serve_forever, daemon=True).start()
 host, port = server.server_address
 print(f"serving on {host}:{port}")
 

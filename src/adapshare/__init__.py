@@ -15,7 +15,7 @@ _EXPORTS = {
     "domain": ("AgentConfig", "AgentKind", "Allocation", "DemandSeries", "EnvConfig",
                "ExperimentConfig", "clamp_demand", "read_series_csv", "write_series_csv"),
     "env": ("Observation", "objective_j", "observe", "project_action", "reward", "step"),
-    "oracle": ("OracleSolution", "grid_solve", "solve_opt", "solve_opt_array", "solve_opt_base"),
+    "oracle": ("OracleSolution", "solve_opt", "solve_opt_array", "solve_opt_base"),
     "synthgen": ("DemandStats", "fit", "generate", "ks_distance"),
     "agents": ("DdpgAgent", "ReplayBuffer", "Td3Agent", "eval_timesteps", "evaluate",
                "greedy_policy", "load_agent", "make_agent", "save_agent", "train"),

@@ -283,9 +283,9 @@ def load_json(text):
         raise ValueError("JSON nested too deeply") from None
 
 
-def _is_header(cells, header: str) -> bool:
-    """Whether `cells`, stripped, are the names in `header`."""
-    return [cell.strip() for cell in cells] == header.split(",")
+def _is_header(cells, dtype) -> bool:
+    """Whether `cells`, stripped, are the column names of `dtype`."""
+    return [cell.strip() for cell in cells] == [name for name, _ in dtype]
 
 
 def first_fault(checks):
@@ -329,17 +329,18 @@ def _series_fault(ts, d_a, d_b, granularity: int):
     return first_fault(demands + [(np.concatenate(([False], ~steady)), step_fault)])
 
 
-def read_table(path, opener, header: str, dtype, rule) -> np.ndarray:
-    """The data rows of the CSV file at `path` under `header`, in file order,
-    as one structured array of `dtype`'s columns: int64, float64 and text
+def read_table(path, opener, dtype, rule) -> np.ndarray:
+    """The data rows of the CSV file at `path`, in file order, as one
+    structured array of `dtype`'s columns: int64, float64 and text
     ("S<width>"), which comes back as str as wide as its longest value.
+    The file's header is the column names, joined by commas.
     `opener` opens the file, as Path(path).open does; rule(table) is the
     format's own check, first_fault of its rows. The np.loadtxt passes
     (_loadtxt_parts) parse the file as it is read; on any doubt or fault the
     row reader (_row_table) reads it from the top and names path:line of the
     first bad row. Both end in _checked."""
     with opener(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        parts = _loadtxt_parts(fh, header, dtype)
+        parts = _loadtxt_parts(fh, dtype)
     if parts is not None:
         table, fault = _checked(parts, dtype, rule)
         if fault is None:
@@ -347,7 +348,7 @@ def read_table(path, opener, header: str, dtype, rule) -> np.ndarray:
     # the row reader names the line; a fault the passes found lies in the
     # rows up to it, which the row reader reads alike, so it stops there
     with opener(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        return _row_table(fh, path, header, dtype, rule, None if parts is None else fault[0] + 1)
+        return _row_table(fh, path, dtype, rule, None if parts is None else fault[0] + 1)
 
 
 def _checked(parts, dtype, rule):
@@ -379,7 +380,7 @@ def _plain(lines: list[str]) -> bool:
     return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
 
 
-def _loadtxt_parts(lines, header: str, dtype) -> list[np.ndarray] | None:
+def _loadtxt_parts(lines, dtype) -> list[np.ndarray] | None:
     """The data rows of CSV `lines` as the tables of np.loadtxt passes of
     _CHUNK_LINES lines, text stripped, or None when the row reader must read
     them: a header that does not match, a byte outside _PLAIN_BYTES, any
@@ -388,7 +389,7 @@ def _loadtxt_parts(lines, header: str, dtype) -> list[np.ndarray] | None:
     is kept past its pass."""
     lines = iter(lines)
     first = next(lines, None)
-    if first is None or not _is_header(first.split(","), header) or not _plain([first]):
+    if first is None or not _is_header(first.split(","), dtype) or not _plain([first]):
         return None
     texts = [name for name, spec in dtype if np.dtype(spec).kind == "S"]
     parts = []
@@ -409,7 +410,7 @@ def _loadtxt_parts(lines, header: str, dtype) -> list[np.ndarray] | None:
     return parts or None
 
 
-def _row_table(lines, path, header: str, dtype, rule, stop) -> np.ndarray:
+def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
     """read_table's table of CSV `lines`, read row by row up to `stop` rows
     (None: all); blank rows are skipped. Each cell is converted by its
     column's kind: int64 through int(), and it must fit int64; float64
@@ -424,7 +425,8 @@ def _row_table(lines, path, header: str, dtype, rule, stop) -> np.ndarray:
     try:
         found = next(reader, None) or []
         _utf8(found)
-        if not _is_header(found, header):
+        if not _is_header(found, dtype):
+            header = ",".join(name for name, _ in dtype)
             raise ValueError(f"expected header {header!r}, got {','.join(found)!r}")
         for cells in reader:
             if not "".join(cells).isascii():
@@ -476,7 +478,7 @@ _SERIES_DTYPE = [("timestamp", np.int64), ("d_a", np.float64), ("d_b", np.float6
 def read_series_csv(path) -> DemandSeries:
     """Read the canonical demand CSV through read_table. Granularity is
     inferred from the first timestamp gap, so a file needs two rows."""
-    table = read_table(path, Path(path).open, SERIES_HEADER, _SERIES_DTYPE, _series_rule)
+    table = read_table(path, Path(path).open, _SERIES_DTYPE, _series_rule)
     if len(table) < 2:
         raise ValueError(f"{path}: no data rows" if len(table) == 0
                          else f"{path}: cannot infer granularity from fewer than 2 rows")

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from ..agents import TRAINABLE, evaluate, load_agent, save_agent, train
-from ..domain import INT64_MAX, AgentKind, DemandSeries, read_series_csv, write_series_csv
+from ..domain import AgentKind, DemandSeries, read_series_csv, write_series_csv
 from ..ingest import AlignmentMismatch, filter_data_transmissions, merge_series, parse_dci_csv, resample_mean
 from ..synthgen import fit, generate, ks_distance
 from . import results as results_mod
@@ -83,18 +83,8 @@ def _report_line(tag, report):
     )
 
 
-def _granularity(args):
-    """--granularity, refused unless unset or a positive number of seconds
-    whose milliseconds fit int64, the unit of a trace's timestamps."""
-    granularity = args.granularity
-    if granularity is not None and not 0 < granularity <= INT64_MAX // 1000:
-        bound = "a positive number of" if granularity <= 0 else f"at most {INT64_MAX // 1000}"
-        raise ConfigFileError(f"--granularity must be {bound} seconds, got {granularity}")
-    return granularity
-
-
 def cmd_ingest(args):
-    granularity = _granularity(args)
+    granularity = args.granularity
     traces = []
     for side, path in (("a", args.dci_a), ("b", args.dci_b)):
         records = parse_dci_csv(path)
@@ -125,7 +115,7 @@ def cmd_ingest(args):
 
 
 def cmd_synth(args):
-    granularity = _granularity(args)
+    granularity = args.granularity
     seed = _collect_mapping(args).get("seed", 42)
     if seed < 0:
         raise ConfigFileError(
@@ -243,8 +233,6 @@ def cmd_sweep(args):
 
 
 def cmd_serve(args):
-    if not 0 <= args.port <= 65535:
-        raise ConfigFileError(f"--port must lie in 0..65535, got {args.port}")
     serve(args.checkpoint, host=args.host, port=args.port)
 
 

@@ -280,7 +280,7 @@ def _no_rule(table):
 def read_sweep_csv(path):
     """Parse sweep.csv back into the (n_r, zeta, agent, s_a, s_b, fairness)
     tuples replot charts; a non-finite metric is refused, naming path:line."""
-    table = read_table(path, Path(path).open, SWEEP_HEADER, _SWEEP_DTYPE, _no_rule)
+    table = read_table(path, Path(path).open, _SWEEP_DTYPE, _no_rule)
     return table[["n_r", "zeta", "agent", "s_a", "s_b", "fairness"]].tolist()
 
 
@@ -318,7 +318,7 @@ def replot(out_dir):
         path = os.path.join(out_dir, f"curve_{_cell_stub(agent, n_r, zeta)}.csv")
         if os.path.exists(path):
             # the step column is checked only: the charts number the steps themselves
-            curve = read_table(path, Path(path).open, CURVE_HEADER, _CURVE_DTYPE, _no_rule)
+            curve = read_table(path, Path(path).open, _CURVE_DTYPE, _no_rule)
             curves.setdefault((agent, n_r), []).append(
                 (f"z={zeta:.4g}", np.arange(len(curve)), curve["reward_moving_avg"]))
     for (agent, n_r), chart_lines in curves.items():

@@ -10,7 +10,6 @@ policy is loaded once and never mutated while serving.
 import json
 import math
 import socketserver
-import threading
 
 import numpy as np
 
@@ -116,6 +115,8 @@ class AllocationServer(socketserver.ThreadingTCPServer):
 
 def start_server(checkpoint, host="127.0.0.1", port=0):
     """Load a checkpoint and return a bound (not yet serving) server."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must lie in 0..65535, got {port}")
     try:
         agent, experiment = load_agent(checkpoint)
     except (OSError, ValueError, KeyError) as exc:
@@ -136,10 +137,3 @@ def serve(checkpoint, host="127.0.0.1", port=7447):
     finally:
         server.server_close()
 
-
-def serve_in_thread(checkpoint, host="127.0.0.1", port=0):
-    """Test helper: returns (server, thread); caller shuts the server down."""
-    server = start_server(checkpoint, host, port)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread

@@ -48,7 +48,7 @@ def parse_dci_csv(path) -> np.recarray:
     A malformed row raises a ValueError naming path:line rather than being
     skipped silently.
     """
-    return read_table(path, Path(path).open, DCI_HEADER, _DCI_DTYPE, _out_of_range).view(np.recarray)
+    return read_table(path, Path(path).open, _DCI_DTYPE, _out_of_range).view(np.recarray)
 
 
 def _out_of_range(table: np.ndarray):
@@ -83,6 +83,9 @@ def resample_mean(records: np.recarray, granularity_s: int, side_tag: str = "a")
     populated.
     """
     granularity_s = positive_int(granularity_s, "granularity_s")
+    if granularity_s > INT64_MAX // 1000:
+        raise ValueError(f"granularity_s must be at most {INT64_MAX // 1000} seconds, as its milliseconds "
+                         f"must fit int64, got {granularity_s}")
     if side_tag not in ("a", "b"):
         raise ValueError(f"side_tag must be 'a' or 'b', got {side_tag!r}")
     if len(records) == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import INT64_MAX, DemandSeries
+from .domain import INT64_MAX, DemandSeries, positive_int
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -86,11 +86,16 @@ def generate(
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
+    granularity = positive_int(granularity, "granularity")
     # the last timestamp must fit int64, or the timestamps wrap
-    if int(granularity) * (int(length) - 1) > INT64_MAX:
+    if granularity * (int(length) - 1) > INT64_MAX:
         raise ValueError(
             f"length {length} at granularity {granularity} puts the last timestamp past int64"
         )
+    # one sample has no last gap, but numpy cannot scale its timestamp by
+    # such a granularity
+    if granularity > INT64_MAX:
+        raise ValueError(f"granularity must fit int64, got {granularity}")
     rng = np.random.default_rng(seed)
     rho = stats.lag1_corr
     z = np.empty(length, dtype=np.float64)

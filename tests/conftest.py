@@ -1,14 +1,17 @@
 """Shared fixtures: bundled data files and small reusable demand series;
-`grants`, which builds the grant record array build_report reads; and
+`grants`, which builds the grant record array build_report reads;
 `loadtxt_route`, which shows whether the CSV table reader's np.loadtxt
-passes read a file."""
+passes read a file; and `serve_in_thread`, which serves a checkpoint on a
+daemon thread."""
 
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adapshare import DemandSeries, domain, fit, generate, read_series_csv
+from adapshare.harness.service import start_server
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,14 +23,23 @@ def grants(pairs):
     return np.rec.fromarrays((pairs[:, 0], pairs[:, 1]), names="n_a,n_b")
 
 
-def loadtxt_route(path, header, dtype, rule):
+def loadtxt_route(path, dtype, rule):
     """The table domain.read_table's np.loadtxt passes make of the CSV file
     at path, or None where they hand it to the row reader."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        parts = domain._loadtxt_parts(fh, header, dtype)
+        parts = domain._loadtxt_parts(fh, dtype)
     if parts is not None:
         table, fault = domain._checked(parts, dtype, rule)
         return None if fault else table
+
+
+def serve_in_thread(checkpoint):
+    """Serve `checkpoint` on an ephemeral loopback port; returns (server,
+    thread), and the caller shuts the server down."""
+    server = start_server(checkpoint)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from adapshare import (
     build_report,
     eval_timesteps,
     greedy_policy,
-    grid_solve,
     ks_distance,
     nn,
     solve_opt,
@@ -29,6 +28,7 @@ from adapshare.harness.sweep import SweepSpec, run_sweep
 from adapshare.harness.results import emit_results
 from adapshare.ingest import filter_data_transmissions, parse_dci_csv, resample_mean
 from conftest import grants
+from oracle_reference import grid_solve
 
 
 def _verdict(label, ok, detail):

@@ -376,7 +376,7 @@ def series_outcome(read, path):
 
 
 def loadtxt_pass(path):
-    return loadtxt_route(path, SERIES_HEADER, domain._SERIES_DTYPE, domain._series_rule)
+    return loadtxt_route(path, domain._SERIES_DTYPE, domain._series_rule)
 
 
 class TestLoadtxtPass:

@@ -14,7 +14,7 @@ import pytest
 
 import adapshare
 from adapshare.agents import AgentConfig, eval_timesteps, load_agent, make_agent, save_agent
-from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig, write_series_csv
+from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig, read_series_csv, write_series_csv
 from adapshare.harness.cli import main
 from adapshare.harness.config import (
     COERCERS,
@@ -517,7 +517,7 @@ class TestReadBack:
                 lines = [",".join(quote.format(cell) for cell in row) for row in body]
                 (tmp_path / name / file).write_text("\n".join([header] + lines) + "\n")
         for name, passes in (("plain", True), ("quoted", False)):
-            table = loadtxt_route(tmp_path / name / "sweep.csv", SWEEP_HEADER, results._SWEEP_DTYPE, results._no_rule)
+            table = loadtxt_route(tmp_path / name / "sweep.csv", results._SWEEP_DTYPE, results._no_rule)
             assert (table is not None) == passes
         back = read_sweep_csv(tmp_path / "plain" / "sweep.csv")
         assert back == read_sweep_csv(tmp_path / "quoted" / "sweep.csv")
@@ -686,7 +686,7 @@ class TestCliIngest:
             "--granularity", granularity, "--out", out,
         )
         assert rc == 2
-        expected = f"--granularity must be a positive number of seconds, got {granularity}"
+        expected = f"error: granularity_s must be a positive integer, got {granularity}"
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
@@ -713,9 +713,19 @@ class TestCliSynth:
             "--granularity", granularity, "--out", out,
         )
         assert rc == 2
-        expected = f"--granularity must be a positive number of seconds, got {granularity}"
+        expected = f"error: granularity must be a positive integer, got {granularity}"
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+    def test_granularity_whose_milliseconds_pass_int64_is_accepted(self, hourly_fixture_path, tmp_path):
+        # synth's timestamps are seconds: only ingest's windows count in
+        # milliseconds, yet this granularity was once refused here too
+        out = tmp_path / "x.csv"
+        rc = run_cli("synth", "--ref", hourly_fixture_path, "--length", "860",
+                     "--granularity", "10000000000000000", "--out", out)
+        assert rc == 0
+        series = read_series_csv(out)
+        assert series.granularity == 10**16 and int(series.timestamps[-1]) == 859 * 10**16
 
     @pytest.mark.parametrize("length, granularity", [("2000", "9223372036854775"), ("99999999999999999999", None)])
     def test_timestamps_past_int64_are_rc2(self, hourly_fixture_path, tmp_path, capsys, length, granularity):
@@ -999,9 +1009,11 @@ class TestCliIntegersOutOfRange:
         ("checkpoint_seed", "agent.json: bad checkpoint 'seed/train_steps/eval_split': seed must be"),
         ("checkpoint_bias", "agent.json: bad checkpoint 'actor': int too large"),
         ("series_timestamp", "late.csv:2: timestamp must fit int64"),
-        ("ingest_granularity", "--granularity must be at most 9223372036854775 seconds"),
-        ("synth_granularity", "--granularity must be at most 9223372036854775 seconds"),
-        ("serve_port", "--port must lie in 0..65535"),
+        ("ingest_granularity", "granularity_s must be at most 9223372036854775 seconds, as its milliseconds "
+                               "must fit int64, got 100000000000000000000000"),
+        ("synth_granularity", "length 860 at granularity 100000000000000000000000 puts the last timestamp "
+                              "past int64"),
+        ("serve_port", f"port must lie in 0..65535, got {BIG}"),
     ]
 
     @pytest.mark.parametrize("case,named", CASES, ids=[case for case, _ in CASES])

@@ -155,7 +155,7 @@ def outcome(parse, path):
 
 
 def whole_file_pass(path):
-    return loadtxt_route(path, DCI_HEADER, ingest._DCI_DTYPE, ingest._out_of_range)
+    return loadtxt_route(path, ingest._DCI_DTYPE, ingest._out_of_range)
 
 
 def loadtxt_records(path):
@@ -246,7 +246,7 @@ class TestWholeFilePass:
                 yield counting(fh)
 
         with pytest.raises(ValueError) as info:
-            domain.read_table(path, counted, DCI_HEADER, ingest._DCI_DTYPE, ingest._out_of_range)
+            domain.read_table(path, counted, ingest._DCI_DTYPE, ingest._out_of_range)
         assert str(info.value) == f"{path}:10: sfn out of range: 1024"
         # the passes read every line; the row reader the header and 9 rows
         assert lines_read == [3001, 10]
@@ -408,6 +408,17 @@ class TestResample:
     def test_granularity_must_be_a_positive_integer(self, granularity):
         with pytest.raises(ValueError, match=r"granularity_s must be a positive integer, got "):
             resample_mean(trace((10, 0)), granularity)
+
+    @pytest.mark.parametrize("granularity", [9223372036854776, 10**17])
+    def test_granularity_whose_milliseconds_pass_int64_refused(self, granularity):
+        # 10**17 once raised numpy's bare "Python int too large to convert to C long"
+        with pytest.raises(ValueError, match=r"^granularity_s must be at most 9223372036854775 seconds, "
+                                             rf"as its milliseconds must fit int64, got {granularity}$"):
+            resample_mean(trace((10, 0)), granularity)
+
+    def test_largest_granularity_whose_milliseconds_fit_int64(self):
+        series = resample_mean(trace((10, 0)), 9223372036854775)
+        assert series.d_a.tolist() == [10.0]
 
     def test_integral_granularity_of_another_type(self):
         series = resample_mean(trace((10, 0)), np.int64(60))

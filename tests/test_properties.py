@@ -43,8 +43,9 @@ from adapshare.harness.results import (
 from adapshare.ingest import DCI_HEADER, parse_dci_csv
 from adapshare.harness.sweep import SweepRow
 from adapshare.metrics import EvalReport, build_report
-from adapshare.oracle import grid_solve, solve_opt, solve_opt_array
+from adapshare.oracle import solve_opt, solve_opt_array
 from conftest import grants
+from oracle_reference import grid_solve
 
 SETTINGS = settings(deadline=None, derandomize=True, max_examples=150)
 

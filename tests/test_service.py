@@ -14,9 +14,9 @@ from adapshare.harness.service import (
     CheckpointInvalid,
     MalformedRequest,
     _parse_request,
-    serve_in_thread,
     start_server,
 )
+from conftest import serve_in_thread
 
 WINDOW_N = 2
 HISTORY = [[5.0, 5.0], [4.0, 6.0], [3.0, 7.0]]
@@ -279,6 +279,12 @@ class TestStartServer:
         path.write_text("[" * 50_000)
         with pytest.raises(CheckpointInvalid, match="deep.json: not a JSON checkpoint: JSON nested too deeply"):
             start_server(path)
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_out_of_range_refused_before_the_checkpoint_loads(self, tmp_path, port):
+        # 70000 once loaded the checkpoint, then let bind's OverflowError escape
+        with pytest.raises(ValueError, match=rf"^port must lie in 0\.\.65535, got {port}$"):
+            start_server(tmp_path / "absent.json", port=port)
 
     def test_binds_ephemeral_port(self, checkpoint_path):
         server = start_server(checkpoint_path)

@@ -105,6 +105,16 @@ class TestGenerate:
                                              "timestamp past int64"):
             generate(stats, length, seed=1, granularity=granularity)
 
+    @pytest.mark.parametrize("length, granularity, message", [
+        (1, 2 ** 63, "granularity must fit int64, got 9223372036854775808"),
+        (2, -10 ** 30, "granularity must be a positive integer, got -1000000000000000000000000000000"),
+    ])
+    def test_granularity_refused_naming_it(self, length, granularity, message):
+        # the first two once let numpy's OverflowError escape
+        stats = DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=0.0, length=2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(stats, length, seed=1, granularity=granularity)
+
 
 class TestKsDistance:
     def test_identical_is_zero(self, ref_series):
