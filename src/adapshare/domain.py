@@ -412,12 +412,12 @@ def _loadtxt_parts(lines, dtype) -> list[np.ndarray] | None:
 
 def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
     """read_table's table of CSV `lines`, read row by row up to `stop` rows
-    (None: all); blank rows are skipped. Each cell is converted by its
-    column's kind: int64 through int(), and it must fit int64; float64
-    through float(); text stripped. A ValueError names path:line of the
-    first bad row in file order: a line that is not UTF-8, a wrong header
-    or width, a cell that does not convert, or a fault of _checked, which
-    checks the rows before it."""
+    (None: all); blank rows are skipped. Each column is converted by its
+    kind once the rows are read: int64 through int(), and it must fit
+    int64; float64 through float(); text stripped. A ValueError names
+    path:line of the first bad row in file order: a line that is not UTF-8,
+    a wrong header or width, a cell that does not convert, or a fault of
+    _checked, which checks the rows before it."""
     reader = csv.reader(lines)
     kinds = [np.dtype(spec).kind for _, spec in dtype]
     convert = [{"i": int, "f": float, "S": str.strip}[kind] for kind in kinds]
@@ -437,22 +437,32 @@ def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
                 raise ValueError(f"expected {len(dtype)} fields, got {len(cells)}")
             # a tuple, which the garbage collector stops tracking: zip(*rows)
             # below then takes half the time
-            rows.append(tuple([conv(text) for conv, text in zip(convert, cells)]))
+            rows.append(tuple(cells))
             line_nums.append(reader.line_num)
             if len(rows) == stop:
                 break
     except (ValueError, csv.Error) as exc:
         error = reader.line_num or 1, exc
-    values = list(zip(*rows)) or [()] * len(dtype)
-    # the first int64 cell that does not fit ends the rows read, as one that
-    # does not parse does (min and max rule most columns out at C speed)
-    ends = [next(i for i, v in enumerate(col) if not INT64_MIN <= v <= INT64_MAX)
-            if kind == "i" and col and not INT64_MIN <= min(col) <= max(col) <= INT64_MAX else len(rows)
-            for col, kind in zip(values, kinds)]
-    if min(ends) < len(rows):
-        end, c = min(ends), ends.index(min(ends))
-        error = line_nums[end], ValueError(f"{dtype[c][0]} must fit int64, got {values[c][end]}")
-        values = [col[:end] for col in values]
+    texts = list(zip(*rows)) or [()] * len(dtype)
+    try:
+        values = [list(map(conv, col)) for conv, col in zip(convert, texts)]
+        # min and max rule most int64 columns in at C speed
+        if any(kind == "i" and col and not INT64_MIN <= min(col) <= max(col) <= INT64_MAX
+               for col, kind in zip(values, kinds)):
+            raise ValueError
+    except ValueError:
+        # a rescan finds the first row with a cell that does not convert or
+        # an int64 that does not fit; it ends the rows read
+        for end, cells in enumerate(rows):
+            try:
+                row = [conv(text) for conv, text in zip(convert, cells)]
+                for (name, _), v, kind in zip(dtype, row, kinds):
+                    if kind == "i" and not INT64_MIN <= v <= INT64_MAX:
+                        raise ValueError(f"{name} must fit int64, got {v}")
+            except ValueError as exc:
+                error = line_nums[end], exc
+                break
+        values = [list(map(conv, col[:end])) for conv, col in zip(convert, texts)]
     part = np.rec.fromarrays([np.array(col, dtype=str if kind == "S" else spec)
                               for col, (_, spec), kind in zip(values, dtype, kinds)],
                              names=[name for name, _ in dtype])

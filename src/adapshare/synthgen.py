@@ -38,10 +38,13 @@ class DemandStats:
 
     def __post_init__(self):
         sv = np.asarray(self.sorted_values, dtype=np.float64)
+        if sv.ndim != 1 or len(sv) == 0 or not ((sv >= 0) & (sv < np.inf)).all():
+            raise ValueError("sorted_values must be a nonempty 1-D array of finite nonnegative demands")
         if np.any(np.diff(sv) < 0):
             raise ValueError("sorted_values must be nondecreasing")
         if not -1.0 <= self.lag1_corr <= 1.0:
             raise ValueError(f"lag1_corr out of [-1, 1]: {self.lag1_corr}")
+        object.__setattr__(self, "length", positive_int(self.length, "length"))
         object.__setattr__(self, "sorted_values", sv)
         sv.setflags(write=False)
 
@@ -83,12 +86,13 @@ def generate(
     z_t maps through the Gaussian CDF to a uniform, then through the
     empirical quantile table (linear interpolation). Deterministic given
     (stats, length, seed). Timestamps run from 0 in steps of granularity.
+    For speed the chain runs on Python floats and the table takes sorted
+    queries; both keep the bits of numpy scalars and unsorted queries.
     """
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
+    length = positive_int(length, "length")
     granularity = positive_int(granularity, "granularity")
     # the last timestamp must fit int64, or the timestamps wrap
-    if granularity * (int(length) - 1) > INT64_MAX:
+    if granularity * (length - 1) > INT64_MAX:
         raise ValueError(
             f"length {length} at granularity {granularity} puts the last timestamp past int64"
         )
@@ -97,21 +101,25 @@ def generate(
     if granularity > INT64_MAX:
         raise ValueError(f"granularity must fit int64, got {granularity}")
     rng = np.random.default_rng(seed)
-    rho = stats.lag1_corr
-    z = np.empty(length, dtype=np.float64)
-    z[0] = rng.standard_normal()
-    if length > 1:
-        innovations = rng.standard_normal(length - 1)
-        scale = np.sqrt(1.0 - rho * rho)
-        for t in range(1, length):
-            z[t] = rho * z[t - 1] + scale * innovations[t - 1]
-    u = _gauss_cdf(z)
+    prev, rho = rng.standard_normal(), stats.lag1_corr
+    steps = (np.sqrt(1.0 - rho * rho) * rng.standard_normal(length - 1)).tolist()
+    # the chain runs on Python floats: each step is the same two IEEE double
+    # products and one add as on numpy scalars, unfused, so the bits match
+    chain, rho = [prev], float(rho)
+    for step in steps:
+        prev = rho * prev + step
+        chain.append(prev)
+    u = _gauss_cdf(np.array(chain))
     sv = stats.sorted_values
     if len(sv) == 1:
         values = np.full(length, sv[0])
     else:
         positions = np.arange(len(sv)) / (len(sv) - 1)
-        values = np.interp(u, positions, sv)
+        # np.interp computes each value from its query and its bracket in the
+        # strictly increasing positions alone, so sorted queries give the bits
+        order = np.argsort(u)
+        values = np.empty(length)
+        values[order] = np.interp(u[order], positions, sv)
     timestamps = granularity * np.arange(length, dtype=np.int64)
     zeros = np.zeros(length)
     if side == "a":

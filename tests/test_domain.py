@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -319,6 +320,21 @@ class TestSeriesCsv:
         path = tmp_path / "bad.csv"
         path.write_text(SERIES_HEADER + "\n0,1.0,2.0\n3600,1.0,2.0\n" + row + "\n")
         with pytest.raises(ValueError, match="bad.csv:4: "):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0,1.0,2.0", "3600,abc,2.0", "7200,1.0"], "bad.csv:3: could not convert string to float: 'abc'"),
+        (["0,1.0,2.0", f"{2 ** 63},1.0,2.0", "7200,abc,2.0"], f"bad.csv:3: timestamp must fit int64, got {2 ** 63}"),
+        (["0,1.0,2.0", f"{2 ** 63},abc,2.0"], "bad.csv:3: could not convert string to float: 'abc'"),
+        (["0,1.0,2.0", "3600,1.0,2.0", "x,1.0,2.0", f"{2 ** 64},1.0,2.0"], "bad.csv:4: invalid literal for int"),
+    ])
+    def test_first_cell_fault_in_file_order_named(self, tmp_path, rows, message):
+        # columns convert once every row is read; the first row in file
+        # order whose cell does not convert or fit is named, and within it a
+        # cell that does not convert before an int64 that does not fit
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([SERIES_HEADER] + rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_series_csv(path)
 
     @pytest.mark.parametrize("row", ["0,1.0,2.0", "-3600,1.0,2.0"])

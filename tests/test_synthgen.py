@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from synth_reference import generate_values
 
 from adapshare.domain import DemandSeries
 from adapshare.synthgen import DemandStats, fit, generate, ks_distance
@@ -22,6 +25,21 @@ class TestStats:
     def test_corr_range_validated(self):
         with pytest.raises(ValueError):
             DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=1.5, length=2)
+
+    @pytest.mark.parametrize("values", [
+        [], [[1.0, 2.0]], [[1.0], [2.0]], [np.nan], [1.0, np.nan], [1.0, np.inf], [-1.0, 2.0], [-np.inf],
+    ])
+    def test_bad_table_refused_naming_it(self, values):
+        # these were accepted; generate then failed inside np.interp, or
+        # named d_a of a series the caller never saw
+        with pytest.raises(ValueError, match="^sorted_values must be a nonempty 1-D array of finite "
+                                             "nonnegative demands$"):
+            DemandStats(sorted_values=np.array(values), lag1_corr=0.0, length=2)
+
+    @pytest.mark.parametrize("length", [0, -1, True, 2.5, "3", None])
+    def test_bad_length_refused_naming_it(self, length):
+        with pytest.raises(ValueError, match="^length must be a positive integer, got "):
+            DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=0.0, length=length)
 
     def test_max_demand(self):
         stats = DemandStats(sorted_values=np.array([1.0, 5.0, 9.0]), lag1_corr=0.0, length=3)
@@ -89,6 +107,36 @@ class TestGenerate:
         stats = DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=0.0, length=2)
         with pytest.raises(ValueError):
             generate(stats, 0, seed=1)
+
+    @pytest.mark.parametrize("length", [-3, True, 2.5, "3", None])
+    def test_length_refused_naming_it(self, length):
+        # True and 2.5 once escaped as numpy's TypeError, "3" as a str < int one
+        stats = DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=0.0, length=2)
+        with pytest.raises(ValueError, match=f"^length must be a positive integer, got {length!r}$"):
+            generate(stats, length, seed=1)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(
+        rho=st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 0.999999, -0.5]), st.floats(-1.0, 1.0)),
+        length=st.one_of(st.sampled_from([1, 2, 3000]), st.integers(1, 3000)),
+        size=st.one_of(st.sampled_from([1, 2, 1000]), st.integers(1, 1000)),
+        decimals=st.integers(0, 3),
+        zeros=st.floats(0.0, 1.0),
+        table_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**63),
+    )
+    def test_matches_reference_bit_for_bit(self, rho, length, size, decimals, zeros, table_seed, seed):
+        # rounding makes ties, and a share of the table is zero
+        table_rng = np.random.default_rng(table_seed)
+        values = np.round(table_rng.exponential(5.0, size), decimals)
+        values[table_rng.random(size) < zeros] = 0.0
+        stats = DemandStats(sorted_values=np.sort(values), lag1_corr=rho, length=size)
+        expected = generate_values(stats, length, seed).tobytes()
+        zero = np.zeros(length).tobytes()
+        gen_a = generate(stats, length, seed, side="a")
+        gen_b = generate(stats, length, seed, side="b")
+        assert (gen_a.d_a.tobytes(), gen_a.d_b.tobytes()) == (expected, zero)
+        assert (gen_b.d_a.tobytes(), gen_b.d_b.tobytes()) == (zero, expected)
 
     def test_last_timestamp_at_int64_max(self):
         stats = DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=0.0, length=2)
