@@ -104,9 +104,9 @@ class DdpgAgent:
         """The actor's raw action (u_a, u_b) for an Observation; with
         explore, perturbed by one N(0, explore_sigma^2) draw per component."""
         noise = self.explore_rng.standard_normal(2) * self.explore_sigma if explore else None
-        return self._action(obs.vector(), noise)
+        return self.action(obs.vector(), noise)
 
-    def _action(self, obs_vec, noise=None):
+    def action(self, obs_vec, noise=None):
         """The raw action (u_a, u_b) for an observation vector, as Python
         floats, with optional exploration noise added and clipped to the
         unit box."""
@@ -225,7 +225,7 @@ def train(agent_kind, series, cfg):
     rewards = np.empty(steps)
     for i, t in enumerate(ts.tolist()):
         obs_vec = obs_rows[t - env.window_n]
-        raw = agent._action(obs_vec, noise[i])
+        raw = agent.action(obs_vec, noise[i])
         r = step(series, t, raw, env)
         buffer.add(obs_vec, raw, r)
         rewards[i] = r

@@ -369,8 +369,8 @@ def _checked(parts, dtype, rule):
 # what np.loadtxt parses as the csv module, int() and float() do: printable
 # ASCII except the quote, and line ends
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
-# lines per np.loadtxt pass: a file is parsed as it is read, in passes that
-# stay small in memory
+# lines per np.loadtxt pass, and rows per block the row reader converts: a
+# file is parsed as it is read, in passes that stay small in memory
 _CHUNK_LINES = 512
 
 
@@ -412,16 +412,17 @@ def _loadtxt_parts(lines, dtype) -> list[np.ndarray] | None:
 
 def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
     """read_table's table of CSV `lines`, read row by row up to `stop` rows
-    (None: all); blank rows are skipped. Each column is converted by its
-    kind once the rows are read: int64 through int(), and it must fit
-    int64; float64 through float(); text stripped. A ValueError names
+    (None: all); blank rows are skipped. Each block of _CHUNK_LINES rows is
+    converted by column kind as soon as it is read (_convert_rows), and the
+    first block with a bad cell ends the reading. A ValueError names
     path:line of the first bad row in file order: a line that is not UTF-8,
     a wrong header or width, a cell that does not convert, or a fault of
     _checked, which checks the rows before it."""
     reader = csv.reader(lines)
     kinds = [np.dtype(spec).kind for _, spec in dtype]
     convert = [{"i": int, "f": float, "S": str.strip}[kind] for kind in kinds]
-    rows, line_nums, error = [], [], None
+    columns = [[] for _ in dtype]
+    rows, line_nums, error, bad = [], [], None, None
     try:
         found = next(reader, None) or []
         _utf8(found)
@@ -436,35 +437,25 @@ def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
                     continue
                 raise ValueError(f"expected {len(dtype)} fields, got {len(cells)}")
             # a tuple, which the garbage collector stops tracking: zip(*rows)
-            # below then takes half the time
+            # in _convert_rows then takes half the time
             rows.append(tuple(cells))
             line_nums.append(reader.line_num)
-            if len(rows) == stop:
+            if len(line_nums) == stop:
                 break
+            if len(rows) == _CHUNK_LINES:
+                bad, rows = _convert_rows(rows, dtype, kinds, convert, columns), []
+                if bad is not None:
+                    break
     except (ValueError, csv.Error) as exc:
         error = reader.line_num or 1, exc
-    texts = list(zip(*rows)) or [()] * len(dtype)
-    try:
-        values = [list(map(conv, col)) for conv, col in zip(convert, texts)]
-        # min and max rule most int64 columns in at C speed
-        if any(kind == "i" and col and not INT64_MIN <= min(col) <= max(col) <= INT64_MAX
-               for col, kind in zip(values, kinds)):
-            raise ValueError
-    except ValueError:
-        # a rescan finds the first row with a cell that does not convert or
-        # an int64 that does not fit; it ends the rows read
-        for end, cells in enumerate(rows):
-            try:
-                row = [conv(text) for conv, text in zip(convert, cells)]
-                for (name, _), v, kind in zip(dtype, row, kinds):
-                    if kind == "i" and not INT64_MIN <= v <= INT64_MAX:
-                        raise ValueError(f"{name} must fit int64, got {v}")
-            except ValueError as exc:
-                error = line_nums[end], exc
-                break
-        values = [list(map(conv, col[:end])) for conv, col in zip(convert, texts)]
+    if bad is None:
+        bad = _convert_rows(rows, dtype, kinds, convert, columns)
+    if bad is not None:
+        # the rows converted end just before it, and every row read after
+        # it lies later in the file
+        error = line_nums[len(columns[0])], bad
     part = np.rec.fromarrays([np.array(col, dtype=str if kind == "S" else spec)
-                              for col, (_, spec), kind in zip(values, dtype, kinds)],
+                              for col, (_, spec), kind in zip(columns, dtype, kinds)],
                              names=[name for name, _ in dtype])
     table, fault = _checked([part], dtype, rule)
     if fault is not None:
@@ -472,6 +463,36 @@ def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
     if error is not None:
         raise ValueError(f"{path}:{error[0]}: {error[1]}") from error[1]
     return table
+
+
+def _convert_rows(rows, dtype, kinds, convert, columns) -> ValueError | None:
+    """Convert the text `rows` column by column and append them to
+    `columns`: int64 through int(), and it must fit int64; float64 through
+    float(); text stripped. On a row with a cell that does not convert or
+    an int64 that does not fit, only the rows before it are appended, and
+    its ValueError is returned."""
+    texts = list(zip(*rows))
+    try:
+        values = [list(map(conv, col)) for conv, col in zip(convert, texts)]
+        # min and max rule most int64 columns in at C speed
+        if any(kind == "i" and col and not INT64_MIN <= min(col) <= max(col) <= INT64_MAX
+               for col, kind in zip(values, kinds)):
+            raise ValueError
+    except ValueError:
+        # a rescan finds the first bad row
+        for end, cells in enumerate(rows):
+            try:
+                row = [conv(text) for conv, text in zip(convert, cells)]
+                for (name, _), v, kind in zip(dtype, row, kinds):
+                    if kind == "i" and not INT64_MIN <= v <= INT64_MAX:
+                        raise ValueError(f"{name} must fit int64, got {v}")
+            except ValueError as exc:
+                for column, conv, col in zip(columns, convert, texts):
+                    column.extend(map(conv, col[:end]))
+                return exc
+    for column, col in zip(columns, values):
+        column.extend(col)
+    return None
 
 
 def _utf8(cells) -> None:

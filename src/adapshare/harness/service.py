@@ -1,10 +1,12 @@
 """Line-delimited JSON allocation service over TCP.
 
 One request object per line; the response is the loaded policy's
-projected allocation for the supplied demand history. Malformed lines
-get an error object and the connection stays open; a line longer than
-MAX_LINE bytes gets an error object and the connection is closed. The
-policy is loaded once and never mutated while serving.
+projected allocation for the supplied demand history. Numbers are JSON
+numbers: a string, a boolean or null where a number goes is malformed,
+and so is an integer past float range. Malformed lines get an error
+object and the connection stays open; a line longer than MAX_LINE bytes
+gets an error object and the connection is closed. The policy is loaded
+once and never mutated while serving.
 """
 
 import json
@@ -15,7 +17,7 @@ import numpy as np
 
 from ..agents import load_agent
 from ..domain import load_json
-from ..env import Observation, objective_j, project_action
+from ..env import objective_j, project_action
 
 
 MAX_LINE = 64 * 1024  # bytes per request line, newline included
@@ -44,25 +46,34 @@ def _parse_request(line, window_n):
         raise MalformedRequest(
             f"demand_history must list at least {window_n + 1} (d_a, d_b) pairs, newest first"
         )
-    # JSON true and false would pass as 1.0 and 0.0
+    # numbers are JSON numbers: float() and np.asarray would read true and
+    # false as 1.0 and 0.0, and parse a string such as "60"
     scalars = {}
     for key in ("n_r", "zeta"):
-        if isinstance(payload[key], bool):
-            raise MalformedRequest(f"{key} must be a number, got {json.dumps(payload[key])}")
+        value = payload[key]
+        if type(value) not in (int, float):
+            raise MalformedRequest(f"{key} must be a number: got {json.dumps(value)}")
         try:
-            scalars[key] = float(payload[key])
-        except (OverflowError, TypeError, ValueError) as exc:
+            scalars[key] = float(value)
+        except OverflowError as exc:
             raise MalformedRequest(f"{key} must be a number: {exc}") from exc
-    if any(isinstance(x, bool) for pair in history if isinstance(pair, list) for x in pair):
+    try:
+        kinds = {type(x) for pair in history for x in pair}
+    except TypeError:  # a pair that is not iterable, such as a number
+        kinds = {None}
+    if bool in kinds:
         raise MalformedRequest("demand_history entries must be numeric pairs, got a boolean")
+    if not kinds <= {int, float}:
+        raise MalformedRequest("demand_history entries must be numeric pairs")
     try:
         pairs = np.asarray(history, dtype=float)
-    except (OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise MalformedRequest(f"demand_history entries must be numeric pairs: {exc}") from exc
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.isfinite(pairs).all() or (pairs < 0).any():
+    # NaN fails both comparisons
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not ((pairs >= 0) & (pairs < math.inf)).all():
         raise MalformedRequest("demand_history entries must be finite nonnegative pairs")
     n_r, zeta = scalars["n_r"], scalars["zeta"]
-    if not np.isfinite(n_r) or n_r <= 0:
+    if not 0.0 < n_r < math.inf:
         raise MalformedRequest(f"n_r must be positive, got {payload['n_r']!r}")
     if not 0.0 <= zeta <= 1.0:
         raise MalformedRequest(f"zeta must lie in [0, 1], got {payload['zeta']!r}")
@@ -74,19 +85,23 @@ class AllocationHandler(socketserver.StreamRequestHandler):
         server = self.server
         for raw in iter(lambda: self.rfile.readline(MAX_LINE + 1), b""):
             if len(raw) > MAX_LINE:
-                self._reply({"error": f"request line longer than {MAX_LINE} bytes"})
+                self._reply(json.dumps({"error": f"request line longer than {MAX_LINE} bytes"}))
                 return
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
             try:
-                response = server.answer(line)
+                reply = server.answer(line)
             except MalformedRequest as exc:
-                response = {"error": str(exc)}
-            self._reply(response)
+                self._reply(json.dumps({"error": str(exc)}))
+                continue
+            # json.dumps writes each float as float.__repr__ does, and answer
+            # refused a non-finite one, so these are json.dumps's bytes
+            self._reply('{"n_a": %r, "n_b": %r, "j_estimate": %r}'
+                        % (reply["n_a"], reply["n_b"], reply["j_estimate"]))
 
-    def _reply(self, response):
-        self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+    def _reply(self, text):
+        self.wfile.write((text + "\n").encode("utf-8"))
         self.wfile.flush()
 
 
@@ -102,8 +117,8 @@ class AllocationServer(socketserver.ThreadingTCPServer):
     def answer(self, line):
         env = self.experiment.env
         pairs, n_r, zeta = _parse_request(line, env.window_n)
-        obs = Observation(pairs=pairs / env.capacity_norm)
-        raw = self.agent.act(obs, explore=False)
+        # the vector Observation(pairs / capacity_norm).vector() returns
+        raw = self.agent.action((pairs / env.capacity_norm).ravel())
         alloc = project_action(raw, n_r)
         current = (float(pairs[0, 0]), float(pairs[0, 1]))
         j = objective_j(alloc, current, zeta, env.d_min)

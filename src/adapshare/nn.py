@@ -9,8 +9,9 @@ All math is float64 numpy; no autodiff framework.
 
 Each network keeps all its parameters in one contiguous vector, with
 per-layer views (`layer_views`) for the forward and backward passes.
-`forward` and `forward_cache` run the same private layer loop; only
-`forward_cache` keeps each layer's pre-activation and output.
+`forward` and `forward_cache` run the same ops per layer in the same
+order, so their outputs have the same bits; only `forward_cache` keeps
+each layer's pre-activation and output.
 `backward` writes the parameter gradient into a fresh vector with the
 same layout, so an update hands that one vector to Adam. Adam and the
 Polyak update work element by element, so running them once on that
@@ -132,20 +133,14 @@ def _as_batch(net, x):
     return x, squeeze
 
 
-def _layers(net, a):
-    """Yield (pre-activation, output) of each dense layer applied to batch a."""
-    for w, b, name in zip(net.weights, net.biases, net.activations):
-        z = a @ w.T
-        z += b
-        a = ACTIVATIONS[name][0](z)
-        yield z, a
-
-
 def forward(net, x):
     """Apply the network. Accepts a vector or a (batch, dim) matrix."""
     a, squeeze = _as_batch(net, x)
-    for _, a in _layers(net, a):
-        pass
+    # forward_cache's ops in its order, so the same bits
+    for w, b, name in zip(net.weights, net.biases, net.activations):
+        a = a @ w.T
+        a += b
+        a = ACTIVATIONS[name][0](a)
     return a[0] if squeeze else a
 
 
@@ -154,7 +149,10 @@ def forward_cache(net, x):
     (pre-activations, layer outputs with the input first, squeeze)."""
     a, squeeze = _as_batch(net, x)
     pre, post = [], [a]
-    for z, a in _layers(net, a):
+    for w, b, name in zip(net.weights, net.biases, net.activations):
+        z = a @ w.T
+        z += b
+        a = ACTIVATIONS[name][0](z)
         pre.append(z)
         post.append(a)
     return (a[0] if squeeze else a), (pre, post, squeeze)

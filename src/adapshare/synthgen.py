@@ -42,8 +42,13 @@ class DemandStats:
             raise ValueError("sorted_values must be a nonempty 1-D array of finite nonnegative demands")
         if np.any(np.diff(sv) < 0):
             raise ValueError("sorted_values must be nondecreasing")
-        if not -1.0 <= self.lag1_corr <= 1.0:
-            raise ValueError(f"lag1_corr out of [-1, 1]: {self.lag1_corr}")
+        rho = self.lag1_corr
+        # a str or None fails the range check with a TypeError, and a bool or
+        # a numpy float32 would pass it (a float32 would run the chain in
+        # float32); NaN fails it. A numpy float64 is a float.
+        if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not -1.0 <= rho <= 1.0:
+            raise ValueError(f"lag1_corr must be a real number in [-1, 1], got {rho!r}")
+        object.__setattr__(self, "lag1_corr", float(rho))
         object.__setattr__(self, "length", positive_int(self.length, "length"))
         object.__setattr__(self, "sorted_values", sv)
         sv.setflags(write=False)

@@ -102,6 +102,21 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(net, np.zeros(3))
 
+    @pytest.mark.parametrize("dims, acts", [
+        ([10, 64, 64, 2], ["relu", "relu", "sigmoid"]),
+        ([12, 32, 1], ["relu", "identity"]),
+        ([3, 6, 2], ["tanh", "sigmoid"]),
+    ])
+    @pytest.mark.parametrize("rows", [None, 1, 64])
+    def test_same_bits_as_forward_cache(self, dims, acts, rows):
+        # the agents act through forward and learn through forward_cache
+        rng = np.random.default_rng(5)
+        net = Mlp(dims, acts, rng=rng)
+        x = rng.normal(size=dims[0] if rows is None else (rows, dims[0])) * 3.0
+        out, _ = forward_cache(net, x)
+        assert forward(net, x).tobytes() == out.tobytes()
+        assert forward(net, x).shape == out.shape
+
 
 class TestBackward:
     def test_affine_layer_gradients_by_hand(self):

@@ -1,16 +1,21 @@
 """Request parsing and the TCP allocation service."""
 
+import io
 import json
+import math
 import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapshare.agents import load_agent, make_agent, save_agent
-from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig
+from adapshare.domain import AgentConfig, AgentKind, EnvConfig, ExperimentConfig
 from adapshare.env import Observation, objective_j, project_action
 from adapshare.harness.service import (
     MAX_LINE,
+    AllocationHandler,
     CheckpointInvalid,
     MalformedRequest,
     _parse_request,
@@ -175,6 +180,29 @@ class TestParseRequest:
         with pytest.raises(MalformedRequest, match=f"^{field} .*(true|false|boolean)"):
             _parse_request(request_line(**kw), WINDOW_N)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_r", "60"), ("n_r", " 6e1 "), ("n_r", None), ("n_r", [60]), ("zeta", "0.5"), ("zeta", {}),
+    ], ids=["n_r", "n_r_padded", "n_r_null", "n_r_list", "zeta", "zeta_object"])
+    def test_number_that_is_not_a_json_number_refused(self, field, value):
+        # float() read "60", " 6e1 " and "0.5" as numbers
+        with pytest.raises(MalformedRequest, match=f"^{field} must be a number: got "):
+            _parse_request(request_line(**{field: value}), WINDOW_N)
+
+    @pytest.mark.parametrize("history", [
+        [["1", "2"]] + HISTORY[1:], HISTORY + [["1", "2"]], [[5.0, None]] + HISTORY[1:],
+        [[5.0, [5.0]]] + HISTORY[1:], [5.0] + HISTORY[1:], ["ab"] + HISTORY[1:],
+    ], ids=["strings", "unused_strings", "null", "nested", "bare_number", "string_pair"])
+    def test_history_entry_that_is_not_a_json_number_refused(self, history):
+        # np.asarray read ["1", "2"] as the pair (1.0, 2.0)
+        with pytest.raises(MalformedRequest, match="^demand_history entries must be numeric pairs"):
+            _parse_request(request_line(history=history), WINDOW_N)
+
+    def test_history_nan_refused(self):
+        # json.loads reads the NaN token, which is not JSON
+        line = request_line().replace("[5.0, 5.0]", "[NaN, 5.0]", 1)
+        with pytest.raises(MalformedRequest, match="finite nonnegative"):
+            _parse_request(line, WINDOW_N)
+
     def test_boolean_in_an_ignored_field_is_harmless(self):
         pairs, n_r, zeta = _parse_request(request_line(verbose=True, note="true"), WINDOW_N)
         assert pairs.tolist() == HISTORY and (n_r, zeta) == (100.0, 0.5)
@@ -197,6 +225,66 @@ class TestAnswer:
         assert live_server.answer(request_line(history=longer)) == live_server.answer(
             request_line()
         )
+
+
+def handler_reply(server, line):
+    """The bytes AllocationHandler writes back for one request line."""
+    handler = object.__new__(AllocationHandler)
+    handler.server = server
+    handler.rfile = io.BytesIO(line.encode("utf-8") + b"\n")
+    handler.wfile = io.BytesIO()
+    handler.handle()
+    return handler.wfile.getvalue()
+
+
+@pytest.fixture(scope="module", params=[(64, 64), (32,)], ids=["hidden_64_64", "hidden_32"])
+def policy(request, tmp_path_factory):
+    """(server, agent, experiment) of a freshly initialised TD3 policy at
+    the default window; the server is bound but not serving."""
+    cfg = ExperimentConfig(env=EnvConfig(n_r=60.0), agent=AgentConfig(hidden_dims=request.param),
+                           train_steps=0, seed=5)
+    agent = make_agent(AgentKind.TD3, obs_dim=2 * (cfg.env.window_n + 1), config=cfg.agent, seed=cfg.seed)
+    path = tmp_path_factory.mktemp("policy") / "agent.json"
+    save_agent(agent, cfg, path)
+    server = start_server(path)
+    yield server, *load_agent(path)
+    server.server_close()
+
+
+demands = st.one_of(st.just(0), st.just(0.0), st.integers(0, 10 ** 6), st.floats(0.0, 1e6))
+
+
+class TestReplyBits:
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(
+        history=st.lists(st.tuples(demands, demands).map(list), min_size=5, max_size=24),
+        n_r=st.one_of(st.integers(1, 10 ** 6), st.floats(1e-3, 1e6)),
+        zeta=st.one_of(st.sampled_from([0, 1, 0.5]), st.floats(0.0, 1.0)),
+    )
+    def test_answer_and_reply_bytes_match_the_observation_path(self, policy, history, n_r, zeta):
+        server, agent, cfg = policy
+        env = cfg.env
+        line = request_line(history=history, n_r=n_r, zeta=zeta)
+        # the expected fixture's formula, through Observation and act
+        pairs = np.asarray(history, dtype=float)[: env.window_n + 1]
+        obs = Observation(pairs=pairs / env.capacity_norm)
+        alloc = project_action(agent.act(obs, explore=False), float(n_r))
+        j = objective_j(alloc, (pairs[0, 0], pairs[0, 1]), float(zeta), env.d_min)
+        if not math.isfinite(j):
+            with pytest.raises(MalformedRequest, match="j_estimate overflows"):
+                server.answer(line)
+            return
+        reply = server.answer(line)
+        assert [float(v).hex() for v in reply.values()] == [alloc.n_a.hex(), alloc.n_b.hex(), float(j).hex()]
+        assert list(reply) == ["n_a", "n_b", "j_estimate"]
+        assert handler_reply(server, line) == (json.dumps(reply) + "\n").encode()
+
+    @pytest.mark.parametrize("line", ["nope{", request_line(n_r="60"), request_line(n_r=1e300, history=[[0, 0]] * 3)],
+                             ids=["not_json", "string_pool", "j_overflows"])
+    def test_error_reply_bytes(self, live_server, line):
+        with pytest.raises(MalformedRequest) as info:
+            live_server.answer(line)
+        assert handler_reply(live_server, line) == (json.dumps({"error": str(info.value)}) + "\n").encode()
 
 
 class TestOverTcp:

@@ -36,6 +36,20 @@ class TestStats:
                                              "nonnegative demands$"):
             DemandStats(sorted_values=np.array(values), lag1_corr=0.0, length=2)
 
+    @pytest.mark.parametrize("rho", [
+        "0.5", None, True, False, np.float32(0.5), [0.5], 1.5, -1.0000001, np.nan, np.inf, 2, 10 ** 400,
+    ], ids=lambda rho: repr(rho)[:16])
+    def test_bad_corr_refused_naming_it(self, rho):
+        # "0.5" and None escaped as a TypeError from the range check; True
+        # and a float32 were accepted
+        with pytest.raises(ValueError, match=r"^lag1_corr must be a real number in \[-1, 1\], got "):
+            DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=rho, length=2)
+
+    @pytest.mark.parametrize("rho", [-1, 0, 1, 0.25, np.float64(-0.75)], ids=repr)
+    def test_corr_kept_as_a_python_float(self, rho):
+        stats = DemandStats(sorted_values=np.array([1.0, 2.0]), lag1_corr=rho, length=2)
+        assert type(stats.lag1_corr) is float and stats.lag1_corr == rho
+
     @pytest.mark.parametrize("length", [0, -1, True, 2.5, "3", None])
     def test_bad_length_refused_naming_it(self, length):
         with pytest.raises(ValueError, match="^length must be a positive integer, got "):
