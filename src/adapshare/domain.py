@@ -2,7 +2,7 @@
 and the run configuration (EnvConfig, AgentConfig and ExperimentConfig,
 each checking its fields by their annotations); the one CSV table reader
 every input file goes through (read_table), which parses a file in
-np.loadtxt passes or row by row, names path:line in each error it raises,
+one np.loadtxt call or row by row, names path:line in each error it raises,
 and checks each format's rules (a rule function per format, such as the
 series rules DemandSeries also holds) once for both; and the one JSON
 reader (load_json).
@@ -335,30 +335,31 @@ def read_table(path, opener, dtype, rule) -> np.ndarray:
     ("S<width>"), which comes back as str as wide as its longest value.
     The file's header is the column names, joined by commas.
     `opener` opens the file, as Path(path).open does; rule(table) is the
-    format's own check, first_fault of its rows. The np.loadtxt passes
-    (_loadtxt_parts) parse the file as it is read; on any doubt or fault the
-    row reader (_row_table) reads it from the top and names path:line of the
-    first bad row. Both end in _checked."""
+    format's own check, first_fault of its rows. One np.loadtxt call
+    (_loadtxt_table) parses the file as it is read; on any doubt or fault
+    the row reader (_row_table) reads it from the top and names path:line
+    of the first bad row. Both end in _checked."""
     with opener(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        parts = _loadtxt_parts(fh, dtype)
-    if parts is not None:
-        table, fault = _checked(parts, dtype, rule)
+        parsed = _loadtxt_table(fh, dtype)
+    if parsed is not None:
+        table, fault = _checked(parsed, dtype, rule)
         if fault is None:
             return table
-    # the row reader names the line; a fault the passes found lies in the
-    # rows up to it, which the row reader reads alike, so it stops there
+    # the row reader names the line; a fault found in the parsed table lies
+    # in the rows up to it, which the row reader reads alike, so it stops there
     with opener(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        return _row_table(fh, path, dtype, rule, None if parts is None else fault[0] + 1)
+        return _row_table(fh, path, dtype, rule, None if parsed is None else fault[0] + 1)
 
 
-def _checked(parts, dtype, rule):
-    """The tables `parts` (text stripped) joined, each text column narrowed
-    to its longest value, and the first fault of its rows: a float that is
-    not finite, or rule's fault, whichever row comes first (rule's if both
-    are on one row)."""
-    final = [(name, f"U{max(int(np.strings.str_len(part[name]).max(initial=1)) for part in parts)}"
-              if np.dtype(spec).kind == "S" else spec) for name, spec in dtype]
-    table = np.concatenate(parts, dtype=final, casting="unsafe")
+def _checked(table, dtype, rule):
+    """`table`'s columns (a structured array's or a dict's) as one table,
+    text as str (_as_str), and its first fault: a float that is not finite
+    or rule's fault, on the earliest row (rule's if both are on one row)."""
+    columns = [(name, _as_str(table[name]) if np.dtype(spec).kind == "S" else table[name])
+               for name, spec in dtype]
+    table = np.empty(len(columns[0][1]), [(name, col.dtype) for name, col in columns])
+    for name, col in columns:
+        table[name] = col
     finite = first_fault([(~np.isfinite(table[name]),
                            worded(name + " must be a finite number, got {}", table[name]))
                           for name in table.dtype.names if table.dtype[name].kind == "f"])
@@ -366,48 +367,50 @@ def _checked(parts, dtype, rule):
     return table, min(faults, key=lambda fault: fault[0], default=None)
 
 
+def _as_str(col) -> np.ndarray:
+    """Text column `col` as "U<width>" of its longest value (at least 1).
+    np.loadtxt's bytes, stripped, are ASCII (_PLAIN_BYTES): each is widened
+    to its code point first, as numpy casts bytes to str value by value."""
+    if col.dtype.kind == "S":
+        col = np.strings.strip(col).view(np.uint8).astype(np.uint32).view(f"U{col.itemsize}")
+    return col.astype(f"U{int(np.strings.str_len(col).max(initial=1))}")
+
+
 # what np.loadtxt parses as the csv module, int() and float() do: printable
 # ASCII except the quote, and line ends
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
-# lines per np.loadtxt pass, and rows per block the row reader converts: a
-# file is parsed as it is read, in passes that stay small in memory
+# lines per block checked for np.loadtxt, and rows per block the row reader converts
 _CHUNK_LINES = 512
 
 
-def _plain(lines: list[str]) -> bool:
-    """Whether `lines` hold only _PLAIN_BYTES."""
+def _plain(lines: list[str]) -> list[str]:
+    """`lines` if they hold only _PLAIN_BYTES, else a ValueError."""
     text = "".join(lines)
-    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
+        raise ValueError("a byte np.loadtxt may read unlike the row reader")
+    return lines
 
 
-def _loadtxt_parts(lines, dtype) -> list[np.ndarray] | None:
-    """The data rows of CSV `lines` as the tables of np.loadtxt passes of
-    _CHUNK_LINES lines, text stripped, or None when the row reader must read
-    them: a header that does not match, a byte outside _PLAIN_BYTES, any
-    np.loadtxt error or warning (no data rows among them), or a text value
-    that fills its width (np.loadtxt would cut a longer one short). No line
-    is kept past its pass."""
+def _loadtxt_table(lines, dtype) -> np.ndarray | None:
+    """The data rows of CSV `lines` as one np.loadtxt table, or None when
+    the row reader must read them: a header that does not match, a byte
+    outside _PLAIN_BYTES, any np.loadtxt error or warning (no data rows),
+    or a text value that fills its width (np.loadtxt would cut one longer).
+    np.loadtxt takes blocks of _CHUNK_LINES lines, each checked as it goes."""
     lines = iter(lines)
     first = next(lines, None)
-    if first is None or not _is_header(first.split(","), dtype) or not _plain([first]):
+    if first is None or not _is_header(first.split(","), dtype):
         return None
-    texts = [name for name, spec in dtype if np.dtype(spec).kind == "S"]
-    parts = []
-    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-        if not _plain(chunk):
-            return None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                part = np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, Warning):
-            return None
-        for name in texts:
-            if (np.strings.str_len(part[name]) >= part.dtype[name].itemsize).any():
-                return None
-            part[name] = np.strings.strip(part[name])
-        parts.append(part)
-    return parts or None
+    blocks = itertools.chain([[first]], iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)), []))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(itertools.chain.from_iterable(map(_plain, blocks)), dtype=dtype,
+                               delimiter=",", comments=None, skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    texts = [table[name] for name in table.dtype.names if table.dtype[name].kind == "S"]
+    return None if any((np.strings.str_len(col) >= col.itemsize).any() for col in texts) else table
 
 
 def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
@@ -454,10 +457,8 @@ def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
         # the rows converted end just before it, and every row read after
         # it lies later in the file
         error = line_nums[len(columns[0])], bad
-    part = np.rec.fromarrays([np.array(col, dtype=str if kind == "S" else spec)
-                              for col, (_, spec), kind in zip(columns, dtype, kinds)],
-                             names=[name for name, _ in dtype])
-    table, fault = _checked([part], dtype, rule)
+    table, fault = _checked({name: np.array(col, dtype=str if kind == "S" else spec)
+                             for col, (name, spec), kind in zip(columns, dtype, kinds)}, dtype, rule)
     if fault is not None:
         raise ValueError(f"{path}:{line_nums[fault[0]]}: {fault[1]}")
     if error is not None:

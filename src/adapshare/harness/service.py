@@ -69,8 +69,8 @@ def _parse_request(line, window_n):
         pairs = np.asarray(history, dtype=float)
     except (OverflowError, ValueError) as exc:
         raise MalformedRequest(f"demand_history entries must be numeric pairs: {exc}") from exc
-    # NaN fails both comparisons
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or not ((pairs >= 0) & (pairs < math.inf)).all():
+    # NaN fails both comparisons; Python floats compare without numpy's masks
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not all(0 <= x < math.inf for x in pairs.ravel().tolist()):
         raise MalformedRequest("demand_history entries must be finite nonnegative pairs")
     n_r, zeta = scalars["n_r"], scalars["zeta"]
     if not 0.0 < n_r < math.inf:

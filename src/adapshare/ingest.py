@@ -5,9 +5,9 @@ coarser uniform grid.
 Pipeline: parse_dci_csv -> filter_data_transmissions -> resample_mean, then
 merge_series pairs two one-sided results into a single (d_a, d_b) series.
 A trace is one numpy record array with the DCI_HEADER columns, read through
-domain.read_table; the one rule of its own is the range of each value
-(_out_of_range). A row that does not parse or holds a value out of range
-is refused with its path:line.
+domain.read_table in one np.loadtxt call; the one rule of its own is the
+range of each value (_out_of_range). A row that does not parse or holds a
+value out of range is refused with its path:line, named by the row reader.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ DCI_HEADER = "sfn,subframe,rnti,prb_count,mcs,dci_format,timestamp"
 DATA_DCI_FORMAT = "2B"
 
 SFN_MAX, SUBFRAME_MAX = 1023, 9
-# dci_format is 8 bytes wide in an np.loadtxt pass, as the width costs time
-# and memory per row; a value of 8 bytes or more takes the row reader
+# dci_format is 8 bytes wide for np.loadtxt (width costs time per row); 8 bytes or more take the row reader
 _DCI_DTYPE = [(name, "S8" if name == "dci_format" else np.int64) for name in DCI_HEADER.split(",")]
 # each range checked, in the order a row's faults are named; prb_count and
 # timestamp have no upper bound below int64's own
@@ -52,14 +51,14 @@ def parse_dci_csv(path) -> np.recarray:
 
 
 def _out_of_range(table: np.ndarray):
-    """first_fault of the trace's ranges, or None."""
-    return first_fault([((table[name] < 0) | (table[name] > top), worded(text, table[name]))
+    """first_fault of the trace's ranges, or None; as uint64 a negative int64 is above every top."""
+    return first_fault([(table[name].view(np.uint64) > top, worded(text, table[name]))
                         for name, top, text in _RANGES])
 
 
 def filter_data_transmissions(records: np.recarray, dci_format: str = DATA_DCI_FORMAT) -> np.recarray:
-    """Keep only records with the given DCI format, order preserved."""
-    return records[records.dci_format == dci_format]
+    """Keep only records with the given DCI format, order preserved; np.compress copies whole records."""
+    return np.compress(records.dci_format == dci_format, records)
 
 
 def millisecond_totals(records: np.recarray) -> tuple[np.ndarray, np.ndarray]:

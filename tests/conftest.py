@@ -1,7 +1,7 @@
 """Shared fixtures: bundled data files and small reusable demand series;
 `grants`, which builds the grant record array build_report reads;
 `loadtxt_route`, which shows whether the CSV table reader's np.loadtxt
-passes read a file; and `serve_in_thread`, which serves a checkpoint on a
+call reads a file; and `serve_in_thread`, which serves a checkpoint on a
 daemon thread."""
 
 import threading
@@ -24,12 +24,12 @@ def grants(pairs):
 
 
 def loadtxt_route(path, dtype, rule):
-    """The table domain.read_table's np.loadtxt passes make of the CSV file
-    at path, or None where they hand it to the row reader."""
+    """The table domain.read_table's np.loadtxt call makes of the CSV file
+    at path, or None where it hands the file to the row reader."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        parts = domain._loadtxt_parts(fh, dtype)
-    if parts is not None:
-        table, fault = domain._checked(parts, dtype, rule)
+        parsed = domain._loadtxt_table(fh, dtype)
+    if parsed is not None:
+        table, fault = domain._checked(parsed, dtype, rule)
         return None if fault else table
 
 

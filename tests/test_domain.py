@@ -18,8 +18,9 @@ from adapshare import (
     read_series_csv,
     write_series_csv,
 )
-from adapshare import domain
+from adapshare import domain, ingest
 from adapshare.domain import SERIES_HEADER
+from adapshare.harness import results
 from adapshare.harness.cli import main
 from conftest import loadtxt_route
 from row_reference import series_rows, where
@@ -396,7 +397,7 @@ def loadtxt_pass(path):
 
 
 class TestLoadtxtPass:
-    """read_series_csv parses a file in np.loadtxt passes where they read
+    """read_series_csv parses a file in one np.loadtxt call where it reads
     it as the row reader does, and hands the rest to the row reader; either
     way it returns the series of the reference rules (row_reference) or
     names the line they name."""
@@ -418,7 +419,7 @@ class TestLoadtxtPass:
         pytest.param("0,1.5,2.5\r5,1.5,2.5\r", True, id="bare_cr"),
         pytest.param("0,\t1.5,2.5\n5,1.5,2.5\n", False, id="tab"),
         pytest.param("0,1.5,2.5\n5,1.5,2.5,\n", False, id="wide_row"),
-        # the passes read one row, and read_series_csv refuses the file
+        # np.loadtxt reads one row, and read_series_csv refuses the file
         pytest.param("0,1.5,2.5\n", True, id="one_data_row"),
         pytest.param("", False, id="header_only"),
         pytest.param("0,1.5,2.5\n5,1.5,2.5\n11,1.5,2.5\n", False, id="unequal_gap"),
@@ -481,7 +482,7 @@ class TestLoadtxtPass:
                      "timestamps must increase, got 3 after 5", id="falling_timestamp"),
     ])
     def test_bad_step_across_a_pass_boundary_names_its_line(self, tmp_path, monkeypatch, body, message):
-        # passes of two lines: lines 2-3, then 4-5; the bad step is 3 to 4
+        # blocks of two lines: lines 2-3, then 4-5; the bad step is 3 to 4
         monkeypatch.setattr(domain, "_CHUNK_LINES", 2)
         path = tmp_path / "series.csv"
         path.write_text(f"{SERIES_HEADER}\n{body}", encoding="utf-8")
@@ -504,6 +505,41 @@ class TestLoadtxtPass:
         assert loadtxt_pass(path) is not None
         back = read_series_csv(path)
         assert all(col.flags.c_contiguous for col in (back.timestamps, back.d_a, back.d_b))
+
+
+# every byte a text cell may hold on the np.loadtxt route: printable ASCII
+# but the quote, and the comma, which ends the cell
+TEXT_BYTES = "".join(chr(b) for b in range(0x20, 0x7F) if chr(b) not in '",')
+
+
+class TestTextWidening:
+    """The np.loadtxt route reads a text column as bytes and widens them to
+    str; for every byte it may hold, at every width it reads, padded with
+    spaces, that gives the dtype and bytes of the row reader's str."""
+
+    @pytest.mark.parametrize("dtype, rule, column, row", [
+        pytest.param(ingest._DCI_DTYPE, ingest._out_of_range, "dci_format",
+                     "512,3,4660,25,16,{},1674000000000", id="dci_format"),
+        pytest.param(results._SWEEP_DTYPE, results._no_rule, "agent",
+                     "0.5,20.0,{},0.1,-0.2,0.9,0.3", id="agent"),
+    ])
+    def test_loadtxt_route_reads_as_the_row_reader(self, tmp_path, dtype, rule, column, row):
+        # a cell of `limit` bytes or more takes the row reader
+        limit = np.dtype(dict(dtype)[column]).itemsize
+        for width in range(1, limit):
+            # each value `width` bytes, starting at every byte in turn, and
+            # padded with up to the column's width in spaces
+            values = [(TEXT_BYTES * 2)[i:i + width] for i in range(len(TEXT_BYTES))]
+            cells = [" " * (i % (limit - width)) + value for i, value in enumerate(values)]
+            cells = [cell.ljust(min(limit - 1, len(cell) + i % 3)) for i, cell in enumerate(cells)]
+            header = ",".join(name for name, _ in dtype)
+            path = tmp_path / f"width{width}.csv"
+            path.write_text("\n".join([header] + [row.format(cell) for cell in cells]) + "\n")
+            table = loadtxt_route(path, dtype, rule)
+            assert table is not None
+            with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+                rows = domain._row_table(fh, path, dtype, rule, None)
+            assert (table.dtype, table.tobytes()) == (rows.dtype, rows.tobytes())
 
 
 def _timestamp_text(value):

@@ -505,7 +505,7 @@ class TestReadBack:
 
     def test_quoted_sweep_and_curve_read_as_the_plain_ones(self, tmp_path):
         # quotes send a file to the row reader; the plain one takes the
-        # np.loadtxt passes, with an agent name of up to 15 bytes
+        # np.loadtxt call, with an agent name of up to 15 bytes
         rows = [["0.5", "20.0", "opt_oracle", "0.1", "-0.2", "0.9", "0.3"],
                 ["0.25", "20.0", "td3", "1e-05", "0.5", "1.0", "0.125"],
                 ["0.5", "60.0", "fifteen_bytes__", "-0.0", "0.2", "0.75", "0.5"]]

@@ -165,8 +165,26 @@ def loadtxt_records(path):
 PLAIN_ROW = "512,3,4660,25,16,2B,1674000000000"
 
 
+def counting_opener(path, lines_read):
+    """An opener of `path` for domain.read_table that appends to
+    `lines_read` a count of the lines each opening hands out."""
+
+    def counting(fh):
+        for line in fh:
+            lines_read[-1] += 1
+            yield line
+
+    @contextlib.contextmanager
+    def counted(**kwargs):
+        lines_read.append(0)
+        with open(path, **kwargs) as fh:
+            yield counting(fh)
+
+    return counted
+
+
 class TestWholeFilePass:
-    """parse_dci_csv parses a file in np.loadtxt passes where they read it
+    """parse_dci_csv parses a file in one np.loadtxt call where it reads it
     as the row reader does, and hands the rest to the row reader; either
     way it returns the records of the reference rules (row_reference) or
     names the line they name."""
@@ -233,26 +251,14 @@ class TestWholeFilePass:
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
         lines_read = []  # per opening of the file
-
-        def counting(fh):
-            for line in fh:
-                lines_read[-1] += 1
-                yield line
-
-        @contextlib.contextmanager
-        def counted(**kwargs):
-            lines_read.append(0)
-            with open(path, **kwargs) as fh:
-                yield counting(fh)
-
         with pytest.raises(ValueError) as info:
-            domain.read_table(path, counted, ingest._DCI_DTYPE, ingest._out_of_range)
+            domain.read_table(path, counting_opener(path, lines_read), ingest._DCI_DTYPE, ingest._out_of_range)
         assert str(info.value) == f"{path}:10: sfn out of range: 1024"
-        # the passes read every line; the row reader the header and 9 rows
+        # np.loadtxt read every line; the row reader the header and 9 rows
         assert lines_read == [3001, 10]
 
     def test_row_reader_stops_within_a_block_of_a_bad_cell(self, tmp_path):
-        # quotes send the file to the row reader from the first pass on; it
+        # quotes send the file to the row reader from the first block on; it
         # read every line before it converted any, a 200,000-row trace in
         # about half a second
         rows = [PLAIN_ROW.replace("2B", '"2B"')] * 3000
@@ -260,23 +266,29 @@ class TestWholeFilePass:
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
         lines_read = []  # per opening of the file
-
-        def counting(fh):
-            for line in fh:
-                lines_read[-1] += 1
-                yield line
-
-        @contextlib.contextmanager
-        def counted(**kwargs):
-            lines_read.append(0)
-            with open(path, **kwargs) as fh:
-                yield counting(fh)
-
         with pytest.raises(ValueError) as info:
-            domain.read_table(path, counted, ingest._DCI_DTYPE, ingest._out_of_range)
+            domain.read_table(path, counting_opener(path, lines_read), ingest._DCI_DTYPE, ingest._out_of_range)
         assert str(info.value) == f"{path}:3: invalid literal for int() with base 10: 'ten'"
         assert len(lines_read) == 2
         assert 3 <= lines_read[-1] <= 3 + domain._CHUNK_LINES
+
+    @pytest.mark.parametrize("cell, message", [
+        pytest.param("1024\t", "sfn out of range: 1024", id="tab"),
+        pytest.param("x", "invalid literal for int() with base 10: 'x'", id="unparsable_int"),
+    ])
+    def test_loadtxt_call_declines_within_a_block_of_the_bad_line(self, tmp_path, cell, message):
+        # the tab sends the file to the row reader, which refuses its sfn;
+        # np.loadtxt refuses the int itself
+        rows = [PLAIN_ROW] * 5000
+        rows[1998] = PLAIN_ROW.replace("512", cell, 1)  # line 2,000
+        path = tmp_path / "trace.csv"
+        path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        lines_read = []  # per opening of the file
+        with pytest.raises(ValueError) as info:
+            domain.read_table(path, counting_opener(path, lines_read), ingest._DCI_DTYPE, ingest._out_of_range)
+        assert str(info.value) == f"{path}:2000: {message}"
+        assert len(lines_read) == 2
+        assert 2000 <= lines_read[0] <= 2000 + domain._CHUNK_LINES
 
     def test_bad_row_in_a_later_slice_names_its_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(domain, "_CHUNK_LINES", 2)

@@ -88,6 +88,23 @@ def exchange(address, lines):
         return replies
 
 
+# values at and past the ends of the demand range, which requests may hold
+edge_demands = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -5e-324, 0, 0.0]),
+                         st.integers(-(2 ** 70), 2 ** 70), st.floats())
+
+
+@st.composite
+def histories(draw):
+    """A demand history of in-range pairs (now and then of one or three
+    values each), with up to two values swapped for edge_demands."""
+    width = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    values = draw(st.lists(st.one_of(st.integers(0, 2 ** 70), st.floats(0.0, 1e300)),
+                           min_size=width * (WINDOW_N + 1), max_size=width * 6))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(edge_demands)
+    return [values[i:i + width] for i in range(0, len(values) - width + 1, width)]
+
+
 class TestParseRequest:
     def test_valid_request(self):
         pairs, n_r, zeta = _parse_request(request_line(), WINDOW_N)
@@ -202,6 +219,19 @@ class TestParseRequest:
         line = request_line().replace("[5.0, 5.0]", "[NaN, 5.0]", 1)
         with pytest.raises(MalformedRequest, match="finite nonnegative"):
             _parse_request(line, WINDOW_N)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(histories())
+    def test_range_check_refuses_what_the_range_mask_refused(self, history):
+        # the mask the check over Python floats replaced
+        pairs = np.asarray(history, dtype=float)
+        refused = pairs.shape[1] != 2 or not ((pairs >= 0) & (pairs < math.inf)).all()
+        line = request_line(history=history)
+        if refused:
+            with pytest.raises(MalformedRequest, match="^demand_history entries must be finite nonnegative pairs$"):
+                _parse_request(line, WINDOW_N)
+        else:
+            assert _parse_request(line, WINDOW_N)[0].tobytes() == pairs[: WINDOW_N + 1].tobytes()
 
     def test_boolean_in_an_ignored_field_is_harmless(self):
         pairs, n_r, zeta = _parse_request(request_line(verbose=True, note="true"), WINDOW_N)
