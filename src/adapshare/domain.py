@@ -336,9 +336,9 @@ def read_table(path, opener, dtype, rule) -> np.ndarray:
     The file's header is the column names, joined by commas.
     `opener` opens the file, as Path(path).open does; rule(table) is the
     format's own check, first_fault of its rows. One np.loadtxt call
-    (_loadtxt_table) parses the file as it is read; on any doubt or fault
-    the row reader (_row_table) reads it from the top and names path:line
-    of the first bad row. Both end in _checked."""
+    (_loadtxt_table) parses the file, quotes too, as it is read; on any
+    doubt or fault the row reader (_row_table) reads it from the top and
+    names path:line of the first bad row. Both end in _checked."""
     with opener(newline="", encoding="utf-8", errors="surrogateescape") as fh:
         parsed = _loadtxt_table(fh, dtype)
     if parsed is not None:
@@ -353,10 +353,11 @@ def read_table(path, opener, dtype, rule) -> np.ndarray:
 
 def _checked(table, dtype, rule):
     """`table`'s columns (a structured array's or a dict's) as one table,
-    text as str (_as_str), and its first fault: a float that is not finite
-    or rule's fault, on the earliest row (rule's if both are on one row)."""
-    columns = [(name, _as_str(table[name]) if np.dtype(spec).kind == "S" else table[name])
-               for name, spec in dtype]
+    text as str (the row reader's as it is: its width counts a trailing NUL),
+    and its first fault: a float that is not finite or rule's fault, on the
+    earliest row (rule's if both are on one row)."""
+    columns = [(name, _as_str(table[name]) if table[name].dtype.kind == "S" else table[name])
+               for name, _ in dtype]
     table = np.empty(len(columns[0][1]), [(name, col.dtype) for name, col in columns])
     for name, col in columns:
         table[name] = col
@@ -368,18 +369,16 @@ def _checked(table, dtype, rule):
 
 
 def _as_str(col) -> np.ndarray:
-    """Text column `col` as "U<width>" of its longest value (at least 1).
-    np.loadtxt's bytes, stripped, are ASCII (_PLAIN_BYTES): each is widened
+    """np.loadtxt's text column `col` as "U<width>" of its longest value (at
+    least 1). Its bytes, stripped, are ASCII (_PLAIN_BYTES): each is widened
     to its code point first, as numpy casts bytes to str value by value."""
-    if col.dtype.kind == "S":
-        col = np.strings.strip(col).view(np.uint8).astype(np.uint32).view(f"U{col.itemsize}")
+    col = np.strings.strip(col).view(np.uint8).astype(np.uint32).view(f"U{col.itemsize}")
     return col.astype(f"U{int(np.strings.str_len(col).max(initial=1))}")
 
 
-# what np.loadtxt parses as the csv module, int() and float() do: printable
-# ASCII except the quote, and line ends
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
-# lines per block checked for np.loadtxt, and rows per block the row reader converts
+# what np.loadtxt, quoting with '"', parses as csv, int() and float() do: printable ASCII, line ends
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\r\n"
+# lines per block checked for np.loadtxt
 _CHUNK_LINES = 512
 
 
@@ -406,7 +405,7 @@ def _loadtxt_table(lines, dtype) -> np.ndarray | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(itertools.chain.from_iterable(map(_plain, blocks)), dtype=dtype,
-                               delimiter=",", comments=None, skiprows=1, ndmin=1)
+                               delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1)
     except (ValueError, Warning):
         return None
     texts = [table[name] for name in table.dtype.names if table.dtype[name].kind == "S"]
@@ -414,18 +413,16 @@ def _loadtxt_table(lines, dtype) -> np.ndarray | None:
 
 
 def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
-    """read_table's table of CSV `lines`, read row by row up to `stop` rows
-    (None: all); blank rows are skipped. Each block of _CHUNK_LINES rows is
-    converted by column kind as soon as it is read (_convert_rows), and the
-    first block with a bad cell ends the reading. A ValueError names
-    path:line of the first bad row in file order: a line that is not UTF-8,
-    a wrong header or width, a cell that does not convert, or a fault of
-    _checked, which checks the rows before it."""
+    """read_table's table of CSV `lines`, read and converted one row at a
+    time up to `stop` rows (None: all), blank rows skipped. A ValueError
+    names path:line of the first bad row: a line that is not UTF-8, a wrong
+    header or width, a cell that does not convert (or an int64 that does not
+    fit), or a fault of _checked, which checks the rows before it."""
     reader = csv.reader(lines)
     kinds = [np.dtype(spec).kind for _, spec in dtype]
     convert = [{"i": int, "f": float, "S": str.strip}[kind] for kind in kinds]
-    columns = [[] for _ in dtype]
-    rows, line_nums, error, bad = [], [], None, None
+    ints = [(i, name) for i, ((name, _), kind) in enumerate(zip(dtype, kinds)) if kind == "i"]
+    rows, line_nums, error = [], [], None
     try:
         found = next(reader, None) or []
         _utf8(found)
@@ -439,24 +436,18 @@ def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
                 if len(cells) <= 1 and not "".join(cells).strip():
                     continue
                 raise ValueError(f"expected {len(dtype)} fields, got {len(cells)}")
-            # a tuple, which the garbage collector stops tracking: zip(*rows)
-            # in _convert_rows then takes half the time
-            rows.append(tuple(cells))
+            # a tuple, which the garbage collector stops tracking
+            row = tuple([conv(cell) for conv, cell in zip(convert, cells)])
+            for i, name in ints:
+                if not INT64_MIN <= row[i] <= INT64_MAX:
+                    raise ValueError(f"{name} must fit int64, got {row[i]}")
+            rows.append(row)
             line_nums.append(reader.line_num)
-            if len(line_nums) == stop:
+            if len(rows) == stop:
                 break
-            if len(rows) == _CHUNK_LINES:
-                bad, rows = _convert_rows(rows, dtype, kinds, convert, columns), []
-                if bad is not None:
-                    break
     except (ValueError, csv.Error) as exc:
         error = reader.line_num or 1, exc
-    if bad is None:
-        bad = _convert_rows(rows, dtype, kinds, convert, columns)
-    if bad is not None:
-        # the rows converted end just before it, and every row read after
-        # it lies later in the file
-        error = line_nums[len(columns[0])], bad
+    columns = list(zip(*rows)) or [()] * len(dtype)
     table, fault = _checked({name: np.array(col, dtype=str if kind == "S" else spec)
                              for col, (name, spec), kind in zip(columns, dtype, kinds)}, dtype, rule)
     if fault is not None:
@@ -464,36 +455,6 @@ def _row_table(lines, path, dtype, rule, stop) -> np.ndarray:
     if error is not None:
         raise ValueError(f"{path}:{error[0]}: {error[1]}") from error[1]
     return table
-
-
-def _convert_rows(rows, dtype, kinds, convert, columns) -> ValueError | None:
-    """Convert the text `rows` column by column and append them to
-    `columns`: int64 through int(), and it must fit int64; float64 through
-    float(); text stripped. On a row with a cell that does not convert or
-    an int64 that does not fit, only the rows before it are appended, and
-    its ValueError is returned."""
-    texts = list(zip(*rows))
-    try:
-        values = [list(map(conv, col)) for conv, col in zip(convert, texts)]
-        # min and max rule most int64 columns in at C speed
-        if any(kind == "i" and col and not INT64_MIN <= min(col) <= max(col) <= INT64_MAX
-               for col, kind in zip(values, kinds)):
-            raise ValueError
-    except ValueError:
-        # a rescan finds the first bad row
-        for end, cells in enumerate(rows):
-            try:
-                row = [conv(text) for conv, text in zip(convert, cells)]
-                for (name, _), v, kind in zip(dtype, row, kinds):
-                    if kind == "i" and not INT64_MIN <= v <= INT64_MAX:
-                        raise ValueError(f"{name} must fit int64, got {v}")
-            except ValueError as exc:
-                for column, conv, col in zip(columns, convert, texts):
-                    column.extend(map(conv, col[:end]))
-                return exc
-    for column, col in zip(columns, values):
-        column.extend(col)
-    return None
 
 
 def _utf8(cells) -> None:

@@ -49,6 +49,7 @@ def _closed_form(a, b, zeta, n_r):
     what Python's min(p, q) or max(p, q) would: q only when strictly
     smaller (larger), so ties and signed zeros land as they would there.
     """
+    active = a + b > n_r
     if zeta >= 1.0:
         n_a = np.where(n_r < a, n_r, a)
         rest = n_r - n_a
@@ -58,14 +59,27 @@ def _closed_form(a, b, zeta, n_r):
         rest = n_r - n_b
         n_a = np.where(rest < a, rest, a)
     else:
-        x = (zeta * a * b * b + (1.0 - zeta) * a * a * (n_r - b)) / (
-            zeta * b * b + (1.0 - zeta) * a * a
-        )
+        x, bad = _stationary(a, b, zeta, n_r)
+        redo = active & bad
+        if redo.any():
+            e = np.frexp(np.maximum(np.maximum(a, b), n_r))[1]
+            scaled, _ = _stationary(np.ldexp(a, -e), np.ldexp(b, -e), zeta, np.ldexp(n_r, -e))
+            x = np.where(redo, np.ldexp(scaled, e), x)
         x = np.where(0.0 > x, 0.0, x)
         n_a = np.where(n_r < x, n_r, x)
         n_b = n_r - n_a
-    active = a + b > n_r
     return np.where(active, n_a, a), np.where(active, n_b, b), active
+
+
+def _stationary(a, b, zeta, n_r):
+    """_closed_form's x*, with no warning, and where a term of it overflows
+    or it is not finite (vanishing squares give 0/0): _closed_form computes
+    those again on a, b and n_r scaled by a power of two, as metrics._jain does."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num = zeta * a * b * b + (1.0 - zeta) * a * a * (n_r - b)
+        den = zeta * b * b + (1.0 - zeta) * a * a
+        x = num / den
+    return x, ~(np.isfinite(num) & np.isfinite(den) & np.isfinite(x))
 
 
 def solve_opt_array(d_a, d_b, zeta: float, n_r: float, d_min: float = 0.1):

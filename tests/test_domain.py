@@ -412,7 +412,7 @@ class TestLoadtxtPass:
         pytest.param("0,1.5,2.5\n5,1.5,inf\n", False, id="inf_demand"),
         pytest.param("0,1.5,2.5\n5,1e400,2.5\n", False, id="overflowing_demand"),
         pytest.param("0,1.5,2.5\n5,-1.5,2.5\n", False, id="negative_demand"),
-        pytest.param('0,"1.5",2.5\n5,1.5,2.5\n', False, id="quoted_cell"),
+        pytest.param('0,"1.5",2.5\n5,1.5,2.5\n', True, id="quoted_cell"),
         pytest.param("0,1.5,2.5\n\n5,1.5,2.5\n", True, id="blank_row"),
         pytest.param("0,1.5,2.5\n   \n5,1.5,2.5\n", False, id="whitespace_only_row"),
         pytest.param("0,1.5,2.5\r\n\r\n5,1.5,2.5\r\n", True, id="crlf"),
@@ -472,7 +472,7 @@ class TestLoadtxtPass:
 
     def test_quoted_fixture_reads_as_the_plain_one(self, hourly_fixture_path):
         quoted = hourly_fixture_path.with_name("lte_hourly_quoted.csv")
-        assert loadtxt_pass(quoted) is None
+        assert loadtxt_pass(quoted) is not None
         assert series_outcome(read_series_csv, quoted) == series_outcome(read_series_csv, hourly_fixture_path)
 
     @pytest.mark.parametrize("body, message", [
@@ -507,8 +507,9 @@ class TestLoadtxtPass:
         assert all(col.flags.c_contiguous for col in (back.timestamps, back.d_a, back.d_b))
 
 
-# every byte a text cell may hold on the np.loadtxt route: printable ASCII
-# but the quote, and the comma, which ends the cell
+# every byte a text cell may hold on the np.loadtxt route, unquoted:
+# printable ASCII but the quote, which may start a quoted cell (the
+# differential tests draw those), and the comma, which ends the cell
 TEXT_BYTES = "".join(chr(b) for b in range(0x20, 0x7F) if chr(b) not in '",')
 
 
@@ -561,12 +562,19 @@ def _demand_text(value):
 bad_cells = st.sampled_from([
     "1_000", "5.0", "1e3", '"7"', "\t7", "7\x00", "\x1c7", "7\x1f", "", "  ", "0x10", "0x1p3",
     "١", "+-7", "1 2", str(2 ** 63), str(-(2 ** 63) - 1), "9" * 30, ".5", "5.", "+.5e-3",
+    # a comma inside quotes, doubled quotes, a quote inside the cell, text
+    # after the closing quote, an unterminated quote, a quoted line break,
+    # a quoted blank and a quoted padded number
+    '"1,5"', '"7"""', '7"', '"7"5', '"7', '"7\n"', '"\r\n7"', '""', '" 7 "',
 ])
 # demands that both readers parse, and the row reader refuses or keeps
 odd_demands = st.sampled_from([
     "nan", "NaN", "inf", "-inf", "infinity", "1e400", "-1", "-0.0", "1e-400", "4.9e-324", "1e308",
 ])
-bad_rows = st.sampled_from(["", "   ", "\t", ",", "1,2", "1,2,3,4", SERIES_HEADER, '"1",2,3', "\x00", "\x0c"])
+bad_rows = st.sampled_from([
+    "", "   ", "\t", ",", "1,2", "1,2,3,4", SERIES_HEADER, '"1",2,3', "\x00", "\x0c",
+    '""', '"1,2",3', '1,"2\n3",4',
+])
 headers = st.one_of(st.just(SERIES_HEADER), st.sampled_from([
     " timestamp , d_a ,d_b ", '"timestamp",d_a,d_b', "timestamp,d_a", "", "\ufefftimestamp,d_a,d_b",
 ]))

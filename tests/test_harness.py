@@ -6,6 +6,7 @@ import re
 import socket
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import adapshare
+from adapshare import ingest
 from adapshare.agents import AgentConfig, eval_timesteps, load_agent, make_agent, save_agent
 from adapshare.domain import AgentKind, EnvConfig, ExperimentConfig, read_series_csv, write_series_csv
 from adapshare.harness.cli import main
@@ -504,8 +506,8 @@ class TestReadBack:
         assert not list(tmp_path.glob("*.svg"))
 
     def test_quoted_sweep_and_curve_read_as_the_plain_ones(self, tmp_path):
-        # quotes send a file to the row reader; the plain one takes the
-        # np.loadtxt call, with an agent name of up to 15 bytes
+        # both take the np.loadtxt call, which reads the quoted cells, with
+        # an agent name of up to 15 bytes
         rows = [["0.5", "20.0", "opt_oracle", "0.1", "-0.2", "0.9", "0.3"],
                 ["0.25", "20.0", "td3", "1e-05", "0.5", "1.0", "0.125"],
                 ["0.5", "60.0", "fifteen_bytes__", "-0.0", "0.2", "0.75", "0.5"]]
@@ -516,9 +518,8 @@ class TestReadBack:
                                        ("curve_td3_nr20_z0.25.csv", CURVE_HEADER, curve)):
                 lines = [",".join(quote.format(cell) for cell in row) for row in body]
                 (tmp_path / name / file).write_text("\n".join([header] + lines) + "\n")
-        for name, passes in (("plain", True), ("quoted", False)):
-            table = loadtxt_route(tmp_path / name / "sweep.csv", results._SWEEP_DTYPE, results._no_rule)
-            assert (table is not None) == passes
+        for name in ("plain", "quoted"):
+            assert loadtxt_route(tmp_path / name / "sweep.csv", results._SWEEP_DTYPE, results._no_rule) is not None
         back = read_sweep_csv(tmp_path / "plain" / "sweep.csv")
         assert back == read_sweep_csv(tmp_path / "quoted" / "sweep.csv")
         assert [tuple(map(type, row)) for row in back] == [(float, float, str, float, float, float)] * 3
@@ -608,6 +609,19 @@ class TestCliIngest:
             "network A: 8 rows, 6 data transmissions, 2 windows of 3600s (0 empty)",
             "network B: 8 rows, 6 data transmissions, 2 windows of 3600s (0 empty)",
         ]
+
+    def test_tab_padded_trace_through_the_row_reader_writes_demo_01s_series(self, dci_fixture_path, tmp_path):
+        # a tab before each rnti is valid, and np.loadtxt declines the file,
+        # so the row reader reads both traces
+        lines = dci_fixture_path.read_text().splitlines(keepends=True)
+        padded = tmp_path / "dci_small_tab.csv"
+        padded.write_text(lines[0] + "".join(re.sub(r"^(\d+,\d+,)", "\\1\t", line) for line in lines[1:]))
+        assert "\t4660" in padded.read_text()
+        assert loadtxt_route(padded, ingest._DCI_DTYPE, ingest._out_of_range) is None
+        out = tmp_path / "demand.csv"
+        assert run_cli("ingest", "--dci-a", padded, "--dci-b", padded, "--out", out) == 0
+        demo = Path(__file__).resolve().parent.parent / "demos" / "out" / "demand_from_trace.csv"
+        assert out.read_bytes() == demo.read_bytes()
 
     def test_summary_counts_empty_windows(self, tmp_path, capsys):
         # two rows 19 years apart resample into windows that are nearly all empty
@@ -869,6 +883,16 @@ class TestCliTrainEval:
         rc = run_cli(
             "eval", "--data", constant_csv, "--agent", "opt_oracle", "--n-r", "20"
         )
+        assert rc == 0
+        assert "opt_oracle: mean_j=0.000000" in capsys.readouterr().out
+
+    def test_eval_solver_on_a_pool_near_the_float_maximum_warns_of_nothing(self, hourly_fixture_path, capsys):
+        # the pool covers every row, where the closed form's squares once
+        # overflowed with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("eval", "--data", hourly_fixture_path, "--agent", "opt_oracle", "--n-r", "1e308",
+                         "--set", "env.capacity_norm=1e308")
         assert rc == 0
         assert "opt_oracle: mean_j=0.000000" in capsys.readouterr().out
 

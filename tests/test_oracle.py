@@ -105,6 +105,17 @@ class TestBindingPool:
         with pytest.raises(ValueError):
             solve_opt((5.0, 5.0), zeta=0.5, n_r=0.0)
 
+    def test_binding_pool_whose_squares_overflow(self):
+        # a, b and n_r of 1e200 once gave NaN grants: their squares overflow
+        n_a, n_b = solve_opt_array([1e200], [1e200], 0.5, 1e200)
+        assert (n_a[0], n_b[0]) == (5e199, 5e199)
+        sol = solve_opt((1e200, 1e200), 0.5, 1e200)
+        assert (sol.allocation.n_a, sol.allocation.n_b) == (5e199, 5e199)
+        assert sol.constraint_active is True
+        # here only the denominator overflows, which once granted A nothing
+        sol = solve_opt((0.1, 2.5e154), 0.5, 2.4e154)
+        assert (sol.allocation.n_a, sol.allocation.n_b) == (0.1, 2.4e154)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -90,6 +90,24 @@ def test_array_solver_feasible_and_never_worse_than_grid(pairs, zeta, n_r):
         assert closed <= grid + 1e-9 * max(1.0, grid)
 
 
+# 1e-300 to 1e300, spread evenly over the exponents
+magnitudes = st.tuples(st.floats(1.0, 9.99), st.integers(-300, 299)).map(lambda p: p[0] * 10.0 ** p[1])
+
+
+@SETTINGS
+@given(st.lists(st.tuples(magnitudes, magnitudes), min_size=1, max_size=8), zetas, magnitudes,
+       st.one_of(st.just(D_MIN), magnitudes))
+def test_array_solver_grants_stay_in_the_pool_at_any_magnitude(pairs, zeta, n_r, d_min):
+    d_a, d_b = (np.array(col) for col in zip(*pairs))
+    n_a, n_b = solve_opt_array(d_a, d_b, zeta, n_r, d_min)
+    assert np.all(np.isfinite(n_a)) and np.all(np.isfinite(n_b))
+    assert np.all(n_a >= 0.0) and np.all(n_b >= 0.0)
+    assert np.all(n_a + n_b <= n_r * (1.0 + FEASIBILITY_SLACK))
+    for i, pair in enumerate(pairs):
+        sol = solve_opt(pair, zeta, n_r, d_min)
+        assert (_bits(n_a[i]), _bits(n_b[i])) == (_bits(sol.allocation.n_a), _bits(sol.allocation.n_b))
+
+
 layer_dims = st.lists(st.integers(1, 6), min_size=2, max_size=4)
 
 
