@@ -1,8 +1,8 @@
 """DDPG and TD3 agents over the spectrum-sharing bandit.
 
 Both agents learn a deterministic actor mapping the demand-history
-observation to a raw action (u_a, u_b) in [0,1]^2, a pair of Python
-floats that env.project_action takes as it is. Each allocation is a
+observation to a raw action [u_a, u_b] in [0,1]^2, a list of two
+Python floats that env.project_action takes as it is. Each allocation is a
 one-step contextual bandit whose reward, the one float env.step
 returns, is -(1 + eta) J, so the critic regresses on the reward itself:
 there is no successor state to bootstrap from.
@@ -101,19 +101,19 @@ class DdpgAgent:
         self.update_count = 0
 
     def act(self, obs, explore=False):
-        """The actor's raw action (u_a, u_b) for an Observation; with
+        """The actor's raw action [u_a, u_b] for an Observation; with
         explore, perturbed by one N(0, explore_sigma^2) draw per component."""
         noise = self.explore_rng.standard_normal(2) * self.explore_sigma if explore else None
         return self.action(obs.vector(), noise)
 
     def action(self, obs_vec, noise=None):
-        """The raw action (u_a, u_b) for an observation vector, as Python
-        floats, with optional exploration noise added and clipped to the
-        unit box."""
+        """The raw action [u_a, u_b] for an observation vector, as a list
+        of Python floats, with optional exploration noise added and
+        clipped to the unit box."""
         mu = nn.forward(self.actor, obs_vec)
         if noise is not None:
             mu = np.clip(mu + noise, 0.0, 1.0)
-        return float(mu[0]), float(mu[1])
+        return mu.tolist()
 
     def _update_critic(self, obs_act, rew):
         """One mean-squared-error step of Q(obs, act) towards the reward."""

@@ -11,7 +11,11 @@ Each network keeps all its parameters in one contiguous vector, with
 per-layer views (`layer_views`) for the forward and backward passes.
 `forward` and `forward_cache` run the same ops per layer in the same
 order, so their outputs have the same bits; only `forward_cache` keeps
-each layer's pre-activation and output.
+each layer's pre-activation and output. `forward_cache` makes a vector a
+(1, dim) batch, while `forward` keeps it 1-D, where numpy's
+matrix-vector product gives the bits of that one-row product and skips
+the batch axis (tests/test_nn.py checks this for every activation), and
+the sigmoid works on Python floats after np.exp.
 `backward` writes the parameter gradient into a fresh vector with the
 same layout, so an update hands that one vector to Adam. Adam and the
 Polyak update work element by element, so running them once on that
@@ -40,6 +44,10 @@ def _sigmoid(z):
     # branch-free and stable on both tails: exp(-|z|) never overflows,
     # and it equals exp(-z) where z >= 0 and exp(z) where z < 0
     e = np.exp(-np.abs(z))
+    if z.ndim == 1:
+        # forward's vector: the same IEEE ops on Python floats, without
+        # numpy's cost per call (math.exp would not give np.exp's bits)
+        return np.array([(1.0 if x >= 0 else y) / (1.0 + y) for x, y in zip(z.tolist(), e.tolist())])
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -134,14 +142,21 @@ def _as_batch(net, x):
 
 
 def forward(net, x):
-    """Apply the network. Accepts a vector or a (batch, dim) matrix."""
-    a, squeeze = _as_batch(net, x)
+    """Apply the network to a vector or a (batch, dim) matrix.
+
+    A vector stays 1-D through the layers, where np.dot(w, a) is numpy's
+    matrix-vector product; its bits equal those of the (1, dim) batch
+    forward_cache makes of the vector.
+    """
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 1 or a.shape[0] != net.dims[0]:
+        a, _ = _as_batch(net, a)  # a batch, or the ShapeMismatch _as_batch words
     # forward_cache's ops in its order, so the same bits
     for w, b, name in zip(net.weights, net.biases, net.activations):
-        a = a @ w.T
+        a = np.dot(w, a) if a.ndim == 1 else a @ w.T
         a += b
         a = ACTIVATIONS[name][0](a)
-    return a[0] if squeeze else a
+    return a
 
 
 def forward_cache(net, x):

@@ -60,26 +60,52 @@ def _closed_form(a, b, zeta, n_r):
         n_a = np.where(rest < a, rest, a)
     else:
         x, bad = _stationary(a, b, zeta, n_r)
-        redo = active & bad
-        if redo.any():
-            e = np.frexp(np.maximum(np.maximum(a, b), n_r))[1]
-            scaled, _ = _stationary(np.ldexp(a, -e), np.ldexp(b, -e), zeta, np.ldexp(n_r, -e))
-            x = np.where(redo, np.ldexp(scaled, e), x)
         x = np.where(0.0 > x, 0.0, x)
         n_a = np.where(n_r < x, n_r, x)
         n_b = n_r - n_a
+        redo = active & bad
+        if redo.any():
+            split_a, split_b = _split_deficit(a, b, zeta, n_r)
+            n_a = np.where(redo, split_a, n_a)
+            n_b = np.where(redo, split_b, n_b)
     return np.where(active, n_a, a), np.where(active, n_b, b), active
 
 
+# Where x* is exact to a few roundings: demands and pool within 2**-256
+# to 2**256, so no term of it (a product of three) overflows or leaves
+# the normal range, and the smaller demand at least this share of the
+# pool, so that subtracting x* from n_r does not round its grant away.
+_RANGE = 2.0 ** 256
+_SMALL_SHARE = 2.0 ** -20
+
+
 def _stationary(a, b, zeta, n_r):
-    """_closed_form's x*, with no warning, and where a term of it overflows
-    or it is not finite (vanishing squares give 0/0): _closed_form computes
-    those again on a, b and n_r scaled by a power of two, as metrics._jain does."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = zeta * a * b * b + (1.0 - zeta) * a * a * (n_r - b)
-        den = zeta * b * b + (1.0 - zeta) * a * a
-        x = num / den
-    return x, ~(np.isfinite(num) & np.isfinite(den) & np.isfinite(x))
+    """_closed_form's x*, with no warning, and the rows where it is not to
+    be trusted (see _RANGE), to which _closed_form gives _split_deficit's
+    grants."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        x = (zeta * a * b * b + (1.0 - zeta) * a * a * (n_r - b)) / (zeta * b * b + (1.0 - zeta) * a * a)
+    return x, (lo < 1.0 / _RANGE) | (hi > _RANGE) | (lo < _SMALL_SHARE * n_r)
+
+
+def _split_deficit(a, b, zeta, n_r):
+    """The grants on the budget line as each demand less its share of the
+    deficit D = a + b - n_r: A gives up D / (1 + r) and B D / (1 + 1/r),
+    with r = zeta b^2 / ((1 - zeta) a^2) the weight of A's term over B's,
+    the algebra of _closed_form's x*. The network with the smaller demand
+    gets its grant so, and the other the rest of the pool; as the larger
+    demand exceeds half the pool, each grant is then within a few
+    roundings of its demand. Halved terms keep D from overflowing, and a
+    ratio b / a past the float range makes r 0 or inf, not NaN."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        q = b / a
+        r = zeta / (1.0 - zeta) * (q * q)
+        half = (0.5 * np.maximum(a, b) - 0.5 * n_r) + 0.5 * np.minimum(a, b)
+        g_a = np.clip(2.0 * (0.5 * a - half / (1.0 + r)), 0.0, n_r)
+        g_b = np.clip(2.0 * (0.5 * b - half / (1.0 + 1.0 / r)), 0.0, n_r)
+    a_first = a <= b
+    return np.where(a_first, g_a, n_r - g_b), np.where(a_first, n_r - g_a, g_b)
 
 
 def solve_opt_array(d_a, d_b, zeta: float, n_r: float, d_min: float = 0.1):

@@ -1,6 +1,7 @@
 """Forward/backward math, the optimizer, target blending, checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,40 @@ class TestForward:
         net = Mlp([4, 2], ["identity"], rng=np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             forward(net, np.zeros(3))
+
+    @pytest.mark.parametrize("x, shape", [
+        (np.zeros(3), "(1, 3)"), (np.zeros((2, 5)), "(2, 5)"), (np.zeros((1, 2, 4)), "(1, 2, 4)"), (1.0, "()"),
+    ], ids=["vector", "batch", "3d", "scalar"])
+    def test_wrong_shape_named_as_the_one_row_batch(self, x, shape):
+        # a vector is named by the (1, dim) batch forward_cache makes of it
+        net = Mlp([4, 2], ["identity"], rng=np.random.default_rng(0))
+        for apply in (forward, forward_cache):
+            with pytest.raises(ShapeMismatch, match=rf"^input has shape {re.escape(shape)}, network expects width 4$"):
+                apply(net, x)
+
+    @pytest.mark.parametrize("x", [[1, -2, 3, 0], np.arange(-2, 2), np.arange(4, dtype=np.int32)],
+                             ids=["list", "int64", "int32"])
+    def test_int_vector_read_as_floats(self, x):
+        net = Mlp([4, 3, 2], ["relu", "sigmoid"], rng=np.random.default_rng(2))
+        out = forward(net, x)
+        assert out.dtype == np.float64 and out.shape == (2,)
+        assert out.tobytes() == forward(net, np.asarray(x, dtype=float)).tobytes()
+
+    @pytest.mark.parametrize("output", sorted(ACTIVATIONS))
+    def test_vector_bits_equal_the_one_row_batch(self, output):
+        # forward keeps a vector 1-D; forward_cache, and so training, runs
+        # it as a (1, dim) batch, and the two must give the same bits
+        rng = np.random.default_rng(sorted(ACTIVATIONS).index(output))
+        for _ in range(60):
+            dims = [int(d) for d in rng.integers(1, 97, size=rng.integers(2, 5))]
+            acts = [str(a) for a in rng.choice(sorted(ACTIVATIONS), size=len(dims) - 2)] + [output]
+            net = Mlp(dims, acts, rng=rng)
+            net.flat *= rng.choice([0.5, 1.0, 4.0, 8.0])
+            v = rng.normal(size=dims[0]) * rng.choice([0.01, 1.0, 30.0])
+            out = forward(net, v)
+            assert out.shape == (dims[-1],)
+            assert out.tobytes() == forward(net, v[None])[0].tobytes()
+            assert out.tobytes() == forward_cache(net, v)[0].tobytes()
 
     @pytest.mark.parametrize("dims, acts", [
         ([10, 64, 64, 2], ["relu", "relu", "sigmoid"]),

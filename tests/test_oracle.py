@@ -116,6 +116,24 @@ class TestBindingPool:
         sol = solve_opt((0.1, 2.5e154), 0.5, 2.4e154)
         assert (sol.allocation.n_a, sol.allocation.n_b) == (0.1, 2.4e154)
 
+    def test_binding_pool_whose_terms_underflow(self):
+        # a * b * b and a * a vanish below the normal range: x* was 0, which
+        # granted A nothing (J 0.505) where it asks for the smallest float step
+        sol = solve_opt((1e-300, 1e-150), 0.5, 0.9e-150, d_min=1e-300)
+        assert sol.allocation.n_a == 1e-300
+        assert sol.allocation.n_b == pytest.approx(0.9e-150, rel=1e-12)
+        assert sol.j_value == pytest.approx(0.005, rel=1e-9)
+
+    @pytest.mark.parametrize("demand, zeta, n_r, grant_b", [((1e17, 1.0), 0.5, 1e16, 1.0),
+                                                            ((1.25, 1e-10), 1e-300, 1.0, 1e-10)],
+                             ids=["large_ratio", "small_demand"])
+    def test_small_demand_not_rounded_away(self, demand, zeta, n_r, grant_b):
+        # n_r - x* rounded B's grant to 0 (J 0.905), or 1.2e-6 of it off its
+        # demand where B's term carries all the weight (J 1.4e-12, not 0)
+        sol = solve_opt(demand, zeta, n_r, d_min=1e-10)
+        assert sol.allocation.n_b == grant_b
+        assert sol.allocation.n_a == n_r - grant_b
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -9,6 +9,7 @@ search so that a run is reproducible.
 """
 
 import dataclasses
+import math
 import os
 import struct
 import tempfile
@@ -22,14 +23,16 @@ from adapshare import nn
 from adapshare.agents import AgentConfig, load_agent, make_agent, save_agent, train
 from adapshare.domain import (
     AgentKind,
+    Allocation,
     DemandSeries,
     EnvConfig,
     ExperimentConfig,
     SERIES_HEADER,
+    clamp_demand,
     read_series_csv,
     write_series_csv,
 )
-from adapshare.env import project_action
+from adapshare.env import objective_j, project_action
 from adapshare.harness.config import COERCERS, SWEEP_KEYS, build_experiment, parse_config_file
 from adapshare.harness.results import (
     CURVE_HEADER,
@@ -106,6 +109,22 @@ def test_array_solver_grants_stay_in_the_pool_at_any_magnitude(pairs, zeta, n_r,
     for i, pair in enumerate(pairs):
         sol = solve_opt(pair, zeta, n_r, d_min)
         assert (_bits(n_a[i]), _bits(n_b[i])) == (_bits(sol.allocation.n_a), _bits(sol.allocation.n_b))
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(magnitudes, magnitudes, zetas, magnitudes, st.one_of(st.just(D_MIN), magnitudes))
+def test_oracle_grant_no_worse_than_serving_one_network_first_at_any_magnitude(d_a, d_b, zeta, n_r, d_min):
+    # the oracle once starved a network whose grant the rounding of n_r - x*,
+    # or terms of x* below the normal range, took away, and its J then
+    # exceeded that of one of the grants below. Rounding may put it above
+    # them by 1e-9 of their J, or by 1e-12 where J is about 0.
+    sol = solve_opt((d_a, d_b), zeta, n_r, d_min)
+    assert 0.0 <= sol.j_value <= 1.0 + 1e-12
+    a, b = clamp_demand(d_a, d_min), clamp_demand(d_b, d_min)
+    for grant in ((min(a, n_r), n_r - min(a, n_r)), (n_r - min(b, n_r), min(b, n_r))):
+        j = objective_j(Allocation(*grant), (d_a, d_b), zeta, d_min)
+        # at zeta 0 or 1, an overflowing term of the unweighted network makes J NaN
+        assert sol.j_value <= j * (1.0 + 1e-9) + 1e-12 or math.isnan(j)
 
 
 layer_dims = st.lists(st.integers(1, 6), min_size=2, max_size=4)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adapshare.agents import load_agent, make_agent, save_agent
 from adapshare.domain import AgentConfig, AgentKind, EnvConfig, ExperimentConfig
 from adapshare.env import Observation, objective_j, project_action
 from adapshare.harness.service import (
+    IDLE_TIMEOUT_S,
     MAX_LINE,
     AllocationHandler,
     CheckpointInvalid,
@@ -22,6 +24,7 @@ from adapshare.harness.service import (
     start_server,
 )
 from conftest import serve_in_thread
+from service_reference import _parse_request as reference_parse
 
 WINDOW_N = 2
 HISTORY = [[5.0, 5.0], [4.0, 6.0], [3.0, 7.0]]
@@ -238,6 +241,82 @@ class TestParseRequest:
         assert pairs.tolist() == HISTORY and (n_r, zeta) == (100.0, 0.5)
 
 
+# what a hostile client may put where a demand or a pair goes
+hostile_values = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.lists(st.one_of(st.floats(0.0, 10.0), st.booleans()), max_size=3), st.integers(-(2 ** 1100), 2 ** 1100),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -5e-324, 10 ** 400, -(10 ** 400)]), st.floats(),
+)
+in_range = st.one_of(st.floats(0.0, 1e300), st.integers(0, 2 ** 70), st.just(0))
+
+
+@st.composite
+def hostile_histories(draw):
+    """Up to 8 entries of one width from 0 to 3 (mostly pairs of in-range
+    numbers), with up to three values or entries swapped for hostile
+    ones or for entries of another width; several faults may meet in one
+    history."""
+    width = draw(st.sampled_from([2, 2, 2, 0, 1, 3]))
+    history = [draw(st.lists(in_range, min_size=width, max_size=width)) for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 3)) if history else 0):
+        i = draw(st.integers(0, len(history) - 1))
+        swap = draw(st.sampled_from(["value", "entry", "width"]))
+        if swap == "value" and isinstance(history[i], list) and history[i]:
+            history[i][draw(st.integers(0, len(history[i]) - 1))] = draw(hostile_values)
+        elif swap == "entry":
+            history[i] = draw(st.one_of(hostile_values, st.sampled_from(["", "ab", {}, {"d_a": 1.0}, 5.0])))
+        else:
+            history[i] = draw(st.lists(in_range, max_size=4))
+    return history
+
+
+PAIRS = "demand_history entries must be numeric pairs"
+
+
+def parse_outcome(parse, line):
+    """(shape, pairs bytes, n_r and zeta in hex), or the refusal's text;
+    a refusal that ends in numpy's own exception text (entries of
+    different lengths, empty strings) reads as its first words."""
+    try:
+        pairs, n_r, zeta = parse(line, WINDOW_N)
+    except MalformedRequest as exc:
+        text = str(exc)
+        return PAIRS if text.startswith(PAIRS + ": ") and "int too large" not in text else text
+    except TypeError:  # np.asarray let one out on a history of empty objects
+        return f"{PAIRS} (a TypeError)"
+    return pairs.shape, pairs.tobytes(), n_r.hex(), zeta.hex()
+
+
+class TestParseAgainstReference:
+    # a valid n_r and zeta are listed twice, so that most lines reach the history
+    @settings(deadline=None, derandomize=True, max_examples=600)
+    @given(history=hostile_histories(),
+           n_r=st.one_of(st.floats(1e-3, 1e6), st.floats(1e-3, 1e6), hostile_values),
+           zeta=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), hostile_values))
+    def test_same_pairs_or_error_text_as_the_reference(self, history, n_r, zeta):
+        line = request_line(history=history, n_r=n_r, zeta=zeta)
+        got, want = parse_outcome(_parse_request, line), parse_outcome(reference_parse, line)
+        # the reference refused a history of empty objects with a TypeError
+        # from np.asarray, which dropped the connection
+        assert got == (PAIRS if want == f"{PAIRS} (a TypeError)" else want)
+
+    @pytest.mark.parametrize("history, text", [
+        ([[1.0, 2.0], [], [3.0, 4.0]], PAIRS + ": entries differ in length"),
+        ([[1.0, 2.0], [1.0], [10 ** 400, 4.0]], PAIRS + ": entries differ in length"),
+        ([[1.0], [2.0], [10 ** 400]], PAIRS + ": int too large to convert to float"),
+        ([[True, 2.0], [1.0, 2.0], 5.0], PAIRS),
+        ([[True, 2.0], [1.0, 2.0], "ab"], PAIRS + ", got a boolean"),
+        (["", "", ""], PAIRS), ([{}, {}, {}], PAIRS), ([[1.0, 2.0], "", [3.0, 4.0]], PAIRS + ": entries differ in length"),
+        ([[1.0], [2.0], [3.0]], "demand_history entries must be finite nonnegative pairs"),
+        ([[], [], []], "demand_history entries must be finite nonnegative pairs"),
+    ], ids=["ragged", "ragged_before_overflow", "overflow", "bare_number_before_boolean", "boolean_before_string",
+            "empty_strings", "empty_objects", "empty_string_entry", "width_1", "width_0"])
+    def test_fault_order(self, history, text):
+        with pytest.raises(MalformedRequest) as info:
+            _parse_request(request_line(history=history), WINDOW_N)
+        assert str(info.value) == text
+
+
 class TestAnswer:
     def test_matches_in_process_policy(self, live_server, expected):
         reply = live_server.answer(request_line())
@@ -379,6 +458,29 @@ class TestOverTcp:
         # MAX_LINE counts the newline that exchange appends
         line = request_line().ljust(MAX_LINE - 1)
         assert exchange(live_server.server_address, [line]) == [expected(HISTORY)]
+
+
+class TestIdleTimeout:
+    def test_idle_connection_closed_and_the_server_answers_a_new_one(self, checkpoint_path, expected,
+                                                                      monkeypatch, capsys):
+        # IDLE_TIMEOUT_S is the handler's socket timeout; 0.2 s keeps the test short
+        monkeypatch.setattr(AllocationHandler, "timeout", 0.2)
+        server, thread = serve_in_thread(checkpoint_path)
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as idle:
+                started = time.monotonic()
+                assert idle.recv(1) == b""
+                assert 0.15 < time.monotonic() - started < 5.0
+            assert exchange(server.server_address, [request_line()]) == [expected(HISTORY)]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        # the handler ended quietly, not through socketserver's traceback
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_timeout_is_the_module_constant(self):
+        assert AllocationHandler.timeout == IDLE_TIMEOUT_S == 60
 
 
 class TestStartServer:
