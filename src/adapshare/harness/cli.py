@@ -99,6 +99,7 @@ def cmd_ingest(args):
             f"{len(series)} windows of {granularity}s ({empty} empty)"
         )
         traces.append((f"--dci-{side} {path}", series))
+        del records, data  # free trace A's tables before trace B is parsed
     (_, a), (_, b) = traces
     try:
         merged = merge_series(a, b)

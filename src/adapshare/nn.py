@@ -7,19 +7,19 @@ form agent checkpoints store as JSON, which load_params checks in full
 before it writes the parameters into a network of the same shape.
 All math is float64 numpy; no autodiff framework.
 
-Each network keeps all its parameters in one contiguous vector, with
-per-layer views (`layer_views`) for the forward and backward passes.
-`forward` and `forward_cache` run the same ops per layer in the same
-order, so their outputs have the same bits; only `forward_cache` keeps
-each layer's pre-activation and output. `forward_cache` makes a vector a
-(1, dim) batch, while `forward` keeps it 1-D, where numpy's
-matrix-vector product gives the bits of that one-row product and skips
-the batch axis (tests/test_nn.py checks this for every activation), and
-the sigmoid works on Python floats after np.exp.
-`backward` writes the parameter gradient into a fresh vector with the
-same layout, so an update hands that one vector to Adam. Adam and the
-Polyak update work element by element, so running them once on that
-vector gives the same bits as running them on each layer's arrays.
+Each function takes one form, the one its callers pass, and names any
+other in a ShapeMismatch: `forward` one input vector (acting, serving),
+`forward_cache` and `backward` a (batch, width) matrix (training; one
+row is `x[None]`), and Adam one parameter vector. A network keeps its
+parameters in one contiguous vector, carved per layer by `layer_views`.
+`forward`'s matrix-vector products give the bits of the one-row batch
+`forward_cache` runs (tests/test_nn.py checks every activation), and
+its sigmoid ends on Python floats after np.exp. `backward` writes the
+parameter gradient into a fresh vector of the same layout, which Adam
+takes as a list of one, `adam_step(state, [net.flat], [grad])`: the
+benchmark's flop counter sums sizes over that list. Adam and the Polyak
+update work element by element, so running them once on that vector
+gives the same bits as running them on each layer's arrays.
 
 `backward` computes only what its caller reads: `params=False` skips
 the parameter gradient (the actor step's pass through the critic wants
@@ -68,7 +68,7 @@ class Mlp:
     Generator) draws the uniform, fan-in-bounded initial weights. All
     parameters live in one contiguous float64 vector `flat`, ordered as
     params() lists them; `weights` and `biases` are views into it, so an
-    optimizer may update either the whole vector or each array, in place.
+    optimizer updates the whole vector in place.
     """
 
     def __init__(self, dims, activations, rng):
@@ -129,40 +129,29 @@ def layer_views(dims, flat):
     return weights, biases
 
 
-def _as_batch(net, x):
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != net.dims[0]:
-        raise ShapeMismatch(
-            f"input has shape {np.asarray(x).shape}, network expects width {net.dims[0]}"
-        )
-    return x, squeeze
-
-
 def forward(net, x):
-    """Apply the network to a vector or a (batch, dim) matrix.
+    """Apply the network to one input vector.
 
-    A vector stays 1-D through the layers, where np.dot(w, a) is numpy's
-    matrix-vector product; its bits equal those of the (1, dim) batch
-    forward_cache makes of the vector.
+    Each layer is numpy's matrix-vector product np.dot(w, a), whose bits
+    equal those of the one-row batch forward_cache runs.
     """
     a = np.asarray(x, dtype=float)
-    if a.ndim != 1 or a.shape[0] != net.dims[0]:
-        a, _ = _as_batch(net, a)  # a batch, or the ShapeMismatch _as_batch words
-    # forward_cache's ops in its order, so the same bits
+    if a.shape != (net.dims[0],):
+        raise ShapeMismatch(f"input has shape {a.shape}, network expects a vector of width {net.dims[0]}")
     for w, b, name in zip(net.weights, net.biases, net.activations):
-        a = np.dot(w, a) if a.ndim == 1 else a @ w.T
+        a = np.dot(w, a)
         a += b
         a = ACTIVATIONS[name][0](a)
     return a
 
 
 def forward_cache(net, x):
-    """Like forward but also returns the cache backward() needs:
-    (pre-activations, layer outputs with the input first, squeeze)."""
-    a, squeeze = _as_batch(net, x)
+    """forward for a (batch, width) matrix, also returning the cache
+    backward() needs: (pre-activations, layer outputs with the input first)."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != net.dims[0]:
+        raise ShapeMismatch(f"input has shape {a.shape}, network expects a (batch, {net.dims[0]}) matrix; "
+                            "one row is x[None]")
     pre, post = [], [a]
     for w, b, name in zip(net.weights, net.biases, net.activations):
         z = a @ w.T
@@ -170,25 +159,24 @@ def forward_cache(net, x):
         a = ACTIVATIONS[name][0](z)
         pre.append(z)
         post.append(a)
-    return (a[0] if squeeze else a), (pre, post, squeeze)
+    return a, (pre, post)
 
 
 def backward(net, cache, upstream, params=True, inputs=True):
     """Exact gradients of sum(output * upstream) for a cached forward pass.
 
-    Returns (grad, input_grad): grad is a new vector laid out like
-    net.flat (layer_views carves it per layer), and input_grad has the
-    cached input's shape. params=False skips grad and inputs=False the
-    input gradient; a skipped part comes back as None, and every part
-    still computed has the same bits as in the full pass.
+    Returns (grad, input_grad) for a (batch, output width) upstream:
+    grad is a new vector laid out like net.flat (layer_views carves it
+    per layer), and input_grad has the cached input's shape. params=False
+    skips grad and inputs=False the input gradient; a skipped part comes
+    back as None, and every part still computed has the same bits as in
+    the full pass.
     """
-    pre, post, squeeze = cache
+    pre, post = cache
     up = np.asarray(upstream, dtype=float)
-    if squeeze:
-        up = up[None, :]
     if up.shape != (post[0].shape[0], net.dims[-1]):
         raise ShapeMismatch(
-            f"upstream gradient shape {np.asarray(upstream).shape} does not match "
+            f"upstream gradient shape {up.shape} does not match "
             f"output shape ({post[0].shape[0]}, {net.dims[-1]})"
         )
     grad = np.empty(net.flat.size) if params else None
@@ -201,9 +189,7 @@ def backward(net, cache, upstream, params=True, inputs=True):
             dz.sum(axis=0, out=grad_b[layer])
         if layer > 0 or inputs:
             d = dz @ net.weights[layer]
-    if not inputs:
-        return grad, None
-    return grad, (d[0] if squeeze else d)
+    return grad, (d if inputs else None)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
@@ -213,54 +199,53 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """First/second moments for each array in `params` plus the step counter.
+    """First/second moments of one parameter vector plus the step counter.
 
-    Pass a network's `[net.flat]` to keep one moment vector per network;
-    a list of per-layer arrays works the same way, array by array.
+    `params` is a list of that one vector, a network's `[net.flat]`.
     """
 
     def __init__(self, params, lr):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
+        if len(params) != 1:
+            raise ShapeMismatch(f"Adam takes one parameter vector, got {len(params)} arrays")
         self.lr = float(lr)
         self.step_count = 0
-        self.first_moment = [np.zeros_like(p) for p in params]
-        self.second_moment = [np.zeros_like(p) for p in params]
-        # two work arrays per parameter array, so a step allocates nothing
-        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.first_moment, self.second_moment = np.zeros_like(params[0]), np.zeros_like(params[0])
+        # two work vectors, so a step allocates nothing
+        self.scratch = (np.empty_like(params[0]), np.empty_like(params[0]))
 
 
 def adam_step(state, params, grads):
-    """One bias-corrected descent step, updating params in place.
+    """One bias-corrected step on params = [vector], in place, down grads = [grad].
 
     Callers that want ascent negate their gradients first. The update
     is p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order
-    in the state's work arrays.
+    in the state's work vectors.
     """
-    if len(params) != len(state.first_moment) or len(params) != len(grads):
-        raise ShapeMismatch("params/grads do not match the optimizer state")
+    m, v = state.first_moment, state.second_moment
+    shapes = [np.shape(p) for p in params], [np.shape(g) for g in grads]
+    if shapes != ([m.shape], [m.shape]):
+        raise ShapeMismatch(f"Adam steps one vector of shape {m.shape} with one gradient of that "
+                            f"shape, got parameter shapes {shapes[0]} and gradient shapes {shapes[1]}")
+    (p,), (g,) = params, grads
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for p, g, m, v, (s1, s2) in zip(
-        params, grads, state.first_moment, state.second_moment, state.scratch
-    ):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"param shape {p.shape} vs grad shape {g.shape}")
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=s1)
-        v *= b2
-        np.multiply(1.0 - b2, g, out=s1)
-        s1 *= g
-        v += s1
-        np.divide(m, 1.0 - b1 ** t, out=s1)  # m_hat
-        s1 *= state.lr
-        np.divide(v, 1.0 - b2 ** t, out=s2)  # v_hat
-        np.sqrt(s2, out=s2)
-        s2 += ADAM_EPS
-        s1 /= s2
-        p -= s1
-    return params
+    s1, s2 = state.scratch
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=s1)
+    v *= b2
+    np.multiply(1.0 - b2, g, out=s1)
+    s1 *= g
+    v += s1
+    np.divide(m, 1.0 - b1 ** t, out=s1)  # m_hat
+    s1 *= state.lr
+    np.divide(v, 1.0 - b2 ** t, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    s2 += ADAM_EPS
+    s1 /= s2
+    p -= s1
 
 
 def soft_update(target, online, tau):

@@ -1,8 +1,12 @@
-"""The brute-force grid minimizer that the closed-form solver in
-adapshare.oracle is checked against, kept with the tests as row_reference
-is for the CSV reader: it scans every grant pair on a grid of the budget
-triangle, so it needs no derivation to be right, only time.
+"""The references the closed-form solver in adapshare.oracle is checked
+against, kept with the tests as row_reference is for the CSV reader: a
+brute-force grid minimizer, which scans every grant pair on a grid of the
+budget triangle, so it needs no derivation to be right, only time; and an
+exact solver over rationals, which says how far a float grant is from
+the true optimum.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,3 +47,28 @@ def grid_solve(
     best_pair_j = int(pair_j[best_i])
     alloc = Allocation(best_i * step, best_pair_j * step)
     return OracleSolution(alloc, objective_j(alloc, demand, zeta, d_min), constraint_active=(a + b > n_r))
+
+
+def exact_j(n_a, n_b, a, b, zeta):
+    """J of grants (n_a, n_b) for clamped demands (a, b), exactly: every
+    float is read as the rational it holds."""
+    n_a, n_b, a, b, zeta = (Fraction(v) for v in (n_a, n_b, a, b, zeta))
+    return zeta * ((n_a - a) / a) ** 2 + (1 - zeta) * ((n_b - b) / b) ** 2
+
+
+def exact_solve(a, b, zeta, n_r):
+    """The exact optimum (n_a, n_b, J) as Fractions, for clamped demands
+    (a, b) that a pool n_r cannot cover and a weight 0 < zeta < 1.
+
+    J is then strictly convex along the budget line n_a + n_b = n_r, on
+    which every optimum lies, so its optimum is the stationary point of
+    the oracle's derivation, x* = [zeta a b^2 + (1 - zeta) a^2 (n_r - b)]
+    / [zeta b^2 + (1 - zeta) a^2], clamped to [0, n_r], here computed
+    with no rounding at all.
+    """
+    if not (a + b > n_r and 0.0 < zeta < 1.0):
+        raise ValueError("exact_solve takes a binding pool and 0 < zeta < 1")
+    a, b, zeta, n_r = (Fraction(v) for v in (a, b, zeta, n_r))
+    x = (zeta * a * b * b + (1 - zeta) * a * a * (n_r - b)) / (zeta * b * b + (1 - zeta) * a * a)
+    n_a = min(max(x, Fraction(0)), n_r)
+    return n_a, n_r - n_a, exact_j(n_a, n_r - n_a, a, b, zeta)

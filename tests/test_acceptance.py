@@ -96,10 +96,10 @@ def test_backprop_matches_finite_differences():
         net = nn.Mlp(dims, acts, np.random.default_rng(int(suite_rng.integers(0, 2 ** 31))))
         x = suite_rng.normal(0.0, 1.0, dims[0])
         upstream = suite_rng.normal(0.0, 1.0, dims[-1])
-        _out, cache = nn.forward_cache(net, x)
-        grad, grad_x = nn.backward(net, cache, upstream)
+        _out, cache = nn.forward_cache(net, x[None])
+        grad, grad_x = nn.backward(net, cache, upstream[None])
         grad_w, grad_b = nn.layer_views(net.dims, grad)
-        analytic = np.concatenate([g.ravel() for g in grad_w + grad_b + [grad_x]])
+        analytic = np.concatenate([g.ravel() for g in grad_w + grad_b + [grad_x[0]]])
         numeric = np.empty_like(analytic)
         k = 0
         for arr in net.weights + net.biases:

@@ -1,6 +1,7 @@
 """Replay buffer, update math, training loop, policies, checkpoints."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -56,15 +57,15 @@ def params_equal(net, snapshot):
 
 
 def critic_loss(agent, obs_act, rew):
-    """Mean squared error of the critic against the reward, from nn.forward."""
-    q = nn.forward(agent.critic, obs_act)
+    """Mean squared error of the critic against the reward, from nn.forward_cache."""
+    q, _ = nn.forward_cache(agent.critic, obs_act)
     return float(np.mean((q[:, 0] - rew) ** 2))
 
 
 def mean_q(agent, obs):
     """Mean critic value of the actor's own actions."""
-    mu = nn.forward(agent.actor, obs)
-    return float(np.mean(nn.forward(agent.critic, np.concatenate([obs, mu], axis=1))))
+    mu, _ = nn.forward_cache(agent.actor, obs)
+    return float(np.mean(nn.forward_cache(agent.critic, np.concatenate([obs, mu], axis=1))[0]))
 
 
 class TestAgentConfig:
@@ -592,6 +593,14 @@ class TestGreedyPolicy:
         assert bits(grants.n_a).tolist() == bits([expected.n_a] * steps).tolist()
         assert bits(grants.n_b).tolist() == bits([expected.n_b] * steps).tolist()
 
+    def test_base_kind_needs_a_training_prefix(self):
+        # one step, all of it held out: no demand maxima to solve against
+        series = DemandSeries([0], [3.0], [2.0], 3600)
+        cfg = ExperimentConfig(env=EnvConfig(n_r=6.0, window_n=0), eval_split=0.6)
+        assert eval_timesteps(series, cfg) == range(0, 1)
+        with pytest.raises(ConfigError, match="^no training prefix to take demand maxima from$"):
+            greedy_policy(AgentKind.OPT_BASE, series, cfg)
+
     def test_trained_agent_columns_match_per_step_projection(self, small_series):
         cfg = ExperimentConfig(env=EnvConfig(n_r=6.0, window_n=1), train_steps=0)
         agent = make_agent(AgentKind.TD3, obs_dim=4, seed=5)
@@ -849,6 +858,14 @@ class TestV1Checkpoint:
         assert not {"target_actor", "target_critic"} & v3.keys()
         assert not {"tau", "pretrain_steps"} & v3["agent_config"].keys()
 
+    def test_empty_critics_refused(self, tmp_path):
+        payload = json.loads(V1_FIXTURE.read_text())
+        payload["critics"] = []
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"agent\.json: checkpoint 'critics' is empty$"):
+            load_agent(path)
+
     def test_nonzero_gamma_rejected(self, tmp_path):
         payload = json.loads(V1_FIXTURE.read_text())
         payload["agent_config"]["gamma"] = 0.5
@@ -870,6 +887,17 @@ class TestOldCheckpoints:
         # the stored targets are not read; the loaded ones are make_agent's
         fresh = make_agent(agent.kind, obs_dim=agent.obs_dim, config=experiment.agent)
         assert agent.target_actor.flat.tobytes() == fresh.target_actor.flat.tobytes()
+
+    @pytest.mark.parametrize("version", [0, 4, "3", None], ids=["0", "4", "text", "missing"])
+    def test_unknown_version_refused(self, tmp_path, version):
+        payload = json.loads(V2_FIXTURE.read_text())
+        payload.pop("version")
+        if version is not None:
+            payload["version"] = version
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"agent\.json: unsupported checkpoint version {re.escape(repr(version))}$"):
+            load_agent(path)
 
     @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
     def test_round_trips_through_v3(self, tmp_path, fixture):

@@ -60,6 +60,18 @@ class TestDemandSeries:
         with pytest.raises(ValueError):
             DemandSeries([], [], [], 3600)
 
+    @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 2)])
+    def test_columns_of_unequal_length_rejected(self, lengths):
+        ts, d_a, d_b = (list(range(n)) for n in lengths)
+        with pytest.raises(ValueError, match="^timestamps, d_a, d_b must have equal length$"):
+            DemandSeries(ts, d_a, d_b, 1)
+
+    def test_column_names_its_side(self):
+        series = DemandSeries([0, 1], [1.0, 2.0], [3.0, 4.0], 1)
+        assert series.column("a") is series.d_a and series.column("b") is series.d_b
+        with pytest.raises(ValueError, match="^side must be 'a' or 'b', got 'c'$"):
+            series.column("c")
+
     @pytest.mark.parametrize("granularity", [np.nan, "3600", True, 2.5, 0, -1])
     def test_granularity_must_be_a_positive_integer(self, granularity):
         with pytest.raises(ValueError, match=r"granularity must be a positive integer, got "):
@@ -120,6 +132,11 @@ class TestEnvConfig:
         with pytest.raises(ValueError):
             EnvConfig(n_r=60.0, zeta=-0.1)
 
+    @pytest.mark.parametrize("d_min", [0.0, -0.1])
+    def test_positive_d_min_enforced(self, d_min):
+        with pytest.raises(ValueError, match=f"^d_min must be positive, got {d_min}$"):
+            EnvConfig(n_r=60.0, d_min=d_min)
+
     def test_positive_pool_enforced(self):
         with pytest.raises(ValueError):
             EnvConfig(n_r=0.0)
@@ -179,6 +196,11 @@ class TestExperimentConfig:
             ExperimentConfig(env=EnvConfig(n_r=60.0), eval_split=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(env=EnvConfig(n_r=60.0), eval_split=1.0)
+
+    def test_negative_train_steps_rejected(self):
+        assert ExperimentConfig(env=EnvConfig(n_r=60.0), train_steps=0).train_steps == 0
+        with pytest.raises(ValueError, match="^train_steps must be nonnegative, got -1$"):
+            ExperimentConfig(env=EnvConfig(n_r=60.0), train_steps=-1)
 
     @pytest.mark.parametrize(
         "field,value",

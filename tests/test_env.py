@@ -7,6 +7,7 @@ from adapshare.domain import Allocation, DemandSeries, EnvConfig
 from adapshare.env import (
     Observation,
     objective_j,
+    observation_rows,
     observe,
     project_action,
     reward,
@@ -158,6 +159,23 @@ class TestObserve:
             observe(series, 1, cfg)
         with pytest.raises(IndexError):
             observe(series, 4, cfg)
+
+
+class TestObservationRows:
+    def test_rows_are_the_observation_vectors(self):
+        series = make_series([1, 2, 3, 4, 5, 6], [10, 20, 30, 40, 50, 60])
+        cfg = EnvConfig(n_r=20.0, window_n=2, capacity_norm=100.0)
+        rows = observation_rows(series, 6, cfg)
+        assert rows.shape == (4, 6)
+        for t in range(2, 6):
+            assert rows[t - 2].tobytes() == observe(series, t, cfg).vector().tobytes()
+
+    @pytest.mark.parametrize("stop", [0, 2, 7])
+    def test_stop_out_of_range_rejected(self, stop):
+        series = make_series([1, 2, 3, 4, 5, 6], [10, 20, 30, 40, 50, 60])
+        cfg = EnvConfig(n_r=20.0, window_n=2)
+        with pytest.raises(IndexError, match=rf"^stop={stop} outside \(2, 6\]$"):
+            observation_rows(series, stop, cfg)
 
 
 class TestStep:

@@ -18,7 +18,8 @@ OPENBLAS_CORETYPE=Haswell forcing the kernel meant for AVX2 CPUs, fails 6
 of these tests: the four trained-agent cases, the learned sweep files and
 the CLI result files (ROADMAP, "Committed bytes that hold on any x86-64
 BLAS kernel"). On another kernel class or build, recapture them from the
-unchanged code before judging a change.
+unchanged code before judging a change. A digest failure names the kernel
+that ran (tests/blas_kernel.py reads it as CI prints it).
 """
 
 import hashlib
@@ -34,8 +35,11 @@ from adapshare.harness.cli import main
 from adapshare.harness.results import emit_results
 from adapshare.harness.sweep import SweepSpec, run_sweep
 from adapshare.metrics import build_report
+from blas_kernel import openblas_corename
 
 TRAIN_STEPS = 1500
+# the OpenBLAS kernel class every digest below was captured under
+CAPTURED_KERNEL = "SkylakeX"
 
 AGENT_DIGESTS = {
     ("ddpg", (64, 64)): {
@@ -93,6 +97,13 @@ CLI_FILE_DIGESTS = {
     "row_opt_base.csv": "dc42230469b3bde2b9780999e92b71beb7e22c11e4a9161dd8f5fa9b104bd0af",
     "detail_opt_base.csv": "02c5c75fe7e2d0549819335050fa17fa796e5d4ad8979ac486bc4d68db902ff0",
 }
+
+
+def kernel_note():
+    """The message of a digest failure: which kernel ran, and which one
+    the digests hold for."""
+    return (f"OpenBLAS ran its {openblas_corename()} kernel; these digests were captured "
+            f"under {CAPTURED_KERNEL}, and other kernel classes round BLAS products differently")
 
 
 def _array_digest(arrays):
@@ -183,19 +194,19 @@ def learned_sweep_spec():
 @pytest.mark.parametrize("kind,hidden", sorted(AGENT_DIGESTS))
 def test_trained_agent_bits(kind, hidden, synth_series, tmp_path):
     digests = agent_digests(kind, hidden, synth_series, tmp_path / "agent.json")
-    assert digests == AGENT_DIGESTS[(kind, hidden)]
+    assert digests == AGENT_DIGESTS[(kind, hidden)], kernel_note()
 
 
 def test_solver_sweep_files(ref_series, tmp_path):
     series = two_sided_series(ref_series, 2000, 5, 6)
     emit_results(run_sweep(solver_sweep_spec(), series), str(tmp_path))
-    assert bundle_digest(tmp_path) == SOLVER_SWEEP_DIGEST
+    assert bundle_digest(tmp_path) == SOLVER_SWEEP_DIGEST, kernel_note()
 
 
 def test_learned_sweep_files(ref_series, tmp_path):
     series = two_sided_series(ref_series, 300, 42, 43)
     emit_results(run_sweep(learned_sweep_spec(), series), str(tmp_path))
-    assert bundle_digest(tmp_path) == LEARNED_SWEEP_DIGEST
+    assert bundle_digest(tmp_path) == LEARNED_SWEEP_DIGEST, kernel_note()
 
 
 def run_cli(*argv):
@@ -219,7 +230,7 @@ def test_cli_result_files(ref_series, tmp_path):
         "eval", "--data", data, "--agent", "opt_base", "--n-r", "60", "--zeta", "0.3",
         "--out", tmp_path / "row_opt_base.csv", "--detail-out", tmp_path / "detail_opt_base.csv",
     ) == 0
-    assert file_digests([tmp_path / name for name in CLI_FILE_DIGESTS]) == CLI_FILE_DIGESTS
+    assert file_digests([tmp_path / name for name in CLI_FILE_DIGESTS]) == CLI_FILE_DIGESTS, kernel_note()
 
 
 @pytest.mark.parametrize("kind", list(AgentKind))

@@ -818,6 +818,20 @@ class TestCliTrainEval:
         assert rc == 2
         assert "ddpg or td3" in capsys.readouterr().err
 
+    def test_eval_notes_all_zero_allocations(self, constant_csv, tmp_path, capsys):
+        # an actor whose last layer reads sigmoid(-800) = 0 grants (0, 0) on every step
+        assert run_cli(*self.train_args(constant_csv, tmp_path)) == 0
+        capsys.readouterr()
+        path = tmp_path / "agent.json"
+        payload = json.loads(path.read_text())
+        payload["actor"]["weights"][-1] = [[0.0] * 8] * 2
+        payload["actor"]["biases"][-1] = [-800.0, -800.0]
+        path.write_text(json.dumps(payload))
+        assert run_cli("eval", "--data", constant_csv, "--checkpoint", path) == 0
+        out = capsys.readouterr().out.splitlines()
+        # constant_csv holds 60 steps, and the last quarter is held out
+        assert out[-1] == "note: 15 all-zero allocation steps (fairness convention 1)"
+
     def test_eval_checkpoint_with_env_override(self, constant_csv, tmp_path, capsys):
         assert run_cli(*self.train_args(constant_csv, tmp_path)) == 0
         capsys.readouterr()
@@ -952,6 +966,10 @@ class TestCliPrecedence:
 
         assert run_cli(*base, "--seed", "4", "--set", "seed=6") == 0
         assert "seed=6" in capsys.readouterr().out
+
+    def test_set_without_equals_sign_is_rc2(self, constant_csv, capsys):
+        assert run_cli("train", "--data", constant_csv, "--n-r", "20", "--set", "seed") == 2
+        assert capsys.readouterr().err == "error: --set expects key=value, got 'seed'\n"
 
     def test_set_overrides_config_zeta(self, constant_csv, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

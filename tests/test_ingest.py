@@ -420,6 +420,12 @@ class TestResample:
         series = resample_mean(trace((7, 0)), 3600)
         assert series.d_a[0] == 7.0
 
+    def test_side_tag_fills_that_column(self):
+        series = resample_mean(trace((7, 0)), 3600, side_tag="b")
+        assert (series.d_a[0], series.d_b[0]) == (0.0, 7.0)
+        with pytest.raises(ValueError, match="^side_tag must be 'a' or 'b', got 'c'$"):
+            resample_mean(trace((7, 0)), 3600, side_tag="c")
+
     def test_same_millisecond_sums(self):
         # two grants in one subframe form a single 30-PRB total
         series = resample_mean(trace((10, 5), (20, 5)), 3600)

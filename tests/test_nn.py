@@ -82,8 +82,11 @@ class TestForward:
     def test_sigmoid_and_tanh_ranges(self):
         rng = np.random.default_rng(7)
         net = Mlp([3, 6, 2], ["tanh", "sigmoid"], rng=rng)
-        out = forward(net, rng.normal(size=(40, 3)) * 50.0)
+        out, _ = forward_cache(net, rng.normal(size=(40, 3)) * 50.0)
         assert np.all((out > 0.0) & (out < 1.0))
+        for row in rng.normal(size=(40, 3)) * 50.0:
+            out = forward(net, row)
+            assert np.all((out > 0.0) & (out < 1.0))
 
     def test_sigmoid_stable_on_extreme_inputs(self):
         net = single_layer([[1.0]], [0.0], "sigmoid")
@@ -91,12 +94,18 @@ class TestForward:
         assert forward(net, [-800.0]) == pytest.approx([0.0], abs=1e-300)
 
     def test_batch_matches_per_row(self):
+        # each row of a batch, through forward_cache or alone through
+        # forward, is the network's output for that row, written out here
         rng = np.random.default_rng(3)
         net = Mlp([4, 5, 3], ["relu", "identity"], rng=rng)
+        (w0, w1), (b0, b1) = net.weights, net.biases
         batch = rng.normal(size=(6, 4))
-        stacked = forward(net, batch)
+        stacked, _ = forward_cache(net, batch)
         for i in range(6):
-            np.testing.assert_allclose(stacked[i], forward(net, batch[i]), atol=1e-15)
+            by_hand = [sum(w1[k, j] * max(sum(w0[j, m] * batch[i, m] for m in range(4)) + b0[j], 0.0)
+                           for j in range(5)) + b1[k] for k in range(3)]
+            np.testing.assert_allclose(stacked[i], by_hand, atol=1e-15)
+            np.testing.assert_allclose(forward(net, batch[i]), by_hand, atol=1e-15)
 
     def test_wrong_width_rejected(self):
         net = Mlp([4, 2], ["identity"], rng=np.random.default_rng(0))
@@ -104,14 +113,29 @@ class TestForward:
             forward(net, np.zeros(3))
 
     @pytest.mark.parametrize("x, shape", [
-        (np.zeros(3), "(1, 3)"), (np.zeros((2, 5)), "(2, 5)"), (np.zeros((1, 2, 4)), "(1, 2, 4)"), (1.0, "()"),
+        (np.zeros(3), "(3,)"), (np.zeros((2, 5)), "(2, 5)"), (np.zeros((1, 2, 4)), "(1, 2, 4)"), (1.0, "()"),
     ], ids=["vector", "batch", "3d", "scalar"])
     def test_wrong_shape_named_as_the_one_row_batch(self, x, shape):
-        # a vector is named by the (1, dim) batch forward_cache makes of it
+        # each refusal names the shape it got and the form it takes; the
+        # batch form's refusal names the one-row batch x[None]
         net = Mlp([4, 2], ["identity"], rng=np.random.default_rng(0))
-        for apply in (forward, forward_cache):
-            with pytest.raises(ShapeMismatch, match=rf"^input has shape {re.escape(shape)}, network expects width 4$"):
-                apply(net, x)
+        shape = re.escape(shape)
+        with pytest.raises(ShapeMismatch, match=rf"^input has shape {shape}, network expects a vector of width 4$"):
+            forward(net, x)
+        with pytest.raises(ShapeMismatch,
+                           match=rf"^input has shape {shape}, network expects a \(batch, 4\) matrix; one row is x\[None\]$"):
+            forward_cache(net, x)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_forward_refuses_a_batch(self, rows):
+        net = Mlp([4, 2], ["identity"], rng=np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch, match=rf"^input has shape \({rows}, 4\), network expects a vector of width 4$"):
+            forward(net, np.zeros((rows, 4)))
+
+    def test_forward_cache_refuses_a_vector(self):
+        net = Mlp([4, 2], ["identity"], rng=np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch, match=r"^input has shape \(4,\), network expects a \(batch, 4\) matrix"):
+            forward_cache(net, np.zeros(4))
 
     @pytest.mark.parametrize("x", [[1, -2, 3, 0], np.arange(-2, 2), np.arange(4, dtype=np.int32)],
                              ids=["list", "int64", "int32"])
@@ -134,8 +158,7 @@ class TestForward:
             v = rng.normal(size=dims[0]) * rng.choice([0.01, 1.0, 30.0])
             out = forward(net, v)
             assert out.shape == (dims[-1],)
-            assert out.tobytes() == forward(net, v[None])[0].tobytes()
-            assert out.tobytes() == forward_cache(net, v)[0].tobytes()
+            assert out.tobytes() == forward_cache(net, v[None])[0][0].tobytes()
 
     @pytest.mark.parametrize("dims, acts", [
         ([10, 64, 64, 2], ["relu", "relu", "sigmoid"]),
@@ -144,24 +167,26 @@ class TestForward:
     ])
     @pytest.mark.parametrize("rows", [None, 1, 64])
     def test_same_bits_as_forward_cache(self, dims, acts, rows):
-        # the agents act through forward and learn through forward_cache
+        # the agents act through forward and learn through forward_cache:
+        # each row forward sees alone gives the bits of its one-row batch
         rng = np.random.default_rng(5)
         net = Mlp(dims, acts, rng=rng)
-        x = rng.normal(size=dims[0] if rows is None else (rows, dims[0])) * 3.0
-        out, _ = forward_cache(net, x)
-        assert forward(net, x).tobytes() == out.tobytes()
-        assert forward(net, x).shape == out.shape
+        x = rng.normal(size=(1 if rows is None else rows, dims[0])) * 3.0
+        for row in x:
+            out, _ = forward_cache(net, row[None])
+            assert forward(net, row).tobytes() == out[0].tobytes()
+            assert out.shape == (1, dims[-1])
 
 
 class TestBackward:
     def test_affine_layer_gradients_by_hand(self):
         # out = W x + b: dL/dW = u x^T, dL/db = u, dL/dx = W^T u
         net = single_layer([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0], "identity")
-        _, cache = forward_cache(net, [5.0, 6.0])
-        grad, grad_x = backward(net, cache, [1.0, 10.0])
+        _, cache = forward_cache(net, [[5.0, 6.0]])
+        grad, grad_x = backward(net, cache, [[1.0, 10.0]])
         # laid out like net.flat: W row by row, then b
         np.testing.assert_allclose(grad, [5.0, 6.0, 50.0, 60.0, 1.0, 10.0])
-        np.testing.assert_allclose(grad_x, [31.0, 42.0])
+        np.testing.assert_allclose(grad_x, [[31.0, 42.0]])
 
     def test_gradient_views_match_the_parameter_views(self):
         net = Mlp([3, 4, 2], ["relu", "identity"], rng=np.random.default_rng(8))
@@ -175,17 +200,17 @@ class TestBackward:
 
     def test_each_call_returns_a_new_vector(self):
         net = Mlp([3, 2], ["identity"], rng=np.random.default_rng(0))
-        _, cache = forward_cache(net, np.ones(3))
-        first, _ = backward(net, cache, np.ones(2))
-        second, _ = backward(net, cache, np.ones(2), inputs=False)
+        _, cache = forward_cache(net, np.ones((1, 3)))
+        first, _ = backward(net, cache, np.ones((1, 2)))
+        second, _ = backward(net, cache, np.ones((1, 2)), inputs=False)
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, net.flat)
         assert first.tobytes() == second.tobytes()
 
     def test_zero_upstream_gives_zero_gradients(self):
         net = Mlp([3, 4, 2], ["tanh", "identity"], rng=np.random.default_rng(5))
-        _, cache = forward_cache(net, np.ones(3))
-        grad, grad_x = backward(net, cache, np.zeros(2))
+        _, cache = forward_cache(net, np.ones((1, 3)))
+        grad, grad_x = backward(net, cache, np.zeros((1, 2)))
         assert np.all(grad == 0)
         assert np.all(grad_x == 0)
 
@@ -196,17 +221,24 @@ class TestBackward:
         ups = rng.normal(size=(2, 2))
         _, cache = forward_cache(net, xs)
         g_batch, _ = backward(net, cache, ups)
-        _, c0 = forward_cache(net, xs[0])
-        g0, _ = backward(net, c0, ups[0])
-        _, c1 = forward_cache(net, xs[1])
-        g1, _ = backward(net, c1, ups[1])
+        _, c0 = forward_cache(net, xs[:1])
+        g0, _ = backward(net, c0, ups[:1])
+        _, c1 = forward_cache(net, xs[1:])
+        g1, _ = backward(net, c1, ups[1:])
         np.testing.assert_allclose(g_batch, g0 + g1, atol=1e-12)
 
     def test_upstream_shape_checked(self):
         net = Mlp([3, 2], ["identity"], rng=np.random.default_rng(0))
-        _, cache = forward_cache(net, np.zeros(3))
-        with pytest.raises(ShapeMismatch):
-            backward(net, cache, np.zeros(3))
+        _, cache = forward_cache(net, np.zeros((1, 3)))
+        with pytest.raises(ShapeMismatch, match=r"^upstream gradient shape \(1, 3\) does not match output shape \(1, 2\)$"):
+            backward(net, cache, np.zeros((1, 3)))
+
+    def test_refuses_a_vector_upstream(self):
+        # a one-row batch takes a one-row upstream, not its vector
+        net = Mlp([3, 2], ["identity"], rng=np.random.default_rng(0))
+        _, cache = forward_cache(net, np.zeros((1, 3)))
+        with pytest.raises(ShapeMismatch, match=r"^upstream gradient shape \(2,\) does not match output shape \(1, 2\)$"):
+            backward(net, cache, np.zeros(2))
 
     def test_matches_finite_differences(self):
         # numeric check across random depths, widths, and all activations
@@ -222,7 +254,7 @@ class TestBackward:
             upstream = master.normal(size=(3, dims[-1]))
 
             def loss():
-                return float(np.sum(forward(net, x) * upstream))
+                return float(np.sum(forward_cache(net, x)[0] * upstream))
 
             _, cache = forward_cache(net, x)
             grad, grad_x = backward(net, cache, upstream)
@@ -261,10 +293,11 @@ class TestAdam:
 
     def test_updates_in_place(self):
         net = Mlp([2, 2], ["identity"], rng=np.random.default_rng(4))
-        params = net.params()
-        state = AdamState(params, lr=0.05)
-        before = net.weights[0].copy()
-        adam_step(state, params, [np.ones_like(a) for a in params])
+        flat, weights = net.flat, net.weights[0]
+        state = AdamState([flat], lr=0.05)
+        before = weights.copy()
+        adam_step(state, [flat], [np.ones_like(flat)])
+        assert net.flat is flat and net.weights[0] is weights
         assert not np.allclose(net.weights[0], before)
 
     def test_minimizes_quadratic_bowl(self):
@@ -282,7 +315,7 @@ class TestAdam:
         state = AdamState([net.flat], lr=0.01)
 
         def mse():
-            return float(np.mean((forward(net, x) - y) ** 2))
+            return float(np.mean((forward_cache(net, x)[0] - y) ** 2))
 
         start = mse()
         for _ in range(300):
@@ -300,6 +333,24 @@ class TestAdam:
             adam_step(state, p, [])
         with pytest.raises(ShapeMismatch):
             adam_step(state, p, [np.zeros(3)])
+        with pytest.raises(ShapeMismatch):
+            adam_step(state, [np.zeros(3)], [np.zeros(3)])
+        assert state.step_count == 0 and p[0].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("arrays", [[], [np.zeros(2), np.zeros(3)]], ids=["none", "two"])
+    def test_state_takes_exactly_one_vector(self, arrays):
+        with pytest.raises(ShapeMismatch, match=rf"^Adam takes one parameter vector, got {len(arrays)} arrays$"):
+            AdamState(arrays, lr=0.1)
+
+    @pytest.mark.parametrize("params, grads", [
+        (2, 1), (1, 2), (0, 0), (2, 2),
+    ], ids=["two_params", "two_grads", "none", "two_each"])
+    def test_step_takes_exactly_one_vector_each(self, params, grads):
+        p = np.zeros(2)
+        state = AdamState([p], lr=0.1)
+        with pytest.raises(ShapeMismatch, match=r"^Adam steps one vector of shape \(2,\) with one gradient"):
+            adam_step(state, [p] * params, [np.ones(2)] * grads)
+        assert state.step_count == 0 and p.tolist() == [0.0, 0.0]
 
 
 class TestSoftUpdate:
@@ -360,7 +411,8 @@ class TestCheckpoints:
         for a, b in zip(loaded.params(), net.params()):
             np.testing.assert_array_equal(a, b)
         x = np.random.default_rng(1).normal(size=(4, 5))
-        np.testing.assert_array_equal(forward(loaded, x), forward(net, x))
+        np.testing.assert_array_equal(forward_cache(loaded, x)[0], forward_cache(net, x)[0])
+        np.testing.assert_array_equal(forward(loaded, x[0]), forward(net, x[0]))
 
     def test_format_and_version_checked(self):
         net = Mlp([2, 2], ["identity"], rng=np.random.default_rng(0))

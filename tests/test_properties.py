@@ -1,11 +1,13 @@
-"""Property tests: the array solver, the flat parameter vector, Adam,
-agent checkpoints, the training step's bit-for-bit rewrites (sigmoid,
-backward, up-front draws), action projection, Jain fairness, the
-config-file and series-CSV round trips, the detail CSV's text, and the
-refusal of a malformed row in every CSV the package reads.
+"""Property tests: the array solver and its distance from the exact
+optimum, the flat parameter vector, Adam, agent checkpoints, the
+training step's bit-for-bit rewrites (sigmoid, backward, up-front
+draws), action projection, Jain fairness, the config-file and series-CSV
+round trips, the detail CSV's text, and the refusal of a malformed row
+in every CSV the package reads.
 
 Each property runs on inputs hypothesis draws, with a fixed derandomized
-search so that a run is reproducible.
+search so that a run is reproducible; the exact-optimum bounds run on
+samples a seeded numpy Generator draws.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import math
 import os
 import struct
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +51,7 @@ from adapshare.harness.sweep import SweepRow
 from adapshare.metrics import EvalReport, build_report
 from adapshare.oracle import solve_opt, solve_opt_array
 from conftest import grants
-from oracle_reference import grid_solve
+from oracle_reference import exact_j, exact_solve, grid_solve
 
 SETTINGS = settings(deadline=None, derandomize=True, max_examples=150)
 
@@ -127,6 +130,61 @@ def test_oracle_grant_no_worse_than_serving_one_network_first_at_any_magnitude(d
         assert sol.j_value <= j * (1.0 + 1e-9) + 1e-12 or math.isnan(j)
 
 
+def _ordinary_binding_rows():
+    # the paper's pools, zeta 0.1-0.9, demands U[0.1, 2 n_r]; binding rows only
+    rng = np.random.default_rng(14)
+    rows = []
+    for n_r in (20.0, 60.0, 100.0):
+        for zeta in rng.uniform(0.1, 0.9, 20):
+            d = rng.uniform(0.1, 2.0 * n_r, (58, 2))
+            rows += [(a, b, float(zeta), n_r) for a, b in d[d.sum(axis=1) > n_r].tolist()]
+    return rows
+
+
+def _extreme_binding_rows():
+    # pools 2^-300 to 2^300, one demand below 2^-20 n_r and the other near
+    # or above the pool: rows where x* is not trusted
+    rng = np.random.default_rng(15)
+    rows = []
+    while len(rows) < 1000:
+        n_r = float(rng.uniform(1.0, 2.0)) * 2.0 ** int(rng.integers(-300, 301))
+        small = n_r * 2.0 ** -20 * 2.0 ** -float(rng.uniform(0.0, 30.0))
+        large = n_r * float(rng.uniform(0.999999, 2.0))
+        zeta = float(rng.uniform(0.1, 0.9))
+        if small + large > n_r:
+            rows.append((small, large, zeta, n_r) if rng.integers(2) else (large, small, zeta, n_r))
+    return rows
+
+
+def _ulps(grant, exact):
+    return float(abs(Fraction(grant) - exact) / Fraction(math.ulp(float(exact))))
+
+
+# (rows, d_min, bound on |J - J*| / J*, bound on a grant's error in ulps of
+# the exact grant): each bound is the worst row of these derandomized
+# samples under the oracle as it is, rounded up; they bound the code, and
+# do not move with it
+EXACT_REFERENCE_BOUNDS = {
+    "ordinary": (_ordinary_binding_rows, 0.1, 2e-14, 320.0),
+    "extreme": (_extreme_binding_rows, 2.0 ** -1000, 3.6e-13, 0.5),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(EXACT_REFERENCE_BOUNDS))
+def test_oracle_grant_close_to_the_exact_optimum(rows):
+    make_rows, d_min, j_bound, ulp_bound = EXACT_REFERENCE_BOUNDS[rows]
+    worst_j = worst_ulps = 0.0
+    for a, b, zeta, n_r in make_rows():
+        n_a, n_b = solve_opt_array(np.array([a]), np.array([b]), zeta, n_r, d_min)
+        exact_a, exact_b, exact = exact_solve(a, b, zeta, n_r)
+        j_err = float(abs(exact_j(n_a[0], n_b[0], a, b, zeta) - exact) / exact)
+        ulps = max(_ulps(n_a[0], exact_a), _ulps(n_b[0], exact_b))
+        assert j_err <= j_bound and ulps <= ulp_bound, (a, b, zeta, n_r, j_err, ulps)
+        worst_j, worst_ulps = max(worst_j, j_err), max(worst_ulps, ulps)
+    # the sample reaches near its bounds, so it still tests what they bound
+    assert worst_j > j_bound / 4 and worst_ulps > ulp_bound / 4
+
+
 layer_dims = st.lists(st.integers(1, 6), min_size=2, max_size=4)
 
 
@@ -143,13 +201,19 @@ def _grads(net, seed):
 @SETTINGS
 @given(layer_dims, st.integers(0, 2**16), st.integers(1, 6), st.floats(1e-4, 0.5))
 def test_adam_on_flat_vector_matches_per_array(dims, seed, steps, lr):
+    # adam_step on the one flat vector against Adam written out here for
+    # each layer's arrays, with nn.adam_step's ops in its order
     per_array = _net(dims, seed)
     flat = per_array.clone()
-    state_a = nn.AdamState(per_array.params(), lr)
     state_f = nn.AdamState([flat.flat], lr)
-    for k in range(steps):
-        grads = _grads(per_array, seed + k)
-        nn.adam_step(state_a, per_array.params(), grads)
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in per_array.params()]
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+    for t in range(1, steps + 1):
+        grads = _grads(per_array, seed + t - 1)
+        for p, g, (m, v) in zip(per_array.params(), grads, moments):
+            m[...] = m * b1 + (1.0 - b1) * g
+            v[...] = v * b2 + (1.0 - b2) * g * g
+            p -= m / (1.0 - b1 ** t) * lr / (np.sqrt(v / (1.0 - b2 ** t)) + nn.ADAM_EPS)
         nn.adam_step(state_f, [flat.flat], [np.concatenate([g.ravel() for g in grads])])
     assert flat.flat.tobytes() == per_array.flat.tobytes()
 
@@ -185,7 +249,7 @@ def test_loaded_agent_networks_are_flat_views():
         save_agent(agent, experiment, path)
         loaded, _ = load_agent(path)
     nets = [loaded.actor, loaded.target_actor, loaded.critic, loaded.target_critic]
-    assert loaded.actor_opt.first_moment[0].shape == loaded.actor.flat.shape
+    assert loaded.actor_opt.first_moment.shape == loaded.actor.flat.shape
     for net in nets:
         assert _views_of_flat(net)
 
@@ -258,7 +322,7 @@ _DERIVATIVE_OF_PRE = {
 
 
 def _full_backward_from_pre(net, cache, up):
-    pre, post, _ = cache
+    pre, post = cache
     grad_w, grad_b, d = [None] * len(net.weights), [None] * len(net.weights), up
     for layer in range(len(net.weights) - 1, -1, -1):
         dz = d * _DERIVATIVE_OF_PRE[net.activations[layer]](pre[layer])

@@ -438,6 +438,14 @@ class TestOverTcp:
         assert replies[0] == {"error": "n_r 1.79e+308 is too large: its j_estimate overflows"}
         assert replies[1] == expected(HISTORY)
 
+    def test_blank_lines_get_no_reply(self, live_server, expected):
+        with socket.create_connection(live_server.server_address, timeout=10) as sock:
+            sock.sendall(b"\n   \r\n\t\n" + request_line().encode("utf-8") + b"\n\n")
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as fh:
+                replies = fh.read().decode("utf-8").splitlines()
+        assert [strict_json(r) for r in replies] == [expected(HISTORY)]
+
     def test_sequential_connections(self, live_server, expected):
         for _ in range(2):
             replies = exchange(live_server.server_address, [request_line()])

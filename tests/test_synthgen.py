@@ -91,6 +91,14 @@ class TestGenerate:
         assert len(series.timestamps) == 860
         assert series.populated_side() == "a"
 
+    def test_side_b_fills_column_b_and_other_sides_are_refused(self):
+        stats = fit(one_sided([1.0, 2.0, 3.0, 4.0, 5.0]), side="a")
+        series = generate(stats, 10, seed=42, side="b")
+        assert series.populated_side() == "b"
+        assert series.d_b.tobytes() == generate(stats, 10, seed=42).d_a.tobytes()
+        with pytest.raises(ValueError, match="^side must be 'a' or 'b', got 'c'$"):
+            generate(stats, 10, seed=42, side="c")
+
     def test_deterministic(self, ref_series):
         stats = fit(ref_series, side="a")
         g1 = generate(stats, 100, seed=9)
