@@ -31,7 +31,7 @@ from .seeding import rng_for
 
 
 class InsufficientData(ValueError):
-    """Asked to sample a batch larger than the buffer holds."""
+    """Asked for a replay row the buffer does not hold."""
 
 
 class ConfigError(ValueError):
@@ -59,13 +59,16 @@ class ReplayBuffer:
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, rng, batch_size):
-        """Uniform with-replacement sample from the filled region, gathered
-        once: returns ([obs | u_a u_b] rows, rewards), both views of the
-        gather."""
-        if self.size < batch_size:
-            raise InsufficientData(f"buffer holds {self.size} < batch of {batch_size}")
-        rows = self._rows[rng.integers(0, self.size, batch_size)]
+    def sample(self, idx):
+        """The filled region's rows at the integer indices idx, each in
+        [0, size), gathered once: returns ([obs | u_a u_b] rows, rewards),
+        both views of the gather."""
+        if self._rows is None:
+            raise InsufficientData("buffer is empty")
+        try:
+            rows = self._rows[:self.size][idx]
+        except IndexError as exc:
+            raise InsufficientData(f"buffer holds {self.size} rows: {exc}") from None
         return rows[:, :-1], rows[:, -1]
 
 
@@ -99,21 +102,24 @@ class DdpgAgent:
         self.explore_sigma = cfg.explore_sigma
         self.policy_delay = cfg.td3_policy_delay if self.kind == AgentKind.TD3 else 1
         self.update_count = 0
+        # the actor step's ascent upstream -1/B for a batch of B rows; backward only reads it
+        self._ascent = np.full((cfg.batch_size, 1), -1.0 / cfg.batch_size)
 
     def act(self, obs, explore=False):
         """The actor's raw action [u_a, u_b] for an Observation; with
         explore, perturbed by one N(0, explore_sigma^2) draw per component."""
-        noise = self.explore_rng.standard_normal(2) * self.explore_sigma if explore else None
+        noise = (self.explore_rng.standard_normal(2) * self.explore_sigma).tolist() if explore else None
         return self.action(obs.vector(), noise)
 
     def action(self, obs_vec, noise=None):
         """The raw action [u_a, u_b] for an observation vector, as a list
-        of Python floats, with optional exploration noise added and
-        clipped to the unit box."""
-        mu = nn.forward(self.actor, obs_vec)
-        if noise is not None:
-            mu = np.clip(mu + noise, 0.0, 1.0)
-        return mu.tolist()
+        of Python floats, with optional exploration noise (two Python
+        floats) added and clipped to the unit box. The clip runs on Python
+        floats and gives np.clip's bits, -0.0 and NaN included."""
+        mu = nn.forward(self.actor, obs_vec).tolist()
+        if noise is None:
+            return mu
+        return [min(max(m + n, 0.0), 1.0) for m, n in zip(mu, noise)]
 
     def _update_critic(self, obs_act, rew):
         """One mean-squared-error step of Q(obs, act) towards the reward."""
@@ -124,11 +130,12 @@ class DdpgAgent:
 
     def _update_actor(self, obs):
         batch = obs.shape[0]
+        ascent = self._ascent if batch == self._ascent.shape[0] else np.full((batch, 1), -1.0 / batch)
         mu, actor_cache = nn.forward_cache(self.actor, obs)
         x = np.concatenate([obs, mu], axis=1)
         _, critic_cache = nn.forward_cache(self.critic, x)
         # ascend mean Q: backprop -1/B through the critic into the action slice
-        _, dx = nn.backward(self.critic, critic_cache, np.full((batch, 1), -1.0 / batch), params=False)
+        _, dx = nn.backward(self.critic, critic_cache, ascent, params=False)
         grad, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:], inputs=False)
         nn.adam_step(self.actor_opt, [self.actor.flat], [grad])
 
@@ -195,8 +202,10 @@ def train(agent_kind, series, cfg):
     exploration, stores the transition, and after warmup performs one
     gradient update. The timesteps and the exploration noise are drawn
     up front, with the bits per-step draws would give; the exploration
-    scale decays by sigma_decay after every step. Deterministic given
-    cfg.seed.
+    scale decays by sigma_decay after every step. Every update's replay
+    indices are drawn up front too, in one call bounded by the buffer's
+    fill at each updating step, which gives the per-update draws' bits.
+    Deterministic given cfg.seed.
     """
     env = cfg.env
     n = len(series.timestamps)
@@ -222,15 +231,21 @@ def train(agent_kind, series, cfg):
     np.multiply.accumulate(sigmas, out=sigmas)
     noise = agent.explore_rng.standard_normal((steps, 2))
     noise *= sigmas[:-1, None]
+    # the buffer holds min(i + 1, capacity) rows after step i's add, so
+    # the updates run from step `first` on, or never if a batch never fits
+    capacity = buffer.capacity
+    first = max(warmup, batch_size - 1) if capacity >= batch_size else steps
+    fills = np.minimum(np.arange(first + 1, steps + 1), capacity)
+    batches = iter(agent.batch_rng.integers(0, fills[:, None], (fills.size, batch_size)))
     rewards = np.empty(steps)
-    for i, t in enumerate(ts.tolist()):
+    for i, (t, kick) in enumerate(zip(ts.tolist(), noise.tolist())):
         obs_vec = obs_rows[t - env.window_n]
-        raw = agent.action(obs_vec, noise[i])
+        raw = agent.action(obs_vec, kick)
         r = step(series, t, raw, env)
         buffer.add(obs_vec, raw, r)
         rewards[i] = r
-        if i >= warmup and buffer.size >= batch_size:
-            agent.update(*buffer.sample(agent.batch_rng, batch_size))
+        if i >= first:
+            agent.update(*buffer.sample(next(batches)))
     agent.explore_sigma = float(sigmas[-1])
     curve = moving_average(rewards, 100) if steps > 0 else np.array([])
     return agent, TrainResult(rewards=rewards, curve=curve)
@@ -377,10 +392,11 @@ def load_agent(path):
     if not isinstance(payload, dict) or payload.get("format") != AGENT_FORMAT:
         raise ValueError(f"{path}: not an agent checkpoint")
     version = payload.get("version")
-    if version in (1, 2):
-        payload = _upgrade(payload, version, path)
-    elif version != AGENT_VERSION:
+    # the int itself: True == 1 and 3.0 == 3, but neither is a version
+    if type(version) is not int or version not in (1, 2, AGENT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    if version < AGENT_VERSION:
+        payload = _upgrade(payload, version, path)
     config = _build("agent_config", path, AgentConfig, **_field(payload, "agent_config", dict, path))
     env = _build("env", path, EnvConfig, **_field(payload, "env", dict, path))
     kind = _build("agent_kind", path, AgentKind, _field(payload, "agent_kind", str, path))

@@ -26,8 +26,12 @@ the parameter gradient (the actor step's pass through the critic wants
 only the gradient w.r.t. the action), and `inputs=False` skips the
 gradient w.r.t. the network's input (every update that steps a
 network's own parameters). Each activation's derivative comes from the
-forward cache, so nothing is evaluated twice.
+forward cache, so nothing is evaluated twice. A network binds its
+activations' value and chain-rule functions once, when it is built or
+cloned, so no pass looks them up by name.
 """
+
+import math
 
 import numpy as np
 
@@ -95,9 +99,11 @@ class Mlp:
             b[...] = rng.uniform(-bound, bound, b.shape)
 
     def _bind(self, flat):
-        """Adopt `flat` as the parameter vector and carve the layer views."""
+        """Adopt `flat` as the parameter vector, carve the layer views and
+        bind each layer's activation value and chain-rule functions."""
         self.flat = flat
         self.weights, self.biases = layer_views(self.dims, flat)
+        self.value_fns, self.chain_fns = zip(*(ACTIVATIONS[name] for name in self.activations))
 
     def params(self):
         """Parameter arrays, weights then biases per layer: views of `flat`."""
@@ -138,10 +144,10 @@ def forward(net, x):
     a = np.asarray(x, dtype=float)
     if a.shape != (net.dims[0],):
         raise ShapeMismatch(f"input has shape {a.shape}, network expects a vector of width {net.dims[0]}")
-    for w, b, name in zip(net.weights, net.biases, net.activations):
+    for w, b, value in zip(net.weights, net.biases, net.value_fns):
         a = np.dot(w, a)
         a += b
-        a = ACTIVATIONS[name][0](a)
+        a = value(a)
     return a
 
 
@@ -153,10 +159,10 @@ def forward_cache(net, x):
         raise ShapeMismatch(f"input has shape {a.shape}, network expects a (batch, {net.dims[0]}) matrix; "
                             "one row is x[None]")
     pre, post = [], [a]
-    for w, b, name in zip(net.weights, net.biases, net.activations):
+    for w, b, value in zip(net.weights, net.biases, net.value_fns):
         z = a @ w.T
         z += b
-        a = ACTIVATIONS[name][0](z)
+        a = value(z)
         pre.append(z)
         post.append(a)
     return a, (pre, post)
@@ -183,10 +189,10 @@ def backward(net, cache, upstream, params=True, inputs=True):
     grad_w, grad_b = layer_views(net.dims, grad) if params else (None, None)
     d = up
     for layer in range(len(net.weights) - 1, -1, -1):
-        dz = ACTIVATIONS[net.activations[layer]][1](d, pre[layer], post[layer + 1])
+        dz = net.chain_fns[layer](d, pre[layer], post[layer + 1])
         if params:
             np.matmul(dz.T, post[layer], out=grad_w[layer])
-            dz.sum(axis=0, out=grad_b[layer])
+            np.add.reduce(dz, axis=0, out=grad_b[layer])
         if layer > 0 or inputs:
             d = dz @ net.weights[layer]
     return grad, (d if inputs else None)
@@ -205,8 +211,8 @@ class AdamState:
     """
 
     def __init__(self, params, lr):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not (lr > 0 and math.isfinite(lr)):
+            raise ValueError(f"lr must be a finite positive number, got {lr!r}")
         if len(params) != 1:
             raise ShapeMismatch(f"Adam takes one parameter vector, got {len(params)} arrays")
         self.lr = float(lr)
@@ -224,8 +230,8 @@ def adam_step(state, params, grads):
     in the state's work vectors.
     """
     m, v = state.first_moment, state.second_moment
-    shapes = [np.shape(p) for p in params], [np.shape(g) for g in grads]
-    if shapes != ([m.shape], [m.shape]):
+    if not (len(params) == len(grads) == 1 and np.shape(params[0]) == np.shape(grads[0]) == m.shape):
+        shapes = [np.shape(p) for p in params], [np.shape(g) for g in grads]
         raise ShapeMismatch(f"Adam steps one vector of shape {m.shape} with one gradient of that "
                             f"shape, got parameter shapes {shapes[0]} and gradient shapes {shapes[1]}")
     (p,), (g,) = params, grads

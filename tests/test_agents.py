@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adapshare import agents as agents_mod
@@ -146,7 +146,7 @@ class TestReplayBuffer:
     def test_roundtrip(self):
         buf = ReplayBuffer(4)
         add(buf, reward=-0.25, u=(0.6, 0.1), pairs=((0.1, 0.2), (0.3, 0.4)))
-        obs_act, rews = buf.sample(np.random.default_rng(0), 1)
+        obs_act, rews = buf.sample(np.array([0]))
         np.testing.assert_array_equal(obs_act, [[0.1, 0.2, 0.3, 0.4, 0.6, 0.1]])
         np.testing.assert_array_equal(rews, [-0.25])
 
@@ -155,24 +155,26 @@ class TestReplayBuffer:
         for k in range(4):
             add(buf, reward=-float(k))
         assert buf.size == 3
-        rng = np.random.default_rng(0)
-        stored = {r for _ in range(50) for r in buf.sample(rng, 3)[1]}
+        stored = set(buf.sample(np.arange(3))[1].tolist())
         assert stored == {-1.0, -2.0, -3.0}
 
     def test_sample_shapes_and_membership(self):
         buf = ReplayBuffer(8)
         for k in range(5):
             add(buf, reward=-float(k))
-        obs_act, rews = buf.sample(np.random.default_rng(0), 4)
+        obs_act, rews = buf.sample(np.random.default_rng(0).integers(0, buf.size, 4))
         assert obs_act.shape == (4, 6)
         assert rews.shape == (4,)
         assert set(rews).issubset({-0.0, -1.0, -2.0, -3.0, -4.0})
 
     def test_sample_underfull_rejected(self):
         buf = ReplayBuffer(8)
+        with pytest.raises(InsufficientData, match="^buffer is empty$"):
+            buf.sample(np.array([0]))
         add(buf)
-        with pytest.raises(InsufficientData):
-            buf.sample(np.random.default_rng(0), 2)
+        # an index at the fill level reads no row, though the ring has room for it
+        with pytest.raises(InsufficientData, match="^buffer holds 1 rows: "):
+            buf.sample(np.array([0, 1]))
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -201,6 +203,20 @@ class TestAct:
         seq_a = [a.act(obs, explore=True) for _ in range(5)]
         seq_b = [b.act(obs, explore=True) for _ in range(5)]
         assert seq_a == seq_b
+
+    @pytest.mark.parametrize("mu,noise", [
+        ((0.5, 0.25), (0.7, -0.3)),
+        ((0.0, 1.0), (-0.0, 0.0)),
+        ((-0.0, 0.0), (-0.0, -0.0)),
+        ((0.5, 0.5), (float("nan"), -float("inf"))),
+        ((float("nan"), 1.0), (0.0, float("inf"))),
+    ], ids=["inside-and-clipped", "zeros", "negative-zero", "nan-and-inf-noise", "nan-actor"])
+    def test_clip_has_np_clip_bits(self, monkeypatch, mu, noise):
+        # action clips on Python floats; the bits are np.clip's, -0.0 and NaN included
+        agent = make_agent(AgentKind.DDPG, obs_dim=4, seed=1)
+        monkeypatch.setattr(nn, "forward", lambda net, x: np.array(mu))
+        expected = np.clip(np.array(mu) + np.array(noise), 0.0, 1.0)
+        assert bits(agent.action(np.zeros(4), list(noise))).tolist() == bits(expected).tolist()
 
     def test_explore_stays_in_unit_box(self):
         agent = make_agent(AgentKind.TD3, obs_dim=4, config=AgentConfig(explore_sigma=5.0), seed=2)
@@ -275,6 +291,20 @@ class TestUpdateMath:
         assert abs(mu[0] - 0.5) < 0.05
         assert mean_q(agent, obs) > first_q
         assert actor.biases[-1][1] == -1.0
+
+    def test_batch_of_another_size_ascends_its_own_mean(self):
+        # the agent keeps the -1/B ascent upstream for its configured batch
+        # size; a batch of another size ascends with its own -1/B, as an
+        # agent configured for that size does
+        rng = np.random.default_rng(8)
+        obs_act = np.concatenate([rng.uniform(0.0, 1.0, (5, 4)), rng.uniform(0.0, 1.0, (5, 2))], axis=1)
+        rews = -rng.uniform(0.0, 1.0, 5)
+        sized = [make_agent(AgentKind.DDPG, obs_dim=4, config=AgentConfig(batch_size=b, hidden_dims=(6,)), seed=2)
+                 for b in (8, 5)]
+        for agent in sized:
+            for _ in range(3):
+                agent.update(obs_act, rews)
+        assert sized[0].actor.flat.tobytes() == sized[1].actor.flat.tobytes()
 
     def test_update_requires_full_batch(self, constant_series):
         # no warm-up: training still waits until the buffer holds a batch
@@ -406,9 +436,10 @@ class TestSplits:
 
 def reference_train(kind, series, cfg):
     """train() as a per-step loop: observe, an exploring act, env.step,
-    then the exploration scale's decay; the timesteps are drawn up front
-    from the same stream. Kept so that train's semantics stay pinned
-    whatever shape its loop takes."""
+    a replay batch drawn for each update as it runs, then the exploration
+    scale's decay; the timesteps are drawn up front from the same stream.
+    Kept so that train's semantics stay pinned whatever shape its loop
+    takes."""
     env, agent_cfg = cfg.env, cfg.agent
     agent = make_agent(kind, obs_dim=2 * (env.window_n + 1), config=agent_cfg, seed=cfg.seed)
     buffer = ReplayBuffer(agent_cfg.buffer_capacity)
@@ -422,29 +453,43 @@ def reference_train(kind, series, cfg):
         buffer.add(obs.vector(), raw, r)
         rewards.append(r)
         if i >= agent_cfg.warmup_steps and buffer.size >= agent_cfg.batch_size:
-            agent.update(*buffer.sample(agent.batch_rng, agent_cfg.batch_size))
+            agent.update(*buffer.sample(agent.batch_rng.integers(0, buffer.size, agent_cfg.batch_size)))
         agent.explore_sigma *= agent_cfg.sigma_decay
     return agent, np.array(rewards)
 
 
 class TestTrainMatchesReferenceLoop:
-    @settings(deadline=None, derandomize=True, max_examples=20)
+    """train() draws every replay batch up front, bounded by the buffer's
+    fill at each updating step; the draws here reach that bound's edges,
+    and the examples pin each one: a ring that wraps, updates that start
+    as soon as a batch fits (warmup below batch_size - 1), and a buffer
+    smaller than a batch, which never updates."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
     @given(
         seed=st.integers(0, 2**31 - 1),
         window_n=st.integers(0, 5),
         kind=st.sampled_from([AgentKind.DDPG, AgentKind.TD3]),
         delay=st.integers(1, 3),
+        batch_size=st.integers(1, 12),
+        warmup=st.integers(0, 20),
+        capacity=st.sampled_from([1, 5, 8, 11, 30, 60, 1000]),
     )
-    def test_bit_for_bit(self, seed, window_n, kind, delay):
+    @example(seed=5, window_n=2, kind=AgentKind.TD3, delay=2, batch_size=8, warmup=12, capacity=20)
+    @example(seed=5, window_n=2, kind=AgentKind.TD3, delay=2, batch_size=8, warmup=0, capacity=60)
+    @example(seed=5, window_n=2, kind=AgentKind.TD3, delay=2, batch_size=8, warmup=12, capacity=7)
+    def test_bit_for_bit(self, seed, window_n, kind, delay, batch_size, warmup, capacity):
         rng = np.random.default_rng(seed)
         n = 40
+        steps = 60
         series = DemandSeries(np.arange(n) * 3600, rng.uniform(0, 30, n), rng.uniform(0, 30, n), 3600)
         cfg = ExperimentConfig(
             env=EnvConfig(n_r=20.0, zeta=float(rng.uniform()), window_n=window_n),
             seed=seed,
-            train_steps=60,
-            agent=AgentConfig(batch_size=8, warmup_steps=12, hidden_dims=(8, 4),
-                              explore_sigma=0.3, sigma_decay=0.99, td3_policy_delay=delay),
+            train_steps=steps,
+            agent=AgentConfig(batch_size=batch_size, warmup_steps=warmup, buffer_capacity=capacity,
+                              hidden_dims=(8, 4), explore_sigma=0.3, sigma_decay=0.99,
+                              td3_policy_delay=delay),
         )
         agent, result = train(kind, series, cfg)
         ref, ref_rewards = reference_train(kind, series, cfg)
@@ -452,7 +497,10 @@ class TestTrainMatchesReferenceLoop:
         assert bits(agent.actor.flat).tolist() == bits(ref.actor.flat).tolist()
         assert bits(agent.critic.flat).tolist() == bits(ref.critic.flat).tolist()
         assert agent.explore_sigma == ref.explore_sigma
-        assert agent.update_count == ref.update_count == 60 - 12
+        # the batch stream stands where the per-update draws leave it
+        assert agent.batch_rng.bit_generator.state == ref.batch_rng.bit_generator.state
+        updates = steps - max(warmup, batch_size - 1) if capacity >= batch_size else 0
+        assert agent.update_count == ref.update_count == updates
 
 
 class TestTrain:
@@ -888,7 +936,8 @@ class TestOldCheckpoints:
         fresh = make_agent(agent.kind, obs_dim=agent.obs_dim, config=experiment.agent)
         assert agent.target_actor.flat.tobytes() == fresh.target_actor.flat.tobytes()
 
-    @pytest.mark.parametrize("version", [0, 4, "3", None], ids=["0", "4", "text", "missing"])
+    @pytest.mark.parametrize("version", [0, 4, "3", None, True, 1.0, 2.0, 3.0],
+                             ids=["0", "4", "text", "missing", "true", "1.0", "2.0", "3.0"])
     def test_unknown_version_refused(self, tmp_path, version):
         payload = json.loads(V2_FIXTURE.read_text())
         payload.pop("version")

@@ -68,6 +68,15 @@ class TestConstruction:
         assert dup.weights[0][0, 0] != net.weights[0][0, 0]
         assert dup.dims == net.dims and dup.activations == net.activations
 
+    def test_activations_bound_by_name_through_clone_and_load(self):
+        names = ["relu", "tanh", "sigmoid", "identity"]
+        net = Mlp([3, 4, 4, 4, 2], names, rng=np.random.default_rng(3))
+        bound = tuple(ACTIVATIONS[name][0] for name in names), tuple(ACTIVATIONS[name][1] for name in names)
+        dup = net.clone()
+        load_params(dup, mlp_to_dict(net))
+        for each in (net, dup):
+            assert (each.value_fns, each.chain_fns) == bound
+
 
 class TestForward:
     def test_affine_single_layer(self):
@@ -351,6 +360,18 @@ class TestAdam:
         with pytest.raises(ShapeMismatch, match=r"^Adam steps one vector of shape \(2,\) with one gradient"):
             adam_step(state, [p] * params, [np.ones(2)] * grads)
         assert state.step_count == 0 and p.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_bad_lr_named(self, lr):
+        # a NaN rate would otherwise pass `lr <= 0` and train NaN weights
+        with pytest.raises(ValueError, match=rf"^lr must be a finite positive number, got {re.escape(repr(lr))}$"):
+            AdamState([np.zeros(2)], lr=lr)
+
+    def test_mismatch_names_the_shapes(self):
+        state = AdamState([np.zeros(2)], lr=0.1)
+        with pytest.raises(ShapeMismatch, match=r"parameter shapes \[\(2,\)\] and gradient shapes \[\(3,\)\]$"):
+            adam_step(state, [np.zeros(2)], [np.zeros(3)])
 
 
 class TestSoftUpdate:
