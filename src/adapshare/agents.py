@@ -60,11 +60,15 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, idx):
-        """The filled region's rows at the integer indices idx, each in
+        """The filled region's rows at the integer array idx, each index in
         [0, size), gathered once: returns ([obs | u_a u_b] rows, rewards),
         both views of the gather."""
         if self._rows is None:
             raise InsufficientData("buffer is empty")
+        # numpy would read a negative index from the fill level back
+        low = idx.min(initial=0)
+        if low < 0:
+            raise InsufficientData(f"buffer holds {self.size} rows: index {low} is negative")
         try:
             rows = self._rows[:self.size][idx]
         except IndexError as exc:
@@ -102,8 +106,6 @@ class DdpgAgent:
         self.explore_sigma = cfg.explore_sigma
         self.policy_delay = cfg.td3_policy_delay if self.kind == AgentKind.TD3 else 1
         self.update_count = 0
-        # the actor step's ascent upstream -1/B for a batch of B rows; backward only reads it
-        self._ascent = np.full((cfg.batch_size, 1), -1.0 / cfg.batch_size)
 
     def act(self, obs, explore=False):
         """The actor's raw action [u_a, u_b] for an Observation; with
@@ -130,12 +132,11 @@ class DdpgAgent:
 
     def _update_actor(self, obs):
         batch = obs.shape[0]
-        ascent = self._ascent if batch == self._ascent.shape[0] else np.full((batch, 1), -1.0 / batch)
         mu, actor_cache = nn.forward_cache(self.actor, obs)
         x = np.concatenate([obs, mu], axis=1)
         _, critic_cache = nn.forward_cache(self.critic, x)
         # ascend mean Q: backprop -1/B through the critic into the action slice
-        _, dx = nn.backward(self.critic, critic_cache, ascent, params=False)
+        _, dx = nn.backward(self.critic, critic_cache, np.full((batch, 1), -1.0 / batch), params=False)
         grad, _ = nn.backward(self.actor, actor_cache, dx[:, self.obs_dim:], inputs=False)
         nn.adam_step(self.actor_opt, [self.actor.flat], [grad])
 
@@ -187,6 +188,21 @@ def eval_timesteps(series, cfg):
     return range(start, n)
 
 
+# updates whose replay indices train draws in one call, which bounds the
+# index block at REPLAY_BLOCK * batch_size int64s whatever train_steps is
+REPLAY_BLOCK = 1024
+
+
+def replay_batches(rng, fills, batch_size):
+    """Update k's batch_size replay indices, uniform in [0, fills[k]),
+    drawn REPLAY_BLOCK updates per rng.integers call. Each index takes
+    the stream as one call per update would, in the same order, so the
+    bits and rng's final state are those calls'."""
+    for lo in range(0, fills.size, REPLAY_BLOCK):
+        high = fills[lo:lo + REPLAY_BLOCK, None]
+        yield from rng.integers(0, high, (high.shape[0], batch_size))
+
+
 @dataclass
 class TrainResult:
     """Reward trace and its window-100 moving average."""
@@ -203,8 +219,8 @@ def train(agent_kind, series, cfg):
     gradient update. The timesteps and the exploration noise are drawn
     up front, with the bits per-step draws would give; the exploration
     scale decays by sigma_decay after every step. Every update's replay
-    indices are drawn up front too, in one call bounded by the buffer's
-    fill at each updating step, which gives the per-update draws' bits.
+    indices are drawn ahead too, a block of updates per call bounded by
+    the buffer's fill at each updating step, with the per-update draws' bits.
     Deterministic given cfg.seed.
     """
     env = cfg.env
@@ -236,11 +252,11 @@ def train(agent_kind, series, cfg):
     capacity = buffer.capacity
     first = max(warmup, batch_size - 1) if capacity >= batch_size else steps
     fills = np.minimum(np.arange(first + 1, steps + 1), capacity)
-    batches = iter(agent.batch_rng.integers(0, fills[:, None], (fills.size, batch_size)))
+    batches = replay_batches(agent.batch_rng, fills, batch_size)
     rewards = np.empty(steps)
-    for i, (t, kick) in enumerate(zip(ts.tolist(), noise.tolist())):
+    for i, t in enumerate(ts.tolist()):
         obs_vec = obs_rows[t - env.window_n]
-        raw = agent.action(obs_vec, kick)
+        raw = agent.action(obs_vec, noise[i].tolist())
         r = step(series, t, raw, env)
         buffer.add(obs_vec, raw, r)
         rewards[i] = r

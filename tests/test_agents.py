@@ -175,6 +175,11 @@ class TestReplayBuffer:
         # an index at the fill level reads no row, though the ring has room for it
         with pytest.raises(InsufficientData, match="^buffer holds 1 rows: "):
             buf.sample(np.array([0, 1]))
+        # nor does a negative one, which numpy would count back from the fill level
+        add(buf)
+        add(buf)
+        with pytest.raises(InsufficientData, match="^buffer holds 3 rows: index -1 is negative$"):
+            buf.sample(np.array([0, -1]))
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -291,20 +296,6 @@ class TestUpdateMath:
         assert abs(mu[0] - 0.5) < 0.05
         assert mean_q(agent, obs) > first_q
         assert actor.biases[-1][1] == -1.0
-
-    def test_batch_of_another_size_ascends_its_own_mean(self):
-        # the agent keeps the -1/B ascent upstream for its configured batch
-        # size; a batch of another size ascends with its own -1/B, as an
-        # agent configured for that size does
-        rng = np.random.default_rng(8)
-        obs_act = np.concatenate([rng.uniform(0.0, 1.0, (5, 4)), rng.uniform(0.0, 1.0, (5, 2))], axis=1)
-        rews = -rng.uniform(0.0, 1.0, 5)
-        sized = [make_agent(AgentKind.DDPG, obs_dim=4, config=AgentConfig(batch_size=b, hidden_dims=(6,)), seed=2)
-                 for b in (8, 5)]
-        for agent in sized:
-            for _ in range(3):
-                agent.update(obs_act, rews)
-        assert sized[0].actor.flat.tobytes() == sized[1].actor.flat.tobytes()
 
     def test_update_requires_full_batch(self, constant_series):
         # no warm-up: training still waits until the buffer holds a batch
@@ -459,11 +450,12 @@ def reference_train(kind, series, cfg):
 
 
 class TestTrainMatchesReferenceLoop:
-    """train() draws every replay batch up front, bounded by the buffer's
-    fill at each updating step; the draws here reach that bound's edges,
-    and the examples pin each one: a ring that wraps, updates that start
-    as soon as a batch fits (warmup below batch_size - 1), and a buffer
-    smaller than a batch, which never updates."""
+    """train() draws the replay batches ahead, a block of updates per call,
+    bounded by the buffer's fill at each updating step; the draws here
+    reach that bound's edges, and the examples pin each one: a ring that
+    wraps, updates that start as soon as a batch fits (warmup below
+    batch_size - 1), and a buffer smaller than a batch, which never
+    updates."""
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(
@@ -501,6 +493,18 @@ class TestTrainMatchesReferenceLoop:
         assert agent.batch_rng.bit_generator.state == ref.batch_rng.bit_generator.state
         updates = steps - max(warmup, batch_size - 1) if capacity >= batch_size else 0
         assert agent.update_count == ref.update_count == updates
+
+
+    @pytest.mark.parametrize("block", [1, 3, 7, agents_mod.REPLAY_BLOCK])
+    def test_blocked_draws_match_per_update_draws(self, monkeypatch, block):
+        # replay_batches draws a block of updates per call; whatever the
+        # block, the indices and the stream's final state are one call's per update
+        monkeypatch.setattr(agents_mod, "REPLAY_BLOCK", block)
+        fills = np.minimum(np.arange(5, 40), 30)
+        drawn, ref = rng_for(4, "batch"), rng_for(4, "batch")
+        batches = list(agents_mod.replay_batches(drawn, fills, 6))
+        assert [b.tolist() for b in batches] == [ref.integers(0, f, 6).tolist() for f in fills.tolist()]
+        assert drawn.bit_generator.state == ref.bit_generator.state
 
 
 class TestTrain:
