@@ -16,10 +16,11 @@ math.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import numbers
+import operator
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -335,12 +336,12 @@ def read_table(path, opener, dtype, rule) -> np.ndarray:
     ("S<width>"), which comes back as str as wide as its longest value.
     The file's header is the column names, joined by commas.
     `opener` opens the file, as Path(path).open does; rule(table) is the
-    format's own check, first_fault of its rows. One np.loadtxt call
-    (_loadtxt_table) parses the file, quotes too, as it is read; on any
-    doubt or fault the row reader (_row_table) reads it from the top and
-    names path:line of the first bad row. Both end in _checked."""
-    with opener(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        parsed = _loadtxt_table(fh, dtype)
+    format's own check, first_fault of its rows. A byte pass over the file
+    and one np.loadtxt call that reads it from its path (_loadtxt_table)
+    parse it, quotes too; on any doubt or fault the row reader (_row_table)
+    reads it through `opener` from the top and names path:line of the
+    first bad row. Both end in _checked."""
+    parsed = _loadtxt_table(path, dtype)
     if parsed is not None:
         table, fault = _checked(parsed, dtype, rule)
         if fault is None:
@@ -378,35 +379,46 @@ def _as_str(col) -> np.ndarray:
 
 # what np.loadtxt, quoting with '"', parses as csv, int() and float() do: printable ASCII, line ends
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\r\n"
-# lines per block checked for np.loadtxt
-_CHUNK_LINES = 512
+# bytes per read of the byte pass; 128 KiB read and checked faster than 1 MiB
+_CHUNK_BYTES = 1 << 17
+# suffixes numpy's DataSource, which opens np.loadtxt's path, decompresses
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _plain(lines: list[str]) -> list[str]:
-    """`lines` if they hold only _PLAIN_BYTES, else a ValueError."""
-    text = "".join(lines)
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
-        raise ValueError("a byte np.loadtxt may read unlike the row reader")
-    return lines
-
-
-def _loadtxt_table(lines, dtype) -> np.ndarray | None:
-    """The data rows of CSV `lines` as one np.loadtxt table, or None when
-    the row reader must read them: a header that does not match, a byte
-    outside _PLAIN_BYTES, any np.loadtxt error or warning (no data rows),
-    or a text value that fills its width (np.loadtxt would cut one longer).
-    np.loadtxt takes blocks of _CHUNK_LINES lines, each checked as it goes."""
-    lines = iter(lines)
-    first = next(lines, None)
-    if first is None or not _is_header(first.split(","), dtype):
+def _loadtxt_table(path, dtype) -> np.ndarray | None:
+    """The data rows of the CSV file at `path` as one np.loadtxt table, or
+    None when the row reader must read it. A byte pass reads the file
+    _CHUNK_BYTES at a time, up to the first chunk with a byte outside
+    _PLAIN_BYTES; np.loadtxt then reads it from its path if it is a regular
+    file (a pipe could not be read again) without a _COMPRESSED suffix,
+    whose first line, within the first chunk, is dtype's header, and that
+    does not hold both a '"' and a CR (np.loadtxt reads universal newlines,
+    so a quoted CR would come back a LF). None too if np.loadtxt errs or
+    warns (no data rows), the file changed since the byte pass, or a text
+    value fills its width (np.loadtxt would cut one longer)."""
+    if not os.path.isfile(path) or os.path.splitext(path)[1] in _COMPRESSED:
         return None
-    blocks = itertools.chain([[first]], iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)), []))
+    identity = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
     try:
+        with open(path, "rb") as fh:
+            seen, chunk = os.fstat(fh.fileno()), fh.read(_CHUNK_BYTES)
+            header = chunk.split(b"\n", 1)[0].split(b"\r", 1)[0].decode("latin-1")
+            if len(header) == _CHUNK_BYTES or not _is_header(header.split(","), dtype):
+                return None
+            quote = cr = False
+            while chunk and not chunk.translate(None, _PLAIN_BYTES):
+                quote, cr = quote or b'"' in chunk, cr or b"\r" in chunk
+                chunk = fh.read(_CHUNK_BYTES)
+        if chunk or quote and cr:
+            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(itertools.chain.from_iterable(map(_plain, blocks)), dtype=dtype,
-                               delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1)
-    except (ValueError, Warning):
+            # absolute, so that numpy's DataSource never reads it as a URL
+            table = np.loadtxt(os.path.join(os.getcwd(), path), dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, skiprows=1, ndmin=1, encoding="ascii")
+        if identity(os.stat(path)) != identity(seen):
+            return None
+    except (OSError, ValueError, Warning):
         return None
     texts = [table[name] for name in table.dtype.names if table.dtype[name].kind == "S"]
     return None if any((np.strings.str_len(col) >= col.itemsize).any() for col in texts) else table

@@ -5,9 +5,9 @@ coarser uniform grid.
 Pipeline: parse_dci_csv -> filter_data_transmissions -> resample_mean, then
 merge_series pairs two one-sided results into a single (d_a, d_b) series.
 A trace is one numpy record array with the DCI_HEADER columns, read through
-domain.read_table in one np.loadtxt call, quoted cells too; its one rule is
-the range of each value (_out_of_range). A row that does not parse or holds
-a value out of range is refused with its path:line, named by the row reader.
+domain.read_table: a byte pass, then one np.loadtxt call on the file's path,
+quotes too. Its one rule is each value's range (_out_of_range); a row that
+breaks it or does not parse is refused with its path:line by the row reader.
 """
 
 from __future__ import annotations

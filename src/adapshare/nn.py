@@ -202,6 +202,9 @@ def backward(net, cache, upstream, params=True, inputs=True):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# steps between adam_step's flushes of subnormal first moments to 0: a dead
+# unit's moment decays to 2**-1074 and sticks, and subnormal arithmetic is slow
+ADAM_FLUSH_EVERY = 256
 
 
 class AdamState:
@@ -252,6 +255,8 @@ def adam_step(state, params, grads):
     s2 += ADAM_EPS
     s1 /= s2
     p -= s1
+    if t % ADAM_FLUSH_EVERY == 0:
+        m[np.abs(m, out=s1) < np.finfo(np.float64).tiny] = 0.0
 
 
 def soft_update(target, online, tau):

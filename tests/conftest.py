@@ -24,10 +24,9 @@ def grants(pairs):
 
 
 def loadtxt_route(path, dtype, rule):
-    """The table domain.read_table's np.loadtxt call makes of the CSV file
-    at path, or None where it hands the file to the row reader."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        parsed = domain._loadtxt_table(fh, dtype)
+    """The table domain.read_table's byte pass and np.loadtxt call make of
+    the CSV file at path, or None where it hands the file to the row reader."""
+    parsed = domain._loadtxt_table(path, dtype)
     if parsed is not None:
         table, fault = domain._checked(parsed, dtype, rule)
         return None if fault else table

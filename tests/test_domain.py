@@ -504,8 +504,8 @@ class TestLoadtxtPass:
                      "timestamps must increase, got 3 after 5", id="falling_timestamp"),
     ])
     def test_bad_step_across_a_pass_boundary_names_its_line(self, tmp_path, monkeypatch, body, message):
-        # blocks of two lines: lines 2-3, then 4-5; the bad step is 3 to 4
-        monkeypatch.setattr(domain, "_CHUNK_LINES", 2)
+        # the byte pass reads chunks of 20 bytes, which end inside rows
+        monkeypatch.setattr(domain, "_CHUNK_BYTES", 20)
         path = tmp_path / "series.csv"
         path.write_text(f"{SERIES_HEADER}\n{body}", encoding="utf-8")
         assert loadtxt_pass(path) is None
@@ -515,11 +515,26 @@ class TestLoadtxtPass:
         assert series_outcome(series_rows, path) == ("error", f"{path}:4")
 
     def test_passes_join_into_the_row_readers_series(self, tmp_path, monkeypatch, small_series):
-        monkeypatch.setattr(domain, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(domain, "_CHUNK_BYTES", 32)
         path = tmp_path / "series.csv"
         write_series_csv(small_series, path)
         assert loadtxt_pass(path) is not None
         assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)
+
+    def test_header_past_the_first_chunk_takes_the_row_reader(self, tmp_path, monkeypatch):
+        # the byte pass reads the first line within its first chunk only
+        monkeypatch.setattr(domain, "_CHUNK_BYTES", len(SERIES_HEADER) + 1)
+        path = tmp_path / "series.csv"
+        path.write_text(f"{SERIES_HEADER}\n0,1.5,2.5\n5,1.5,2.5\n", encoding="utf-8")
+        assert loadtxt_pass(path) is not None
+        path.write_text(f"{SERIES_HEADER}  \n0,1.5,2.5\n5,1.5,2.5\n", encoding="utf-8")
+        assert loadtxt_pass(path) is None
+        assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)
+
+    def test_compressed_suffixes_cover_numpys(self):
+        # np.loadtxt opens a path through numpy's DataSource, which picks a
+        # decompressor by these suffixes; a file named so takes the row reader
+        assert set(np.lib._datasource._file_openers.keys()) - {None} <= set(domain._COMPRESSED)
 
     def test_columns_are_contiguous(self, tmp_path, small_series):
         path = tmp_path / "series.csv"
@@ -653,8 +668,9 @@ class TestSeriesDifferential:
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(series_files())
-    def test_read_in_passes_of_two_lines_matches_the_row_reader(self, data):
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(domain, "_CHUNK_LINES", 2):
+    def test_read_in_chunks_of_32_bytes_matches_the_row_reader(self, data):
+        # 32 bytes hold any header the files draw, so the byte pass reads on
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(domain, "_CHUNK_BYTES", 32):
             path = Path(tmp) / "series.csv"
             path.write_bytes(data)
             assert series_outcome(read_series_csv, path) == series_outcome(series_rows, path)

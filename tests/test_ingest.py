@@ -1,5 +1,8 @@
 import contextlib
+import io
+import os
 import tempfile
+import urllib.request
 from pathlib import Path
 from unittest import mock
 
@@ -183,6 +186,23 @@ def counting_opener(path, lines_read):
     return counted
 
 
+def counting_binary_open(bytes_read):
+    """An open for domain.read_table's byte pass that appends to
+    `bytes_read` a count of the bytes each opening hands out."""
+
+    class Counted(io.BufferedReader):
+        def read(self, size=-1):
+            data = super().read(size)
+            bytes_read[-1] += len(data)
+            return data
+
+    def counted(file, mode):
+        bytes_read.append(0)
+        return Counted(io.FileIO(file, mode))
+
+    return counted
+
+
 class TestWholeFilePass:
     """parse_dci_csv parses a file in one np.loadtxt call where it reads it
     as the row reader does, and hands the rest to the row reader; either
@@ -202,6 +222,13 @@ class TestWholeFilePass:
         pytest.param(PLAIN_ROW.replace("25", "25\x1c"), False, id="separator_after_a_number"),
         pytest.param("", False, id="header_only"),
         pytest.param(f"{PLAIN_ROW}\r\n\r\n{PLAIN_ROW}\r\n", True, id="crlf"),
+        # np.loadtxt reads the file with universal newlines: a quoted CR
+        # would come back as a LF, so a file with a quote and a CR takes the
+        # row reader
+        pytest.param(PLAIN_ROW.replace("2B", '"2\rB"'), False, id="quoted_cr"),
+        pytest.param(PLAIN_ROW.replace("2B", '"2\r\nB"'), False, id="quoted_crlf"),
+        pytest.param(PLAIN_ROW.replace("2B", '"2\nB"'), True, id="quoted_lf"),
+        pytest.param(f"{PLAIN_ROW}\r\n" + PLAIN_ROW.replace("2B", '"2B"') + "\r", False, id="quoted_cell_and_crlf"),
         pytest.param(f"{PLAIN_ROW}\n   \n{PLAIN_ROW}\n", False, id="whitespace_only_row"),
         pytest.param("\n".join([PLAIN_ROW] * 5 + [PLAIN_ROW.replace("512", "1024", 1), PLAIN_ROW]),
                      False, id="sfn_out_of_range_on_line_7"),
@@ -240,29 +267,33 @@ class TestWholeFilePass:
         assert outcome(parse_dci_csv, quoted) == outcome(parse_dci_csv, dci_fixture_path)
 
     def test_slices_join_into_the_row_readers_records(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(domain, "_CHUNK_LINES", 3)
+        # the byte pass reads the 12 rows in chunks of 64 bytes
+        monkeypatch.setattr(domain, "_CHUNK_BYTES", 64)
         rows = [PLAIN_ROW.replace("2B", fmt) for fmt in ["2B", " 1A", "0", "abcdefg", "", "2B "] * 2]
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
         assert outcome(loadtxt_records, path) == outcome(dci_records, path)
         assert outcome(parse_dci_csv, path) == outcome(dci_records, path)
 
-    def test_row_reader_stops_at_the_fault_the_passes_found(self, tmp_path):
+    def test_row_reader_stops_at_the_fault_the_passes_found(self, tmp_path, monkeypatch):
         rows = [PLAIN_ROW] * 3000
         rows[8] = PLAIN_ROW.replace("512", "1024", 1)
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
-        lines_read = []  # per opening of the file
+        lines_read, bytes_read = [], []  # per opening of the file
+        monkeypatch.setattr(domain, "open", counting_binary_open(bytes_read), raising=False)
         with pytest.raises(ValueError) as info:
             domain.read_table(path, counting_opener(path, lines_read), ingest._DCI_DTYPE, ingest._out_of_range)
         assert str(info.value) == f"{path}:10: sfn out of range: 1024"
-        # np.loadtxt read every line; the row reader the header and 9 rows
-        assert lines_read == [3001, 10]
+        # the byte pass read every byte and np.loadtxt the file from its
+        # path; through the opener, the row reader read the header and 9 rows
+        assert bytes_read == [path.stat().st_size]
+        assert lines_read == [10]
 
     def test_row_reader_stops_within_a_block_of_a_bad_cell(self, tmp_path):
-        # np.loadtxt reads the quotes and declines at the bad cell, within
-        # a block of it; the row reader converts each row as it reads it,
-        # so it hands out the header and two rows only
+        # the byte pass admits the quotes, and np.loadtxt reads them and
+        # declines at the bad cell; the row reader converts each row as it
+        # reads it, so it hands out the header and two rows only
         rows = [PLAIN_ROW.replace("2B", '"2B"')] * 3000
         rows[1] = rows[1].replace("25", "ten")
         path = tmp_path / "trace.csv"
@@ -271,30 +302,34 @@ class TestWholeFilePass:
         with pytest.raises(ValueError) as info:
             domain.read_table(path, counting_opener(path, lines_read), ingest._DCI_DTYPE, ingest._out_of_range)
         assert str(info.value) == f"{path}:3: invalid literal for int() with base 10: 'ten'"
-        assert len(lines_read) == 2
-        assert 3 <= lines_read[0] <= 3 + domain._CHUNK_LINES
-        assert lines_read[1] == 3
+        assert lines_read == [3]
 
-    @pytest.mark.parametrize("cell, message", [
-        pytest.param("1024\t", "sfn out of range: 1024", id="tab"),
-        pytest.param("x", "invalid literal for int() with base 10: 'x'", id="unparsable_int"),
+    @pytest.mark.parametrize("cell, message, row_reader_lines", [
+        pytest.param("1024\t", "sfn out of range: 1024", 5001, id="tab"),
+        pytest.param("x", "invalid literal for int() with base 10: 'x'", 2000, id="unparsable_int"),
     ])
-    def test_loadtxt_call_declines_within_a_block_of_the_bad_line(self, tmp_path, cell, message):
-        # the tab sends the file to the row reader, which refuses its sfn;
-        # np.loadtxt refuses the int itself
+    def test_loadtxt_call_declines_within_a_block_of_the_bad_line(self, tmp_path, monkeypatch, cell, message,
+                                                                  row_reader_lines):
+        # the tab ends the byte pass at the chunk that holds it, and the row
+        # reader refuses its sfn once it has read every row, as a range is a
+        # rule of the whole table; np.loadtxt refuses the int itself, after
+        # the byte pass read the whole file, and the row reader stops there
+        monkeypatch.setattr(domain, "_CHUNK_BYTES", 4096)
         rows = [PLAIN_ROW] * 5000
         rows[1998] = PLAIN_ROW.replace("512", cell, 1)  # line 2,000
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
-        lines_read = []  # per opening of the file
+        lines_read, bytes_read = [], []  # per opening of the file
+        monkeypatch.setattr(domain, "open", counting_binary_open(bytes_read), raising=False)
         with pytest.raises(ValueError) as info:
             domain.read_table(path, counting_opener(path, lines_read), ingest._DCI_DTYPE, ingest._out_of_range)
         assert str(info.value) == f"{path}:2000: {message}"
-        assert len(lines_read) == 2
-        assert 2000 <= lines_read[0] <= 2000 + domain._CHUNK_LINES
+        data = path.read_bytes()
+        assert bytes_read == [(data.index(b"\t") // 4096 + 1) * 4096 if "\t" in cell else len(data)]
+        assert lines_read == [row_reader_lines]
 
     def test_bad_row_in_a_later_slice_names_its_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(domain, "_CHUNK_LINES", 2)
+        monkeypatch.setattr(domain, "_CHUNK_BYTES", 64)
         rows = [PLAIN_ROW] * 5 + [PLAIN_ROW.replace("512", "1024", 1), PLAIN_ROW]
         path = tmp_path / "trace.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
@@ -302,6 +337,69 @@ class TestWholeFilePass:
         with pytest.raises(ValueError) as info:
             parse_dci_csv(path)
         assert str(info.value) == f"{path}:7: sfn out of range: 1024"
+
+    @pytest.mark.parametrize("name, text, whole_file", [
+        pytest.param("trace.csv", f"{DCI_HEADER}\r{PLAIN_ROW}\r{PLAIN_ROW}\r", True, id="lone_cr"),
+        pytest.param("trace.csv", f"{HEADER}{PLAIN_ROW}\n{PLAIN_ROW}", True, id="no_final_newline"),
+        # numpy's DataSource would decompress a file by its suffix
+        pytest.param("trace.csv.gz", f"{HEADER}{PLAIN_ROW}\n", False, id="plain_text_named_gz"),
+        pytest.param("trace.csv.bz2", f"{HEADER}{PLAIN_ROW}\n", False, id="plain_text_named_bz2"),
+        pytest.param("trace.csv.xz", f"{HEADER}{PLAIN_ROW}\n", False, id="plain_text_named_xz"),
+        pytest.param("trace.csv.lzma", f"{HEADER}{PLAIN_ROW}\n", False, id="plain_text_named_lzma"),
+    ])
+    def test_line_ends_quotes_and_names(self, tmp_path, name, text, whole_file):
+        path = tmp_path / name
+        path.write_bytes(text.encode("ascii"))
+        assert (whole_file_pass(path) is not None) == whole_file
+        assert outcome(parse_dci_csv, path) == outcome(dci_records, path)
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="names a pipe by /dev/fd")
+    def test_pipe_takes_the_row_reader(self):
+        # a shell's process substitution names a pipe, which np.loadtxt
+        # could not read again after the byte pass
+        read, write = os.pipe()
+        try:
+            os.write(write, (HEADER + PLAIN_ROW + "\n").encode())
+            os.close(write)
+            records = parse_dci_csv(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert records.prb_count.tolist() == [25]
+
+    def test_url_shaped_path_is_read_as_a_local_file(self, tmp_path, monkeypatch):
+        # numpy's DataSource fetches a str path with a scheme and a netloc,
+        # even where a local file of that name exists; np.loadtxt is given
+        # the path made absolute, which has neither
+        def fetch(*args, **kwargs):
+            raise AssertionError("fetched")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fetch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "example.com").mkdir(parents=True)
+        (tmp_path / "http:" / "example.com" / "trace.csv").write_text(HEADER + PLAIN_ROW + "\n")
+        url = "http://example.com/trace.csv"
+        with pytest.raises(AssertionError, match="fetched"):
+            np.loadtxt(url, dtype=ingest._DCI_DTYPE, delimiter=",", skiprows=1)
+        assert whole_file_pass(url) is not None
+        assert outcome(parse_dci_csv, url) == outcome(dci_records, url)
+
+    def test_file_rewritten_between_the_reads_takes_the_row_reader(self, tmp_path, monkeypatch):
+        # the byte pass reads a plain file, which is rewritten with a quoted
+        # CR before np.loadtxt reads it; the file's size and time changed,
+        # so the row reader reads it again, and keeps the CR
+        path = tmp_path / "trace.csv"
+        path.write_text(HEADER + PLAIN_ROW + "\n")
+        loadtxt = np.loadtxt
+
+        def rewritten_first(*args, **kwargs):
+            path.write_text(HEADER + PLAIN_ROW.replace("2B", '"2\rB"') + "\n", newline="")
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", rewritten_first)
+        records = parse_dci_csv(path)
+        monkeypatch.undo()
+        assert records.dci_format.tolist() == ["2\rB"]
+        assert outcome(lambda _: records, path) == outcome(dci_records, path)
 
 
 def _number(ints):
@@ -385,8 +483,9 @@ class TestDifferential:
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(dci_files())
-    def test_parse_in_slices_of_two_lines_matches_the_row_reader(self, data):
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(domain, "_CHUNK_LINES", 2):
+    def test_parse_in_chunks_of_64_bytes_matches_the_row_reader(self, data):
+        # 64 bytes hold any header the files draw, so the byte pass reads on
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(domain, "_CHUNK_BYTES", 64):
             path = Path(tmp) / "trace.csv"
             path.write_bytes(data)
             assert outcome(parse_dci_csv, path) == outcome(dci_records, path)

@@ -8,6 +8,8 @@ import pytest
 
 from adapshare.nn import (
     ACTIVATIONS,
+    ADAM_BETA1,
+    ADAM_FLUSH_EVERY,
     AdamState,
     ArchitectureMismatch,
     Mlp,
@@ -332,6 +334,23 @@ class TestAdam:
             grad, _ = backward(net, cache, 2.0 * (out - y) / len(x))
             adam_step(state, [net.flat], [grad])
         assert mse() < start * 0.05
+
+    def test_subnormal_first_moments_flush_to_zero(self):
+        # a dead unit's gradient is 0, so its moment decays by ADAM_BETA1 a
+        # step and sticks at 2**-1074; every ADAM_FLUSH_EVERY steps a moment
+        # below the normal range is set to 0 in place, and the rest kept
+        tiny, zero = np.finfo(np.float64).tiny, np.zeros(4)
+        p = [np.ones(4)]
+        state = AdamState(p, lr=0.01)
+        m = state.first_moment
+        for _ in range(ADAM_FLUSH_EVERY - 2):
+            adam_step(state, p, [zero])
+        m[:] = [5e-324, -tiny / 2, 2 * tiny, 0.5]
+        adam_step(state, p, [zero])
+        assert m.tolist() == [5e-324, -tiny / 2 * ADAM_BETA1, 2 * tiny * ADAM_BETA1, 0.5 * ADAM_BETA1]
+        adam_step(state, p, [zero])
+        assert state.step_count == ADAM_FLUSH_EVERY and state.first_moment is m
+        assert m.tolist() == [0.0, 0.0, 2 * tiny * ADAM_BETA1 * ADAM_BETA1, 0.5 * ADAM_BETA1 * ADAM_BETA1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
