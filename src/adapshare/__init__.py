@@ -14,7 +14,7 @@ import importlib
 _EXPORTS = {
     "domain": ("AgentConfig", "AgentKind", "Allocation", "DemandSeries", "EnvConfig",
                "ExperimentConfig", "clamp_demand", "read_series_csv", "write_series_csv"),
-    "env": ("Observation", "objective_j", "observe", "project_action", "reward", "step"),
+    "env": ("Observation", "objective_j", "observe", "project_action", "step"),
     "oracle": ("OracleSolution", "solve_opt", "solve_opt_array", "solve_opt_base"),
     "synthgen": ("DemandStats", "fit", "generate", "ks_distance"),
     "agents": ("DdpgAgent", "ReplayBuffer", "Td3Agent", "eval_timesteps", "evaluate",

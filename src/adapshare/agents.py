@@ -8,7 +8,8 @@ returns, is -(1 + eta) J, so the critic regresses on the reward itself:
 there is no successor state to bootstrap from.
 TD3 is DDPG whose actor moves only on every td3_policy_delay-th update
 (Fujimoto et al. 2018, arXiv:1802.09477). The target networks are
-Polyak-averaged copies that nothing reads, and checkpoints omit them.
+clones of the online ones that nn.soft_update Polyak-averages at the
+constant rate TAU; nothing reads them, and checkpoints omit them.
 TRAINABLE names the kinds train() takes. The hyperparameters are
 domain.AgentConfig, kept with the other settings so that parsing them
 imports no networks; it is importable from here too.

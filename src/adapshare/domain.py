@@ -157,6 +157,14 @@ def clamp_demands(d, d_min: float, name: str) -> np.ndarray:
     return np.where(d > d_min, d, d_min)
 
 
+def check_objective(zeta, d_min) -> None:
+    """Refuse a zeta outside [0, 1] or a d_min not positive and finite (NaN included)."""
+    if not 0.0 <= zeta <= 1.0:
+        raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
+    if not 0.0 < d_min < math.inf:
+        raise ValueError(f"d_min must be positive and finite, got {d_min}")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """A PRB grant pair. Pool feasibility (n_a + n_b <= n_r) is enforced by

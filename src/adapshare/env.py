@@ -4,7 +4,7 @@ Each step is a one-shot decision: observe the current and recent demand
 pairs, pick a raw action (u_a, u_b) in [0,1]^2, have it projected onto
 the feasible pool, and receive reward -(1 + eta) * J where J is the
 weighted sum of squared fractional surpluses/deficits. A raw action is
-a pair of floats and a step's outcome is its reward, one float. Actions
+a pair of floats, and `step` computes its reward, one float. Actions
 never influence future demand, so steps carry no hidden state.
 """
 
@@ -54,11 +54,6 @@ def objective_j(alloc: Allocation, demand: tuple[float, float], zeta: float, d_m
     d_a = clamp_demand(demand[0], d_min)
     d_b = clamp_demand(demand[1], d_min)
     return _weighted_squares(alloc.n_a, alloc.n_b, d_a, d_b, zeta)
-
-
-def reward(j: float, eta: float) -> float:
-    """Penalty-scaled reward: -(1 + eta) * J, always <= 0."""
-    return -(1.0 + eta) * j
 
 
 def project_action(raw: tuple[float, float], n_r: float) -> Allocation:
@@ -113,9 +108,9 @@ def observation_rows(series: DemandSeries, stop: int, cfg: EnvConfig) -> np.ndar
 
 
 def step(series: DemandSeries, t: int, raw: tuple[float, float], cfg: EnvConfig) -> float:
-    """The reward of raw action (u_a, u_b) at step t. Pure: never mutates
-    the series, and the outcome is independent of actions taken at other
-    times."""
+    """The reward -(1 + eta) * J of raw action (u_a, u_b) at step t, never
+    above 0. Pure: never mutates the series, and the outcome is independent
+    of actions taken at other times."""
     _check_step(series, t, cfg)
     alloc = project_action(raw, cfg.n_r)
-    return reward(objective_j(alloc, series.demand(t), cfg.zeta, cfg.d_min), cfg.eta)
+    return -(1.0 + cfg.eta) * objective_j(alloc, series.demand(t), cfg.zeta, cfg.d_min)

@@ -39,11 +39,11 @@ def _fmt(value):
     return f"{value:g}"
 
 
-def _nice_ticks(lo, hi, target=5):
-    """Round tick positions covering [lo, hi] using a 1/2/5 step."""
+def _nice_ticks(lo, hi):
+    """About five round tick positions covering [lo, hi], a 1/2/5 step apart."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -154,32 +154,24 @@ def write_sweep_csv(cells, path):
     _write(path, _csv(SWEEP_HEADER, (sweep_row(*cell) for cell in cells)))
 
 
-def _float_text(col, known, like=None):
+def _float_text(col, known):
     """repr of each float in col. A column in `known` (text keyed by its
-    bytes, so -0.0 is not 0.0) or of one value is formatted once; a value
-    whose bits equal its row's in `like`, a known column, reuses its text."""
+    bytes, so -0.0 is not 0.0) or of one value is formatted once."""
     text = known.get(col.tobytes())
     if text is not None:
         return text
     values, bits = col.tolist(), col.view(np.uint64)
     if values and (bits == bits[0]).all():
         return [repr(values[0])] * len(values)
-    if like is None:
-        return list(map(repr, values))
-    same = (bits == like.view(np.uint64)).tolist()
-    return [hit if s else repr(v) for v, s, hit in zip(values, same, known[like.tobytes()])]
+    return list(map(repr, values))
 
 
 def write_detail_csv(report, path, _known=None):
     """One detail CSV line per row of the report's per_step matrix, each
-    float its repr, formatted once per distinct value or column; `_known`
+    float its repr, a constant or known column formatted once; `_known`
     is the split-column text that emit_results shares between cells."""
-    known = {} if _known is None else _known
-    t, n_a, n_b, d_a, d_b, j = columns = np.ascontiguousarray(report.per_step.T)
-    for col in (t, d_a, d_b):
-        known[col.tobytes()] = _float_text(col, known)
-    likes = (None, d_a, d_b, None, None, None)  # a grant may reuse its demand's text
-    text = [_float_text(col, known, like) for col, like in zip(columns, likes)]
+    known = _known or {}
+    text = [_float_text(col, known) for col in np.ascontiguousarray(report.per_step.T)]
     _write(path, _csv(DETAIL_HEADER, map(",".join, zip(*text))))
 
 

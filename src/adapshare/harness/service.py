@@ -153,6 +153,8 @@ class AllocationServer(socketserver.ThreadingTCPServer):
 
 def start_server(checkpoint, host="127.0.0.1", port=0):
     """Load a checkpoint and return a bound (not yet serving) server."""
+    if type(port) is not int:
+        raise ValueError(f"port must be an int, got {port!r}")
     if not 0 <= port <= 65535:
         raise ValueError(f"port must lie in 0..65535, got {port}")
     try:
@@ -165,8 +167,8 @@ def start_server(checkpoint, host="127.0.0.1", port=0):
         raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
 
 
-def serve(checkpoint, host="127.0.0.1", port=7447):
-    """Serve allocations until interrupted; blocks the calling thread."""
+def serve(checkpoint, host, port):
+    """Serve allocations on host:port until interrupted; blocks the caller."""
     server = start_server(checkpoint, host, port)
     bound = server.server_address
     print(f"serving {checkpoint} on {bound[0]}:{bound[1]}")

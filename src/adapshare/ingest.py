@@ -105,7 +105,7 @@ def resample_mean(records: np.recarray, granularity_s: int, side_tag: str = "a")
 
 def merge_series(a: DemandSeries, b: DemandSeries) -> DemandSeries:
     """Pair two aligned series into one: a's populated column becomes d_a,
-    b's becomes d_b."""
+    b's becomes d_b. The result shares its inputs' read-only arrays."""
     if a.granularity != b.granularity:
         raise AlignmentMismatch(f"granularity mismatch: {a.granularity} vs {b.granularity}")
     if len(a) != len(b):
@@ -114,4 +114,4 @@ def merge_series(a: DemandSeries, b: DemandSeries) -> DemandSeries:
         raise AlignmentMismatch("timestamps are not aligned")
     col_a = a.column(a.populated_side() or "a")
     col_b = b.column(b.populated_side() or "b")
-    return DemandSeries(a.timestamps.copy(), col_a.copy(), col_b.copy(), a.granularity)
+    return DemandSeries(a.timestamps, col_a, col_b, a.granularity)

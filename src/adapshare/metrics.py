@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import clamp_demands
+from .domain import check_objective, clamp_demands
 from .env import _weighted_squares
 
 
@@ -106,10 +106,11 @@ def build_report(grants, demands, zeta, d_min=0.1, timestamps=None):
         tallied in zero_alloc_steps.
     mean_j adds J left to right. The per_step matrix holds the unfloored
     demands and takes its t column from timestamps, or 0 .. T-1 when none
-    are given.
+    are given. zeta must lie in [0, 1] and d_min be positive and finite.
     """
     if len(grants) == 0:
         raise EmptyInput("no allocations to aggregate")
+    check_objective(zeta, d_min)
     n_a = np.asarray(grants["n_a"], dtype=float)
     n_b = np.asarray(grants["n_b"], dtype=float)
     d_a, d_b = _demand_arrays(demands, len(grants))

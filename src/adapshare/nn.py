@@ -2,9 +2,10 @@
 
 Dense layers, four activations, exact reverse-mode gradients, a
 bias-corrected adaptive-moment optimizer, the Polyak update of the
-agents' target networks (which no output reads), and the plain-dict
-form agent checkpoints store as JSON, which load_params checks in full
-before it writes the parameters into a network of the same shape.
+agents' target networks (clones of their online networks, which no
+output reads), and the plain-dict form agent checkpoints store as JSON,
+which load_params checks in full before it writes the parameters into
+a network of the same shape.
 All math is float64 numpy; no autodiff framework.
 
 Each function takes one form, the one its callers pass, and names any
@@ -38,10 +39,6 @@ import numpy as np
 
 class ShapeMismatch(ValueError):
     """Input or gradient shape incompatible with the network."""
-
-
-class ArchitectureMismatch(ValueError):
-    """Two networks expected to share an architecture do not."""
 
 
 def _sigmoid(z):
@@ -260,17 +257,10 @@ def adam_step(state, params, grads):
 
 
 def soft_update(target, online, tau):
-    """target <- tau * online + (1 - tau) * target, element-wise."""
-    if target.dims != online.dims or target.activations != online.activations:
-        raise ArchitectureMismatch(
-            f"target {target.dims}/{target.activations} vs "
-            f"online {online.dims}/{online.activations}"
-        )
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    """target <- tau * online + (1 - tau) * target, element-wise, in place,
+    for a target made by online.clone() and tau in [0, 1]."""
     target.flat *= 1.0 - tau
     target.flat += tau * online.flat
-    return target
 
 
 MLP_FORMAT = "adapshare-mlp"

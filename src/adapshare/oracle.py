@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Allocation, clamp_demand, clamp_demands
+from .domain import Allocation, check_objective, clamp_demand, clamp_demands
 from .env import objective_j
 
 
@@ -30,10 +30,7 @@ class OracleSolution:
 def _check_problem(zeta, n_r, d_min):
     if not 0.0 < n_r < math.inf:
         raise ValueError(f"n_r must be positive and finite, got {n_r}")
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
-    if not 0.0 < d_min < math.inf:
-        raise ValueError(f"d_min must be positive and finite, got {d_min}")
+    check_objective(zeta, d_min)
 
 
 def _closed_form(a, b, zeta, n_r):

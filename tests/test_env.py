@@ -1,4 +1,4 @@
-"""Objective, reward, action projection, and the bandit step."""
+"""Objective, action projection, and the bandit step and its reward."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from adapshare.env import (
     observation_rows,
     observe,
     project_action,
-    reward,
     step,
 )
 
@@ -55,13 +54,16 @@ class TestObjective:
 
 class TestReward:
     def test_scaling(self):
-        assert reward(2.0, eta=0.5) == -3.0
-        assert reward(0.0, eta=7.0) == 0.0
+        # at t=1 the demand is (10, 10): a grant of (5, 5) has J = 0.25
+        series = make_series([1.0, 10.0], [1.0, 10.0])
+        assert step(series, 1, (0.5, 0.5), EnvConfig(n_r=10.0, eta=0.5, window_n=1)) == -1.5 * 0.25
+        assert step(series, 1, (1.0, 1.0), EnvConfig(n_r=20.0, eta=7.0, window_n=1)) == 0.0
 
     def test_eta_rescales_without_reordering(self):
-        js = [0.1, 0.4, 0.2]
-        base = [reward(j, eta=0.0) for j in js]
-        scaled = [reward(j, eta=3.0) for j in js]
+        series = make_series([1.0, 30.0], [1.0, 20.0])
+        raws = [(0.1, 0.2), (0.4, 0.3), (0.2, 0.9)]
+        base = [step(series, 1, raw, EnvConfig(n_r=40.0, eta=0.0, window_n=1)) for raw in raws]
+        scaled = [step(series, 1, raw, EnvConfig(n_r=40.0, eta=3.0, window_n=1)) for raw in raws]
         assert np.argsort(base).tolist() == np.argsort(scaled).tolist()
         for b, s in zip(base, scaled):
             assert s == pytest.approx(4.0 * b, abs=1e-15)

@@ -1,5 +1,7 @@
 """Surplus/deficit, Jain fairness, mean objective, curves, reports."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,15 @@ class TestBuildReport:
             report = build_report(grants([(0.0, 0.0)]), [(5.0, 5.0)], zeta=0.5)
         assert report.zero_alloc_steps == 1
         assert report.fairness == 1.0
+
+    @pytest.mark.parametrize("zeta, d_min", [(float("nan"), 0.1), (1.5, 0.1), (-0.5, 0.1), (0.5, float("nan")),
+                                             (0.5, -1.0), (0.5, 0.0), (0.5, float("inf"))])
+    def test_bad_zeta_or_d_min_refused(self, zeta, d_min):
+        # each once gave a NaN, an infinite or an out-of-range mean J
+        message = (f"zeta must lie in [0, 1], got {zeta}" if zeta != 0.5
+                   else f"d_min must be positive and finite, got {d_min}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_report(grants([(1.0, 2.0)]), [(3.0, 4.0)], zeta, d_min)
 
     def test_per_step_rows_carry_timestamps(self):
         allocs = grants([(1.0, 2.0), (3.0, 4.0)])

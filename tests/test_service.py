@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import socket
 import time
 
@@ -512,6 +513,12 @@ class TestStartServer:
     def test_port_out_of_range_refused_before_the_checkpoint_loads(self, tmp_path, port):
         # 70000 once loaded the checkpoint, then let bind's OverflowError escape
         with pytest.raises(ValueError, match=rf"^port must lie in 0\.\.65535, got {port}$"):
+            start_server(tmp_path / "absent.json", port=port)
+
+    @pytest.mark.parametrize("port", [True, False, 8080.0, "80", None])
+    def test_port_not_an_int_refused_before_the_checkpoint_loads(self, tmp_path, port):
+        # True once bound port 1; 8080.0 and "80" escaped as a TypeError
+        with pytest.raises(ValueError, match=rf"^port must be an int, got {re.escape(repr(port))}$"):
             start_server(tmp_path / "absent.json", port=port)
 
     def test_binds_ephemeral_port(self, checkpoint_path):
