@@ -31,14 +31,6 @@ from .oracle import solve_opt, solve_opt_array, solve_opt_base  # noqa: F401
 from .seeding import rng_for
 
 
-class InsufficientData(ValueError):
-    """Asked for a replay row the buffer does not hold."""
-
-
-class ConfigError(ValueError):
-    """Series/config combination leaves no usable train or eval steps."""
-
-
 class ReplayBuffer:
     """Fixed-capacity FIFO ring of transitions, one [obs | u_a u_b | reward]
     row each."""
@@ -65,15 +57,15 @@ class ReplayBuffer:
         [0, size), gathered once: returns ([obs | u_a u_b] rows, rewards),
         both views of the gather."""
         if self._rows is None:
-            raise InsufficientData("buffer is empty")
+            raise ValueError("buffer is empty")
         # numpy would read a negative index from the fill level back
         low = idx.min(initial=0)
         if low < 0:
-            raise InsufficientData(f"buffer holds {self.size} rows: index {low} is negative")
+            raise ValueError(f"buffer holds {self.size} rows: index {low} is negative")
         try:
             rows = self._rows[:self.size][idx]
         except IndexError as exc:
-            raise InsufficientData(f"buffer holds {self.size} rows: {exc}") from None
+            raise ValueError(f"buffer holds {self.size} rows: {exc}") from None
         return rows[:, :-1], rows[:, -1]
 
 
@@ -178,11 +170,11 @@ def train_split_end(length, eval_split):
 
 
 def eval_timesteps(series, cfg):
-    """The held-out timesteps; a ConfigError if there are none."""
+    """The held-out timesteps; a ValueError if there are none."""
     n = len(series.timestamps)
     start = max(train_split_end(n, cfg.eval_split), cfg.env.window_n)
     if start >= n:
-        raise ConfigError(
+        raise ValueError(
             f"evaluation split is empty: it would start at step {start} of a "
             f"{n}-step series (eval_split {cfg.eval_split}, env.window_n {cfg.env.window_n})"
         )
@@ -228,7 +220,7 @@ def train(agent_kind, series, cfg):
     n = len(series.timestamps)
     split_end = train_split_end(n, cfg.eval_split)
     if split_end <= env.window_n:
-        raise ConfigError(
+        raise ValueError(
             f"training split [0, {split_end}) leaves no timestep with a "
             f"{env.window_n}-step history"
         )
@@ -294,7 +286,7 @@ def greedy_policy(agent, series, cfg):
         if kind == AgentKind.OPT_BASE:
             split_end = train_split_end(len(series.timestamps), cfg.eval_split)
             if split_end < 1:
-                raise ConfigError("no training prefix to take demand maxima from")
+                raise ValueError("no training prefix to take demand maxima from")
             max_demand = (
                 float(series.d_a[:split_end].max()),
                 float(series.d_b[:split_end].max()),

@@ -85,17 +85,31 @@ def _check_fields(config) -> None:
             object.__setattr__(config, name, as_agent_kind(value, name))
 
 
+def frozen(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype. A read-only array of dtype that
+    owns its data is passed on as is (merge_series shares a series' columns
+    so); anything else is copied and the copy frozen, so a caller's array
+    stays writeable and later writes to it reach no value built on it."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 class DemandSeries:
     """Uniformly spaced time series of per-network PRB demand.
 
-    Stored as parallel numpy arrays; consecutive timestamps must differ by
-    exactly `granularity` seconds.
+    Stored as parallel read-only 1-D numpy arrays (see frozen); consecutive
+    timestamps must differ by exactly `granularity` seconds.
     """
 
     def __init__(self, timestamps, d_a, d_b, granularity: int):
-        ts = np.asarray(timestamps, dtype=np.int64)
-        da = np.asarray(d_a, dtype=np.float64)
-        db = np.asarray(d_b, dtype=np.float64)
+        ts, da, db = frozen(timestamps, np.int64), frozen(d_a, np.float64), frozen(d_b, np.float64)
+        if not ts.ndim == da.ndim == db.ndim == 1:
+            raise ValueError("timestamps, d_a, d_b must be 1-D, got shapes "
+                             f"{ts.shape}, {da.shape}, {db.shape}")
         if not (len(ts) == len(da) == len(db)):
             raise ValueError("timestamps, d_a, d_b must have equal length")
         if len(ts) < 1:
@@ -110,8 +124,6 @@ class DemandSeries:
         self.d_a = da
         self.d_b = db
         self.granularity = granularity
-        for arr in (self.timestamps, self.d_a, self.d_b):
-            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -202,16 +214,13 @@ class EnvConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if not 0.0 <= self.zeta <= 1.0:
-            raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
+        check_objective(self.zeta, self.d_min)
         if self.n_r <= 0:
             raise ValueError(f"n_r must be positive, got {self.n_r}")
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.window_n < 0:
             raise ValueError(f"window_n must be a nonnegative integer, got {self.window_n!r}")
-        if self.d_min <= 0:
-            raise ValueError(f"d_min must be positive, got {self.d_min}")
         if self.capacity_norm < self.n_r:
             raise ValueError(
                 f"capacity_norm ({self.capacity_norm}) must cover the pool size ({self.n_r})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Allocation, DemandSeries, EnvConfig, clamp_demand
+from .domain import Allocation, DemandSeries, EnvConfig, clamp_demand, frozen
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,12 @@ class Observation:
     pairs: np.ndarray  # shape (window_n + 1, 2), demands / capacity_norm
 
     def __post_init__(self):
-        arr = np.asarray(self.pairs, dtype=np.float64)
+        arr = frozen(self.pairs, np.float64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"pairs must have shape (k, 2), got {arr.shape}")
         if np.any(arr < 0):
             raise ValueError("observation entries must be nonnegative")
         object.__setattr__(self, "pairs", arr)
-        arr.setflags(write=False)
 
     def vector(self) -> np.ndarray:
         """Flat feature vector for the networks, recent pair first."""

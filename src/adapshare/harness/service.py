@@ -8,7 +8,8 @@ object and the connection stays open; a line longer than MAX_LINE bytes
 gets an error object and the connection is closed, and so is, without
 a reply, a connection that sends no line or reads no reply for
 IDLE_TIMEOUT_S seconds, so a silent client does not hold its handler
-thread. The policy is loaded once and never mutated while serving.
+thread. The policy is loaded once and never mutated while serving; a
+checkpoint that does not load is a ValueError naming the file.
 """
 
 import json
@@ -24,10 +25,6 @@ from ..env import objective_j, project_action
 
 MAX_LINE = 64 * 1024  # bytes per request line, newline included
 IDLE_TIMEOUT_S = 60  # seconds a connection may wait to read a request or to write a reply
-
-
-class CheckpointInvalid(ValueError):
-    """Checkpoint file missing, malformed, or not an agent checkpoint."""
 
 
 class MalformedRequest(ValueError):
@@ -160,7 +157,7 @@ def start_server(checkpoint, host="127.0.0.1", port=0):
     try:
         agent, experiment = load_agent(checkpoint)
     except (OSError, ValueError, KeyError) as exc:
-        raise CheckpointInvalid(f"cannot load {checkpoint}: {exc}") from exc
+        raise ValueError(f"cannot load {checkpoint}: {exc}") from exc
     try:
         return AllocationServer((host, port), agent, experiment)
     except OSError as exc:

@@ -16,14 +16,6 @@ from .domain import check_objective, clamp_demands
 from .env import _weighted_squares
 
 
-class LengthMismatch(ValueError):
-    """Allocation and demand sequences differ in length."""
-
-
-class EmptyInput(ValueError):
-    """A metric was asked to aggregate zero steps."""
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Aggregate metrics for one evaluated policy on one scenario.
@@ -44,7 +36,7 @@ class EvalReport:
 
 def _demand_arrays(demands, length):
     if len(demands) != length:
-        raise LengthMismatch(f"{length} allocations vs {len(demands)} demands")
+        raise ValueError(f"{length} allocations vs {len(demands)} demands")
     pairs = np.array(demands, dtype=float).reshape(length, 2)
     return pairs[:, 0], pairs[:, 1]
 
@@ -81,7 +73,7 @@ def moving_average(values, window):
         raise ValueError(f"window must be >= 1, got {window}")
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        raise EmptyInput("no values to average")
+        raise ValueError("no values to average")
     out = np.empty_like(values)
     head = min(window - 1, values.size)
     for i in range(head):
@@ -105,20 +97,22 @@ def build_report(grants, demands, zeta, d_min=0.1, timestamps=None):
         a (0, 0) step counting as 1 (both sides equally starved) and
         tallied in zero_alloc_steps.
     mean_j adds J left to right. The per_step matrix holds the unfloored
-    demands and takes its t column from timestamps, or 0 .. T-1 when none
-    are given. zeta must lie in [0, 1] and d_min be positive and finite.
+    demands and takes its t column from timestamps, shape (T,), or
+    0 .. T-1 if none. zeta must lie in [0, 1] and d_min be positive and finite.
     """
     if len(grants) == 0:
-        raise EmptyInput("no allocations to aggregate")
+        raise ValueError("no allocations to aggregate")
     check_objective(zeta, d_min)
     n_a = np.asarray(grants["n_a"], dtype=float)
     n_b = np.asarray(grants["n_b"], dtype=float)
     d_a, d_b = _demand_arrays(demands, len(grants))
+    t = np.arange(len(grants)) if timestamps is None else timestamps
+    if np.shape(t) != (len(grants),):
+        raise ValueError(f"{len(grants)} allocations vs timestamps of shape {np.shape(t)}")
     floor_a = clamp_demands(d_a, d_min, "d_a")
     floor_b = clamp_demands(d_b, d_min, "d_b")
     j = _weighted_squares(n_a, n_b, floor_a, floor_b, zeta)
     fairness, zero_steps = _jain(n_a, n_b)
-    t = np.arange(len(j)) if timestamps is None else timestamps
     per_step = np.column_stack((t, n_a, n_b, d_a, d_b, j))
     per_step.setflags(write=False)
     return EvalReport(

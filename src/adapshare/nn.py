@@ -9,7 +9,7 @@ a network of the same shape.
 All math is float64 numpy; no autodiff framework.
 
 Each function takes one form, the one its callers pass, and names any
-other in a ShapeMismatch: `forward` one input vector (acting, serving),
+other in a ValueError: `forward` one input vector (acting, serving),
 `forward_cache` and `backward` a (batch, width) matrix (training; one
 row is `x[None]`), and Adam one parameter vector. A network keeps its
 parameters in one contiguous vector, carved per layer by `layer_views`.
@@ -35,10 +35,6 @@ cloned, so no pass looks them up by name.
 import math
 
 import numpy as np
-
-
-class ShapeMismatch(ValueError):
-    """Input or gradient shape incompatible with the network."""
 
 
 def _sigmoid(z):
@@ -76,17 +72,15 @@ class Mlp:
         dims = [int(d) for d in dims]
         activations = list(activations)
         if len(dims) < 2:
-            raise ShapeMismatch("need at least an input and an output layer")
+            raise ValueError("need at least an input and an output layer")
         if any(d <= 0 for d in dims):
-            raise ShapeMismatch(f"layer widths must be positive, got {dims}")
+            raise ValueError(f"layer widths must be positive, got {dims}")
         if len(activations) != len(dims) - 1:
-            raise ShapeMismatch(
-                f"{len(dims) - 1} layers need {len(dims) - 1} activations, "
-                f"got {len(activations)}"
-            )
+            raise ValueError(f"{len(dims) - 1} layers need {len(dims) - 1} activations, "
+                             f"got {len(activations)}")
         for name in activations:
             if name not in ACTIVATIONS:
-                raise ShapeMismatch(f"unknown activation {name!r}")
+                raise ValueError(f"unknown activation {name!r}")
         self.dims = dims
         self.activations = activations
         self._bind(np.empty(sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))))
@@ -140,7 +134,7 @@ def forward(net, x):
     """
     a = np.asarray(x, dtype=float)
     if a.shape != (net.dims[0],):
-        raise ShapeMismatch(f"input has shape {a.shape}, network expects a vector of width {net.dims[0]}")
+        raise ValueError(f"input has shape {a.shape}, network expects a vector of width {net.dims[0]}")
     for w, b, value in zip(net.weights, net.biases, net.value_fns):
         a = np.dot(w, a)
         a += b
@@ -153,8 +147,8 @@ def forward_cache(net, x):
     backward() needs: (pre-activations, layer outputs with the input first)."""
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[1] != net.dims[0]:
-        raise ShapeMismatch(f"input has shape {a.shape}, network expects a (batch, {net.dims[0]}) matrix; "
-                            "one row is x[None]")
+        raise ValueError(f"input has shape {a.shape}, network expects a (batch, {net.dims[0]}) matrix; "
+                         "one row is x[None]")
     pre, post = [], [a]
     for w, b, value in zip(net.weights, net.biases, net.value_fns):
         z = a @ w.T
@@ -178,7 +172,7 @@ def backward(net, cache, upstream, params=True, inputs=True):
     pre, post = cache
     up = np.asarray(upstream, dtype=float)
     if up.shape != (post[0].shape[0], net.dims[-1]):
-        raise ShapeMismatch(
+        raise ValueError(
             f"upstream gradient shape {up.shape} does not match "
             f"output shape ({post[0].shape[0]}, {net.dims[-1]})"
         )
@@ -214,7 +208,7 @@ class AdamState:
         if not (lr > 0 and math.isfinite(lr)):
             raise ValueError(f"lr must be a finite positive number, got {lr!r}")
         if len(params) != 1:
-            raise ShapeMismatch(f"Adam takes one parameter vector, got {len(params)} arrays")
+            raise ValueError(f"Adam takes one parameter vector, got {len(params)} arrays")
         self.lr = float(lr)
         self.step_count = 0
         self.first_moment, self.second_moment = np.zeros_like(params[0]), np.zeros_like(params[0])
@@ -232,8 +226,8 @@ def adam_step(state, params, grads):
     m, v = state.first_moment, state.second_moment
     if not (len(params) == len(grads) == 1 and np.shape(params[0]) == np.shape(grads[0]) == m.shape):
         shapes = [np.shape(p) for p in params], [np.shape(g) for g in grads]
-        raise ShapeMismatch(f"Adam steps one vector of shape {m.shape} with one gradient of that "
-                            f"shape, got parameter shapes {shapes[0]} and gradient shapes {shapes[1]}")
+        raise ValueError(f"Adam steps one vector of shape {m.shape} with one gradient of that "
+                         f"shape, got parameter shapes {shapes[0]} and gradient shapes {shapes[1]}")
     (p,), (g,) = params, grads
     state.step_count += 1
     t = state.step_count

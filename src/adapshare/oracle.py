@@ -106,12 +106,14 @@ def _split_deficit(a, b, zeta, n_r):
 
 
 def solve_opt_array(d_a, d_b, zeta: float, n_r: float, d_min: float = 0.1):
-    """solve_opt over whole demand columns in one array pass.
+    """solve_opt over two 1-D demand columns of one shape in one array pass.
 
     Returns the grant columns (n_a, n_b), element for element the bits
     solve_opt returns for the same demand pair.
     """
     _check_problem(zeta, n_r, d_min)
+    if np.ndim(d_a) != 1 or np.shape(d_a) != np.shape(d_b):
+        raise ValueError(f"d_a and d_b must be 1-D of one shape, got {np.shape(d_a)} and {np.shape(d_b)}")
     n_a, n_b, _ = _closed_form(
         clamp_demands(d_a, d_min, "d_a"), clamp_demands(d_b, d_min, "d_b"), zeta, n_r
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import INT64_MAX, DemandSeries, positive_int
+from .domain import INT64_MAX, DemandSeries, frozen, positive_int
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -37,7 +37,7 @@ class DemandStats:
     length: int
 
     def __post_init__(self):
-        sv = np.asarray(self.sorted_values, dtype=np.float64)
+        sv = frozen(self.sorted_values, np.float64)
         if sv.ndim != 1 or len(sv) == 0 or not ((sv >= 0) & (sv < np.inf)).all():
             raise ValueError("sorted_values must be a nonempty 1-D array of finite nonnegative demands")
         if np.any(np.diff(sv) < 0):
@@ -51,7 +51,6 @@ class DemandStats:
         object.__setattr__(self, "lag1_corr", float(rho))
         object.__setattr__(self, "length", positive_int(self.length, "length"))
         object.__setattr__(self, "sorted_values", sv)
-        sv.setflags(write=False)
 
     @property
     def max_demand(self) -> float:

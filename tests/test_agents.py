@@ -13,9 +13,7 @@ from adapshare import agents as agents_mod
 from adapshare import nn
 from adapshare.agents import (
     AgentConfig,
-    ConfigError,
     DdpgAgent,
-    InsufficientData,
     ReplayBuffer,
     Td3Agent,
     eval_timesteps,
@@ -169,16 +167,16 @@ class TestReplayBuffer:
 
     def test_sample_underfull_rejected(self):
         buf = ReplayBuffer(8)
-        with pytest.raises(InsufficientData, match="^buffer is empty$"):
+        with pytest.raises(ValueError, match="^buffer is empty$"):
             buf.sample(np.array([0]))
         add(buf)
         # an index at the fill level reads no row, though the ring has room for it
-        with pytest.raises(InsufficientData, match="^buffer holds 1 rows: "):
+        with pytest.raises(ValueError, match="^buffer holds 1 rows: "):
             buf.sample(np.array([0, 1]))
         # nor does a negative one, which numpy would count back from the fill level
         add(buf)
         add(buf)
-        with pytest.raises(InsufficientData, match="^buffer holds 3 rows: index -1 is negative$"):
+        with pytest.raises(ValueError, match="^buffer holds 3 rows: index -1 is negative$"):
             buf.sample(np.array([0, -1]))
 
     def test_invalid_capacity(self):
@@ -421,7 +419,7 @@ class TestSplits:
         cfg = ExperimentConfig(env=EnvConfig(n_r=20.0, window_n=window_n), eval_split=eval_split)
         if policy == "trained":
             policy = make_agent(AgentKind.TD3, obs_dim=2 * (window_n + 1), seed=1)
-        with pytest.raises(ConfigError, match="^evaluation split is empty: .* step 10 of a 10-step"):
+        with pytest.raises(ValueError, match="^evaluation split is empty: .* step 10 of a 10-step"):
             agents_mod.evaluate(policy, small_series, cfg)
 
 
@@ -548,7 +546,7 @@ class TestTrain:
 
     def test_window_swallowing_training_split_rejected(self, small_series):
         cfg = ExperimentConfig(env=EnvConfig(n_r=20.0, window_n=9), train_steps=10)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^training split \[0, \d+\) leaves no timestep with a 9-step history$"):
             train(AgentKind.TD3, small_series, cfg)
 
     def test_learns_constant_demand(self, constant_series):
@@ -650,7 +648,7 @@ class TestGreedyPolicy:
         series = DemandSeries([0], [3.0], [2.0], 3600)
         cfg = ExperimentConfig(env=EnvConfig(n_r=6.0, window_n=0), eval_split=0.6)
         assert eval_timesteps(series, cfg) == range(0, 1)
-        with pytest.raises(ConfigError, match="^no training prefix to take demand maxima from$"):
+        with pytest.raises(ValueError, match="^no training prefix to take demand maxima from$"):
             greedy_policy(AgentKind.OPT_BASE, series, cfg)
 
     def test_trained_agent_columns_match_per_step_projection(self, small_series):

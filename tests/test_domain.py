@@ -100,6 +100,24 @@ class TestDemandSeries:
         with pytest.raises(ValueError):
             small_series.d_a[0] = 99.0
 
+    def test_callers_arrays_stay_writeable_and_unshared(self):
+        ts, d_a, d_b = np.array([0, 1]), np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        series = DemandSeries(ts, d_a, d_b, 1)
+        assert ts.flags.writeable and d_a.flags.writeable and d_b.flags.writeable
+        ts[1], d_a[0], d_b[0] = 5, 9.0, 9.0
+        columns = series.timestamps, series.d_a, series.d_b
+        assert [c.tolist() for c in columns] == [[0, 1], [1.0, 2.0], [3.0, 4.0]]
+        assert not any(c.flags.writeable for c in columns)
+
+    @pytest.mark.parametrize("columns, shapes", [
+        ((0, 1.0, 1.0), "(), (), ()"),
+        (([[0, 1]], [[1.0, 2.0]], [[3.0, 4.0]]), "(1, 2), (1, 2), (1, 2)"),
+        (([0, 1], [1.0, 2.0], np.zeros((2, 1))), "(2,), (2,), (2, 1)"),
+    ])
+    def test_columns_not_1d_rejected(self, columns, shapes):
+        with pytest.raises(ValueError, match=f"^timestamps, d_a, d_b must be 1-D, got shapes {re.escape(shapes)}$"):
+            DemandSeries(*columns, 1)
+
     def test_demand_accessor(self, small_series):
         d_a, d_b = small_series.demand(3)
         assert d_a == small_series.d_a[3]
@@ -134,7 +152,7 @@ class TestEnvConfig:
 
     @pytest.mark.parametrize("d_min", [0.0, -0.1])
     def test_positive_d_min_enforced(self, d_min):
-        with pytest.raises(ValueError, match=f"^d_min must be positive, got {d_min}$"):
+        with pytest.raises(ValueError, match=f"^d_min must be positive and finite, got {d_min}$"):
             EnvConfig(n_r=60.0, d_min=d_min)
 
     def test_positive_pool_enforced(self):

@@ -137,6 +137,13 @@ class TestObservation:
         with pytest.raises(ValueError):
             obs.pairs[0, 0] = 0.9
 
+    def test_callers_array_stays_writeable_and_unshared(self):
+        pairs = np.array([[0.1, 0.2]])
+        obs = Observation(pairs)
+        assert pairs.flags.writeable
+        pairs[0, 0] = 0.9
+        assert obs.vector().tolist() == [0.1, 0.2]
+
 
 class TestObserve:
     def test_window_ordering_and_normalization(self):

@@ -670,6 +670,12 @@ class TestMerge:
         with pytest.raises(AlignmentMismatch):
             merge_series(a, b)
 
+    def test_shares_its_inputs_arrays(self):
+        a = resample_mean(trace((5, 0)), 3600, side_tag="a")
+        b = resample_mean(trace((7, 0)), 3600, side_tag="b")
+        merged = merge_series(a, b)
+        assert merged.timestamps is a.timestamps and merged.d_a is a.d_a and merged.d_b is b.d_b
+
     def test_identical_sides(self):
         a = resample_mean(trace((5, 0)), 3600, side_tag="a")
         b = resample_mean(trace((5, 0)), 3600, side_tag="b")

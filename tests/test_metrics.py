@@ -7,7 +7,7 @@ import pytest
 
 from adapshare.domain import Allocation
 from adapshare.env import objective_j
-from adapshare.metrics import EmptyInput, LengthMismatch, build_report, moving_average
+from adapshare.metrics import build_report, moving_average
 from adapshare.oracle import solve_opt
 from conftest import grants
 
@@ -46,9 +46,9 @@ class TestSurplusDeficit:
         assert s_b == pytest.approx(-0.5, abs=1e-12)
 
     def test_length_mismatch_and_empty(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="^1 allocations vs 0 demands$"):
             surplus([(1.0, 1.0)], [])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="^no allocations to aggregate$"):
             surplus([], [])
 
 
@@ -96,9 +96,9 @@ class TestMeanObjective:
         assert j_oracle <= j_even + 1e-12
 
     def test_validation(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="^no allocations to aggregate$"):
             build_report(grants([]), np.empty((0, 2)), zeta=0.5)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="^1 allocations vs 2 demands$"):
             build_report(grants([(1.0, 1.0)]), [(1.0, 1.0), (2.0, 2.0)], zeta=0.5)
 
 
@@ -131,7 +131,7 @@ class TestMovingAverage:
     def test_validation(self):
         with pytest.raises(ValueError):
             moving_average([1.0], window=0)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="^no values to average$"):
             moving_average([], window=3)
 
 
@@ -189,6 +189,12 @@ class TestBuildReport:
                    else f"d_min must be positive and finite, got {d_min}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_report(grants([(1.0, 2.0)]), [(3.0, 4.0)], zeta, d_min)
+
+    @pytest.mark.parametrize("timestamps", [np.arange(6).reshape(3, 2), [100, 101], [100, 101, 102, 103], 100])
+    def test_timestamps_not_one_per_step_refused(self, timestamps):
+        message = f"3 allocations vs timestamps of shape {np.shape(timestamps)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_report(grants([(1.0, 2.0)] * 3), [(3.0, 4.0)] * 3, 0.5, timestamps=timestamps)
 
     def test_per_step_rows_carry_timestamps(self):
         allocs = grants([(1.0, 2.0), (3.0, 4.0)])

@@ -1,5 +1,7 @@
 """Closed-form solver against hand arithmetic and the brute-force grid."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,14 @@ class TestArraySolver:
         assert n_a.shape == n_b.shape == (2,)
         assert (n_a[0], n_b[0]) == (5.0, 8.0)
         assert n_a[1] + n_b[1] == 20.0
+
+    @pytest.mark.parametrize("d_a, d_b", [
+        ([1.0, 2.0, 3.0], [5.0]), ([[1.0, 2.0]], [[3.0, 4.0]]), (5.0, 5.0), ([1.0, 2.0], [3.0, 4.0, 5.0]),
+    ])
+    def test_columns_not_1d_of_one_shape_rejected(self, d_a, d_b):
+        message = f"d_a and d_b must be 1-D of one shape, got {np.shape(d_a)} and {np.shape(d_b)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_opt_array(np.array(d_a), np.array(d_b), 0.5, 4.0, 0.1)
 
 
 class TestQuasiStaticBaseline:

@@ -19,7 +19,6 @@ from adapshare.harness.service import (
     IDLE_TIMEOUT_S,
     MAX_LINE,
     AllocationHandler,
-    CheckpointInvalid,
     MalformedRequest,
     _parse_request,
     start_server,
@@ -494,19 +493,19 @@ class TestIdleTimeout:
 
 class TestStartServer:
     def test_missing_checkpoint(self, tmp_path):
-        with pytest.raises(CheckpointInvalid):
+        with pytest.raises(ValueError, match=r"^cannot load .*absent\.json: \[Errno 2\] No such file"):
             start_server(tmp_path / "absent.json")
 
     def test_wrong_format_checkpoint(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}\n')
-        with pytest.raises(CheckpointInvalid, match="not an agent checkpoint"):
+        with pytest.raises(ValueError, match="not an agent checkpoint"):
             start_server(path)
 
     def test_deeply_nested_checkpoint(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 50_000)
-        with pytest.raises(CheckpointInvalid, match="deep.json: not a JSON checkpoint: JSON nested too deeply"):
+        with pytest.raises(ValueError, match="deep.json: not a JSON checkpoint: JSON nested too deeply"):
             start_server(path)
 
     @pytest.mark.parametrize("port", [-1, 65536, 70000])

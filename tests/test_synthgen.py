@@ -59,6 +59,13 @@ class TestStats:
         stats = DemandStats(sorted_values=np.array([1.0, 5.0, 9.0]), lag1_corr=0.0, length=3)
         assert stats.max_demand == 9.0
 
+    def test_callers_array_stays_writeable_and_unshared(self):
+        values = np.array([1.0, 5.0, 9.0])
+        stats = DemandStats(sorted_values=values, lag1_corr=0.0, length=3)
+        assert values.flags.writeable and not stats.sorted_values.flags.writeable
+        values[2] = 20.0
+        assert stats.max_demand == 9.0
+
 
 class TestFit:
     def test_constant_series_zero_corr(self):
