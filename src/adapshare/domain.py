@@ -87,9 +87,9 @@ def _check_fields(config) -> None:
 
 def frozen(values, dtype) -> np.ndarray:
     """values as a read-only array of dtype. A read-only array of dtype that
-    owns its data is passed on as is (merge_series shares a series' columns
-    so); anything else is copied and the copy frozen, so a caller's array
-    stays writeable and later writes to it reach no value built on it."""
+    owns its data is shared as is, as merge_series and generate want; its
+    owner can make it writeable again. Anything else is copied and the copy
+    frozen, so writes to a caller's writeable array reach no value built on it."""
     if (isinstance(values, np.ndarray) and values.dtype == dtype
             and values.flags.owndata and not values.flags.writeable):
         return values
@@ -108,8 +108,7 @@ class DemandSeries:
     def __init__(self, timestamps, d_a, d_b, granularity: int):
         ts, da, db = frozen(timestamps, np.int64), frozen(d_a, np.float64), frozen(d_b, np.float64)
         if not ts.ndim == da.ndim == db.ndim == 1:
-            raise ValueError("timestamps, d_a, d_b must be 1-D, got shapes "
-                             f"{ts.shape}, {da.shape}, {db.shape}")
+            raise ValueError(f"timestamps, d_a, d_b must be 1-D, got shapes {ts.shape}, {da.shape}, {db.shape}")
         if not (len(ts) == len(da) == len(db)):
             raise ValueError("timestamps, d_a, d_b must have equal length")
         if len(ts) < 1:

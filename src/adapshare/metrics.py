@@ -106,13 +106,13 @@ def build_report(grants, demands, zeta, d_min=0.1, timestamps=None):
     n_a = np.asarray(grants["n_a"], dtype=float)
     n_b = np.asarray(grants["n_b"], dtype=float)
     d_a, d_b = _demand_arrays(demands, len(grants))
-    t = np.arange(len(grants)) if timestamps is None else timestamps
-    if np.shape(t) != (len(grants),):
-        raise ValueError(f"{len(grants)} allocations vs timestamps of shape {np.shape(t)}")
+    if timestamps is not None and np.shape(timestamps) != (len(grants),):
+        raise ValueError(f"{len(grants)} allocations vs timestamps of shape {np.shape(timestamps)}")
     floor_a = clamp_demands(d_a, d_min, "d_a")
     floor_b = clamp_demands(d_b, d_min, "d_b")
     j = _weighted_squares(n_a, n_b, floor_a, floor_b, zeta)
     fairness, zero_steps = _jain(n_a, n_b)
+    t = np.arange(len(j)) if timestamps is None else timestamps
     per_step = np.column_stack((t, n_a, n_b, d_a, d_b, j))
     per_step.setflags(write=False)
     return EvalReport(

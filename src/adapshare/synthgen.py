@@ -126,6 +126,8 @@ def generate(
         values[order] = np.interp(u[order], positions, sv)
     timestamps = granularity * np.arange(length, dtype=np.int64)
     zeros = np.zeros(length)
+    for arr in (timestamps, values, zeros):
+        arr.setflags(write=False)
     if side == "a":
         return DemandSeries(timestamps, values, zeros, granularity)
     if side == "b":

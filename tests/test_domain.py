@@ -109,6 +109,19 @@ class TestDemandSeries:
         assert [c.tolist() for c in columns] == [[0, 1], [1.0, 2.0], [3.0, 4.0]]
         assert not any(c.flags.writeable for c in columns)
 
+    def test_only_a_read_only_array_that_owns_its_data_is_shared(self):
+        owner = np.array([1.0, 2.0])
+        owner.setflags(write=False)
+        assert domain.frozen(owner, np.float64) is owner
+        # shared, so its owner can make it writeable again and reach the series
+        series = DemandSeries([0, 1], owner, [3.0, 4.0], 1)
+        owner.setflags(write=True)
+        owner[0] = 9.0
+        assert series.d_a[0] == 9.0
+        for other in (owner[:], owner.astype(np.float32), [1.0, 2.0]):
+            out = domain.frozen(other, np.float64)
+            assert out is not other and out.dtype == np.float64 and not out.flags.writeable
+
     @pytest.mark.parametrize("columns, shapes", [
         ((0, 1.0, 1.0), "(), (), ()"),
         (([[0, 1]], [[1.0, 2.0]], [[3.0, 4.0]]), "(1, 2), (1, 2), (1, 2)"),

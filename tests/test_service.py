@@ -499,13 +499,14 @@ class TestStartServer:
     def test_wrong_format_checkpoint(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}\n')
-        with pytest.raises(ValueError, match="not an agent checkpoint"):
+        with pytest.raises(ValueError, match=r"^cannot load .*other\.json: .*other\.json: not an agent checkpoint$"):
             start_server(path)
 
     def test_deeply_nested_checkpoint(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 50_000)
-        with pytest.raises(ValueError, match="deep.json: not a JSON checkpoint: JSON nested too deeply"):
+        with pytest.raises(ValueError,
+                           match=r"^cannot load .*deep\.json: .*deep\.json: not a JSON checkpoint: JSON nested too deeply"):
             start_server(path)
 
     @pytest.mark.parametrize("port", [-1, 65536, 70000])

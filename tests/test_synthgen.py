@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from synth_reference import generate_values
 
+from adapshare import domain
 from adapshare.domain import DemandSeries
 from adapshare.synthgen import DemandStats, fit, generate, ks_distance
 
@@ -105,6 +108,22 @@ class TestGenerate:
         assert series.d_b.tobytes() == generate(stats, 10, seed=42).d_a.tobytes()
         with pytest.raises(ValueError, match="^side must be 'a' or 'b', got 'c'$"):
             generate(stats, 10, seed=42, side="c")
+
+    @pytest.mark.parametrize("length", [1, 10])
+    def test_hands_its_fresh_columns_to_the_series_uncopied(self, length):
+        stats = fit(one_sided([1.0, 2.0, 3.0, 4.0, 5.0]), side="a")
+        shared = []
+
+        def spy(values, dtype):
+            out = frozen(values, dtype)
+            shared.append(out is values)
+            return out
+
+        frozen = domain.frozen
+        with mock.patch.object(domain, "frozen", spy):
+            series = generate(stats, length, seed=42)
+        assert shared == [True, True, True]
+        assert not any(c.flags.writeable for c in (series.timestamps, series.d_a, series.d_b))
 
     def test_deterministic(self, ref_series):
         stats = fit(ref_series, side="a")
